@@ -13,7 +13,6 @@ from sparserec.codes import (
     RSCode,
     SplitCode,
     lw_join,
-    lw_join_tolerant,
     rs_list_recover,
 )
 from sparserec.errors import InfeasibleError, NumericalError, UsageError
@@ -26,7 +25,7 @@ from sparserec.expander import (
     unique_neighbor_count,
     verify_expansion,
 )
-from sparserec.fields import FieldSpec, field_arith
+from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash, SignFamily, kwise_eval, sign_eval
 from sparserec.lowerbound import (
     AdversarialPair,
@@ -44,9 +43,6 @@ from sparserec.recursive import (
     Scheme2Map,
     build_tree,
     invert_indices,
-    phi_map,
-    recursive_identify,
-    rs_one_step_combine,
     tree_shape,
 )
 from sparserec.seeds import derive_seed
@@ -58,7 +54,6 @@ from sparserec.toplevel import (
     build_toplevel,
     omp_baseline,
     repeat_median_amplify,
-    toplevel_decode,
 )
 from sparserec.weak import (
     WeakDecomposition,

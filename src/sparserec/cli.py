@@ -14,7 +14,7 @@ import numpy as np
 
 from sparserec import binio
 from sparserec.errors import InfeasibleError, NumericalError, UsageError
-from sparserec.codes import ListRecoveryInstance, RSCode, lw_join, lw_join_tolerant, rs_list_recover
+from sparserec.codes import ListRecoveryInstance, RSCode, lw_join, rs_list_recover
 from sparserec.expander import build_graph, verify_expansion
 from sparserec.experiment import records_to_csv, run_experiment
 from sparserec.fields import FieldSpec
@@ -104,8 +104,7 @@ def _cmd_lw_join(args) -> int:
     if "projections" not in blob:
         raise UsageError("expected a JSON object with a 'projections' key")
     sets = [{tuple(v) for v in s} for s in blob["projections"]]
-    errors = args.tolerant or 0
-    vectors = lw_join(sets) if errors == 0 else lw_join_tolerant(sets, errors)
+    vectors = lw_join(sets, errors=args.tolerant)
     _write_text(args.out, json.dumps({"vectors": [list(v) for v in vectors]}) + "\n")
     return 0
 

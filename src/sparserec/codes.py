@@ -4,11 +4,19 @@ Messages are integers in [n]; codewords are r-tuples of integer symbols
 in [q].  All three families are uniform (each coordinate of a uniform
 message is uniform over the alphabet), which downstream layers rely on.
 
+Each code also encodes vectorized, one symbol position at a time
+(`encode_vec`), and its list recovery runs on tuple symbols: a product of
+m same-kind codes maps a message tuple (x_1, ..., x_m) to the r symbols
+(c_1(x_1)_i, ..., c_m(x_m)_i).  A code's own `list_recover` is the case
+m = 1; the recursion tree's node codes are products of two codes, one on
+the deterministic and one on the random half of a packed domain.
+
 List recovery:
   * split      - cartesian product of the two candidate sets;
   * LW(d)      - reconstruct a set in Sigma^d from its d coordinate-
                  deleted projection sets via the labeled-binary-tree join,
-                 output size at most (d-1) * (prod k_i)^(1/(d-1));
+                 output size at most (d-1) * (prod k_i)^(1/(d-1)); with an
+                 error budget e, vectors agreeing with d - e of the sets;
   * Reed-Solomon - interpolate through every b-subset of candidate
                  coordinates and keep polynomials agreeing with enough
                  sets (exact in the unique-decoding regime
@@ -117,27 +125,9 @@ def _validate_projections(projections) -> list[set[tuple[int, ...]]]:
     return sets
 
 
-def lw_join(projections) -> list[tuple[int, ...]]:
+def lw_join(projections, errors: int = 0) -> list[tuple[int, ...]]:
     """All v in Sigma^d whose coordinate-deleted projections v_{-i} lie in
-    the given sets; exact, deduplicated, sorted."""
-    sets = _validate_projections(projections)
-    d = len(sets)
-    ks = [len(s) for s in sets]
-    if min(ks) == 0:
-        return []
-    cap = float(np.prod([float(k) for k in ks])) ** (1.0 / (d - 1))
-    deter = _join_over_leaves(list(range(d)), dict(enumerate(sets)), d, cap)
-    out = sorted(
-        v for v in deter
-        if all(v[:i] + v[i + 1 :] in sets[i] for i in range(d))
-    )
-    if len(out) > math.ceil((d - 1) * cap):
-        raise NumericalError("join output exceeded its provable size bound")
-    return out
-
-
-def lw_join_tolerant(projections, errors: int) -> list[tuple[int, ...]]:
-    """Vectors agreeing with at least d - errors of the projection sets."""
+    at least d - errors of the given sets; exact, deduplicated, sorted."""
     sets = _validate_projections(projections)
     d = len(sets)
     if not 0 <= errors <= d - 2:
@@ -162,7 +152,89 @@ def lw_join_tolerant(projections, errors: int) -> list[tuple[int, ...]]:
         if sum(v[:i] + v[i + 1 :] in sets[i] for i in range(d)) >= d - errors
     )
     if len(out) > math.ceil(bound):
-        raise NumericalError("tolerant join exceeded its provable size bound")
+        raise NumericalError("join output exceeded its provable size bound")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# list recovery of products of same-kind codes
+# ---------------------------------------------------------------------------
+
+
+def _singletons(sets) -> list[set[tuple[int]]]:
+    return [{(int(v),) for v in s} for s in sets]
+
+
+def split_recover(codes, sets) -> list[tuple[int, ...]]:
+    """Every message of a product of split codes whose two symbols lie in
+    the two tuple-symbol sets: the cartesian product of the sets."""
+    s0, s1 = sets
+    return [tuple(c.q * a + b for c, a, b in zip(codes, u, v))
+            for u in s0 for v in s1]
+
+
+def lw_recover(codes, sets, errors: int = 0) -> list[tuple[int, ...]]:
+    """Messages of a product of LW(d) codes agreeing with at least
+    d - errors of the tuple-symbol sets.
+
+    Position t of every component's sub-digits combines into one
+    mixed-radix digit (first component most significant), so the product
+    is itself an LW(d) code and one join recovers it.
+    """
+    bases = [c.base for c in codes]
+
+    def mix(digits) -> int:
+        v = 0
+        for digit, base in zip(digits, bases):
+            v = v * base + digit
+        return v
+
+    def unmix(v: int) -> list[int]:
+        digits = []
+        for base in reversed(bases):
+            v, digit = divmod(v, base)
+            digits.append(digit)
+        return digits[::-1]
+
+    def merge(sym) -> tuple[int, ...]:
+        per_code = [c.unpack_symbol(int(x)) for c, x in zip(codes, sym)]
+        return tuple(mix(column) for column in zip(*per_code))
+
+    tuple_sets = [{merge(sym) for sym in s} for s in sets]
+    out = []
+    for vec in lw_join(tuple_sets, errors):
+        parts = list(zip(*map(unmix, vec)))
+        out.append(tuple(c.pack_symbol(p) for c, p in zip(codes, parts)))
+    return out
+
+
+def rs_recover(codes, sets, rho: float) -> list[tuple[int, ...]]:
+    """Messages of a product of RS codes (sharing b, r and the evaluation
+    points) whose codewords agree with the tuple-symbol sets on at least
+    r - floor(rho * r) coordinates.
+
+    Every component is interpolated through every b-subset of occupied
+    coordinates; each new message is encoded once and checked.
+    """
+    first = codes[0]
+    need = first.r - first.max_disagreements(rho)
+    sets = [sorted(s) for s in sets]
+    occupied = [i for i in range(first.r) if sets[i]]
+    if len(occupied) < first.b:
+        return []
+    lookup = [set(s) for s in sets]
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for coords in itertools.combinations(occupied, first.b):
+        for values in itertools.product(*[sets[c] for c in coords]):
+            msg = tuple([code.pack_coefficients(code.interpolate(coords, column))
+                         for code, column in zip(codes, zip(*values))])
+            if msg in seen:
+                continue
+            seen.add(msg)
+            words = [code.encode(x) for code, x in zip(codes, msg)]
+            if sum(sym in lookup[i] for i, sym in enumerate(zip(*words))) >= need:
+                out.append(msg)
     return out
 
 
@@ -171,7 +243,14 @@ def lw_join_tolerant(projections, errors: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-class SplitCode:
+class _Code:
+    def encode_all(self) -> np.ndarray:
+        """The codeword table: row x is the codeword of message x."""
+        xs = np.arange(self.n, dtype=np.int64)
+        return np.stack([self.encode_vec(xs, u) for u in range(self.r)], axis=1)
+
+
+class SplitCode(_Code):
     """x in [q^2] -> (high digit, low digit); trivial list recovery."""
 
     kind = "split"
@@ -190,18 +269,18 @@ class SplitCode:
             raise UsageError(f"message {x} outside [0, {self.n})")
         return divmod(x, self.q)
 
-    def encode_all(self) -> np.ndarray:
-        xs = np.arange(self.n)
-        return np.stack([xs // self.q, xs % self.q], axis=1)
+    def encode_vec(self, xs: np.ndarray, u: int) -> np.ndarray:
+        """Symbol u of each message in xs."""
+        xs = np.asarray(xs, dtype=np.int64)
+        return xs // self.q if u == 0 else xs % self.q
 
     def list_recover(self, sets, rho: float = 0.0) -> list[int]:
         if rho != 0.0:
             raise UsageError("split code recovery only supports rho = 0")
-        s1, s2 = (sorted(set(s)) for s in sets)
-        return sorted(a * self.q + b for a in s1 for b in s2)
+        return sorted(x for (x,) in split_recover((self,), _singletons(sets)))
 
 
-class LWCode:
+class LWCode(_Code):
     """x viewed as d digits; coordinate i of the codeword deletes digit i.
 
     Symbols are (d-1)-tuples of sub-digits, packed into ints base `base`
@@ -232,6 +311,8 @@ class LWCode:
         return tuple(out)
 
     def pack_symbol(self, sub_digits) -> int:
+        """Digits, most significant first, packed base `base` (a symbol
+        from d-1 sub-digits, a message from d)."""
         v = 0
         for t in sub_digits:
             v = v * self.base + int(t)
@@ -252,38 +333,22 @@ class LWCode:
     def encode(self, x: int) -> tuple[int, ...]:
         return tuple(self.pack_symbol(t) for t in self.encode_tuple(x))
 
-    def encode_all(self) -> np.ndarray:
-        xs = np.arange(self.n)
-        dig = np.stack(
-            [(xs // self.base**j) % self.base for j in range(self.d - 1, -1, -1)],
-            axis=1,
-        )
-        cols = []
-        for i in range(self.d):
-            rest = np.delete(dig, i, axis=1)
-            packed = np.zeros(self.n, dtype=np.int64)
-            for t in range(self.d - 1):
-                packed = packed * self.base + rest[:, t]
-            cols.append(packed)
-        return np.stack(cols, axis=1)
-
-    def pack_message(self, sub_digits) -> int:
-        v = 0
-        for t in sub_digits:
-            v = v * self.base + int(t)
-        return v
+    def encode_vec(self, xs: np.ndarray, u: int) -> np.ndarray:
+        """Symbol u of each message in xs: its digits without digit u."""
+        xs = np.asarray(xs, dtype=np.int64)
+        out = np.zeros_like(xs)
+        for j in range(self.d):
+            if j != u:
+                out = out * self.base + (xs // self.base ** (self.d - 1 - j)) % self.base
+        return out
 
     def list_recover(self, sets, rho: float = 0.0, errors: int = 0) -> list[int]:
         if rho != 0.0:
             raise UsageError("LW recovery corrects via an error budget, not rho")
-        tuple_sets = [
-            {self.unpack_symbol(int(sym)) for sym in s} for s in sets
-        ]
-        joined = lw_join(tuple_sets) if errors == 0 else lw_join_tolerant(tuple_sets, errors)
-        return [self.pack_message(v) for v in joined]
+        return [x for (x,) in lw_recover((self,), _singletons(sets), errors)]
 
 
-class RSCode:
+class RSCode(_Code):
     """Polynomial-evaluation code: message digits (base q, least
     significant first) are the coefficients, evaluated at r distinct
     field points (defaults 0..r-1)."""
@@ -326,17 +391,16 @@ class RSCode:
             out.append(acc)
         return tuple(out)
 
-    def encode_all(self) -> np.ndarray:
-        xs = np.arange(self.n, dtype=np.int64)
-        digs = [(xs // self.q**s) % self.q for s in range(self.b)]
-        cols = []
-        for beta in self.points:
-            acc = np.zeros(self.n, dtype=np.int64)
-            beta_arr = np.full(self.n, beta, dtype=np.int64)
-            for c in reversed(digs):
-                acc = self.field.add_vec(self.field.mul_vec(acc, beta_arr), c)
-            cols.append(acc)
-        return np.stack(cols, axis=1)
+    def encode_vec(self, xs: np.ndarray, u: int) -> np.ndarray:
+        """Symbol u of each message in xs: Horner evaluation of its
+        coefficients at point u."""
+        xs = np.asarray(xs, dtype=np.int64)
+        beta = np.full(xs.shape, self.points[u], dtype=np.int64)
+        acc = np.zeros_like(xs)
+        for s in range(self.b - 1, -1, -1):
+            digit = (xs // self.q**s) % self.q
+            acc = self.field.add_vec(self.field.mul_vec(acc, beta), digit)
+        return acc
 
     def interpolate(self, coords, values) -> list[int]:
         """Coefficients of the unique degree-<b polynomial through the
@@ -373,24 +437,7 @@ class RSCode:
         for s in sets:
             if s and not 0 <= min(s) <= max(s) < self.q:
                 raise UsageError("candidate symbols must lie in [0, q)")
-        need_agree = self.r - self.max_disagreements(rho)
-        occupied = [i for i in range(self.r) if sets[i]]
-        if len(occupied) < self.b:
-            return []
-        seen: dict[int, bool] = {}
-        out = []
-        set_lookup = [set(s) for s in sets]
-        for coords in itertools.combinations(occupied, self.b):
-            for values in itertools.product(*[sets[c] for c in coords]):
-                x = self.pack_coefficients(self.interpolate(coords, values))
-                if x in seen:
-                    continue
-                cw = self.encode(x)
-                ok = sum(cw[i] in set_lookup[i] for i in range(self.r)) >= need_agree
-                seen[x] = ok
-                if ok:
-                    out.append(x)
-        return sorted(out)
+        return sorted(x for (x,) in rs_recover((self,), _singletons(sets), rho))
 
 
 @dataclass

@@ -53,6 +53,13 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
         raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _toplevel_config(system: dict) -> TopLevelConfig:
+    """The system block as a TopLevelConfig.  Older configs may carry
+    d_exp, an exponent no stage reads; it is accepted and dropped."""
+    return TopLevelConfig(**{k: v for k, v in system.items()
+                             if k not in ("type", "copies", "d_exp")})
+
+
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise UsageError("config must be a JSON object")
@@ -72,8 +79,7 @@ def validate_config(config: dict) -> dict:
     _reject_unknown(config.get("success", {}), _SUCCESS_KEYS, "config.success")
     SignalSpec(seed=0, **config["signal"])  # field validation
     if system.get("type", "toplevel") == "toplevel":
-        probe = {k: v for k, v in system.items() if k not in ("type", "copies")}
-        TopLevelConfig(**probe)
+        _toplevel_config(system)
     return config
 
 
@@ -90,8 +96,7 @@ def _run_trial(trial: int, config: dict, master_seed: int) -> TrialRecord:
         measurements = 0
     else:
         copies = int(system_cfg.get("copies", 1))
-        base = {k: v for k, v in system_cfg.items() if k not in ("type", "copies")}
-        top_cfg = TopLevelConfig(**base)
+        top_cfg = _toplevel_config(system_cfg)
         systems = [TopLevelSystem(top_cfg, derive_seed(seed, f"system/{c}"))
                    for c in range(copies)]
         sketches = [s.encode(x) for s in systems]

@@ -252,16 +252,6 @@ class FieldSpec:
             e >>= 1
         return r
 
-    def arith(self, a: int, b: int, op: str) -> int:
-        """Dispatch form: op in {'add', 'mul', 'inv'} (inv ignores b)."""
-        if op == "add":
-            return self.add(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        if op == "inv":
-            return self.inv(a)
-        raise UsageError(f"unknown field op {op!r}")
-
     # -- vectorized arithmetic on int64 numpy arrays --
 
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,6 +288,3 @@ class FieldSpec:
             return f"GF({self.q})"
         return f"GF(2^{self.width})"
 
-
-def field_arith(field: FieldSpec, a: int, b: int, op: str) -> int:
-    return field.arith(a, b, op)

@@ -2,12 +2,13 @@
 
 Every tree node v owns a domain of packed (deterministic, random) bit
 pairs, a weak layer over that domain, and (if internal) a code mapping
-its messages to r child symbols.  Encoding pushes the signal through the
-composed coordinate maps phi_v and sketches the aggregated image at
-every node.  Identification runs leaves-first: leaves scan their whole
-(small) domain; an internal node list-recovers its children's candidate
-lists into a set S_v and prunes it with its own weak layer; the root's
-survivors are inverted back to signal indices.
+its messages to r child symbols: the product of two `codes` codes of the
+tree's kind, one on each half of the pair.  Encoding pushes the signal
+through the composed coordinate maps phi_v and sketches the aggregated
+image at every node.  Identification runs leaves-first: leaves scan
+their whole (small) domain; an internal node list-recovers its children's
+candidate lists into a set S_v and prunes it with its own weak layer; the
+root's survivors are inverted back to signal indices.
 
 Index shuffling uses one of two schemes.  Scheme 2 (default, sublinear
 space) appends a k-wise-independent fingerprint: f(i) = (i, g(i)) with g
@@ -21,11 +22,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from sparserec.codes import RSCode, lw_join, lw_join_tolerant
+from sparserec.codes import (LWCode, RSCode, SplitCode, lw_recover, rs_recover,
+                             split_recover)
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash
@@ -145,164 +147,48 @@ def _pad_up(bits: int, mult: int) -> int:
 class NodeCode:
     """Code of one internal node, acting on packed (det, rnd) messages.
 
-    kind 'split'/'lw': symbol u deletes sub-digit u from both halves.
-    kind 'rs': both halves are evaluated as polynomials at points 0..r-1
-    over their own binary fields.
+    It is the product of two codes of the tree's kind and arity: det_code
+    on the deterministic half and rnd_code on the random half (absent when
+    the node has no random bits).  Symbol u of (det, rnd) is the pair of
+    their u-th symbols; a child's widths are log2 of the codes' alphabets.
     """
 
-    kind: str
-    arity: int                 # r: number of children / codeword length
-    det_bits: int              # padded widths at this node
-    rnd_bits: int
-    det_sub: int               # per-digit widths (lw) or per-coefficient (rs)
-    rnd_sub: int
-    rs_b: int = 0
-    _rs_det: object = dc_field(default=None, repr=False)
-    _rs_rnd: object = dc_field(default=None, repr=False)
+    det_code: SplitCode | LWCode | RSCode
+    rnd_code: SplitCode | LWCode | RSCode | None = None
 
     @property
     def child_det_bits(self) -> int:
-        if self.kind == "rs":
-            return self.det_sub
-        return self.det_bits - self.det_sub
+        return self.det_code.q.bit_length() - 1
 
     @property
     def child_rnd_bits(self) -> int:
-        if self.kind == "rs":
-            return self.rnd_sub
-        return self.rnd_bits - self.rnd_sub
-
-    def _lw_digits(self, vals: np.ndarray, total: int, sub: int) -> list[np.ndarray]:
-        d = self.arity
-        return [(vals >> ((d - 1 - j) * sub)) & ((1 << sub) - 1) for j in range(d)]
+        return 0 if self.rnd_code is None else self.rnd_code.q.bit_length() - 1
 
     def encode_part_vec(self, det: np.ndarray, rnd: np.ndarray, u: int):
         """Symbol u of each (det, rnd) message, as a (det, rnd) pair."""
-        det = np.asarray(det, dtype=np.int64)
         rnd = np.asarray(rnd, dtype=np.int64)
-        if self.kind in ("split", "lw"):
-            dd = self._lw_digits(det, self.det_bits, self.det_sub)
-            rd = self._lw_digits(rnd, self.rnd_bits, self.rnd_sub)
-            if self.kind == "split":
-                return dd[u], rd[u]
-            keep = [j for j in range(self.arity) if j != u]
-            out_d = np.zeros_like(det)
-            out_r = np.zeros_like(rnd)
-            for j in keep:
-                out_d = (out_d << self.det_sub) | dd[j]
-                out_r = (out_r << self.rnd_sub) | rd[j]
-            return out_d, out_r
-        # rs: Horner evaluation of both coefficient vectors at point u
-        beta = self._rs_det.points[u]
-        out_d = _rs_eval_vec(self._rs_det, det, beta)
-        if self.rnd_bits:
-            beta_r = self._rs_rnd.points[u]
-            out_r = _rs_eval_vec(self._rs_rnd, rnd, beta_r)
-        else:
-            out_r = np.zeros_like(rnd)
-        return out_d, out_r
+        out_r = (np.zeros_like(rnd) if self.rnd_code is None
+                 else self.rnd_code.encode_vec(rnd, u))
+        return self.det_code.encode_vec(det, u), out_r
 
     def list_recover_pairs(self, child_sets: list[set[tuple[int, int]]],
                            errors: int = 0, rho: float = 0.0) -> list[tuple[int, int]]:
         """Parent (det, rnd) messages consistent with the child symbol sets."""
-        if self.kind == "split":
-            s0, s1 = child_sets
-            out = []
-            for d0, r0 in s0:
-                for d1, r1 in s1:
-                    out.append((
-                        (d0 << (self.det_bits - self.det_sub)) | d1,
-                        (r0 << (self.rnd_bits - self.rnd_sub)) | r1,
-                    ))
-            return out
-        if self.kind == "lw":
-            tuple_sets = []
-            for u, s in enumerate(child_sets):
-                tuples = set()
-                for det_sym, rnd_sym in s:
-                    dd = _unpack_digits(det_sym, self.det_sub, self.arity - 1)
-                    rd = _unpack_digits(rnd_sym, self.rnd_sub, self.arity - 1)
-                    tuples.add(tuple((a << self.rnd_sub) | b for a, b in zip(dd, rd)))
-                tuple_sets.append(tuples)
-            joined = (lw_join(tuple_sets) if errors == 0
-                      else lw_join_tolerant(tuple_sets, errors))
-            out = []
-            mask = (1 << self.rnd_sub) - 1
-            for vec in joined:
-                det = rnd = 0
-                for c in vec:
-                    det = (det << self.det_sub) | (c >> self.rnd_sub)
-                    rnd = (rnd << self.rnd_sub) | (c & mask)
-                out.append((det, rnd))
-            return out
-        return _paired_rs_recover(self._rs_det, self._rs_rnd, child_sets, rho)
-
-
-def _unpack_digits(val: int, sub: int, count: int) -> tuple[int, ...]:
-    return tuple((val >> ((count - 1 - j) * sub)) & ((1 << sub) - 1)
-                 for j in range(count))
-
-
-def _rs_eval_vec(code, vals: np.ndarray, beta: int) -> np.ndarray:
-    digs = [(vals >> (s * int(math.log2(code.q)))) & (code.q - 1)
-            for s in range(code.b)]
-    acc = np.zeros_like(vals)
-    beta_arr = np.full(vals.shape, beta, dtype=np.int64)
-    for c in reversed(digs):
-        acc = code.field.add_vec(code.field.mul_vec(acc, beta_arr), c)
-    return acc
-
-
-def _paired_rs_recover(rs_det, rs_rnd, pair_sets, rho: float) -> list[tuple[int, int]]:
-    """Joint list recovery of a product of two Reed-Solomon codes that
-    share evaluation points: interpolate both halves through every
-    b-subset of candidate coordinates."""
-    import itertools
-
-    r, b = rs_det.r, rs_det.b
-    max_dis = int(math.floor(rho * r + 1e-9))
-    need = r - max_dis
-    sets = [sorted(s) for s in pair_sets]
-    occupied = [i for i in range(r) if sets[i]]
-    if len(occupied) < b:
-        return []
-    lookup = [set(s) for s in sets]
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for coords in itertools.combinations(occupied, b):
-        for values in itertools.product(*[sets[c] for c in coords]):
-            det_val = rs_det.pack_coefficients(
-                rs_det.interpolate(coords, [v[0] for v in values]))
-            if rs_rnd is not None:
-                rnd_val = rs_rnd.pack_coefficients(
-                    rs_rnd.interpolate(coords, [v[1] for v in values]))
-            else:
-                rnd_val = 0
-            key = (det_val, rnd_val)
-            if key in seen:
-                continue
-            seen.add(key)
-            cw_d = rs_det.encode(det_val)
-            cw_r = rs_rnd.encode(rnd_val) if rs_rnd is not None else [0] * r
-            agree = sum((cw_d[i], cw_r[i]) in lookup[i] for i in range(r))
-            if agree >= need:
-                out.append(key)
-    return out
-
-
-def rs_one_step_combine(lists, code, rho: float, cap: int | None = None) -> list[int]:
-    """One recursion step of the Reed-Solomon route: list-recover the r
-    per-coordinate identification outputs into a candidate list.
-
-    Loss amplification stays bounded (about 2*zeta/rho) only while the
-    per-coordinate failure probability is below (rho/2e)^2; that is a
-    configuration concern for the caller, not checked here.
-    """
-    sets = [set(int(v) for v in lst) for lst in lists]
-    out = code.list_recover(sets, rho)
-    if cap is not None and len(out) > cap:
-        out = sorted(out)[:cap]
-    return out
+        if self.rnd_code is None:
+            codes = (self.det_code,)
+            child_sets = [{(det,) for det, _ in s} for s in child_sets]
+        else:
+            codes = (self.det_code, self.rnd_code)
+        kind = self.det_code.kind
+        if kind == "split":
+            found = split_recover(codes, child_sets)
+        elif kind == "lw":
+            found = lw_recover(codes, child_sets, errors)
+        else:
+            found = rs_recover(codes, child_sets, rho)
+        if self.rnd_code is None:
+            return [(det, 0) for (det,) in found]
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -413,31 +299,29 @@ class RecursionTree:
 
     # -- construction --
 
-    def _pad_for_code(self, det_in: int, rnd_in: int) -> tuple[int, int, int, int]:
-        """Padded widths plus per-symbol sub-widths for this node's code."""
+    def _pad_for_code(self, det_in: int, rnd_in: int) -> tuple[int, int]:
+        """Padded (det, rnd) widths of an internal node's domain."""
         d = self.arity
         if self.code_kind in ("split", "lw"):
-            det = _pad_up(det_in, d)
-            rnd = _pad_up(rnd_in, d)
-            return det, rnd, det // d, rnd // d
+            return _pad_up(det_in, d), _pad_up(rnd_in, d)
         b = self.rs_b
         min_det = b * max(1, (self.arity - 1).bit_length())
         det = max(_pad_up(det_in, b), min_det)
         rnd = _pad_up(rnd_in, b)
         if rnd and rnd // b > 0 and (1 << (rnd // b)) < self.arity:
             rnd = b * max(1, (self.arity - 1).bit_length())
-        return det, rnd, det // b, rnd // b
+        return det, rnd
 
-    def _make_code(self, det_bits, rnd_bits, det_sub, rnd_sub) -> NodeCode:
-        code = NodeCode(kind=self.code_kind, arity=self.arity,
-                        det_bits=det_bits, rnd_bits=rnd_bits,
-                        det_sub=det_sub, rnd_sub=rnd_sub, rs_b=self.rs_b)
-        if self.code_kind == "rs":
-            code._rs_det = RSCode(FieldSpec.binary(det_sub), b=self.rs_b,
-                                  r=self.arity)
-            code._rs_rnd = (RSCode(FieldSpec.binary(rnd_sub), b=self.rs_b,
-                                   r=self.arity) if rnd_bits else None)
-        return code
+    def _half_code(self, bits: int):
+        """The tree's code on a 2^bits half-domain (None when bits == 0)."""
+        if not bits:
+            return None
+        if self.code_kind == "split":
+            return SplitCode(1 << bits)
+        if self.code_kind == "lw":
+            return LWCode(1 << bits, self.arity)
+        return RSCode(FieldSpec.binary(bits // self.rs_b), b=self.rs_b,
+                      r=self.arity)
 
     def _build(self, root_det_in: int, root_rnd_in: int):
         pending = [(0, None, root_det_in, root_rnd_in)]
@@ -446,8 +330,8 @@ class RecursionTree:
             node_id = len(self.nodes)
             internal = depth < self.height
             if internal:
-                det_bits, rnd_bits, det_sub, rnd_sub = self._pad_for_code(det_in, rnd_in)
-                code = self._make_code(det_bits, rnd_bits, det_sub, rnd_sub)
+                det_bits, rnd_bits = self._pad_for_code(det_in, rnd_in)
+                code = NodeCode(self._half_code(det_bits), self._half_code(rnd_bits))
             else:
                 det_bits, rnd_bits, code = det_in, rnd_in, None
                 if 1 << (det_bits + rnd_bits) > self.params.max_leaf_domain:
@@ -622,10 +506,6 @@ class RecursionTree:
         d = self.arity
         return math.ceil((d - 1) * ell_in ** (d / (d - 1)))
 
-    def randomness_shares(self) -> list[tuple[int, int, int]]:
-        """(node_id, det_bits, rnd_bits) for the structural share check."""
-        return [(v.node_id, v.det_bits, v.rnd_bits) for v in self.nodes]
-
     def to_params(self) -> dict:
         return {
             "n_signal": self.n_signal,
@@ -654,14 +534,6 @@ class RecursionTree:
 def build_tree(n_signal: int, leaf_target: int, code_kind: str,
                params: RecursiveParams, seed: int, **kwargs) -> RecursionTree:
     return RecursionTree(n_signal, leaf_target, code_kind, params, seed, **kwargs)
-
-
-def phi_map(tree: RecursionTree, node_id: int, root_values) -> np.ndarray:
-    return tree.phi(node_id, np.asarray(root_values))
-
-
-def recursive_identify(tree: RecursionTree, sketches, **kwargs):
-    return tree.identify(sketches, **kwargs)
 
 
 def invert_indices(mapped, scheme_obj, n_signal: int | None = None):

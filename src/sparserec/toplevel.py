@@ -41,12 +41,11 @@ class StageSchedule:
     epsilon: float
     alpha: float
     c_exp: int
-    d_exp: int
     stages: list[StageSpec]
 
     @staticmethod
     def build(k: int, epsilon: float, alpha: float = 0.5,
-              c_exp: int = 4, d_exp: int = 6) -> "StageSchedule":
+              c_exp: int = 4) -> "StageSchedule":
         if k < 1 or epsilon <= 0:
             raise UsageError("need k >= 1 and epsilon > 0")
         stages = []
@@ -63,7 +62,7 @@ class StageSchedule:
                 break
             i += 1
         return StageSchedule(epsilon=epsilon, alpha=alpha, c_exp=c_exp,
-                             d_exp=d_exp, stages=stages)
+                             stages=stages)
 
 
 @dataclass
@@ -75,7 +74,6 @@ class TopLevelConfig:
     epsilon: float = 0.5
     alpha: float = 0.5
     c_exp: int = 4
-    d_exp: int = 6
     engine: str = "scan"            # "scan" | "recursive"
     ell: int = 12
     bucket_factor: float = 8.0
@@ -138,22 +136,24 @@ class _Stage:
         out.extend(self.layer.encode_sparse(indices, values))
         return out
 
+    @property
+    def layers(self) -> list[WeakLayer]:
+        """Weak layers in sketch order: tree nodes first, then the stage's."""
+        nodes = [] if self.tree is None else [node.layer for node in self.tree.nodes]
+        return nodes + [self.layer]
+
     def identify(self, sketches: list[np.ndarray]) -> np.ndarray:
+        grouped, pos = [], 0
+        for layer in self.layers:
+            grouped.append(sketches[pos : pos + layer.sketch_count])
+            pos += layer.sketch_count
         if self.tree is not None:
-            n_tree = sum(len(node.layer.ident_ops) + 1 for node in self.tree.nodes)
-            grouped, pos = [], 0
-            for node in self.tree.nodes:
-                width = len(node.layer.ident_ops) + 1
-                grouped.append(sketches[pos : pos + width])
-                pos += width
-            assert pos == n_tree
-            found, _ = self.tree.identify(grouped)
+            found, _ = self.tree.identify(grouped[:-1])
             return found
-        layer_sketches = sketches[-(len(self.layer.ident_ops) + 1):]
-        return self.layer.identify(layer_sketches, np.arange(self.layer.domain))
+        return self.layer.identify(grouped[-1], np.arange(self.layer.domain))
 
     def estimate(self, sketches: list[np.ndarray], candidates):
-        layer_sketches = sketches[-(len(self.layer.ident_ops) + 1):]
+        layer_sketches = sketches[-self.layer.sketch_count:]
         return self.layer.estimate(layer_sketches, candidates)
 
 
@@ -164,13 +164,11 @@ class TopLevelSystem:
         self.config = config
         self.seed = int(seed)
         self.schedule = StageSchedule.build(config.k, config.epsilon,
-                                            config.alpha, config.c_exp,
-                                            config.d_exp)
+                                            config.alpha, config.c_exp)
         self.stages = [
             _Stage(config, spec, derive_seed(self.seed, f"stage/{spec.index}"))
             for spec in self.schedule.stages
         ]
-        self._layouts = None
 
     @property
     def n(self) -> int:
@@ -189,7 +187,6 @@ class TopLevelSystem:
             raise UsageError(f"expected signal of length {self.n}")
         nz = np.flatnonzero(x)
         per_stage = self._stage_sketches_sparse(nz, x[nz])
-        self._layouts = [[len(u) for u in stage] for stage in per_stage]
         flat = np.concatenate([u for stage in per_stage for u in stage])
         assert flat.size == self.measurement_count
         return flat
@@ -199,14 +196,13 @@ class TopLevelSystem:
             raise UsageError(
                 f"sketch has {flat.size} entries, expected {self.measurement_count}"
             )
-        if self._layouts is None:
-            self.encode(np.zeros(self.n))  # populate layout cache
         out, pos = [], 0
-        for layout in self._layouts:
+        for stage in self.stages:
             stage_arrays = []
-            for width in layout:
-                stage_arrays.append(flat[pos : pos + width])
-                pos += width
+            for layer in stage.layers:
+                for _ in range(layer.sketch_count):
+                    stage_arrays.append(flat[pos : pos + layer.n_buckets])
+                    pos += layer.n_buckets
             out.append(stage_arrays)
         return out
 
@@ -260,16 +256,14 @@ class TopLevelSystem:
     @staticmethod
     def from_json(text: str) -> "TopLevelSystem":
         blob = json.loads(text)
-        return TopLevelSystem(TopLevelConfig(**blob["config"]), blob["seed"])
+        config = dict(blob["config"])
+        config.pop("d_exp", None)  # older descriptors store this unused exponent
+        return TopLevelSystem(TopLevelConfig(**config), blob["seed"])
 
 
 def build_toplevel(n: int, k: int, epsilon: float, seed: int,
                    **kwargs) -> TopLevelSystem:
     return TopLevelSystem(TopLevelConfig(n=n, k=k, epsilon=epsilon, **kwargs), seed)
-
-
-def toplevel_decode(system: TopLevelSystem, flat_sketch: np.ndarray) -> np.ndarray:
-    return system.decode(flat_sketch)
 
 
 def repeat_median_amplify(systems: list[TopLevelSystem],

@@ -57,12 +57,6 @@ class WeakParams:
         """Estimation keeps the top k + ceil(k/sqrt(eta)) values."""
         return self.k + math.ceil(self.k / math.sqrt(self.eta))
 
-    @property
-    def support_cap(self) -> int:
-        """Hard output-size ceiling of one layer (the O(k/eta) budget);
-        distinct from the two keep counts above."""
-        return 2 * self.ident_count
-
 
 def lower_median(readings: np.ndarray) -> np.ndarray:
     """Row-wise lower median (order statistic ceil(n/2) of n)."""
@@ -174,8 +168,14 @@ class WeakLayer:
                 derive_seed(self.seed, "estimate"), self.sign_independence)
 
     @property
+    def sketch_count(self) -> int:
+        """Sketch arrays per encode, each n_buckets long: one per
+        identification copy plus the estimation sketch."""
+        return len(self.ident_ops) + 1
+
+    @property
     def measurement_count(self) -> int:
-        return (len(self.ident_ops) + 1) * self.n_buckets
+        return self.sketch_count * self.n_buckets
 
     def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
         return [op.apply_sparse(indices, values) for op in self.ident_ops] + [

@@ -16,7 +16,6 @@ from sparserec.codes import (
     RSCode,
     SplitCode,
     lw_join,
-    lw_join_tolerant,
     rs_list_recover,
 )
 from sparserec.expander import SignedSketchOperator, verify_expansion
@@ -86,7 +85,7 @@ def test_criterion_2_error_tolerant_lw():
         e = int(rng.integers(0, min(1, d - 2) + 1))
         sigma = int(rng.integers(2, 7))
         sets = _random_projection_sets(rng, d, sigma, max_size=20)
-        got = lw_join_tolerant(sets, e)
+        got = lw_join(sets, errors=e)
         assert got == _oracle_join(sets, d, sigma, d - e)
         ks = [len(s) for s in sets]
         bound = sum(

@@ -12,7 +12,6 @@ from sparserec.codes import (
     SplitCode,
     encode,
     lw_join,
-    lw_join_tolerant,
     rs_list_recover,
 )
 from sparserec.fields import FieldSpec
@@ -176,7 +175,7 @@ def test_tolerant_join_e0_equals_plain():
     rng = np.random.default_rng(4)
     for trial in range(20):
         sets = random_projections(rng, d=3, sigma=4, size=5)
-        assert lw_join_tolerant(sets, 0) == lw_join(sets)
+        assert lw_join(sets, errors=0) == oracle_join(sets, 3, 4)
 
 
 def test_tolerant_join_survives_erased_projection():
@@ -185,7 +184,7 @@ def test_tolerant_join_survives_erased_projection():
         sets = random_projections(rng, d=3, sigma=4, size=6)
         base = oracle_join(sets, 3, 4)
         erased = [set(sets[0]), set(sets[1]), set()]
-        got = lw_join_tolerant(erased, 1)
+        got = lw_join(erased, errors=1)
         # anything consistent on the two surviving projections remains
         assert set(got) >= set(base)
         assert got == oracle_join_tolerant(erased, 3, 4, 1)
@@ -196,15 +195,15 @@ def test_tolerant_join_matches_oracle():
     for d, e in [(3, 1), (4, 1), (4, 2)]:
         for trial in range(10):
             sets = random_projections(rng, d, 3, 5)
-            assert lw_join_tolerant(sets, e) == oracle_join_tolerant(sets, d, 3, e)
+            assert lw_join(sets, errors=e) == oracle_join_tolerant(sets, d, 3, e)
 
 
 def test_tolerant_join_error_budget_validation():
     sets = [{(0,), (1,)}, {(0,)}, {(1,)}]
     with pytest.raises(UsageError):
-        lw_join_tolerant(sets, 2)  # e > d-2
+        lw_join(sets, errors=2)  # e > d-2
     with pytest.raises(UsageError):
-        lw_join_tolerant(sets, -1)
+        lw_join(sets, errors=-1)
 
 
 def test_lw_code_list_recover_roundtrip():

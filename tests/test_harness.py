@@ -181,6 +181,14 @@ def test_config_validation_rejects_unknown_keys():
         validate_config(bad)
 
 
+def test_config_d_exp_is_accepted_and_ignored():
+    cfg = _base_config()
+    cfg["system"]["d_exp"] = 6
+    validate_config(cfg)
+    assert (records_to_csv(run_experiment(cfg)[0])
+            == records_to_csv(run_experiment(_base_config())[0]))
+
+
 def test_amplification_sweep_failure_non_increasing():
     rates = {}
     for copies in (1, 3, 5):

@@ -13,7 +13,6 @@ from sparserec.recursive import (
     Scheme2Map,
     build_tree,
     invert_indices,
-    rs_one_step_combine,
     tree_shape,
 )
 from sparserec.weak import weak_identify
@@ -122,6 +121,70 @@ def test_node_images_matches_phi():
     images = tree.node_images(idx)
     for v in tree.nodes:
         assert np.array_equal(images[v.node_id], tree.phi(v.node_id, root_vals))
+
+
+# --- node list recovery against a brute-force oracle ---
+
+_NODE_CASES = {
+    "split": dict(code_kind="split", n_signal=2**6, scheme="scheme2"),
+    "lw3": dict(code_kind="lw", arity=3, n_signal=2**6, scheme="scheme2"),
+    "lw3-e1": dict(code_kind="lw", arity=3, n_signal=2**6, scheme="scheme2",
+                   lw_errors=1),
+    "rs4": dict(code_kind="rs", arity=4, rs_b=2, rho=0.2, n_signal=2**6,
+                scheme="scheme2"),
+    "rs5-one-disagreement": dict(code_kind="rs", arity=5, rs_b=2, rho=0.25,
+                                 n_signal=2**6, scheme="scheme2"),
+    "split-det-only": dict(code_kind="split", n_signal=2**12, scheme="none"),
+    "lw3-det-only": dict(code_kind="lw", arity=3, n_signal=2**12, scheme="none"),
+    "rs4-det-only": dict(code_kind="rs", arity=4, rs_b=2, rho=0.2,
+                         n_signal=2**12, scheme="none"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NODE_CASES))
+def test_node_list_recovery_matches_oracle(case):
+    opts = dict(_NODE_CASES[case])
+    params = _params(lw_errors=opts.pop("lw_errors", 0), rho=opts.pop("rho", 0.25))
+    tree = RecursionTree(leaf_target=2**6, params=params, seed=41, **opts)
+    root = tree.nodes[0]
+    assert root.children and root.domain <= 2**12
+    assert (root.rnd_bits > 0) == (tree.scheme == "scheme2")
+    code, r = root.code, len(root.children)
+    rs = tree.code_kind == "rs"
+    if rs:
+        need = r - math.floor(params.rho * r)
+    else:
+        need = r - (params.lw_errors if tree.code_kind == "lw" else 0)
+    det_all, rnd_all = root.unpack(np.arange(root.domain, dtype=np.int64))
+    width = code.child_rnd_bits
+    packed = [(cd << width) | cr for cd, cr in
+              (code.encode_part_vec(det_all, rnd_all, u) for u in range(r))]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for trial in range(6):
+        planted = rng.choice(root.domain, size=(0 if trial == 5 else 5),
+                             replace=False)
+        child_sets = [set() for _ in range(r)]
+        for m in planted:
+            # erase up to the tolerated number of this message's symbols
+            erased = rng.choice(r, size=(r - need) * (trial % 2), replace=False)
+            for u in range(r):
+                if u not in erased:
+                    child_sets[u].add((int(packed[u][m] >> width),
+                                       int(packed[u][m] & ((1 << width) - 1))))
+        noise = 0 if trial < 2 else 6
+        for s in child_sets:
+            for _ in range(noise):
+                s.add((int(rng.integers(1 << code.child_det_bits)),
+                       int(rng.integers(1 << width))))
+        hits = sum(np.isin(packed[u], [(d << width) | c for d, c in child_sets[u]])
+                   for u in range(r))
+        expect = {(int(det_all[m]), int(rnd_all[m]))
+                  for m in np.flatnonzero(hits >= need)}
+        assert set(planted.tolist()) <= set(np.flatnonzero(hits >= need).tolist())
+        got = code.list_recover_pairs(child_sets, errors=params.lw_errors,
+                                      rho=params.rho if rs else 0.0)
+        assert len(got) == len(set(got))
+        assert {(int(d), int(c)) for d, c in got} == expect
 
 
 # --- identification ---
@@ -288,7 +351,7 @@ def test_one_step_combine_recovers_full_codewords():
     code = RSCode(FieldSpec.binary(6), b=2, r=5)
     msgs = [17, 900, 3000]
     lists = [[code.encode(m)[j] for m in msgs] for j in range(5)]
-    got = rs_one_step_combine(lists, code, rho=0.25)
+    got = code.list_recover(lists, rho=0.25)
     assert set(msgs) <= set(got)
 
 
@@ -303,17 +366,10 @@ def test_one_step_combine_loss_fraction_bounded():
         for j in range(5):
             keep = rng.random(8) > zeta  # each list loses a zeta fraction
             lists.append({int(code.encode(int(m))[j]) for m in msgs[keep]})
-        got = set(rs_one_step_combine(lists, code, rho=rho))
+        got = set(code.list_recover(lists, rho=rho))
         planted += len(msgs)
         dropped += sum(int(m) not in got for m in msgs)
     assert dropped / planted <= 2 * zeta / rho
-
-
-def test_one_step_combine_respects_cap():
-    code = RSCode(FieldSpec.binary(4), b=1, r=3)
-    lists = [list(range(10))] * 3
-    got = rs_one_step_combine(lists, code, rho=0.0, cap=5)
-    assert len(got) == 5
 
 
 # --- structure and validation ---

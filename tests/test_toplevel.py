@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -155,6 +156,45 @@ def test_json_roundtrip_reproduces_decoding():
     x = rng.normal(size=256)
     assert np.array_equal(system.decode(system.encode(x)),
                           clone.decode(clone.encode(x)))
+
+
+_TREE = dict(code_kind="lw", arity=3, leaf_target=128, scheme="scheme2")
+
+
+def _sparse_signal(n, k, seed):
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n)
+    x[rng.choice(n, k, replace=False)] = rng.choice([-1.0, 1.0], k) * (1 + rng.random(k))
+    return x
+
+
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+def test_descriptor_with_d_exp_loads_identically(engine):
+    system = build_toplevel(1024, 4, 0.5, seed=31, engine=engine, ell=7, tree=_TREE)
+    blob = json.loads(system.to_json())
+    assert "d_exp" not in blob["config"]
+    plain = TopLevelSystem.from_json(json.dumps(blob))
+    blob["config"]["d_exp"] = 6
+    old = TopLevelSystem.from_json(json.dumps(blob))
+    x = _sparse_signal(1024, 4, seed=7)
+    sketch = plain.encode(x)
+    assert np.array_equal(old.encode(x), sketch)
+    assert np.array_equal(old.decode(sketch), plain.decode(sketch))
+
+
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+def test_loaded_system_decodes_without_encoding(engine, monkeypatch):
+    system = build_toplevel(1024, 4, 0.5, seed=37, engine=engine, ell=7, tree=_TREE)
+    x = _sparse_signal(1024, 4, seed=8)
+    sketch = system.encode(x)
+    expect = system.decode(sketch)
+
+    def refuse(self, x):
+        raise AssertionError("decoding must not encode")
+
+    monkeypatch.setattr(TopLevelSystem, "encode", refuse)
+    loaded = TopLevelSystem.from_json(system.to_json())
+    assert np.array_equal(loaded.decode(sketch), expect)
 
 
 def test_repeat_median_single_copy_is_identity():
