@@ -214,7 +214,8 @@ def rs_recover(codes, sets, rho: float) -> list[tuple[int, ...]]:
     r - floor(rho * r) coordinates.
 
     Every component is interpolated through every b-subset of occupied
-    coordinates; each new message is encoded once and checked.
+    coordinates, with one Lagrange basis per subset; each new message is
+    encoded once and checked.
     """
     first = codes[0]
     need = first.r - first.max_disagreements(rho)
@@ -226,9 +227,10 @@ def rs_recover(codes, sets, rho: float) -> list[tuple[int, ...]]:
     seen: set[tuple[int, ...]] = set()
     out = []
     for coords in itertools.combinations(occupied, first.b):
+        bases = [code.lagrange_basis(coords) for code in codes]
         for values in itertools.product(*[sets[c] for c in coords]):
-            msg = tuple([code.pack_coefficients(code.interpolate(coords, column))
-                         for code, column in zip(codes, zip(*values))])
+            msg = tuple([code.pack_coefficients(code.combine(basis, column))
+                         for code, basis, column in zip(codes, bases, zip(*values))])
             if msg in seen:
                 continue
             seen.add(msg)
@@ -402,27 +404,39 @@ class RSCode(_Code):
             acc = self.field.add_vec(self.field.mul_vec(acc, beta), digit)
         return acc
 
-    def interpolate(self, coords, values) -> list[int]:
-        """Coefficients of the unique degree-<b polynomial through the
-        points (self.points[c], value) for the given b coordinates."""
+    def lagrange_basis(self, coords) -> list[list[int]]:
+        """Coefficients of the Lagrange basis polynomials L_t for the
+        points self.points[c] of the given b coordinates (L_t is 1 at
+        coordinate t and 0 at the others)."""
         f = self.field
         xs = [self.points[c] for c in coords]
-        coeffs = [0] * len(xs)
-        for t, yt in enumerate(values):
+        out = []
+        for t, xt in enumerate(xs):
             denom = 1
             basis = [1]
             for u, xu in enumerate(xs):
                 if u == t:
                     continue
-                denom = f.mul(denom, f.sub(xs[t], xu))
+                denom = f.mul(denom, f.sub(xt, xu))
                 new = [0] * (len(basis) + 1)
                 for p, c in enumerate(basis):
                     new[p + 1] = f.add(new[p + 1], c)
                     new[p] = f.sub(new[p], f.mul(c, xu))
                 basis = new
-            scale = f.mul(yt % f.q, f.inv(denom))
-            for p, c in enumerate(basis):
-                coeffs[p] = f.add(coeffs[p], f.mul(c, scale))
+            scale = f.inv(denom)
+            out.append([f.mul(c, scale) for c in basis])
+        return out
+
+    def combine(self, basis, values) -> list[int]:
+        """Coefficients of sum_t values[t] * basis[t]: with the basis of
+        some coordinates, the interpolating polynomial of degree < b
+        through the given values there."""
+        f = self.field
+        coeffs = [0] * len(basis)
+        for lt, yt in zip(basis, values):
+            yt %= f.q
+            for p, c in enumerate(lt):
+                coeffs[p] = f.add(coeffs[p], f.mul(c, yt))
         return coeffs
 
     def max_disagreements(self, rho: float) -> int:

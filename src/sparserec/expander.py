@@ -9,6 +9,14 @@ The signed sketch operator multiplies each edge by a +-1 value from a
 limited-independence sign family; applying it to a vector x produces the
 bucket sums u_j = sum over edges (i -> j) of sign(i, j) * x_i, with
 duplicate edges contributing twice.
+
+The edge signs belong to the design, not to the signal, so an operator
+keeps them as an int8 (N, ell) sign table once some call needs the signs
+of at least N rows (a dense encode, a full-domain identification) and its
+graph holds a materialized neighbor table (N * ell <= _MATERIALIZE_LIMIT,
+so the table is at most 1 MiB).  The table is filled through the sign
+family itself; until then, and always on larger operators, each call
+hashes only the rows it touches.
 """
 
 from __future__ import annotations
@@ -60,6 +68,11 @@ class BipartiteGraph:
         slots = np.arange(self.ell, dtype=np.uint64)
         keys = indices[:, None] * np.uint64(self.ell) + slots[None, :]
         return (counter_stream(self.seed, keys) % np.uint64(self.n_buckets)).astype(np.int64)
+
+    @property
+    def materialized(self) -> bool:
+        """Whether the neighbor table is held in memory."""
+        return self._table is not None
 
     def neighbors_of(self, indices: np.ndarray) -> np.ndarray:
         """(len(indices), ell) bucket table for the given left vertices."""
@@ -176,6 +189,7 @@ class SignedSketchOperator:
             raise UsageError("sign family domain smaller than the graph")
         self.graph = graph
         self.signs = signs
+        self._sign_table = None  # int8 (n_left, ell), filled on demand
 
     @property
     def n_left(self) -> int:
@@ -202,6 +216,20 @@ class SignedSketchOperator:
         nz = np.flatnonzero(x)
         return self.apply_sparse(nz, x[nz])
 
+    def _edge_signs(self, indices: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+        """(len(indices), ell) signs of the edges of the given rows."""
+        n, ell = self.graph.n_left, self.graph.ell
+        if (self._sign_table is None and indices.size >= n
+                and self.graph.materialized and n * ell <= _MATERIALIZE_LIMIT):
+            rows = np.arange(n, dtype=np.int64)
+            signs = self.signs.sign_vec(np.repeat(rows, ell),
+                                        self.graph.neighbors_of(rows).ravel())
+            self._sign_table = signs.astype(np.int8).reshape(n, ell)
+        if self._sign_table is not None:
+            return self._sign_table[indices]
+        return self.signs.sign_vec(np.repeat(indices, ell),
+                                   nbrs.ravel()).reshape(nbrs.shape)
+
     def apply_sparse(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sketch of the vector with the given nonzero entries."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -209,19 +237,15 @@ class SignedSketchOperator:
         if indices.size == 0:
             return np.zeros(self.graph.n_buckets)
         nbrs = self.graph.neighbors_of(indices)
-        sgn = self.signs.sign_vec(
-            np.repeat(indices, self.graph.ell), nbrs.ravel()
-        )
-        contrib = sgn * np.repeat(values, self.graph.ell)
-        return np.bincount(nbrs.ravel(), weights=contrib,
+        contrib = self._edge_signs(indices, nbrs) * values[:, None]
+        return np.bincount(nbrs.ravel(), weights=contrib.ravel(),
                            minlength=self.graph.n_buckets)
 
     def readings(self, sketch: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """(len(indices), ell) sign-corrected bucket readings for each index."""
         indices = np.asarray(indices, dtype=np.int64)
         nbrs = self.graph.neighbors_of(indices)
-        sgn = self.signs.sign_vec(np.repeat(indices, self.graph.ell), nbrs.ravel())
-        return (sgn * sketch[nbrs.ravel()]).reshape(len(indices), self.graph.ell)
+        return self._edge_signs(indices, nbrs) * sketch[nbrs]
 
     def dense_matrix(self) -> np.ndarray:
         """Materialized M x N matrix; small instances only (testing)."""

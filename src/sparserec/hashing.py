@@ -25,25 +25,44 @@ _M61 = (1 << 61) - 1
 _P61 = np.uint64(_M61)
 
 
-def _m61_mul_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(a * b) mod 2^61-1 on uint64 arrays, values < 2^61-1."""
-    mask32 = np.uint64(0xFFFFFFFF)
-    a0, a1 = a & mask32, a >> np.uint64(32)
-    b0, b1 = b & mask32, b >> np.uint64(32)
-    hi = a1 * b1
-    mid = a1 * b0 + a0 * b1
-    lo = a0 * b0
-    s = (hi << np.uint64(3)) + (mid >> np.uint64(29))
-    s += (mid & np.uint64(0x1FFFFFFF)) << np.uint64(32)
-    s += (lo >> np.uint64(61)) + (lo & _P61)
-    s = (s >> np.uint64(61)) + (s & _P61)
-    s = (s >> np.uint64(61)) + (s & _P61)
-    return np.where(s >= _P61, s - _P61, s)
+_MASK29 = np.uint64((1 << 29) - 1)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_U3, _U29, _U32, _U61 = (np.uint64(v) for v in (3, 29, 32, 61))
 
 
-def _m61_fold(s: np.ndarray) -> np.ndarray:
-    s = (s >> np.uint64(61)) + (s & _P61)
-    return np.where(s >= _P61, s - _P61, s)
+def _horner_m61(coefficients, xs: np.ndarray) -> np.ndarray:
+    """Horner's rule mod p = 2^61-1 at points 0 <= x < p, as int64 in [0, p).
+
+    With acc = a1*2^32 + a0 and x = x1*2^32 + x0, acc*x is
+    a1*x1*2^64 + mid*2^32 + a0*x0, and 2^61 = 1 (mod p) turns 2^64 into 8
+    and mid*2^32 into (mid >> 29) + (mid mod 2^29)*2^32.  While acc < 2^62
+    (a1 < 2^30, x1 < 2^29) every product fits in 64 bits and the reduced
+    terms plus the next coefficient sum below 5*2^61, so one fold per step
+    leaves acc < p + 5 (below 2^62, as the next step needs), and a single
+    subtraction of p at the end makes the result canonical.
+    """
+    x = xs.astype(np.uint64)
+    x0, x1 = x & _MASK32, x >> _U32
+    acc = np.full(x.shape, coefficients[-1], dtype=np.uint64)
+    for c in reversed(coefficients[:-1]):
+        a0, a1 = acc & _MASK32, acc >> _U32
+        mid = a1 * x0
+        mid += a0 * x1
+        lo = a0 * x0
+        s = a1 * x1
+        s <<= _U3
+        s += mid >> _U29
+        mid &= _MASK29
+        mid <<= _U32
+        s += mid
+        s += lo & _P61
+        lo >>= _U61
+        s += lo
+        s += np.uint64(c)
+        acc = s & _P61
+        s >>= _U61
+        acc += s
+    return np.where(acc >= _P61, acc - _P61, acc).astype(np.int64)
 
 
 class PolyHash:
@@ -86,11 +105,7 @@ class PolyHash:
         """Vectorized Horner evaluation; xs must lie in the domain."""
         f = self.field
         if f.kind == "prime" and f.q == _M61:
-            x = xs.astype(np.uint64)
-            acc = np.full(x.shape, self.coefficients[-1], dtype=np.uint64)
-            for c in reversed(self.coefficients[:-1]):
-                acc = _m61_fold(_m61_mul_vec(acc, x) + np.uint64(c))
-            return acc.astype(np.int64)
+            return _horner_m61(self.coefficients, xs)
         if f.kind == "prime" and f.q <= _M31 + 1:
             x = xs.astype(np.int64)
             acc = np.full(x.shape, self.coefficients[-1], dtype=np.int64)

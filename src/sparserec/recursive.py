@@ -209,7 +209,11 @@ class RecursiveParams:
     sign_independence: int = 32
     cap: int = 0                   # 0 -> code-specific provable bound
     lw_errors: int = 0             # error budget for tolerant joins
-    rho: float = 0.25              # disagreement tolerance for rs nodes
+    # disagreement tolerance for rs nodes: a parent keeps messages that
+    # agree with r - floor(rho * r) child lists, and rho < (1/2)(1 - b/r),
+    # so RS(r=4, b=2) tolerates no child loss; with b = 2 that starts at
+    # r >= 5
+    rho: float = 0.25
     max_leaf_domain: int = 1 << 20
 
     def weak(self) -> WeakParams:

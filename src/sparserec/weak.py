@@ -85,10 +85,10 @@ def _top_by_magnitude(indices: np.ndarray, estimates: np.ndarray, count: int) ->
     return np.sort(indices[order[:count]])
 
 
-def weak_identify(op: SignedSketchOperator, sketch: np.ndarray, candidates,
-                  params: WeakParams) -> np.ndarray:
+def weak_identify(op: SignedSketchOperator, sketch: np.ndarray,
+                  candidates: np.ndarray, params: WeakParams) -> np.ndarray:
     """Candidate indices with the top k + ceil(k/eta) median estimates."""
-    cand = np.unique(np.asarray(list(candidates), dtype=np.int64))
+    cand = np.unique(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         return cand
     ests = median_estimates(op, sketch, cand)
@@ -113,10 +113,10 @@ class WeakDecomposition:
         return int(self.indices.size)
 
 
-def weak_estimate(op: SignedSketchOperator, sketch: np.ndarray, candidates,
-                  params: WeakParams) -> WeakDecomposition:
+def weak_estimate(op: SignedSketchOperator, sketch: np.ndarray,
+                  candidates: np.ndarray, params: WeakParams) -> WeakDecomposition:
     """Sparse vector of the top k + ceil(k/sqrt(eta)) median estimates."""
-    cand = np.unique(np.asarray(list(candidates), dtype=np.int64))
+    cand = np.unique(np.asarray(candidates, dtype=np.int64))
     if cand.size == 0:
         return WeakDecomposition(cand, np.zeros(0), op.n_left)
     ests = median_estimates(op, sketch, cand)
@@ -187,14 +187,16 @@ class WeakLayer:
         nz = np.flatnonzero(x)
         return self.encode_sparse(nz, x[nz])
 
-    def identify(self, sketches: list[np.ndarray], candidates) -> np.ndarray:
+    def identify(self, sketches: list[np.ndarray],
+                 candidates: np.ndarray) -> np.ndarray:
         lists = [
             weak_identify(op, u, candidates, self.params)
             for op, u in zip(self.ident_ops, sketches)
         ]
         return majority_amplify(lists)
 
-    def estimate(self, sketches: list[np.ndarray], candidates) -> WeakDecomposition:
+    def estimate(self, sketches: list[np.ndarray],
+                 candidates: np.ndarray) -> WeakDecomposition:
         return weak_estimate(self.est_op, sketches[-1], candidates, self.params)
 
 

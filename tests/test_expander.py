@@ -3,6 +3,7 @@ import pytest
 
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import (
+    _MATERIALIZE_LIMIT,
     BipartiteGraph,
     SignedSketchOperator,
     apply_sketch,
@@ -187,6 +188,67 @@ def test_operator_serialization_roundtrip():
     clone = SignedSketchOperator.from_params(op.to_params())
     x = np.random.default_rng(3).normal(size=40)
     assert np.array_equal(op.apply(x), clone.apply(x))
+
+
+def _lazy_twin(op):
+    """The same design over a graph without a materialized neighbor
+    table, so it hashes its edge signs on every call."""
+    g = op.graph
+    lazy = BipartiteGraph(g.n_left, g.ell, g.n_buckets, g.seed)
+    lazy._table = None
+    return SignedSketchOperator(lazy, op.signs)
+
+
+@pytest.mark.parametrize("fill_by", ["apply", "readings"])
+def test_sign_table_keeps_apply_and_readings_identical(fill_by):
+    n, ell, m = 300, 5, 64
+    op = _operator(n, ell, m, seed=17)
+    twin = _lazy_twin(op)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=n)
+    sketch = twin.apply(x)
+    full = np.arange(n)
+    subsets = [np.sort(rng.choice(n, size=s, replace=False)) for s in (1, 40, n - 1)]
+    before = [(op.apply_sparse(i, x[i]), op.readings(sketch, i)) for i in subsets]
+    assert op._sign_table is None  # calls on fewer than n rows do not fill
+
+    if fill_by == "apply":
+        assert np.array_equal(op.apply(x), sketch)
+    else:
+        assert np.array_equal(op.readings(sketch, full), twin.readings(sketch, full))
+    assert op._sign_table.dtype == np.int8
+    assert op._sign_table.shape == (n, ell)
+    assert np.array_equal(op.apply(x), sketch)
+    assert np.array_equal(op.readings(sketch, full), twin.readings(sketch, full))
+    for i, (u, r) in zip(subsets, before):
+        assert np.array_equal(op.apply_sparse(i, x[i]), u)
+        assert np.array_equal(op.readings(sketch, i), r)
+    assert twin._sign_table is None
+
+
+def test_sign_table_never_filled_above_materialize_limit():
+    n, ell, m = _MATERIALIZE_LIMIT // 4 + 1, 4, 64
+    lazy = _operator(n, ell, m, seed=5)
+    assert not lazy.graph.materialized
+    explicit = SignedSketchOperator(
+        BipartiteGraph.from_neighbors(np.zeros((n, ell), dtype=np.int64), m),
+        SignFamily(seed=5, independence=4, n_left=n, n_buckets=m))
+    assert explicit.graph.materialized
+    for op in (lazy, explicit):
+        op.readings(np.ones(m), np.arange(n))
+        op.apply_sparse(np.arange(n), np.ones(n))
+        assert op._sign_table is None
+
+
+def test_dense_matrix_agrees_with_sign_table():
+    n, ell, m = 32, 6, 64
+    op = _operator(n, ell, m, seed=11)
+    op.apply(np.ones(n))
+    dense = np.zeros((m, n))
+    nbrs = op.graph.neighbors_of(np.arange(n))
+    np.add.at(dense, (nbrs.ravel(), np.repeat(np.arange(n), ell)),
+              op._sign_table.ravel())
+    assert np.array_equal(dense, op.dense_matrix())
 
 
 def test_adjacency_dump_format():

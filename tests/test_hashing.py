@@ -5,7 +5,7 @@ import pytest
 
 from sparserec.errors import UsageError
 from sparserec.fields import FieldSpec
-from sparserec.hashing import PolyHash, SignFamily, _m61_mul_vec, kwise_eval, sign_eval
+from sparserec.hashing import PolyHash, SignFamily, kwise_eval, sign_eval
 
 M61 = (1 << 61) - 1
 
@@ -62,13 +62,26 @@ def test_kwise_independence_exhaustive(field, d):
     assert set(counts.values()) == {1}
 
 
-def test_m61_mul_vec_matches_int_reference():
+def test_m61_eval_vec_matches_int_horner():
+    field = FieldSpec.prime(M61)
+
+    def horner(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % M61
+        return acc
+
     rng = np.random.default_rng(11)
-    a = rng.integers(0, M61, size=500, dtype=np.uint64)
-    b = rng.integers(0, M61, size=500, dtype=np.uint64)
-    got = _m61_mul_vec(a, b)
-    want = np.array([(int(x) * int(y)) % M61 for x, y in zip(a, b)], dtype=np.uint64)
-    assert np.array_equal(got, want)
+    random_poly = PolyHash.from_seed(field, 15, M61, seed=11)
+    top_poly = PolyHash(field, [M61 - 1] * 16, M61)  # every coefficient p - 1
+    random_x = rng.integers(0, M61, size=500, dtype=np.int64)
+    edge_x = np.array([0, 1, M61 - 2, M61 - 1], dtype=np.int64)
+    for h in (random_poly, top_poly):
+        for xs in (random_x, edge_x):
+            got = h.eval_vec(xs)
+            want = [horner(h.coefficients, int(x)) for x in xs]
+            assert got.dtype == np.int64
+            assert got.tolist() == want
 
 
 @pytest.mark.parametrize(

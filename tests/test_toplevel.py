@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparserec.errors import UsageError
+from sparserec.hashing import SignFamily
 from sparserec.toplevel import (
     StageSchedule,
     TopLevelConfig,
@@ -195,6 +196,22 @@ def test_loaded_system_decodes_without_encoding(engine, monkeypatch):
     monkeypatch.setattr(TopLevelSystem, "encode", refuse)
     loaded = TopLevelSystem.from_json(system.to_json())
     assert np.array_equal(loaded.decode(sketch), expect)
+
+
+def test_repeated_dense_encode_and_decode_reuse_sign_tables(monkeypatch):
+    system = build_toplevel(1024, 4, 0.5, seed=41, engine="scan", ell=7)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=1024) * 0.01
+    x[rng.choice(1024, 4, replace=False)] += 3.0
+    sketch = system.encode(x)
+    x_hat = system.decode(sketch)
+
+    def refuse(self, i, j):
+        raise AssertionError("edge signs must come from the sign tables")
+
+    monkeypatch.setattr(SignFamily, "sign_vec", refuse)
+    assert np.array_equal(system.encode(x), sketch)
+    assert np.array_equal(system.decode(sketch), x_hat)
 
 
 def test_repeat_median_single_copy_is_identity():
