@@ -1,7 +1,7 @@
 """Sparse recovery toolkit.
 
 Signed expander sketches with median estimation, list-recoverable codes
-(split / Loomis-Whitney / Reed-Solomon), recursive sublinear-time
+(Loomis-Whitney / Reed-Solomon), recursive sublinear-time
 identification, weak-to-top-level conversion with median amplification,
 an OMP baseline, and a numerical verifier for the null-space lower-bound
 geometry.
@@ -11,7 +11,6 @@ from sparserec.codes import (
     ListRecoveryInstance,
     LWCode,
     RSCode,
-    SplitCode,
     lw_join,
     rs_list_recover,
 )
@@ -20,13 +19,11 @@ from sparserec.expander import (
     BipartiteGraph,
     ExpansionCertificate,
     SignedSketchOperator,
-    apply_sketch,
-    build_graph,
     unique_neighbor_count,
     verify_expansion,
 )
 from sparserec.fields import FieldSpec
-from sparserec.hashing import PolyHash, SignFamily, kwise_eval, sign_eval
+from sparserec.hashing import PolyHash, SignFamily
 from sparserec.lowerbound import (
     AdversarialPair,
     Orthoprojector,
@@ -41,8 +38,6 @@ from sparserec.recursive import (
     RecursiveParams,
     Scheme1Table,
     Scheme2Map,
-    build_tree,
-    invert_indices,
     tree_shape,
 )
 from sparserec.seeds import derive_seed

@@ -15,7 +15,7 @@ import numpy as np
 from sparserec import binio
 from sparserec.errors import InfeasibleError, NumericalError, UsageError
 from sparserec.codes import ListRecoveryInstance, RSCode, lw_join, rs_list_recover
-from sparserec.expander import build_graph, verify_expansion
+from sparserec.expander import BipartiteGraph, verify_expansion
 from sparserec.experiment import records_to_csv, run_experiment
 from sparserec.fields import FieldSpec
 from sparserec.lowerbound import adversarial_pair, decoder_fails, null_projector, find_spike
@@ -44,7 +44,7 @@ def _load_json(path):
 
 
 def _cmd_gen_matrix(args) -> int:
-    graph = build_graph(args.n, args.ell, args.buckets, args.seed)
+    graph = BipartiteGraph(args.n, args.ell, args.buckets, args.seed)
     if args.format == "text":
         _write_text(args.out, graph.dump_adjacency())
     else:
@@ -53,7 +53,7 @@ def _cmd_gen_matrix(args) -> int:
 
 
 def _cmd_verify_expander(args) -> int:
-    graph = build_graph(args.n, args.ell, args.buckets, args.seed)
+    graph = BipartiteGraph(args.n, args.ell, args.buckets, args.seed)
     cert = verify_expansion(graph, args.t, args.eps)
     _write_text(args.out, json.dumps({
         "t": cert.t, "eps": cert.eps, "verified": cert.verified,

@@ -1,7 +1,7 @@
-"""Uniform list-recoverable codes: split, Loomis-Whitney, Reed-Solomon.
+"""Uniform list-recoverable codes: Loomis-Whitney and Reed-Solomon.
 
 Messages are integers in [n]; codewords are r-tuples of integer symbols
-in [q].  All three families are uniform (each coordinate of a uniform
+in [q].  Both families are uniform (each coordinate of a uniform
 message is uniform over the alphabet), which downstream layers rely on.
 
 Each code also encodes vectorized, one symbol position at a time
@@ -12,11 +12,14 @@ m = 1; the recursion tree's node codes are products of two codes, one on
 the deterministic and one on the random half of a packed domain.
 
 List recovery:
-  * split      - cartesian product of the two candidate sets;
   * LW(d)      - reconstruct a set in Sigma^d from its d coordinate-
                  deleted projection sets via the labeled-binary-tree join,
                  output size at most (d-1) * (prod k_i)^(1/(d-1)); with an
-                 error budget e, vectors agreeing with d - e of the sets;
+                 error budget e, vectors agreeing with d - e of the sets.
+                 At d = 2 the two projections share no coordinate, so the
+                 join is their product; the split code (x -> its high and
+                 low halves) is LW(2) with the two coordinates swapped,
+                 and the recursion tree accepts it as an alias of LW(2);
   * Reed-Solomon - interpolate through every b-subset of candidate
                  coordinates and keep polynomials agreeing with enough
                  sets (exact in the unique-decoding regime
@@ -133,24 +136,29 @@ def lw_join(projections, errors: int = 0) -> list[tuple[int, ...]]:
     if not 0 <= errors <= d - 2:
         raise UsageError("error budget must satisfy 0 <= e <= d-2")
     ks = [len(s) for s in sets]
-    found: set[tuple[int, ...]] = set()
-    bound = 0.0
-    for e in range(errors + 1):
-        for bad in itertools.combinations(range(d), e):
-            keep = [i for i in range(d) if i not in bad]
-            prod = float(np.prod([float(ks[i]) for i in keep]))
-            bound += (d - e - 1) * prod ** (1.0 / (d - e - 1))
-            if any(ks[i] == 0 for i in keep):
-                continue
-            cap = prod ** (1.0 / (d - e - 1))
-            deter = _join_over_leaves(keep, dict(enumerate(sets)), d, cap)
-            for v in deter:
-                if all(v[:i] + v[i + 1 :] in sets[i] for i in keep):
-                    found.add(v)
-    out = sorted(
-        v for v in found
-        if sum(v[:i] + v[i + 1 :] in sets[i] for i in range(d)) >= d - errors
-    )
+    if d == 2:
+        # the two projections share no coordinate: the join is their product
+        out = sorted((a, b) for (b,) in sets[0] for (a,) in sets[1])
+        bound = float(ks[0] * ks[1])
+    else:
+        found: set[tuple[int, ...]] = set()
+        bound = 0.0
+        for e in range(errors + 1):
+            for bad in itertools.combinations(range(d), e):
+                keep = [i for i in range(d) if i not in bad]
+                prod = float(np.prod([float(ks[i]) for i in keep]))
+                bound += (d - e - 1) * prod ** (1.0 / (d - e - 1))
+                if any(ks[i] == 0 for i in keep):
+                    continue
+                cap = prod ** (1.0 / (d - e - 1))
+                deter = _join_over_leaves(keep, dict(enumerate(sets)), d, cap)
+                for v in deter:
+                    if all(v[:i] + v[i + 1 :] in sets[i] for i in keep):
+                        found.add(v)
+        out = sorted(
+            v for v in found
+            if sum(v[:i] + v[i + 1 :] in sets[i] for i in range(d)) >= d - errors
+        )
     if len(out) > math.ceil(bound):
         raise NumericalError("join output exceeded its provable size bound")
     return out
@@ -165,14 +173,6 @@ def _singletons(sets) -> list[set[tuple[int]]]:
     return [{(int(v),) for v in s} for s in sets]
 
 
-def split_recover(codes, sets) -> list[tuple[int, ...]]:
-    """Every message of a product of split codes whose two symbols lie in
-    the two tuple-symbol sets: the cartesian product of the sets."""
-    s0, s1 = sets
-    return [tuple(c.q * a + b for c, a, b in zip(codes, u, v))
-            for u in s0 for v in s1]
-
-
 def lw_recover(codes, sets, errors: int = 0) -> list[tuple[int, ...]]:
     """Messages of a product of LW(d) codes agreeing with at least
     d - errors of the tuple-symbol sets.
@@ -182,30 +182,30 @@ def lw_recover(codes, sets, errors: int = 0) -> list[tuple[int, ...]]:
     is itself an LW(d) code and one join recovers it.
     """
     bases = [c.base for c in codes]
+    d = codes[0].d
 
-    def mix(digits) -> int:
-        v = 0
-        for digit, base in zip(digits, bases):
-            v = v * base + digit
-        return v
+    def rows(tuples, width) -> np.ndarray:
+        return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.int64,
+                           count=len(tuples) * width).reshape(-1, width)
 
-    def unmix(v: int) -> list[int]:
-        digits = []
-        for base in reversed(bases):
-            v, digit = divmod(v, base)
-            digits.append(digit)
-        return digits[::-1]
+    def merge(s) -> set[tuple[int, ...]]:
+        syms = rows(s, len(codes))
+        mixed = np.zeros((len(s), d - 1), dtype=np.int64)
+        for i, base in enumerate(bases):
+            sub_digits = syms[:, i:i + 1] // base ** np.arange(d - 2, -1, -1) % base
+            mixed = mixed * base + sub_digits
+        return set(map(tuple, mixed.tolist()))
 
-    def merge(sym) -> tuple[int, ...]:
-        per_code = [c.unpack_symbol(int(x)) for c, x in zip(codes, sym)]
-        return tuple(mix(column) for column in zip(*per_code))
-
-    tuple_sets = [{merge(sym) for sym in s} for s in sets]
-    out = []
-    for vec in lw_join(tuple_sets, errors):
-        parts = list(zip(*map(unmix, vec)))
-        out.append(tuple(c.pack_symbol(p) for c, p in zip(codes, parts)))
-    return out
+    found = lw_join([merge(s) for s in sets], errors)
+    mixed = rows(found, d)
+    msgs = []
+    for base in reversed(bases):
+        mixed, digits = np.divmod(mixed, base)
+        msg = np.zeros(len(found), dtype=np.int64)
+        for t in range(d):
+            msg = msg * base + digits[:, t]
+        msgs.append(msg.tolist())
+    return list(zip(*msgs[::-1]))
 
 
 def rs_recover(codes, sets, rho: float) -> list[tuple[int, ...]]:
@@ -252,36 +252,6 @@ class _Code:
         return np.stack([self.encode_vec(xs, u) for u in range(self.r)], axis=1)
 
 
-class SplitCode(_Code):
-    """x in [q^2] -> (high digit, low digit); trivial list recovery."""
-
-    kind = "split"
-    r = 2
-    b = 2
-
-    def __init__(self, n: int):
-        q = math.isqrt(n)
-        if q * q != n:
-            raise UsageError("split code needs a perfect-square message space")
-        self.n = n
-        self.q = q
-
-    def encode(self, x: int) -> tuple[int, int]:
-        if not 0 <= x < self.n:
-            raise UsageError(f"message {x} outside [0, {self.n})")
-        return divmod(x, self.q)
-
-    def encode_vec(self, xs: np.ndarray, u: int) -> np.ndarray:
-        """Symbol u of each message in xs."""
-        xs = np.asarray(xs, dtype=np.int64)
-        return xs // self.q if u == 0 else xs % self.q
-
-    def list_recover(self, sets, rho: float = 0.0) -> list[int]:
-        if rho != 0.0:
-            raise UsageError("split code recovery only supports rho = 0")
-        return sorted(x for (x,) in split_recover((self,), _singletons(sets)))
-
-
 class LWCode(_Code):
     """x viewed as d digits; coordinate i of the codeword deletes digit i.
 
@@ -313,18 +283,11 @@ class LWCode(_Code):
         return tuple(out)
 
     def pack_symbol(self, sub_digits) -> int:
-        """Digits, most significant first, packed base `base` (a symbol
-        from d-1 sub-digits, a message from d)."""
+        """A symbol from its d-1 sub-digits, most significant first."""
         v = 0
         for t in sub_digits:
             v = v * self.base + int(t)
         return v
-
-    def unpack_symbol(self, sym: int) -> tuple[int, ...]:
-        out = []
-        for j in range(self.d - 2, -1, -1):
-            out.append((sym // self.base**j) % self.base)
-        return tuple(out)
 
     def encode_tuple(self, x: int) -> tuple[tuple[int, ...], ...]:
         if not 0 <= x < self.n:
@@ -467,10 +430,6 @@ class ListRecoveryInstance:
             for s in self.sets:
                 if len(s) > self.ell:
                     raise UsageError("candidate set larger than the declared ell")
-
-
-def encode(code, x: int) -> tuple[int, ...]:
-    return code.encode(x)
 
 
 def rs_list_recover(code: RSCode, instance: ListRecoveryInstance) -> list[int]:

@@ -112,10 +112,6 @@ class BipartiteGraph:
         ) + "\n"
 
 
-def build_graph(n_left: int, ell: int, n_buckets: int, seed: int) -> BipartiteGraph:
-    return BipartiteGraph(n_left, ell, n_buckets, seed)
-
-
 @dataclass(frozen=True)
 class ExpansionCertificate:
     t: int
@@ -275,7 +271,3 @@ class SignedSketchOperator:
 
     def to_json(self) -> str:
         return json.dumps(self.to_params(), sort_keys=True)
-
-
-def apply_sketch(op: SignedSketchOperator, x: np.ndarray) -> np.ndarray:
-    return op.apply(x)

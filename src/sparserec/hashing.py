@@ -123,10 +123,6 @@ class PolyHash:
         )
 
 
-def kwise_eval(h: PolyHash, i: int) -> int:
-    return h.eval(i)
-
-
 class SignFamily:
     """Reproducible +-1 values on (left vertex, bucket) index pairs.
 
@@ -165,7 +161,3 @@ class SignFamily:
         pair = i.astype(np.uint64) * np.uint64(self.n_buckets) + j.astype(np.uint64)
         bits = self.hash.eval_vec(pair).astype(np.int64) & 1
         return 1.0 - 2.0 * bits
-
-
-def sign_eval(family: SignFamily, i: int, j: int) -> int:
-    return family.sign(i, j)

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparserec.codes import (LWCode, RSCode, SplitCode, lw_recover, rs_recover,
-                             split_recover)
+from sparserec.codes import LWCode, RSCode, lw_recover, rs_recover
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash
@@ -153,8 +152,8 @@ class NodeCode:
     their u-th symbols; a child's widths are log2 of the codes' alphabets.
     """
 
-    det_code: SplitCode | LWCode | RSCode
-    rnd_code: SplitCode | LWCode | RSCode | None = None
+    det_code: LWCode | RSCode
+    rnd_code: LWCode | RSCode | None = None
 
     @property
     def child_det_bits(self) -> int:
@@ -179,10 +178,7 @@ class NodeCode:
             child_sets = [{(det,) for det, _ in s} for s in child_sets]
         else:
             codes = (self.det_code, self.rnd_code)
-        kind = self.det_code.kind
-        if kind == "split":
-            found = split_recover(codes, child_sets)
-        elif kind == "lw":
+        if self.det_code.kind == "lw":
             found = lw_recover(codes, child_sets, errors)
         else:
             found = rs_recover(codes, child_sets, rho)
@@ -260,10 +256,10 @@ class RecursionTree:
                  fingerprint_degree: int = 0):
         if n_signal < 2 or n_signal & (n_signal - 1):
             raise UsageError("signal length must be a power of two")
-        if code_kind not in ("split", "lw", "rs"):
+        if code_kind == "split":  # LW(2) with its two coordinates swapped
+            code_kind, arity = "lw", 2
+        if code_kind not in ("lw", "rs"):
             raise UsageError(f"unknown code kind {code_kind!r}")
-        if code_kind == "split":
-            arity = 2
         if code_kind == "lw" and arity < 2:
             raise UsageError("lw code needs arity d >= 2")
         if code_kind == "rs":
@@ -306,7 +302,7 @@ class RecursionTree:
     def _pad_for_code(self, det_in: int, rnd_in: int) -> tuple[int, int]:
         """Padded (det, rnd) widths of an internal node's domain."""
         d = self.arity
-        if self.code_kind in ("split", "lw"):
+        if self.code_kind == "lw":
             return _pad_up(det_in, d), _pad_up(rnd_in, d)
         b = self.rs_b
         min_det = b * max(1, (self.arity - 1).bit_length())
@@ -320,8 +316,6 @@ class RecursionTree:
         """The tree's code on a 2^bits half-domain (None when bits == 0)."""
         if not bits:
             return None
-        if self.code_kind == "split":
-            return SplitCode(1 << bits)
         if self.code_kind == "lw":
             return LWCode(1 << bits, self.arity)
         return RSCode(FieldSpec.binary(bits // self.rs_b), b=self.rs_b,
@@ -533,18 +527,3 @@ class RecursionTree:
             arity=blob["arity"], rs_b=blob["rs_b"], scheme=blob["scheme"],
             alpha=blob["alpha"], fingerprint_degree=blob["fingerprint_degree"],
         )
-
-
-def build_tree(n_signal: int, leaf_target: int, code_kind: str,
-               params: RecursiveParams, seed: int, **kwargs) -> RecursionTree:
-    return RecursionTree(n_signal, leaf_target, code_kind, params, seed, **kwargs)
-
-
-def invert_indices(mapped, scheme_obj, n_signal: int | None = None):
-    """Dispatch inversion for either scheme; scheme2 needs (det, rnd)."""
-    if isinstance(scheme_obj, Scheme1Table):
-        return scheme_obj.invert(mapped)
-    if isinstance(scheme_obj, Scheme2Map):
-        det, rnd = mapped
-        return scheme_obj.invert(det, rnd, n_signal), 0
-    raise UsageError("unknown inversion scheme")

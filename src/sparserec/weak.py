@@ -27,9 +27,7 @@ from sparserec.seeds import derive_seed
 class WeakParams:
     """One (k, gamma, eta) layer configuration.
 
-    eps_exp is the expansion slack the layer's graph is meant to satisfy
-    (knob; the analysis wants O(gamma^3 * eta)).  s counts independent
-    identification copies for majority amplification.
+    s counts independent identification copies for majority amplification.
     """
 
     k: int
@@ -37,15 +35,12 @@ class WeakParams:
     eta: float
     ell: int
     s: int = 1
-    eps_exp: float = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.k < 1 or self.s < 1:
             raise UsageError("k and s must be positive")
         if not (0 < self.gamma < 1 and 0 < self.eta < 1):
             raise UsageError("gamma and eta must lie in (0, 1)")
-        if self.eps_exp is None:
-            object.__setattr__(self, "eps_exp", self.gamma**3 * self.eta / 2)
 
     @property
     def ident_count(self) -> int:

@@ -14,7 +14,6 @@ from sparserec.codes import (
     ListRecoveryInstance,
     LWCode,
     RSCode,
-    SplitCode,
     lw_join,
     rs_list_recover,
 )
@@ -139,7 +138,6 @@ def test_criterion_3_rs_list_recovery_oracle_equivalence():
 
 def test_criterion_4_code_uniformity():
     codes = [
-        SplitCode(4096),
         LWCode(4096, 2),
         LWCode(4096, 3),
         LWCode(4096, 4),
@@ -153,7 +151,7 @@ def test_criterion_4_code_uniformity():
             counts = np.bincount(table[:, i], minlength=code.q)
             assert np.all(counts == per_symbol), (code.kind, i)
     _report(4, True,
-            "split/LW/RS coordinate histograms exactly flat by full enumeration")
+            "LW/RS coordinate histograms exactly flat by full enumeration")
 
 
 def test_criterion_5_orthoprojector_identities():

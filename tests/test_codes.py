@@ -9,8 +9,6 @@ from sparserec.codes import (
     ListRecoveryInstance,
     LWCode,
     RSCode,
-    SplitCode,
-    encode,
     lw_join,
     rs_list_recover,
 )
@@ -59,8 +57,9 @@ def random_projections(rng, d, sigma, size):
 # --- encoders ---
 
 def test_split_encode_example():
-    code = SplitCode(16)
-    assert code.encode(0b1011) == (0b10, 0b11)
+    # the split code is LW(2): symbol 0 is the low digit, symbol 1 the high
+    code = LWCode(16, 2)
+    assert code.encode(0b1011) == (0b11, 0b10)
 
 
 def test_lw3_coordinate_deletion():
@@ -74,18 +73,18 @@ def test_lw3_coordinate_deletion():
 def test_rs_constant_polynomial():
     code = RSCode(FieldSpec.prime(5), b=1, r=3)
     for c in range(5):
-        assert encode(code, c) == (c, c, c)
+        assert code.encode(c) == (c, c, c)
 
 
 def test_encode_out_of_range():
-    for code in (SplitCode(16), LWCode(8, 3), RSCode(FieldSpec.prime(5), 1, 3)):
+    for code in (LWCode(16, 2), LWCode(8, 3), RSCode(FieldSpec.prime(5), 1, 3)):
         with pytest.raises(UsageError):
             code.encode(code.n)
 
 
 def test_encode_all_matches_scalar():
     codes = [
-        SplitCode(64),
+        LWCode(64, 2),
         LWCode(64, 3),
         RSCode(FieldSpec.binary(4), b=2, r=5),
         RSCode(FieldSpec.prime(7), b=2, r=4),
@@ -99,7 +98,7 @@ def test_encode_all_matches_scalar():
 @pytest.mark.parametrize(
     "code",
     [
-        SplitCode(1024),
+        LWCode(1024, 2),
         LWCode(512, 3),
         LWCode(256, 2),
         RSCode(FieldSpec.binary(4), b=2, r=6),

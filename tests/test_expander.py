@@ -6,8 +6,6 @@ from sparserec.expander import (
     _MATERIALIZE_LIMIT,
     BipartiteGraph,
     SignedSketchOperator,
-    apply_sketch,
-    build_graph,
     unique_neighbor_count,
     verify_expansion,
 )
@@ -22,32 +20,32 @@ def _disjoint_graph(n, ell, m):
 
 
 def test_build_graph_shape():
-    g = build_graph(1, 3, 10, seed=5)
+    g = BipartiteGraph(1, 3, 10, seed=5)
     nbrs = g.neighbors(0)
     assert len(nbrs) == 3
     assert all(0 <= j < 10 for j in nbrs)
 
 
 def test_build_graph_deterministic():
-    a = build_graph(50, 6, 40, seed=9)
-    b = build_graph(50, 6, 40, seed=9)
+    a = BipartiteGraph(50, 6, 40, seed=9)
+    b = BipartiteGraph(50, 6, 40, seed=9)
     idx = np.arange(50)
     assert np.array_equal(a.neighbors_of(idx), b.neighbors_of(idx))
-    c = build_graph(50, 6, 40, seed=10)
+    c = BipartiteGraph(50, 6, 40, seed=10)
     assert not np.array_equal(a.neighbors_of(idx), c.neighbors_of(idx))
 
 
 def test_build_graph_validates_parameters():
     with pytest.raises(UsageError):
-        build_graph(0, 3, 10, seed=1)
+        BipartiteGraph(0, 3, 10, seed=1)
     with pytest.raises(UsageError):
-        build_graph(5, 11, 10, seed=1)
+        BipartiteGraph(5, 11, 10, seed=1)
     with pytest.raises(UsageError):
-        build_graph(5, 0, 10, seed=1)
+        BipartiteGraph(5, 0, 10, seed=1)
 
 
 def test_lazy_generation_matches_table():
-    g = build_graph(200, 4, 64, seed=3)
+    g = BipartiteGraph(200, 4, 64, seed=3)
     lazy = BipartiteGraph(200, 4, 64, seed=3)
     lazy._table = None  # force per-index regeneration
     idx = np.array([0, 7, 199, 42])
@@ -71,7 +69,7 @@ def test_identical_neighbor_lists_fail_pairs():
 
 
 def test_verify_expansion_refuses_infeasible_enumeration():
-    g = build_graph(600, 4, 256, seed=0)
+    g = BipartiteGraph(600, 4, 256, seed=0)
     with pytest.raises(InfeasibleError):
         verify_expansion(g, t=4, eps=0.25)
 
@@ -79,7 +77,7 @@ def test_verify_expansion_refuses_infeasible_enumeration():
 def test_random_graphs_usually_verify():
     # regime computed with this oracle: N=64, ell=8, M=1024 at (4, 0.25)
     verified = sum(
-        verify_expansion(build_graph(64, 8, 1024, seed=s), 4, 0.25).verified
+        verify_expansion(BipartiteGraph(64, 8, 1024, seed=s), 4, 0.25).verified
         for s in range(50)
     )
     assert verified >= 45
@@ -94,7 +92,7 @@ def test_unique_neighbor_count_basics():
 
 
 def test_unique_neighbors_bounded_on_verified_expander():
-    g = build_graph(64, 8, 1024, seed=2)
+    g = BipartiteGraph(64, 8, 1024, seed=2)
     cert = verify_expansion(g, t=2, eps=0.25)
     assert cert.verified
     eps = 1.0 - cert.worst_ratio
@@ -108,7 +106,7 @@ def test_unique_neighbors_bounded_on_verified_expander():
 
 def test_intersection_bound_on_verified_expander():
     # Gamma(S) and Gamma(T) overlap little when the graph (2t, eps)-expands
-    g = build_graph(64, 8, 1024, seed=4)
+    g = BipartiteGraph(64, 8, 1024, seed=4)
     t = 2
     cert = verify_expansion(g, 2 * t, eps=0.5)
     eps = 1.0 - cert.worst_ratio
@@ -122,7 +120,7 @@ def test_intersection_bound_on_verified_expander():
 
 def test_right_neighborhood_bound_on_verified_expander():
     # few vertices can have >= ell/a of their edges inside a small bucket set
-    g = build_graph(64, 8, 1024, seed=6)
+    g = BipartiteGraph(64, 8, 1024, seed=6)
     t, a = 4, 2
     cert = verify_expansion(g, t, eps=0.25)
     assert cert.verified and 1.0 - cert.worst_ratio < 1 / (2 * a)
@@ -144,7 +142,7 @@ def _operator(n, ell, m, seed=1, indep=16):
 
 def test_apply_zero_is_zero():
     op = _operator(32, 4, 64)
-    assert np.array_equal(apply_sketch(op, np.zeros(32)), np.zeros(64))
+    assert np.array_equal(op.apply(np.zeros(32)), np.zeros(64))
 
 
 def test_apply_single_column_with_multiedges():
@@ -252,7 +250,7 @@ def test_dense_matrix_agrees_with_sign_table():
 
 
 def test_adjacency_dump_format():
-    g = build_graph(3, 2, 10, seed=1)
+    g = BipartiteGraph(3, 2, 10, seed=1)
     lines = g.dump_adjacency().strip().split("\n")
     assert len(lines) == 3
     assert lines[0].startswith("0: ")

@@ -5,19 +5,19 @@ import pytest
 
 from sparserec.errors import UsageError
 from sparserec.fields import FieldSpec
-from sparserec.hashing import PolyHash, SignFamily, kwise_eval, sign_eval
+from sparserec.hashing import PolyHash, SignFamily
 
 M61 = (1 << 61) - 1
 
 
 def test_constant_polynomial():
     h = PolyHash(FieldSpec.prime(7), [4], 7)
-    assert all(kwise_eval(h, i) == 4 for i in range(7))
+    assert all(h.eval(i) == 4 for i in range(7))
 
 
 def test_identity_polynomial():
     h = PolyHash(FieldSpec.prime(13), [0, 1], 13)
-    assert all(kwise_eval(h, i) == i for i in range(13))
+    assert all(h.eval(i) == i for i in range(13))
 
 
 def test_out_of_domain_point_errors():
@@ -104,8 +104,8 @@ def test_sign_family_deterministic_and_binary():
     vals = set()
     for i in range(0, 500, 7):
         for j in range(0, 64, 5):
-            s = sign_eval(fam, i, j)
-            assert s == sign_eval(fam2, i, j)
+            s = fam.sign(i, j)
+            assert s == fam2.sign(i, j)
             vals.add(s)
     assert vals <= {-1, 1}
 

@@ -11,8 +11,6 @@ from sparserec.recursive import (
     RecursiveParams,
     Scheme1Table,
     Scheme2Map,
-    build_tree,
-    invert_indices,
     tree_shape,
 )
 from sparserec.weak import weak_identify
@@ -102,14 +100,39 @@ def test_phi_unknown_node_errors():
 
 
 def test_split_phi_takes_bit_halves():
+    # split is LW(2): child u gets the digits without digit u, so child 0
+    # carries the low half of the bits and child 1 the high half
     tree = RecursionTree(n_signal=2**10, leaf_target=2**5, code_kind="split",
                          params=_params(), seed=4, scheme="none")
     assert tree.height >= 1
     vals = np.arange(0, 2**10, 37, dtype=np.int64)
-    hi = tree.phi(tree.nodes[0].children[0], vals)
-    lo = tree.phi(tree.nodes[0].children[1], vals)
-    assert np.array_equal(hi, vals >> 5)
+    lo = tree.phi(tree.nodes[0].children[0], vals)
+    hi = tree.phi(tree.nodes[0].children[1], vals)
     assert np.array_equal(lo, vals & 31)
+    assert np.array_equal(hi, vals >> 5)
+
+
+def test_split_is_an_alias_of_lw2():
+    trees = [RecursionTree(n_signal=2**12, leaf_target=2**6, params=_params(),
+                           seed=8, **kind)
+             for kind in (dict(code_kind="split"), dict(code_kind="lw", arity=2))]
+    split, lw = trees
+    assert split.to_params() == lw.to_params()
+    assert (split.code_kind, split.arity) == ("lw", 2)
+    assert ([(v.det_bits, v.rnd_bits) for v in split.nodes]
+            == [(v.det_bits, v.rnd_bits) for v in lw.nodes])
+    assert split.measurement_count == lw.measurement_count
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        x = np.zeros(2**12)
+        x[rng.choice(2**12, size=4, replace=False)] = rng.choice([-2.0, 2.0], 4)
+        sketches = [tree.encode(x) for tree in trees]
+        for a, b in zip(*sketches):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        (got_s, info_s), (got_l, info_l) = [tree.identify(sk) for tree, sk
+                                            in zip(trees, sketches)]
+        assert np.array_equal(got_s, got_l)
+        assert info_s == info_l
 
 
 def test_node_images_matches_phi():
@@ -280,8 +303,6 @@ def test_scheme2_inversion_is_projection():
     assert np.array_equal(det, idx)
     back = mapper.invert(det, rnd, 1024)
     assert np.array_equal(back, idx)
-    got, dropped = invert_indices((det, rnd), mapper, n_signal=1024)
-    assert dropped == 0 and np.array_equal(got, idx)
 
 
 def test_scheme2_rejects_mismatched_fingerprints():
@@ -412,7 +433,7 @@ def test_leaf_domain_guard():
 
 def test_serialization_roundtrip():
     params = _params()
-    tree = build_tree(1024, 64, "lw", params, seed=55, arity=3, scheme="scheme2")
+    tree = RecursionTree(1024, 64, "lw", params, seed=55, arity=3, scheme="scheme2")
     clone = RecursionTree.from_params(tree.to_params())
     rng = np.random.default_rng(6)
     x = np.zeros(1024)

@@ -183,6 +183,21 @@ def test_descriptor_with_d_exp_loads_identically(engine):
     assert np.array_equal(old.decode(sketch), plain.decode(sketch))
 
 
+def test_split_descriptor_decodes_like_lw2():
+    tree = dict(code_kind="lw", arity=2, leaf_target=64, scheme="scheme2")
+    lw = build_toplevel(4096, 4, 0.5, seed=41, engine="recursive", ell=7, tree=tree)
+    blob = json.loads(lw.to_json())
+    blob["config"]["tree"] = dict(leaf_target=64, scheme="scheme2", code_kind="split")
+    split = TopLevelSystem.from_json(json.dumps(blob))
+    assert split.measurement_count == lw.measurement_count
+    x = _sparse_signal(4096, 4, seed=9)
+    sketch = lw.encode(x)
+    assert split.encode(x).tobytes() == sketch.tobytes()
+    x_hat = split.decode(sketch)
+    assert x_hat.tobytes() == lw.decode(sketch).tobytes()
+    assert np.linalg.norm(x - x_hat) <= 1e-12
+
+
 @pytest.mark.parametrize("engine", ["scan", "recursive"])
 def test_loaded_system_decodes_without_encoding(engine, monkeypatch):
     system = build_toplevel(1024, 4, 0.5, seed=37, engine=engine, ell=7, tree=_TREE)

@@ -140,7 +140,6 @@ def test_weak_params_validation():
     with pytest.raises(UsageError):
         WeakParams(k=2, gamma=1.5, eta=0.25, ell=4)
     p = WeakParams(k=8, gamma=0.1, eta=0.25, ell=4)
-    assert p.eps_exp == pytest.approx(0.1**3 * 0.25 / 2)
     assert p.ident_count == 8 + 32
     assert p.est_count == 8 + 16
 
