@@ -8,7 +8,8 @@ through the composed coordinate maps phi_v and sketches the aggregated
 image at every node.  Identification runs leaves-first: leaves scan
 their whole (small) domain; an internal node list-recovers its children's
 candidate lists into a set S_v and prunes it with its own weak layer; the
-root's survivors are inverted back to signal indices.
+root's survivors are inverted back to signal indices, with one record
+per node; planted_losses charges each missed planted head to a node.
 
 Index shuffling uses one of two schemes.  Scheme 2 (default, sublinear
 space) appends a k-wise-independent fingerprint: f(i) = (i, g(i)) with g
@@ -70,10 +71,7 @@ class Scheme2Map:
                                     derive_seed(seed, "scheme2/g"))
 
     def fingerprint(self, indices: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.int64)
-        if self.rnd_bits <= 16:
-            return self.g.eval_vec(idx)
-        return np.array([self.g.eval(int(i)) for i in idx], dtype=np.int64)
+        return self.g.eval_vec(np.asarray(indices, dtype=np.int64))
 
     def forward(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(deterministic part, random part) of each mapped index."""
@@ -420,20 +418,15 @@ class RecursionTree:
 
     # -- identification --
 
-    def identify(self, sketches: list[list[np.ndarray]],
-                 instrument_support: np.ndarray | None = None):
-        """Candidate signal indices, leaves first.
-
-        With instrument_support (the planted heavy indices), the returned
-        diagnostics record, per node, the planted images alive in the
-        candidate input but missing from the node's output list.
-        """
-        truth = None
-        if instrument_support is not None:
-            truth = self.node_images(np.asarray(instrument_support, dtype=np.int64))
+    def identify(self, sketches: list[list[np.ndarray]]):
+        """Candidate signal indices, leaves first, and info["nodes"]: one
+        record of plain ints and lists per node, with its list-recovery
+        output before truncation ("recovered", None at leaves) and its
+        output list ("found")."""
         lists: dict[int, np.ndarray] = {}
-        diagnostics = []
+        records = []
         for node in sorted(self.nodes, key=lambda v: -v.depth):
+            recovered, truncated = None, 0
             if node.children:
                 child_sets = []
                 for child_id in node.children:
@@ -451,8 +444,8 @@ class RecursionTree:
                     np.array([p[0] for p in pairs], dtype=np.int64),
                     np.array([p[1] for p in pairs], dtype=np.int64),
                 )) if pairs else np.zeros(0, dtype=np.int64)
+                recovered = cand.tolist()
                 cap = self.params.cap or self._default_cap()
-                truncated = 0
                 if cand.size > cap:
                     truncated = cand.size - cap
                     cand = cand[:cap]
@@ -464,26 +457,16 @@ class RecursionTree:
                     )
             else:
                 cand = np.arange(node.domain, dtype=np.int64)
-                truncated = 0
             found = node.layer.identify(sketches[node.node_id], cand)
             lists[node.node_id] = found
-            record = {
+            records.append({
                 "node": node.node_id,
                 "depth": node.depth,
                 "candidates": int(cand.size),
                 "truncated": truncated,
-            }
-            if truth is not None:
-                alive = np.unique(truth[node.node_id])
-                lost = np.setdiff1d(alive, found)
-                present = (alive if not node.children
-                           else np.intersect1d(alive, cand))
-                record.update({
-                    "planted_in_candidates": int(present.size),
-                    "planted_lost_here": [int(v) for v in np.setdiff1d(present, found)],
-                    "planted_missing_after": [int(v) for v in lost],
-                })
-            diagnostics.append(record)
+                "recovered": recovered,
+                "found": found.tolist(),
+            })
         root = self.nodes[0]
         det, rnd = root.unpack(lists[0])
         if self.scheme == "scheme2":
@@ -494,8 +477,27 @@ class RecursionTree:
         else:
             keep = det < self.n_signal
             out, dropped = np.unique(det[keep]), 0
-        info = {"nodes": diagnostics, "inversion_dropped": dropped}
+        info = {"nodes": records, "inversion_dropped": dropped}
         return out, info
+
+    def planted_losses(self, info: dict, support: np.ndarray) -> list[dict]:
+        """Per node record of identify: how many planted images were in its
+        candidates (at a leaf all, else the list-recovery output before
+        truncation, so a head the cap cut away is lost there), which of them
+        it lost, and which of its planted images are missing from its output."""
+        images = self.node_images(np.asarray(support, dtype=np.int64))
+        out = []
+        for record in info["nodes"]:
+            alive = np.unique(images[record["node"]])
+            present = (alive if record["recovered"] is None
+                       else alive[np.isin(alive, record["recovered"])])
+            out.append({
+                "node": record["node"],
+                "planted_in_candidates": int(present.size),
+                "planted_lost_here": np.setdiff1d(present, record["found"]).tolist(),
+                "planted_missing_after": np.setdiff1d(alive, record["found"]).tolist(),
+            })
+        return out
 
     def _default_cap(self) -> int:
         ell_in = 2 * self.params.weak().ident_count

@@ -6,7 +6,9 @@ optionally a recursive identification tree) on the residual sketch,
 i.e. the stage sketch of x minus the stage encoding of everything
 recovered so far, and the estimates accumulate.  Residual sketches are
 recomputed exactly from the accumulated estimate; no approximate
-updates.
+updates.  A decode can append one record per stage to a trace list:
+what the stage identified and added to the estimate, and the tree's
+per-node records.
 
 Also here: component-wise median amplification across independently
 seeded system copies, and an orthogonal-matching-pursuit baseline for
@@ -15,15 +17,15 @@ dense Gaussian matrices.
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
 from sparserec.errors import UsageError
 from sparserec.recursive import RecursionTree, RecursiveParams
 from sparserec.seeds import derive_seed
-from sparserec.vectors import head_indices
 from sparserec.weak import WeakLayer, WeakParams, lower_median
 
 
@@ -65,6 +67,13 @@ class StageSchedule:
                              stages=stages)
 
 
+# Tree options a config may set; each stage supplies the rest.
+_TREE_PARAM_KEYS = ({f.name for f in fields(RecursiveParams)}
+                    - {"k", "eta", "sign_independence"})
+_TREE_KEYS = _TREE_PARAM_KEYS | (set(inspect.signature(RecursionTree).parameters)
+                                  - {"n_signal", "params", "seed"})
+
+
 @dataclass
 class TopLevelConfig:
     """Everything needed to rebuild a system from (config, seed)."""
@@ -86,6 +95,9 @@ class TopLevelConfig:
             raise UsageError(f"unknown stage engine {self.engine!r}")
         if self.n < 2 or self.k < 1 or self.k > self.n:
             raise UsageError("need 2 <= n and 1 <= k <= n")
+        unknown = sorted(set(self.tree) - _TREE_KEYS)
+        if unknown:
+            raise UsageError(f"unknown tree options: {unknown}")
 
 
 class _Stage:
@@ -100,26 +112,13 @@ class _Stage:
                                sign_independence=config.sign_independence)
         self.tree = None
         if config.engine == "recursive":
-            opts = dict(config.tree)
+            opts = {"leaf_target": 256, "code_kind": "lw", "ell": config.ell,
+                    "s": spec.copies, **config.tree}
             tree_params = RecursiveParams(
-                k=spec.k, eta=spec.precision, gamma=opts.pop("gamma", 0.1),
-                ell=opts.pop("ell", config.ell),
-                buckets_per_node=opts.pop("buckets_per_node", 0),
-                s=opts.pop("s", spec.copies),
-                sign_independence=config.sign_independence,
-                cap=opts.pop("cap", 0),
-                lw_errors=opts.pop("lw_errors", 0),
-                rho=opts.pop("rho", 0.25),
-                max_leaf_domain=opts.pop("max_leaf_domain", 1 << 20),
-            )
-            self.tree = RecursionTree(
-                n_signal=config.n,
-                leaf_target=opts.pop("leaf_target", 256),
-                code_kind=opts.pop("code_kind", "lw"),
-                params=tree_params,
-                seed=derive_seed(seed, "tree"),
-                **opts,
-            )
+                k=spec.k, eta=spec.precision, sign_independence=config.sign_independence,
+                **{key: opts.pop(key) for key in _TREE_PARAM_KEYS & opts.keys()})
+            self.tree = RecursionTree(n_signal=config.n, params=tree_params,
+                                      seed=derive_seed(seed, "tree"), **opts)
 
     @property
     def measurement_count(self) -> int:
@@ -142,15 +141,16 @@ class _Stage:
         nodes = [] if self.tree is None else [node.layer for node in self.tree.nodes]
         return nodes + [self.layer]
 
-    def identify(self, sketches: list[np.ndarray]) -> np.ndarray:
+    def identify(self, sketches: list[np.ndarray]) -> tuple[np.ndarray, list | None]:
+        """Candidates and the tree's node records (None on the scan engine)."""
         grouped, pos = [], 0
         for layer in self.layers:
             grouped.append(sketches[pos : pos + layer.sketch_count])
             pos += layer.sketch_count
         if self.tree is not None:
-            found, _ = self.tree.identify(grouped[:-1])
-            return found
-        return self.layer.identify(grouped[-1], np.arange(self.layer.domain))
+            found, info = self.tree.identify(grouped[:-1])
+            return found, info["nodes"]
+        return self.layer.identify(grouped[-1], np.arange(self.layer.domain)), None
 
     def estimate(self, sketches: list[np.ndarray], candidates):
         layer_sketches = sketches[-self.layer.sketch_count:]
@@ -206,18 +206,14 @@ class TopLevelSystem:
             out.append(stage_arrays)
         return out
 
-    def decode(self, flat_sketch: np.ndarray, instrument_x: np.ndarray | None = None,
-               identify_override=None):
-        """Accumulated estimate; optional loop-invariant instrumentation.
-
-        identify_override(stage_index, accumulated) replaces the stage
-        identification step (test hook for forced-success runs).
-        """
+    def decode(self, flat_sketch: np.ndarray, trace: list | None = None) -> np.ndarray:
+        """Accumulated estimate.  A trace list gets one record per stage:
+        "stage", "candidates" (count), "nodes" (the tree's node records,
+        None on the scan engine), and the "indices" and "values" the stage
+        added (empty for an exactly-zero residual); replayed in order into
+        a zero vector, they give the estimate bit for bit."""
         per_stage = self._unflatten(np.asarray(flat_sketch, dtype=np.float64))
         acc = np.zeros(self.n)
-        missing_per_stage = []
-        truth_heads = (set(head_indices(instrument_x, self.config.k).tolist())
-                       if instrument_x is not None else None)
         for stage, sketches in zip(self.stages, per_stage):
             nz = np.flatnonzero(acc)
             if nz.size:
@@ -228,22 +224,17 @@ class TopLevelSystem:
             if all(not np.any(u) for u in residual):
                 # an exactly-zero residual sketch yields all-zero medians,
                 # so the stage would accumulate nothing
-                if truth_heads is not None:
-                    found = set(np.flatnonzero(acc).tolist())
-                    missing_per_stage.append(len(truth_heads - found))
+                if trace is not None:
+                    trace.append({"stage": stage.spec.index, "candidates": 0,
+                                  "nodes": None, "indices": [], "values": []})
                 continue
-            if identify_override is not None:
-                candidates = identify_override(stage.spec.index, acc)
-            else:
-                candidates = stage.identify(residual)
+            candidates, nodes = stage.identify(residual)
             dec = stage.estimate(residual, candidates)
             acc[dec.indices] += dec.values
-            if truth_heads is not None:
-                found = set(np.flatnonzero(acc).tolist())
-                missing_per_stage.append(len(truth_heads - found))
-        info = {"missing_heads_per_stage": missing_per_stage}
-        if instrument_x is not None:
-            return acc, info
+            if trace is not None:
+                trace.append({"stage": stage.spec.index, "candidates": len(candidates),
+                              "nodes": nodes, "indices": dec.indices.tolist(),
+                              "values": dec.values.tolist()})
         return acc
 
     # -- serialization --

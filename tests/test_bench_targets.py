@@ -6,23 +6,49 @@ only the benchmark's own smoke tests."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+import numpy as np
+
+from sparserec.recursive import RecursionTree, RecursiveParams
+from sparserec.toplevel import TopLevelConfig
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _trace_targets():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_trace_target_resolves():
-    targets = _trace_targets()
+    targets = _load("tracing").TARGETS
     assert targets
     for module_name, path, _, _ in targets:
         owner = importlib.import_module(module_name)
         for part in path.split("."):
             owner = inspect.getattr_static(owner, part, None)
             assert owner is not None, f"trace target {module_name}.{path} is missing"
+
+
+def test_tree_identify_counter_reads_identify_result():
+    tree = RecursionTree(n_signal=1 << 10, leaf_target=64, code_kind="rs",
+                         params=RecursiveParams(k=4, rho=0.2), seed=5, arity=4)
+    x = np.zeros(1 << 10)
+    x[[3, 200, 511, 1000]] = [1.0, -2.0, 1.5, 3.0]
+    sketches = tree.encode(x)
+    result = tree.identify(sketches)
+    counts = _load("tracing")._tree_identify((tree, sketches), {}, result)
+    leaf_domains = sum(v.domain for v in tree.nodes if not v.children)
+    assert counts == {"recursive.leaf_candidates": leaf_domains,
+                      "recursive.survivors": len(result[0])}
+
+
+def test_every_workload_config_loads():
+    workloads = _load("workloads")
+    for w in [*workloads.WORKLOADS.values(), *workloads.SMOKE_WORKLOADS.values()]:
+        TopLevelConfig(**w.config_kwargs())

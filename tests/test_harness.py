@@ -269,6 +269,18 @@ def test_cli_experiment_runs_and_reruns_identically(tmp_path):
     assert json.loads(summary.read_text())["trials"] == 3
 
 
+def test_cli_experiment_rejects_unknown_tree_option(tmp_path, capsys):
+    cfg = _base_config(trials=2)
+    cfg["system"].update(engine="recursive", tree={"leaf_targte": 64})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "leaf_targte" in err
+    assert not out.exists()
+
+
 def test_cli_lw_join(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({

@@ -265,20 +265,27 @@ def test_loss_accounting_covers_all_misses():
         supp = rng.choice(4096, size=8, replace=False)
         x = np.zeros(4096)
         x[supp] = rng.choice([-1.0, 1.0], size=8)
-        found, info = tree.identify(tree.encode(x), instrument_support=supp)
-        missing = sorted(set(supp.tolist()) - set(found.tolist()))
-        lost_total += len(missing)
-        images = tree.node_images(np.asarray(missing, dtype=np.int64))
-        per_node_lost = {d["node"]: set(d["planted_lost_here"]) for d in info["nodes"]}
-        for pos, idx in enumerate(missing):
-            explained = any(
-                int(images[v][pos]) in per_node_lost.get(v, set())
-                for v in range(tree.node_count)
-            ) or info["inversion_dropped"] > 0
-            assert explained, f"missing index {idx} has no recorded loss"
-        total_recorded = sum(len(s) for s in per_node_lost.values())
-        assert len(missing) <= total_recorded + info["inversion_dropped"]
+        found, info = tree.identify(tree.encode(x))
+        lost_total += _assert_losses_explained(tree, found, info, supp)
     assert lost_total > 0  # the starved regime really loses items
+
+
+def _assert_losses_explained(tree, found, info, supp) -> int:
+    """Every planted index missing from found is charged to a node (or to
+    inversion); returns how many went missing."""
+    missing = sorted(set(supp.tolist()) - set(found.tolist()))
+    images = tree.node_images(np.asarray(missing, dtype=np.int64))
+    per_node_lost = {d["node"]: set(d["planted_lost_here"])
+                     for d in tree.planted_losses(info, supp)}
+    for pos, idx in enumerate(missing):
+        explained = any(
+            int(images[v][pos]) in per_node_lost.get(v, set())
+            for v in range(tree.node_count)
+        ) or info["inversion_dropped"] > 0
+        assert explained, f"missing index {idx} has no recorded loss"
+    total_recorded = sum(len(s) for s in per_node_lost.values())
+    assert len(missing) <= total_recorded + info["inversion_dropped"]
+    return len(missing)
 
 
 def test_truncation_warns_and_counts():
@@ -287,11 +294,14 @@ def test_truncation_warns_and_counts():
     tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
                          params=params, seed=17, arity=3, scheme="scheme2")
     rng = np.random.default_rng(9)
+    supp = rng.choice(4096, size=16, replace=False)
     x = np.zeros(4096)
-    x[rng.choice(4096, size=16, replace=False)] = 5.0
+    x[supp] = 5.0
     with pytest.warns(UserWarning):
-        _, info = tree.identify(tree.encode(x))
+        found, info = tree.identify(tree.encode(x))
     assert any(d["truncated"] > 0 for d in info["nodes"])
+    # a head that list recovery found and the cap cut away is lost there
+    assert _assert_losses_explained(tree, found, info, supp) > 0
 
 
 # --- schemes ---
@@ -312,6 +322,16 @@ def test_scheme2_rejects_mismatched_fingerprints():
     rnd_bad = rnd.copy()
     rnd_bad[1] ^= 1
     assert np.array_equal(mapper.invert(det, rnd_bad, 256), np.array([3]))
+
+
+def test_scheme2_fingerprint_above_16_bits_matches_scalar_eval():
+    # GF(2^17) has no log tables, so the vectorized path evaluates per point
+    mapper = Scheme2Map(signal_bits=17, alpha=0.5, degree=5, seed=23)
+    idx = np.array([0, 1, 2, 977, 65535, 65536, (1 << 17) - 1], dtype=np.int64)
+    want = [mapper.g.eval(int(i)) for i in idx]
+    assert mapper.fingerprint(idx).tolist() == want
+    with pytest.raises(UsageError):
+        mapper.fingerprint(np.array([1 << 17]))
 
 
 def test_scheme1_roundtrip_and_collision_drops():

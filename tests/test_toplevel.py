@@ -110,27 +110,39 @@ def _nz(v):
     return idx, v[idx]
 
 
-def test_loop_invariant_under_forced_success():
+def _replay(trace, n):
+    """The estimate a decode trace describes: each stage's additions, in order."""
+    acc = np.zeros(n)
+    for rec in trace:
+        acc[np.asarray(rec["indices"], dtype=np.int64)] += rec["values"]
+    return acc
+
+
+def test_loop_invariant_under_forced_success(monkeypatch):
     n, k = 1024, 16
     system = build_toplevel(n, k, 0.5, seed=17, engine="scan", ell=9)
     rng = np.random.default_rng(4)
     x = np.zeros(n)
     supp = rng.choice(n, k, replace=False)
     x[supp] = rng.choice([-1.0, 1.0], k) * (1 + rng.random(k))
+    trace = []
 
-    def forced_success(stage_index, acc):
+    def forced_success(sketches):
         # deliver the residual heads, withholding the allowed half
-        residual = x - acc
+        residual = x - _replay(trace, n)
         heads = head_indices(residual, k)
         heads = heads[np.abs(residual[heads]) > 1e-9]
         allowed_loss = len(heads) // 2
-        return heads[: len(heads) - allowed_loss] if allowed_loss else heads
+        return (heads[: len(heads) - allowed_loss] if allowed_loss else heads), None
 
-    x_hat, info = system.decode(system.encode(x), instrument_x=x,
-                                identify_override=forced_success)
-    for spec, missing in zip(system.schedule.stages,
-                             info["missing_heads_per_stage"]):
-        assert missing <= k / 2**spec.index
+    for stage in system.stages:
+        monkeypatch.setattr(stage, "identify", forced_success)
+    system.decode(system.encode(x), trace=trace)
+    assert len(trace) == len(system.stages)
+    truth = set(head_indices(x, k).tolist())
+    for i, spec in enumerate(system.schedule.stages):
+        found = set(np.flatnonzero(_replay(trace[: i + 1], n)).tolist())
+        assert len(truth - found) <= k / 2**spec.index
 
 
 def test_decode_sign_equivariant_with_odd_degree():
@@ -196,6 +208,39 @@ def test_split_descriptor_decodes_like_lw2():
     x_hat = split.decode(sketch)
     assert x_hat.tobytes() == lw.decode(sketch).tobytes()
     assert np.linalg.norm(x - x_hat) <= 1e-12
+
+
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+def test_decode_trace_replays_to_the_estimate(engine):
+    system = build_toplevel(1024, 4, 0.5, seed=43, engine=engine, ell=7, tree=_TREE)
+    exact = _sparse_signal(1024, 4, seed=10)
+    noisy = exact + np.random.default_rng(11).normal(scale=0.01, size=1024)
+    for x in (np.zeros(1024), exact, noisy):
+        sketch = system.encode(x)
+        trace = []
+        x_hat = system.decode(sketch, trace=trace)
+        assert x_hat.tobytes() == system.decode(sketch).tobytes()
+        assert [rec["stage"] for rec in trace] == [s.index for s in system.schedule.stages]
+        assert _replay(trace, 1024).tobytes() == x_hat.tobytes()
+        assert json.loads(json.dumps(trace)) == trace
+        # a stage whose residual sketch is exactly zero is skipped
+        skipped = [rec == {"stage": rec["stage"], "candidates": 0, "nodes": None,
+                           "indices": [], "values": []} for rec in trace]
+        if x is noisy:
+            assert not any(skipped)
+        elif not x.any():
+            assert all(skipped)
+        for stage, rec, skip in zip(system.stages, trace, skipped):
+            if engine == "scan":
+                assert rec["nodes"] is None
+            elif not skip:
+                assert (sorted(r["node"] for r in rec["nodes"])
+                        == list(range(stage.tree.node_count)))
+
+
+def test_unknown_tree_option_is_a_usage_error():
+    with pytest.raises(UsageError, match="leaf_targte"):
+        TopLevelConfig(n=1024, k=4, engine="recursive", tree={"leaf_targte": 64})
 
 
 @pytest.mark.parametrize("engine", ["scan", "recursive"])
