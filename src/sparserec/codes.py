@@ -20,10 +20,12 @@ List recovery:
                  join is their product; the split code (x -> its high and
                  low halves) is LW(2) with the two coordinates swapped,
                  and the recursion tree accepts it as an alias of LW(2);
-  * Reed-Solomon - interpolate through every b-subset of candidate
-                 coordinates and keep polynomials agreeing with enough
-                 sets (exact in the unique-decoding regime
-                 rho < (1/2)(1 - b/r)).
+  * Reed-Solomon - keep the polynomials agreeing with need = r -
+                 floor(rho * r) sets, interpolated through the b-subsets
+                 of the first |occupied| - need + b occupied coordinates
+                 (exact by pigeonhole: such a polynomial misses at most
+                 |occupied| - need of them; unique decoding for
+                 rho < (1/2)(1 - b/r); message spaces below 2^63).
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from sparserec.errors import NumericalError, UsageError
+from sparserec.errors import InfeasibleError, NumericalError, UsageError
 from sparserec.fields import FieldSpec
+
+_KEY_LIMIT = 1 << 63  # RS messages and tuple symbols are packed into int64 keys
 
 # ---------------------------------------------------------------------------
 # the Loomis-Whitney join (coordinate-deleted projections)
@@ -173,6 +177,19 @@ def _singletons(sets) -> list[set[tuple[int]]]:
     return [{(int(v),) for v in s} for s in sets]
 
 
+def _rows(tuples, width) -> np.ndarray:
+    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.int64,
+                       count=len(tuples) * width).reshape(-1, width)
+
+
+def _pack(columns, radices) -> np.ndarray:
+    """Mixed-radix keys of the given digit arrays, first most significant."""
+    key = np.zeros_like(columns[0])
+    for col, radix in zip(columns, radices):
+        key = key * radix + col
+    return key
+
+
 def lw_recover(codes, sets, errors: int = 0) -> list[tuple[int, ...]]:
     """Messages of a product of LW(d) codes agreeing with at least
     d - errors of the tuple-symbol sets.
@@ -184,59 +201,64 @@ def lw_recover(codes, sets, errors: int = 0) -> list[tuple[int, ...]]:
     bases = [c.base for c in codes]
     d = codes[0].d
 
-    def rows(tuples, width) -> np.ndarray:
-        return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.int64,
-                           count=len(tuples) * width).reshape(-1, width)
-
     def merge(s) -> set[tuple[int, ...]]:
-        syms = rows(s, len(codes))
-        mixed = np.zeros((len(s), d - 1), dtype=np.int64)
-        for i, base in enumerate(bases):
-            sub_digits = syms[:, i:i + 1] // base ** np.arange(d - 2, -1, -1) % base
-            mixed = mixed * base + sub_digits
-        return set(map(tuple, mixed.tolist()))
+        syms = _rows(s, len(codes))
+        sub_digits = [syms[:, i:i + 1] // base ** np.arange(d - 2, -1, -1) % base
+                      for i, base in enumerate(bases)]
+        return set(map(tuple, _pack(sub_digits, bases).tolist()))
 
     found = lw_join([merge(s) for s in sets], errors)
-    mixed = rows(found, d)
+    mixed = _rows(found, d)
     msgs = []
     for base in reversed(bases):
         mixed, digits = np.divmod(mixed, base)
-        msg = np.zeros(len(found), dtype=np.int64)
-        for t in range(d):
-            msg = msg * base + digits[:, t]
-        msgs.append(msg.tolist())
+        msgs.append(_pack(digits.T, [base] * d).tolist())
     return list(zip(*msgs[::-1]))
 
 
 def rs_recover(codes, sets, rho: float) -> list[tuple[int, ...]]:
     """Messages of a product of RS codes (sharing b, r and the evaluation
     points) whose codewords agree with the tuple-symbol sets on at least
-    r - floor(rho * r) coordinates.
+    need = r - floor(rho * r) coordinates.
 
-    Every component is interpolated through every b-subset of occupied
-    coordinates, with one Lagrange basis per subset; each new message is
-    encoded once and checked.
+    Such a message misses at most |occupied| - need occupied coordinates,
+    so by pigeonhole it agrees on b of the first |occupied| - need + b of
+    them: interpolating through the b-subsets of that span alone finds it.
+    Per subset, every value combination is interpolated with one Lagrange
+    basis, and the new messages are encoded and checked as int64 arrays.
     """
     first = codes[0]
+    ns, qs = [c.n for c in codes], [c.q for c in codes]
+    if math.prod(ns) >= _KEY_LIMIT:  # bounds the symbol space prod(q) too
+        raise InfeasibleError(f"message space {math.prod(ns)} reaches 2^63: "
+                              f"RS recovery packs it into int64 keys")
     need = first.r - first.max_disagreements(rho)
-    sets = [sorted(s) for s in sets]
     occupied = [i for i in range(first.r) if sets[i]]
-    if len(occupied) < first.b:
+    if len(occupied) < need:
         return []
-    lookup = [set(s) for s in sets]
-    seen: set[tuple[int, ...]] = set()
+    syms = [_rows(sorted(s), len(codes)) for s in sets]
+    keys = [_pack(s.T, qs) for s in syms]
+    seen = np.zeros(0, dtype=np.int64)
     out = []
-    for coords in itertools.combinations(occupied, first.b):
-        bases = [code.lagrange_basis(coords) for code in codes]
-        for values in itertools.product(*[sets[c] for c in coords]):
-            msg = tuple([code.pack_coefficients(code.combine(basis, column))
-                         for code, basis, column in zip(codes, bases, zip(*values))])
-            if msg in seen:
-                continue
-            seen.add(msg)
-            words = [code.encode(x) for code, x in zip(codes, msg)]
-            if sum(sym in lookup[i] for i, sym in enumerate(zip(*words))) >= need:
-                out.append(msg)
+    for coords in itertools.combinations(occupied[:len(occupied) - need + first.b], first.b):
+        grid = np.indices([len(syms[c]) for c in coords]).reshape(len(coords), -1)
+        values = [syms[c][g] for c, g in zip(coords, grid)]
+        msgs = []
+        for j, code in enumerate(codes):
+            f = code.field
+            coeffs = [np.zeros(grid.shape[1], dtype=np.int64) for _ in range(code.b)]
+            for lt, y in zip(code.lagrange_basis(coords), values):
+                coeffs = [f.add_vec(acc, f.mul_vec(y[:, j], c)) for acc, c in zip(coeffs, lt)]
+            msgs.append(_pack(coeffs[::-1], [code.q] * code.b))
+        # distinct value combinations give distinct messages; drop earlier subsets' ones
+        key = _pack(msgs, ns)
+        fresh = ~np.isin(key, seen)
+        seen = np.concatenate([seen, key[fresh]])
+        msgs = [x[fresh] for x in msgs]
+        agree = sum(np.isin(_pack([c.encode_vec(x, u) for c, x in zip(codes, msgs)], qs),
+                            keys[u]) for u in occupied)
+        keep = agree >= need
+        out.extend(zip(*[x[keep].tolist() for x in msgs]))
     return out
 
 
@@ -342,9 +364,6 @@ class RSCode(_Code):
             raise UsageError(f"message {x} outside [0, {self.n})")
         return [(x // self.q**s) % self.q for s in range(self.b)]
 
-    def pack_coefficients(self, coeffs) -> int:
-        return sum(int(c) * self.q**s for s, c in enumerate(coeffs))
-
     def encode(self, x: int) -> tuple[int, ...]:
         coeffs = self.coefficients(x)
         f = self.field
@@ -389,18 +408,6 @@ class RSCode(_Code):
             scale = f.inv(denom)
             out.append([f.mul(c, scale) for c in basis])
         return out
-
-    def combine(self, basis, values) -> list[int]:
-        """Coefficients of sum_t values[t] * basis[t]: with the basis of
-        some coordinates, the interpolating polynomial of degree < b
-        through the given values there."""
-        f = self.field
-        coeffs = [0] * len(basis)
-        for lt, yt in zip(basis, values):
-            yt %= f.q
-            for p, c in enumerate(lt):
-                coeffs[p] = f.add(coeffs[p], f.mul(c, yt))
-        return coeffs
 
     def max_disagreements(self, rho: float) -> int:
         return int(math.floor(rho * self.r + 1e-9))

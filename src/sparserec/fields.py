@@ -256,25 +256,20 @@ class FieldSpec:
 
     def add_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.kind == "prime":
-            return (a + b) % self.q
+            return (a - (self.q - b)) % self.q  # in (-q, q) first: no int64 overflow
         return a ^ b
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.kind == "prime":
-            if self.q <= (1 << 31):
-                return a * b % self.q
-            return np.array(
-                [x * y % self.q for x, y in zip(a.tolist(), b.tolist())],
-                dtype=object,
-            )
+        """Products of int64 arrays (or scalars), broadcast; int64 for q < 2^63."""
+        if self.kind == "prime" and self.q <= (1 << 31):
+            return a * b % self.q
+        av, bv = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         if self._log is not None:
-            out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-            nz = (a != 0) & (b != 0)
-            av, bv = np.broadcast_arrays(a, b)
+            out = np.zeros(av.shape, dtype=np.int64)
+            nz = (av != 0) & (bv != 0)
             out[nz] = self._exp[self._log[av[nz]] + self._log[bv[nz]]]
             return out
-        av, bv = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        flat = [_pm_mulmod(int(x), int(y), self.poly) for x, y in zip(av.ravel(), bv.ravel())]
+        flat = [self.mul(x, y) for x, y in zip(av.ravel().tolist(), bv.ravel().tolist())]
         return np.array(flat, dtype=np.int64).reshape(av.shape)
 
     def __eq__(self, other):

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from sparserec.errors import UsageError
+from sparserec.errors import InfeasibleError, UsageError
 from sparserec.codes import (
     ListRecoveryInstance,
     LWCode,
     RSCode,
     lw_join,
     rs_list_recover,
+    rs_recover,
 )
 from sparserec.fields import FieldSpec
 
@@ -272,6 +273,64 @@ def test_rs_with_planted_codeword_and_errors():
             sets[int(i)] = {int(rng.integers(code.q))}
         inst = ListRecoveryInstance(sets=sets, rho=rho)
         assert x in rs_list_recover(code, inst)
+
+
+@pytest.mark.parametrize("first_empty", [False, True], ids=["all-occupied", "first-empty"])
+@pytest.mark.parametrize(
+    "field,b,r",
+    [(FieldSpec.binary(4), 1, 7), (FieldSpec.binary(4), 2, 7), (FieldSpec.binary(4), 3, 8),
+     (FieldSpec.prime(17), 1, 7), (FieldSpec.prime(17), 2, 7), (FieldSpec.prime(17), 3, 8)],
+    ids=lambda v: str(v),
+)
+def test_rs_span_edge_matches_oracle(field, b, r, first_empty):
+    # rho = 0.3 tolerates e = 2 misses.  Each planted codeword misses the first
+    # occupied coordinates, as many as it may, so it agrees on exactly b
+    # coordinates of the span |occupied| - need + b that recovery interpolates on.
+    code = RSCode(field, b=b, r=r)
+    rho = 0.3
+    e = code.max_disagreements(rho)
+    assert e >= 2
+    rng = np.random.default_rng(b * r + field.q)
+    for trial in range(4):
+        planted = sorted({int(x) for x in rng.choice(code.n, size=3, replace=False)})
+        words = [code.encode(x) for x in planted]
+        misses = list(range(int(first_empty), e))
+        sets = [set() if i < int(first_empty) else {w[i] for w in words} for i in range(r)]
+        for i in misses:
+            sets[i] = set(rng.choice(
+                [v for v in range(code.q) if all(w[i] != v for w in words)],
+                size=2, replace=False).tolist())
+        got = rs_list_recover(code, ListRecoveryInstance(sets=sets, rho=rho))
+        assert got == oracle_rs(code, sets, rho)
+        assert set(planted) <= set(got)
+        # one occupied coordinate short of need: nothing can pass
+        need = r - e
+        short = [s if i < need - 1 else set() for i, s in enumerate(sets[e:] + sets[:e])]
+        assert rs_list_recover(code, ListRecoveryInstance(sets=short, rho=rho)) == []
+        assert oracle_rs(code, short, rho) == []
+
+
+def test_rs_refuses_keys_beyond_int64():
+    too_big = [
+        (RSCode(FieldSpec.binary(64), b=1, r=3),),
+        (RSCode(FieldSpec.prime(4294967311), b=2, r=5),),
+        (RSCode(FieldSpec.binary(32), b=1, r=3),) * 2,
+    ]
+    for codes in too_big:
+        sets = [{(0,) * len(codes)} for _ in range(codes[0].r)]
+        with pytest.raises(InfeasibleError, match="message space .* 2\\^63"):
+            rs_recover(codes, sets, 0.0)
+
+
+@pytest.mark.parametrize("q,b", [(2**31 - 1, 2), (4294967311, 1)])
+def test_rs_large_prime_field_recovers_planted(q, b):
+    code = RSCode(FieldSpec.prime(q), b=b, r=5)
+    rng = np.random.default_rng(9)
+    x = int(rng.integers(code.n))
+    sets = [{c, int(rng.integers(q))} for c in code.encode(x)]
+    sets[3] = {int(rng.integers(q))}
+    got = rs_list_recover(code, ListRecoveryInstance(sets=sets, rho=0.2))
+    assert x in got
 
 
 def test_instance_ell_validation():

@@ -93,7 +93,8 @@ def test_of_size_dispatch():
         FieldSpec.of_size(15)
 
 
-@pytest.mark.parametrize("f", [FieldSpec.prime(31), FieldSpec.binary(8)], ids=str)
+@pytest.mark.parametrize("f", [FieldSpec.prime(31), FieldSpec.binary(8),
+                               FieldSpec.prime(4294967311), FieldSpec.binary(20)], ids=str)
 def test_mul_vec_matches_scalar(f):
     rng = np.random.default_rng(3)
     a = rng.integers(0, f.q, size=200).astype(np.int64)
@@ -101,3 +102,18 @@ def test_mul_vec_matches_scalar(f):
     got = f.mul_vec(a, b)
     want = np.array([f.mul(int(x), int(y)) for x, y in zip(a, b)])
     assert np.array_equal(got, want)
+    # a scalar operand broadcasts, and every field returns int64
+    c = int(b[0])
+    got = f.mul_vec(a, c)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, [f.mul(int(x), c) for x in a])
+
+
+@pytest.mark.parametrize("f", [FieldSpec.prime(31), FieldSpec.binary(8),
+                               FieldSpec.prime(2**63 - 25)], ids=str)
+def test_add_vec_matches_scalar(f):
+    # near 2^63, a + b would overflow int64
+    rng = np.random.default_rng(4)
+    a = f.q - 1 - rng.integers(0, min(f.q, 1 << 20), size=200).astype(np.int64)
+    b = f.q - 1 - rng.integers(0, min(f.q, 1 << 20), size=200).astype(np.int64)
+    assert np.array_equal(f.add_vec(a, b), [f.add(int(x), int(y)) for x, y in zip(a, b)])

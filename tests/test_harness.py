@@ -309,6 +309,22 @@ def test_cli_rs_recover(tmp_path):
     assert json.loads(out.read_text())["messages"] == [200]
 
 
+def test_cli_rs_recover_large_fields(tmp_path, capsys):
+    # GF(4294967311) with b = 1 is recovered; with b = 2 its message space
+    # passes 2^63, which the int64 keys of RS recovery cannot hold
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "out.json"
+    inst.write_text(json.dumps({"q": 4294967311, "b": 1, "r": 3, "rho": 0.0,
+                                "sets": [[4294967300]] * 3}))
+    assert main(["rs-recover", "--in", str(inst), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["messages"] == [4294967300]
+    for q, b in [(4294967311, 2), (2**64, 1)]:
+        inst.write_text(json.dumps({"q": q, "b": b, "r": 3, "rho": 0.0,
+                                    "sets": [[1]] * 3}))
+        assert main(["rs-recover", "--in", str(inst), "--out", str(out)]) == 2
+        assert "2^63" in capsys.readouterr().err
+
+
 def test_cli_lowerbound_demo(tmp_path):
     out = tmp_path / "report.json"
     assert main(["lowerbound-demo", "--m", "20", "--n", "400", "--c", "1.0",
