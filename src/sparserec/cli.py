@@ -80,7 +80,10 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     system = _load_system(args.system)
     sketch = binio.read_vector(args.sketch)
-    binio.write_vector(args.out, system.decode(sketch))
+    trace = None if args.trace is None else []
+    binio.write_vector(args.out, system.decode(sketch, trace=trace))
+    if trace is not None:
+        _write_text(args.trace, json.dumps(trace) + "\n")
     return 0
 
 
@@ -191,6 +194,8 @@ def build_parser() -> _Parser:
     p.add_argument("--system", required=True)
     p.add_argument("--sketch", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--trace", default=None,
+                   help="write the decode's stage records here as JSON")
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("experiment", help="run a Monte-Carlo experiment config")

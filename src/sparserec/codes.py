@@ -196,19 +196,26 @@ def lw_recover(codes, sets, errors: int = 0) -> list[tuple[int, ...]]:
 
     Position t of every component's sub-digits combines into one
     mixed-radix digit (first component most significant), so the product
-    is itself an LW(d) code and one join recovers it.
+    is itself an LW(d) code and one join recovers it.  For d = 2 the join
+    is the sorted product of the two projections, formed in numpy.
     """
     bases = [c.base for c in codes]
     d = codes[0].d
 
-    def merge(s) -> set[tuple[int, ...]]:
+    def merge(s) -> np.ndarray:
         syms = _rows(s, len(codes))
         sub_digits = [syms[:, i:i + 1] // base ** np.arange(d - 2, -1, -1) % base
                       for i, base in enumerate(bases)]
-        return set(map(tuple, _pack(sub_digits, bases).tolist()))
+        return _pack(sub_digits, bases)
 
-    found = lw_join([merge(s) for s in sets], errors)
-    mixed = _rows(found, d)
+    projections = [merge(s) for s in sets]
+    if d == 2 and not errors:
+        first, second = np.unique(projections[1]), np.unique(projections[0])
+        mixed = np.stack([np.repeat(first, second.size),
+                          np.tile(second, first.size)], axis=1)
+    else:
+        mixed = _rows(lw_join([set(map(tuple, p.tolist())) for p in projections],
+                              errors), d)
     msgs = []
     for base in reversed(bases):
         mixed, digits = np.divmod(mixed, base)

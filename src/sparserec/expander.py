@@ -16,7 +16,8 @@ of at least N rows (a dense encode, a full-domain identification) and its
 graph holds a materialized neighbor table (N * ell <= _MATERIALIZE_LIMIT,
 so the table is at most 1 MiB).  The table is filled through the sign
 family itself; until then, and always on larger operators, each call
-hashes only the rows it touches.
+hashes only the rows it touches, and `apply_sparse_many` hashes the rows
+of many operators in shared Horner passes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
-from sparserec.hashing import SignFamily
+from sparserec.hashing import SignFamily, sign_vecs
 from sparserec.seeds import counter_stream
 
 _MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
@@ -228,14 +229,7 @@ class SignedSketchOperator:
 
     def apply_sparse(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sketch of the vector with the given nonzero entries."""
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indices.size == 0:
-            return np.zeros(self.graph.n_buckets)
-        nbrs = self.graph.neighbors_of(indices)
-        contrib = self._edge_signs(indices, nbrs) * values[:, None]
-        return np.bincount(nbrs.ravel(), weights=contrib.ravel(),
-                           minlength=self.graph.n_buckets)
+        return apply_sparse_many([(self, indices, values)])[0]
 
     def readings(self, sketch: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """(len(indices), ell) sign-corrected bucket readings for each index."""
@@ -271,3 +265,34 @@ class SignedSketchOperator:
 
     def to_json(self) -> str:
         return json.dumps(self.to_params(), sort_keys=True)
+
+
+def apply_sparse_many(jobs) -> list[np.ndarray]:
+    """`op.apply_sparse(indices, values)` of each (op, indices, values) job.
+
+    The edge signs of every operator that hashes its rows are evaluated
+    together by `hashing.sign_vecs`, so a sparse encode through many small
+    operators costs a few Horner passes instead of one per operator; the
+    others gather from their sign table (filling it if this call needs
+    every row).  The bucket sums stay one bincount per operator.
+    """
+    jobs = [(op, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
+            for op, indices, values in jobs]
+    nbrs = [op.graph.neighbors_of(indices) for op, indices, _ in jobs]
+    # rows are hashed where no sign table is filled and this call, needing
+    # fewer than n_left rows, would not fill one
+    hashed = [t for t, (op, indices, _) in enumerate(jobs)
+              if 0 < indices.size < op.n_left and op._sign_table is None]
+    signs = dict(zip(hashed, sign_vecs([
+        (jobs[t][0].signs, np.repeat(jobs[t][1], jobs[t][0].graph.ell), nbrs[t].ravel())
+        for t in hashed])))
+    out = []
+    for t, (op, indices, values) in enumerate(jobs):
+        if indices.size == 0:
+            out.append(np.zeros(op.n_buckets))
+            continue
+        edge = (signs[t].reshape(nbrs[t].shape) if t in signs
+                else op._edge_signs(indices, nbrs[t]))
+        out.append(np.bincount(nbrs[t].ravel(), weights=(edge * values[:, None]).ravel(),
+                               minlength=op.n_buckets))
+    return out

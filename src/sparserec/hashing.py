@@ -9,7 +9,9 @@ Sign evaluation sits on the hot path of every sketch, so SignFamily
 defaults to a Mersenne-prime backing field (2^31-1, or 2^61-1 for large
 pair domains) where Horner's rule vectorizes over numpy integer arrays.
 The one kept bit of a uniform field element carries bias < 2^-31, far
-below anything the estimators can see.
+below anything the estimators can see.  A sparse encode touches a few
+rows of many families, where numpy's per-call cost dominates, so
+sign_vecs evaluates such requests together in one Horner pass per field.
 """
 
 from __future__ import annotations
@@ -25,39 +27,41 @@ _M61 = (1 << 61) - 1
 _P61 = np.uint64(_M61)
 
 
-_MASK29 = np.uint64((1 << 29) - 1)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_U3, _U29, _U32, _U61 = (np.uint64(v) for v in (3, 29, 32, 61))
+_MASK30 = np.uint64((1 << 30) - 1)
+_MASK31 = np.uint64((1 << 31) - 1)
+_U1, _U30, _U31, _U61 = (np.uint64(v) for v in (1, 30, 31, 61))
 
 
 def _horner_m61(coefficients, xs: np.ndarray) -> np.ndarray:
     """Horner's rule mod p = 2^61-1 at points 0 <= x < p, as int64 in [0, p).
 
-    With acc = a1*2^32 + a0 and x = x1*2^32 + x0, acc*x is
-    a1*x1*2^64 + mid*2^32 + a0*x0, and 2^61 = 1 (mod p) turns 2^64 into 8
-    and mid*2^32 into (mid >> 29) + (mid mod 2^29)*2^32.  While acc < 2^62
-    (a1 < 2^30, x1 < 2^29) every product fits in 64 bits and the reduced
-    terms plus the next coefficient sum below 5*2^61, so one fold per step
-    leaves acc < p + 5 (below 2^62, as the next step needs), and a single
-    subtraction of p at the end makes the result canonical.
+    Each coefficient is an int, or an array giving every point its own.
+
+    With acc = a1*2^31 + a0 and x = x1*2^31 + x0, acc*x is
+    a1*x1*2^62 + mid*2^31 + a0*x0, and 2^61 = 1 (mod p) turns 2^62 into 2
+    and mid*2^31 into (mid >> 30) + (mid mod 2^30)*2^31.  While acc < 2^62
+    (a1 < 2^31; x0 < 2^31, x1 < 2^30) every product is below 2^62, mid is
+    below 2^63, and the reduced terms plus the next coefficient sum below
+    2^64, so one fold per step leaves acc < p + 8 (below 2^62, as the next
+    step needs), and a single subtraction of p at the end makes the result
+    canonical.
     """
     x = xs.astype(np.uint64)
-    x0, x1 = x & _MASK32, x >> _U32
+    x0, x1 = x & _MASK31, x >> _U31
+    x1_twice = x1 << _U1
     acc = np.full(x.shape, coefficients[-1], dtype=np.uint64)
     for c in reversed(coefficients[:-1]):
-        a0, a1 = acc & _MASK32, acc >> _U32
-        mid = a1 * x0
+        a0 = acc & _MASK31
+        acc >>= _U31  # a1
+        mid = acc * x0
         mid += a0 * x1
-        lo = a0 * x0
-        s = a1 * x1
-        s <<= _U3
-        s += mid >> _U29
-        mid &= _MASK29
-        mid <<= _U32
+        s = acc * x1_twice
+        a0 *= x0
+        s += a0
+        s += mid >> _U30
+        mid &= _MASK30
+        mid <<= _U31
         s += mid
-        s += lo & _P61
-        lo >>= _U61
-        s += lo
         s += np.uint64(c)
         acc = s & _P61
         s >>= _U61
@@ -103,24 +107,41 @@ class PolyHash:
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized Horner evaluation; xs must lie in the domain."""
-        f = self.field
-        if f.kind == "prime" and f.q == _M61:
-            return _horner_m61(self.coefficients, xs)
-        if f.kind == "prime" and f.q <= _M31 + 1:
-            x = xs.astype(np.int64)
-            acc = np.full(x.shape, self.coefficients[-1], dtype=np.int64)
-            for c in reversed(self.coefficients[:-1]):
-                acc = (acc * x + c) % f.q
-            return acc
-        if f.kind == "binary" and f._log is not None:
-            x = xs.astype(np.int64)
-            acc = np.full(x.shape, self.coefficients[-1], dtype=np.int64)
-            for c in reversed(self.coefficients[:-1]):
-                acc = f.mul_vec(acc, x) ^ c
-            return acc
+        if _vectorized(self.field):
+            return _horner_vec(self.field, self.coefficients, xs)
         return np.array([self.eval(int(v)) for v in np.ravel(xs)], dtype=np.int64).reshape(
             np.shape(xs)
         )
+
+
+def _vectorized(f: FieldSpec) -> bool:
+    """Whether Horner's rule over f runs on numpy integer arrays."""
+    if f.kind == "prime":
+        return f.q == _M61 or f.q <= _M31 + 1
+    return f._log is not None
+
+
+def _horner_vec(f: FieldSpec, coefficients, xs: np.ndarray) -> np.ndarray:
+    """Horner's rule over a vectorized field f, as int64.  Each coefficient
+    is an int, or an array giving every point its own."""
+    if f.kind == "prime" and f.q == _M61:
+        return _horner_m61(coefficients, xs)
+    x = xs.astype(np.int64)
+    acc = np.full(x.shape, coefficients[-1], dtype=np.int64)
+    if f.kind == "prime":
+        # acc * x + c < 2^62 + 2^31 fits int64, and numpy's floor division
+        # by a scalar is several times faster than its remainder
+        for c in reversed(coefficients[:-1]):
+            acc *= x
+            acc += c
+            acc -= acc // f.q * f.q
+    else:
+        # f.mul_vec(acc, x) ^ c, with the logarithms of x looked up once
+        log, exp = f._log, f._exp
+        log_x, zero_x = log[x], x == 0
+        for c in reversed(coefficients[:-1]):
+            acc = np.where(zero_x | (acc == 0), 0, exp[log[acc] + log_x]) ^ c
+    return acc
 
 
 class SignFamily:
@@ -161,3 +182,56 @@ class SignFamily:
         pair = i.astype(np.uint64) * np.uint64(self.n_buckets) + j.astype(np.uint64)
         bits = self.hash.eval_vec(pair).astype(np.int64) & 1
         return 1.0 - 2.0 * bits
+
+
+_BATCH_POINTS = 1 << 16  # points per shared Horner pass; its coefficient
+                         # columns take 8 bytes per point and coefficient
+
+
+def sign_vecs(requests) -> list[np.ndarray]:
+    """`family.sign_vec(i, j)` of each (family, i, j) request.
+
+    Small requests on SignFamily instances with the same backing field and
+    degree share one Horner pass, up to _BATCH_POINTS points, in which every
+    point carries its own family's coefficients.  The arithmetic is that of
+    sign_vec, so the signs are identical, but a pass costs its numpy calls
+    once instead of once per family.  A request alone in its pass, or on
+    another kind of family or field, goes through its family's sign_vec.
+    """
+    out: list = [None] * len(requests)
+    groups: dict = {}
+    for t, (fam, _, _) in enumerate(requests):
+        if isinstance(fam, SignFamily) and _vectorized(fam.hash.field):
+            f = fam.hash.field
+            groups.setdefault((f.kind, f.q, fam.hash.degree), []).append(t)
+        else:
+            groups[t] = [t]
+    for members in groups.values():
+        passes, filled = [[]], 0
+        for t in members:
+            size = requests[t][1].size
+            if passes[-1] and filled + size > _BATCH_POINTS:
+                passes.append([])
+                filled = 0
+            passes[-1].append(t)
+            filled += size
+        for batch in passes:
+            if len(batch) == 1:
+                fam, i, j = requests[batch[0]]
+                out[batch[0]] = fam.sign_vec(i, j)
+                continue
+            fams = [requests[t][0] for t in batch]
+            sizes = [requests[t][1].size for t in batch]
+            i, j = (np.concatenate([requests[t][c] for t in batch]).astype(np.uint64)
+                    for c in (1, 2))
+            buckets = np.repeat(np.array([fam.n_buckets for fam in fams], dtype=np.uint64),
+                                sizes)
+            columns = np.repeat(np.array([fam.hash.coefficients for fam in fams],
+                                         dtype=np.int64).T, sizes, axis=1)
+            bits = _horner_vec(fams[0].hash.field, columns, i * buckets + j) & 1
+            signs = 1.0 - 2.0 * bits
+            start = 0
+            for t, size in zip(batch, sizes):
+                out[t] = signs[start : start + size]
+                start += size
+    return out

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparserec.codes import LWCode, RSCode, lw_recover, rs_recover
+from sparserec.codes import LWCode, RSCode, _rows, lw_recover, rs_recover
 from sparserec.errors import InfeasibleError, UsageError
+from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash
 from sparserec.seeds import counter_stream, derive_seed
@@ -404,10 +405,15 @@ class RecursionTree:
     def measurement_count(self) -> int:
         return sum(node.layer.measurement_count for node in self.nodes)
 
-    def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[list[np.ndarray]]:
+    def sketch_jobs(self, indices: np.ndarray, values: np.ndarray) -> list[tuple]:
+        """`apply_sparse_many` jobs of a sparse encode, in sketch order."""
         images = self.node_images(indices)
-        return [node.layer.encode_sparse(images[node.node_id], values)
-                for node in self.nodes]
+        return [(op, images[node.node_id], values)
+                for node in self.nodes for op in node.layer.operators]
+
+    def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[list[np.ndarray]]:
+        sketches = iter(apply_sparse_many(self.sketch_jobs(indices, values)))
+        return [[next(sketches) for _ in node.layer.operators] for node in self.nodes]
 
     def encode(self, x: np.ndarray) -> list[list[np.ndarray]]:
         x = np.asarray(x, dtype=np.float64)
@@ -440,10 +446,8 @@ class RecursionTree:
                 pairs = node.code.list_recover_pairs(
                     child_sets, errors=self.params.lw_errors,
                     rho=self.params.rho if self.code_kind == "rs" else 0.0)
-                cand = np.unique(node.pack(
-                    np.array([p[0] for p in pairs], dtype=np.int64),
-                    np.array([p[1] for p in pairs], dtype=np.int64),
-                )) if pairs else np.zeros(0, dtype=np.int64)
+                pairs = _rows(pairs, 2)
+                cand = np.unique(node.pack(pairs[:, 0], pairs[:, 1]))
                 recovered = cand.tolist()
                 cap = self.params.cap or self._default_cap()
                 if cand.size > cap:

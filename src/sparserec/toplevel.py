@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field as dc_field, fields
 import numpy as np
 
 from sparserec.errors import UsageError
+from sparserec.expander import apply_sparse_many
 from sparserec.recursive import RecursionTree, RecursiveParams
 from sparserec.seeds import derive_seed
 from sparserec.weak import WeakLayer, WeakParams, lower_median
@@ -141,6 +142,20 @@ class _Stage:
         nodes = [] if self.tree is None else [node.layer for node in self.tree.nodes]
         return nodes + [self.layer]
 
+    def sketch_jobs(self, indices: np.ndarray, values: np.ndarray) -> list[tuple]:
+        """`apply_sparse_many` jobs of a sparse encode, in sketch order."""
+        jobs = [] if self.tree is None else self.tree.sketch_jobs(indices, values)
+        return jobs + [(op, indices, values) for op in self.layer.operators]
+
+    def split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The stage's sketch arrays, as views of its flat slice."""
+        out, pos = [], 0
+        for layer in self.layers:
+            for _ in range(layer.sketch_count):
+                out.append(flat[pos : pos + layer.n_buckets])
+                pos += layer.n_buckets
+        return out
+
     def identify(self, sketches: list[np.ndarray]) -> tuple[np.ndarray, list | None]:
         """Candidates and the tree's node records (None on the scan engine)."""
         grouped, pos = [], 0
@@ -178,64 +193,62 @@ class TopLevelSystem:
     def measurement_count(self) -> int:
         return sum(stage.measurement_count for stage in self.stages)
 
-    def _stage_sketches_sparse(self, indices, values) -> list[list[np.ndarray]]:
-        return [stage.encode_sparse(indices, values) for stage in self.stages]
-
     def encode(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise UsageError(f"expected signal of length {self.n}")
         nz = np.flatnonzero(x)
-        per_stage = self._stage_sketches_sparse(nz, x[nz])
-        flat = np.concatenate([u for stage in per_stage for u in stage])
+        flat = np.concatenate([u for stage in self.stages
+                               for u in stage.encode_sparse(nz, x[nz])])
         assert flat.size == self.measurement_count
         return flat
-
-    def _unflatten(self, flat: np.ndarray) -> list[list[np.ndarray]]:
-        if flat.size != self.measurement_count:
-            raise UsageError(
-                f"sketch has {flat.size} entries, expected {self.measurement_count}"
-            )
-        out, pos = [], 0
-        for stage in self.stages:
-            stage_arrays = []
-            for layer in stage.layers:
-                for _ in range(layer.sketch_count):
-                    stage_arrays.append(flat[pos : pos + layer.n_buckets])
-                    pos += layer.n_buckets
-            out.append(stage_arrays)
-        return out
 
     def decode(self, flat_sketch: np.ndarray, trace: list | None = None) -> np.ndarray:
         """Accumulated estimate.  A trace list gets one record per stage:
         "stage", "candidates" (count), "nodes" (the tree's node records,
         None on the scan engine), and the "indices" and "values" the stage
         added (empty for an exactly-zero residual); replayed in order into
-        a zero vector, they give the estimate bit for bit."""
-        per_stage = self._unflatten(np.asarray(flat_sketch, dtype=np.float64))
-        acc = np.zeros(self.n)
-        for stage, sketches in zip(self.stages, per_stage):
-            nz = np.flatnonzero(acc)
-            if nz.size:
-                acc_sk = stage.encode_sparse(nz, acc[nz])
-                residual = [u - v for u, v in zip(sketches, acc_sk)]
-            else:
-                residual = sketches
-            if all(not np.any(u) for u in residual):
+        a zero vector, they give the estimate bit for bit.
+
+        The estimate is kept sparse, as sorted indices with nonzero values,
+        and made dense only on return.  Its residual re-encode covers every
+        remaining stage in one batch, which the later stages use as long as
+        no stage in between changes the estimate."""
+        flat = np.asarray(flat_sketch, dtype=np.float64)
+        if flat.size != self.measurement_count:
+            raise UsageError(
+                f"sketch has {flat.size} entries, expected {self.measurement_count}"
+            )
+        indices, values = np.zeros(0, dtype=np.int64), np.zeros(0)
+        encoded: dict = {}  # stage position -> flat sketch of the estimate
+        pos = 0
+        for at, stage in enumerate(self.stages):
+            residual = flat[pos : pos + stage.measurement_count]
+            pos += stage.measurement_count
+            if indices.size:
+                if at not in encoded:
+                    encoded = dict(enumerate(
+                        _encode_stages(self.stages[at:], indices, values), start=at))
+                residual = residual - encoded[at]
+            if not np.any(residual):
                 # an exactly-zero residual sketch yields all-zero medians,
                 # so the stage would accumulate nothing
                 if trace is not None:
                     trace.append({"stage": stage.spec.index, "candidates": 0,
                                   "nodes": None, "indices": [], "values": []})
                 continue
-            candidates, nodes = stage.identify(residual)
-            dec = stage.estimate(residual, candidates)
-            acc[dec.indices] += dec.values
+            sketches = stage.split(residual)
+            candidates, nodes = stage.identify(sketches)
+            dec = stage.estimate(sketches, candidates)
+            indices, values = _accumulate(indices, values, dec.indices, dec.values)
+            encoded = {}
             if trace is not None:
                 trace.append({"stage": stage.spec.index, "candidates": len(candidates),
                               "nodes": nodes, "indices": dec.indices.tolist(),
                               "values": dec.values.tolist()})
-        return acc
+        out = np.zeros(self.n)
+        out[indices] = values
+        return out
 
     # -- serialization --
 
@@ -250,6 +263,26 @@ class TopLevelSystem:
         config = dict(blob["config"])
         config.pop("d_exp", None)  # older descriptors store this unused exponent
         return TopLevelSystem(TopLevelConfig(**config), blob["seed"])
+
+
+def _encode_stages(stages, indices, values) -> list[np.ndarray]:
+    """Flat sketch of one sparse vector in each of the given stages, from one
+    `apply_sparse_many` call, so the stages share their Horner passes."""
+    jobs = [stage.sketch_jobs(indices, values) for stage in stages]
+    sketches = iter(apply_sparse_many([job for part in jobs for job in part]))
+    return [np.concatenate([next(sketches) for _ in part]) for part in jobs]
+
+
+def _accumulate(indices, values, add_indices, add_values):
+    """Sorted sparse sum of two sparse vectors with sorted, distinct indices,
+    exact zeros dropped: the nonzeros of a dense `acc[add_indices] +=
+    add_values`, bit for bit (each entry takes the same one addition)."""
+    union = np.union1d(indices, add_indices)
+    out = np.zeros(union.size)
+    out[np.searchsorted(union, indices)] = values
+    out[np.searchsorted(union, add_indices)] += add_values
+    keep = out != 0
+    return union[keep], out[keep]
 
 
 def build_toplevel(n: int, k: int, epsilon: float, seed: int,

@@ -10,13 +10,26 @@ import numpy as np
 
 
 def head_indices(x: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest-magnitude entries, sorted ascending."""
+    """Indices of the k largest-magnitude entries, sorted ascending.
+
+    Ties at the k-th magnitude are filled from the smallest index, and NaN
+    entries rank below every number, in index order: the first k of a
+    stable sort by decreasing magnitude.  One partition finds the k-th
+    magnitude, so the cost is linear in x.size.
+    """
     x = np.asarray(x)
+    k = min(k, x.size)
     if k <= 0:
         return np.zeros(0, dtype=np.int64)
-    k = min(k, x.size)
-    order = np.lexsort((np.arange(x.size), -np.abs(x)))
-    return np.sort(order[:k])
+    if k == x.size:
+        return np.arange(k, dtype=np.int64)
+    key = -np.abs(x)  # ascending key; np.partition puts NaN last
+    kth = np.partition(key, k - 1)[k - 1]
+    if np.isnan(kth):  # fewer than k numbers: all of them, then NaNs
+        above, ties = np.flatnonzero(~np.isnan(key)), np.flatnonzero(np.isnan(key))
+    else:
+        above, ties = np.flatnonzero(key < kth), np.flatnonzero(key == kth)
+    return np.sort(np.concatenate([above, ties[: k - above.size]]))
 
 
 def best_k_term(x: np.ndarray, k: int) -> np.ndarray:

@@ -6,9 +6,16 @@ readings.  Identification keeps the k + ceil(k/eta) largest estimates by
 magnitude over a candidate set; estimation keeps the k + ceil(k/sqrt(eta))
 largest as values.  Independent copies are combined by majority vote.
 
-Ties in top selection break toward the smaller index and even-length
-medians take the lower order statistic, so every output is deterministic
-in (seed, parameters, signal).
+Ties in top selection break toward the smaller index, NaN estimates rank
+below every number (in index order), and even-length medians take the
+lower order statistic, so every output is deterministic in (seed,
+parameters, signal).  Top selection is `vectors.head_indices`.
+
+Candidate sets are index arrays.  Every caller in the package passes them
+sorted and distinct (an `arange` scan, list-recovery output, a majority
+vote or a scheme inversion), which is checked in O(n); other input is
+sorted and deduplicated first, so the result is always that of
+`np.unique(candidates)`.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sparserec.errors import UsageError
-from sparserec.expander import SignedSketchOperator
+from sparserec.expander import SignedSketchOperator, apply_sparse_many
 from sparserec.seeds import derive_seed
+from sparserec.vectors import head_indices
 
 
 @dataclass(frozen=True)
@@ -72,22 +80,23 @@ def median_estimate(op: SignedSketchOperator, sketch: np.ndarray, i: int) -> flo
     return float(median_estimates(op, sketch, np.array([i]))[0])
 
 
-def _top_by_magnitude(indices: np.ndarray, estimates: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the `count` largest |estimates|, ties to smaller index."""
-    if indices.size <= count:
-        return np.sort(indices)
-    order = np.lexsort((indices, -np.abs(estimates)))
-    return np.sort(indices[order[:count]])
+def _candidate_set(candidates) -> np.ndarray:
+    """The distinct candidates in increasing order, as int64."""
+    cand = np.asarray(candidates, dtype=np.int64).ravel()
+    if cand.size > 1 and not np.all(cand[1:] > cand[:-1]):
+        cand = np.sort(cand)
+        cand = cand[np.concatenate(([True], cand[1:] != cand[:-1]))]
+    return cand
 
 
 def weak_identify(op: SignedSketchOperator, sketch: np.ndarray,
                   candidates: np.ndarray, params: WeakParams) -> np.ndarray:
     """Candidate indices with the top k + ceil(k/eta) median estimates."""
-    cand = np.unique(np.asarray(candidates, dtype=np.int64))
+    cand = _candidate_set(candidates)
     if cand.size == 0:
         return cand
     ests = median_estimates(op, sketch, cand)
-    return _top_by_magnitude(cand, ests, params.ident_count)
+    return cand[head_indices(ests, params.ident_count)]
 
 
 @dataclass
@@ -111,13 +120,12 @@ class WeakDecomposition:
 def weak_estimate(op: SignedSketchOperator, sketch: np.ndarray,
                   candidates: np.ndarray, params: WeakParams) -> WeakDecomposition:
     """Sparse vector of the top k + ceil(k/sqrt(eta)) median estimates."""
-    cand = np.unique(np.asarray(candidates, dtype=np.int64))
+    cand = _candidate_set(candidates)
     if cand.size == 0:
         return WeakDecomposition(cand, np.zeros(0), op.n_left)
     ests = median_estimates(op, sketch, cand)
-    keep = _top_by_magnitude(cand, ests, params.est_count)
-    pos = np.searchsorted(cand, keep)
-    return WeakDecomposition(keep, ests[pos], op.n_left)
+    keep = head_indices(ests, params.est_count)
+    return WeakDecomposition(cand[keep], ests[keep], op.n_left)
 
 
 def majority_amplify(lists) -> np.ndarray:
@@ -172,10 +180,13 @@ class WeakLayer:
     def measurement_count(self) -> int:
         return self.sketch_count * self.n_buckets
 
+    @property
+    def operators(self) -> list[SignedSketchOperator]:
+        """Operators in sketch order: identification copies, then estimation."""
+        return [*self.ident_ops, self.est_op]
+
     def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-        return [op.apply_sparse(indices, values) for op in self.ident_ops] + [
-            self.est_op.apply_sparse(indices, values)
-        ]
+        return apply_sparse_many([(op, indices, values) for op in self.operators])
 
     def encode(self, x: np.ndarray) -> list[np.ndarray]:
         x = np.asarray(x, dtype=np.float64)
@@ -205,8 +216,7 @@ def bucket_class_counts(op: SignedSketchOperator, x: np.ndarray, k: int,
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    order = np.lexsort((np.arange(n), -np.abs(x)))
-    head = set(order[:k].tolist())
+    head = set(head_indices(x, k).tolist())
     z = x.copy()
     z[list(head)] = 0.0
     z_norm = float(np.linalg.norm(z))

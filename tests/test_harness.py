@@ -257,6 +257,32 @@ def test_cli_encode_decode_roundtrip(tmp_path):
     assert np.linalg.norm(x - x_hat) <= 1e-9
 
 
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+def test_cli_decode_trace_replays_to_the_output(tmp_path, engine):
+    from sparserec.toplevel import TopLevelConfig, TopLevelSystem
+
+    tree = dict(code_kind="lw", arity=3, leaf_target=64, scheme="scheme2")
+    system = TopLevelSystem(TopLevelConfig(n=1024, k=4, engine=engine, ell=7, tree=tree),
+                            seed=6)
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(system.to_json())
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=1024) * 0.05  # a tail, so several stages add entries
+    x[rng.choice(1024, 4, replace=False)] += [3.0, -2.0, 1.5, 2.5]
+    binio.write_vector(tmp_path / "u.bin", system.encode(x))
+    assert main(["decode", "--system", str(sys_path), "--sketch", str(tmp_path / "u.bin"),
+                 "--out", str(tmp_path / "xh.bin"),
+                 "--trace", str(tmp_path / "trace.json")]) == 0
+    x_hat = binio.read_vector(tmp_path / "xh.bin")
+    records = json.loads((tmp_path / "trace.json").read_text())
+    assert [r["stage"] for r in records] == [s.spec.index for s in system.stages]
+    assert sum(len(r["indices"]) > 0 for r in records) >= 2
+    replay = np.zeros(1024)
+    for rec in records:
+        replay[np.asarray(rec["indices"], dtype=np.int64)] += rec["values"]
+    assert replay.tobytes() == x_hat.tobytes()
+
+
 def test_cli_experiment_runs_and_reruns_identically(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(trials=3)))

@@ -86,7 +86,8 @@ def test_m61_eval_vec_matches_int_horner():
 
 @pytest.mark.parametrize(
     "field",
-    [FieldSpec.prime((1 << 31) - 1), FieldSpec.prime(M61), FieldSpec.binary(12)],
+    [FieldSpec.prime((1 << 31) - 1), FieldSpec.prime(M61), FieldSpec.binary(12),
+     FieldSpec.prime(13), FieldSpec.binary(3)],  # small fields: Horner passes 0
     ids=str,
 )
 def test_eval_vec_matches_scalar(field):

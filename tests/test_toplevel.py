@@ -10,6 +10,7 @@ from sparserec.toplevel import (
     StageSchedule,
     TopLevelConfig,
     TopLevelSystem,
+    _encode_stages,
     build_toplevel,
     omp_baseline,
     repeat_median_amplify,
@@ -272,6 +273,71 @@ def test_repeated_dense_encode_and_decode_reuse_sign_tables(monkeypatch):
     monkeypatch.setattr(SignFamily, "sign_vec", refuse)
     assert np.array_equal(system.encode(x), sketch)
     assert np.array_equal(system.decode(sketch), x_hat)
+
+
+def _operators(system):
+    return [op for stage in system.stages for layer in stage.layers
+            for op in layer.operators]
+
+
+def _per_operator_sketch(system, indices, values):
+    """Every operator's own apply_sparse, in sketch order."""
+    out = []
+    for stage in system.stages:
+        if stage.tree is not None:
+            images = stage.tree.node_images(indices)
+            out += [op.apply_sparse(images[node.node_id], values)
+                    for node in stage.tree.nodes for op in node.layer.operators]
+        out += [op.apply_sparse(indices, values) for op in stage.layer.operators]
+    return np.concatenate(out)
+
+
+def _check_batched_encodes(system, rng):
+    for size in (8, 3000):  # 3000 rows per operator spread over several passes
+        idx = np.sort(rng.choice(system.n, size, replace=False))
+        vals = rng.normal(size=size)
+        want = _per_operator_sketch(system, idx, vals).view(np.int64)
+        x = np.zeros(system.n)
+        x[idx] = vals
+        assert np.array_equal(system.encode(x).view(np.int64), want)
+        staged = np.concatenate(_encode_stages(system.stages, idx, vals))
+        assert np.array_equal(staged.view(np.int64), want)
+
+
+_BENCH_TREE = dict(leaf_target=256, scheme="scheme2", ell=8, gamma=0.1, s=1)
+
+
+@pytest.mark.parametrize("n,tree", [
+    (1 << 16, dict(_BENCH_TREE, code_kind="split", arity=2)),
+    (1 << 14, dict(_BENCH_TREE, code_kind="rs", arity=4, rs_b=2, rho=0.2)),
+], ids=["split-n16", "rs42-n14"])
+def test_batched_tree_encode_matches_per_operator_apply(n, tree):
+    system = TopLevelSystem(TopLevelConfig(n=n, k=8, epsilon=0.5, engine="recursive",
+                                           ell=9, sign_independence=16, tree=tree),
+                            seed=2)
+    rng = np.random.default_rng(17)
+    x = np.zeros(n)
+    x[rng.choice(n, 8, replace=False)] = 1.0 + rng.random(8)
+    assert np.allclose(system.decode(system.encode(x)), x)  # fills leaf tables
+    ops = _operators(system)
+    filled = [op._sign_table is not None for op in ops]
+    assert any(filled) and not all(filled)
+    fields = {op.signs.hash.field.q for op, f in zip(ops, filled) if not f}
+    assert fields == {(1 << 61) - 1, (1 << 31) - 1}
+    _check_batched_encodes(system, rng)
+
+
+def test_batched_scan_encode_matches_per_operator_apply_and_dense_fills_tables():
+    system = TopLevelSystem(TopLevelConfig(n=1 << 16, k=8, epsilon=0.5, engine="scan",
+                                           ell=9, sign_independence=16), seed=1)
+    rng = np.random.default_rng(19)
+    ops = _operators(system)
+    assert all(op._sign_table is None for op in ops)
+    _check_batched_encodes(system, rng)
+    assert all(op._sign_table is None for op in ops)
+    system.encode(rng.normal(size=system.n))
+    assert all(op._sign_table is not None for op in ops)
+    _check_batched_encodes(system, rng)
 
 
 def test_repeat_median_single_copy_is_identity():

@@ -1,0 +1,45 @@
+import numpy as np
+import pytest
+
+from sparserec.vectors import head_indices
+
+
+def _lexsort_head(x, k):
+    """Reference top-k: stable sort by decreasing magnitude, NaN last."""
+    x = np.asarray(x)
+    if k <= 0:
+        return np.zeros(0, dtype=np.int64)
+    order = np.lexsort((np.arange(x.size), -np.abs(x)))
+    return np.sort(order[:k])
+
+
+CASES = {
+    "ties": [2.0, -2.0, 1.0, 2.0, -1.0, 2.0, 0.5],
+    "ties-at-kth": [5.0, 1.0, -1.0, 1.0, 3.0, -1.0],
+    "nan": [np.nan, 3.0, np.nan, -1.0, 3.0, 0.0],
+    "nan-fills": [np.nan, 1.0, np.nan, np.nan, -2.0],
+    "all-nan": [np.nan, np.nan, np.nan],
+    "signed-zeros": [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0],
+    "only-zeros": [-0.0, 0.0, -0.0, 0.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_head_indices_matches_lexsort_reference(name):
+    x = np.array(CASES[name], dtype=np.float64)
+    for k in range(-1, x.size + 3):
+        got = head_indices(x, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _lexsort_head(x, k)), (name, k)
+
+
+def test_head_indices_random_ties_nan_and_zeros():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        x = rng.integers(-3, 4, size=n).astype(np.float64)
+        x[rng.random(n) < 0.15] = np.nan
+        x[rng.random(n) < 0.15] = -0.0
+        for k in (0, 1, int(rng.integers(0, n + 1)), n - 1, n, n + 5):
+            assert np.array_equal(head_indices(x, k), _lexsort_head(x, k))

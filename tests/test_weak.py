@@ -134,6 +134,30 @@ def test_weak_estimate_zero_signal():
     assert np.array_equal(dec.to_dense(), np.zeros(64))
 
 
+def test_weak_layer_accepts_unsorted_duplicated_candidates():
+    params = WeakParams(k=3, gamma=0.2, eta=0.25, ell=6)
+    op = _operator(200, 6, 96, seed=12)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=200) * 0.05
+    x[[7, 60, 133]] += [2.0, -3.0, 1.5]
+    u = op.apply(x)
+    sorted_cands = np.union1d(rng.choice(200, size=90, replace=False), [7, 60, 133])
+    messy = [
+        np.concatenate([sorted_cands[::-1], sorted_cands[:30]]),  # reversed, repeats
+        rng.permutation(np.repeat(sorted_cands, 2)),
+        sorted_cands[::-1].tolist(),
+        np.sort(np.append(sorted_cands, 60)),  # sorted, one head repeated
+    ]
+    want_id = weak_identify(op, u, sorted_cands, params)
+    want = weak_estimate(op, u, sorted_cands, params)
+    for cands in messy:
+        assert np.array_equal(np.unique(cands), sorted_cands)
+        assert np.array_equal(weak_identify(op, u, cands, params), want_id)
+        got = weak_estimate(op, u, cands, params)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+
+
 def test_weak_params_validation():
     with pytest.raises(UsageError):
         WeakParams(k=0, gamma=0.2, eta=0.25, ell=4)
