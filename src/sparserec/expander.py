@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
-from sparserec.hashing import SignFamily, sign_vecs
+from sparserec.hashing import BATCH_POINTS, SignFamily, sign_vecs
 from sparserec.seeds import counter_stream
 
 _MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
@@ -270,29 +270,34 @@ class SignedSketchOperator:
 def apply_sparse_many(jobs) -> list[np.ndarray]:
     """`op.apply_sparse(indices, values)` of each (op, indices, values) job.
 
-    The edge signs of every operator that hashes its rows are evaluated
-    together by `hashing.sign_vecs`, so a sparse encode through many small
-    operators costs a few Horner passes instead of one per operator; the
-    others gather from their sign table (filling it if this call needs
-    every row).  The bucket sums stay one bincount per operator.
+    Operators that hash their rows (no sign table is filled, and this call,
+    needing fewer than n_left rows, would not fill one) in requests small
+    enough to share a pass have their edge signs evaluated together by
+    `hashing.sign_vecs`, so a sparse encode through many small operators
+    costs a few Horner passes instead of one per operator.  Every other
+    job runs alone, as one `apply_sparse` call would, so a dense encode
+    holds one operator's temporaries at a time.  The bucket sums stay one
+    bincount per operator.
     """
     jobs = [(op, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
             for op, indices, values in jobs]
-    nbrs = [op.graph.neighbors_of(indices) for op, indices, _ in jobs]
-    # rows are hashed where no sign table is filled and this call, needing
-    # fewer than n_left rows, would not fill one
-    hashed = [t for t, (op, indices, _) in enumerate(jobs)
-              if 0 < indices.size < op.n_left and op._sign_table is None]
-    signs = dict(zip(hashed, sign_vecs([
+    shared = [t for t, (op, indices, _) in enumerate(jobs)
+              if 0 < indices.size < op.n_left and op._sign_table is None
+              and indices.size * op.graph.ell <= BATCH_POINTS]
+    nbrs = {t: jobs[t][0].graph.neighbors_of(jobs[t][1]) for t in shared}
+    signs = dict(zip(shared, sign_vecs([
         (jobs[t][0].signs, np.repeat(jobs[t][1], jobs[t][0].graph.ell), nbrs[t].ravel())
-        for t in hashed])))
+        for t in shared])))
     out = []
     for t, (op, indices, values) in enumerate(jobs):
         if indices.size == 0:
             out.append(np.zeros(op.n_buckets))
             continue
-        edge = (signs[t].reshape(nbrs[t].shape) if t in signs
-                else op._edge_signs(indices, nbrs[t]))
-        out.append(np.bincount(nbrs[t].ravel(), weights=(edge * values[:, None]).ravel(),
+        if t in signs:
+            nb, edge = nbrs[t], signs[t].reshape(nbrs[t].shape)
+        else:
+            nb = op.graph.neighbors_of(indices)
+            edge = op._edge_signs(indices, nb)
+        out.append(np.bincount(nb.ravel(), weights=(edge * values[:, None]).ravel(),
                                minlength=op.n_buckets))
     return out

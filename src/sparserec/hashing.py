@@ -184,15 +184,15 @@ class SignFamily:
         return 1.0 - 2.0 * bits
 
 
-_BATCH_POINTS = 1 << 16  # points per shared Horner pass; its coefficient
-                         # columns take 8 bytes per point and coefficient
+BATCH_POINTS = 1 << 16  # points per shared Horner pass; its coefficient
+                        # columns take 8 bytes per point and coefficient
 
 
 def sign_vecs(requests) -> list[np.ndarray]:
     """`family.sign_vec(i, j)` of each (family, i, j) request.
 
     Small requests on SignFamily instances with the same backing field and
-    degree share one Horner pass, up to _BATCH_POINTS points, in which every
+    degree share one Horner pass, up to BATCH_POINTS points, in which every
     point carries its own family's coefficients.  The arithmetic is that of
     sign_vec, so the signs are identical, but a pass costs its numpy calls
     once instead of once per family.  A request alone in its pass, or on
@@ -210,7 +210,7 @@ def sign_vecs(requests) -> list[np.ndarray]:
         passes, filled = [[]], 0
         for t in members:
             size = requests[t][1].size
-            if passes[-1] and filled + size > _BATCH_POINTS:
+            if passes[-1] and filled + size > BATCH_POINTS:
                 passes.append([])
                 filled = 0
             passes[-1].append(t)

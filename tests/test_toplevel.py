@@ -293,7 +293,8 @@ def _per_operator_sketch(system, indices, values):
 
 
 def _check_batched_encodes(system, rng):
-    for size in (8, 3000):  # 3000 rows per operator spread over several passes
+    # 3000 rows per operator spread over several passes
+    for size in (8, min(3000, system.n // 2)):
         idx = np.sort(rng.choice(system.n, size, replace=False))
         vals = rng.normal(size=size)
         want = _per_operator_sketch(system, idx, vals).view(np.int64)
@@ -327,8 +328,9 @@ def test_batched_tree_encode_matches_per_operator_apply(n, tree):
     _check_batched_encodes(system, rng)
 
 
-def test_batched_scan_encode_matches_per_operator_apply_and_dense_fills_tables():
-    system = TopLevelSystem(TopLevelConfig(n=1 << 16, k=8, epsilon=0.5, engine="scan",
+@pytest.mark.parametrize("n", [1 << 16, 1 << 10], ids=["n16", "n10"])
+def test_batched_scan_encode_matches_per_operator_apply_and_dense_fills_tables(n):
+    system = TopLevelSystem(TopLevelConfig(n=n, k=8, epsilon=0.5, engine="scan",
                                            ell=9, sign_independence=16), seed=1)
     rng = np.random.default_rng(19)
     ops = _operators(system)
