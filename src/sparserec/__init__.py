@@ -36,7 +36,6 @@ from sparserec.lowerbound import (
 from sparserec.recursive import (
     RecursionTree,
     RecursiveParams,
-    Scheme1Table,
     Scheme2Map,
     tree_shape,
 )

@@ -11,12 +11,11 @@ candidate lists into a set S_v and prunes it with its own weak layer; the
 root's survivors are inverted back to signal indices, with one record
 per node; planted_losses charges each missed planted head to a node.
 
-Index shuffling uses one of two schemes.  Scheme 2 (default, sublinear
-space) appends a k-wise-independent fingerprint: f(i) = (i, g(i)) with g
-a random polynomial, so inversion is a projection and every code symbol
-keeps its proportional share of the random bits.  Scheme 1 keeps a full
-lookup table of a random f: [n] -> [n^2] and drops indices whose
-preimage collides.
+Index shuffling (scheme 2, sublinear space) appends a k-wise-independent
+fingerprint: f(i) = (i, g(i)) with g a random polynomial, so inversion
+is a projection and every code symbol keeps its proportional share of
+the random bits.  scheme="none" leaves indices unshuffled (det-only
+trees).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash
-from sparserec.seeds import counter_stream, derive_seed
+from sparserec.seeds import derive_seed
 from sparserec.weak import WeakLayer, WeakParams
 
 
@@ -51,7 +50,7 @@ def tree_shape(n_root: int, leaf_target: int, arity: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# index shuffling schemes
+# index shuffling
 # ---------------------------------------------------------------------------
 
 
@@ -88,48 +87,6 @@ class Scheme2Map:
             return np.zeros(0, dtype=np.int64)
         good = self.fingerprint(det[keep]) == np.asarray(rnd, dtype=np.int64)[keep]
         return np.unique(det[keep][good])
-
-
-class Scheme1Table:
-    """Fully random f: [n] -> [n^2] stored as a sorted lookup table.
-
-    Linear space; retained as a reference implementation.  Lookup drops
-    values with colliding preimages and reports how many were dropped.
-    """
-
-    def __init__(self, n_signal: int, seed: int):
-        self.n_signal = n_signal
-        self.seed = int(seed)
-        self.range_size = n_signal * n_signal
-        idx = np.arange(n_signal, dtype=np.uint64)
-        self._fvals = (counter_stream(derive_seed(self.seed, "scheme1/f"), idx)
-                       % np.uint64(self.range_size)).astype(np.int64)
-        order = np.argsort(self._fvals, kind="stable")
-        self.sorted_values = self._fvals[order]
-        self.sorted_preimages = order.astype(np.int64)
-        dup = np.zeros(n_signal, dtype=bool)
-        if n_signal > 1:
-            eq = self.sorted_values[1:] == self.sorted_values[:-1]
-            dup[1:] |= eq
-            dup[:-1] |= eq
-        self._ambiguous = dup
-
-    def forward(self, indices: np.ndarray) -> np.ndarray:
-        return self._fvals[np.asarray(indices, dtype=np.int64)]
-
-    def collision_count(self) -> int:
-        """Number of indices whose image is shared (dropped at inversion)."""
-        return int(np.sum(self._ambiguous))
-
-    def invert(self, values: np.ndarray) -> tuple[np.ndarray, int]:
-        values = np.unique(np.asarray(values, dtype=np.int64))
-        pos = np.searchsorted(self.sorted_values, values)
-        ok = pos < self.n_signal
-        pos = np.minimum(pos, self.n_signal - 1)
-        hit = ok & (self.sorted_values[pos] == values)
-        unambiguous = hit & ~self._ambiguous[pos]
-        dropped = int(np.sum(hit & self._ambiguous[pos]))
-        return np.unique(self.sorted_preimages[pos[unambiguous]]), dropped
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +207,7 @@ class RecursionTree:
 
     def __init__(self, n_signal: int, leaf_target: int, code_kind: str,
                  params: RecursiveParams, seed: int,
-                 arity: int = 0, rs_b: int = 2,
+                 arity: int = 2, rs_b: int = 2,
                  scheme: str = "scheme2", alpha: float = 0.5,
                  fingerprint_degree: int = 0):
         if n_signal < 2 or n_signal & (n_signal - 1):
@@ -280,15 +237,12 @@ class RecursionTree:
         if scheme == "scheme2":
             self.mapper = Scheme2Map(self.signal_bits, alpha,
                                      self.fingerprint_degree, self.seed)
-            det_in, rnd_in = self.signal_bits, self.mapper.rnd_bits
-        elif scheme == "scheme1":
-            self.mapper = Scheme1Table(n_signal, self.seed)
-            det_in, rnd_in = 2 * self.signal_bits, 0
+            rnd_in = self.mapper.rnd_bits
         elif scheme == "none":
-            self.mapper = None
-            det_in, rnd_in = self.signal_bits, 0
+            self.mapper, rnd_in = None, 0
         else:
             raise UsageError(f"unknown scheme {scheme!r}")
+        det_in = self.signal_bits
 
         root_domain = 1 << (det_in + rnd_in)
         self.height, self.node_count = tree_shape(root_domain, leaf_target, arity)
@@ -358,13 +312,12 @@ class RecursionTree:
     # -- coordinate maps --
 
     def map_signal(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(det, rnd) image of signal indices under the shuffling scheme."""
+        """(det, rnd) image of signal indices under the fingerprint map;
+        without one, the indices themselves with no random part."""
         idx = np.asarray(indices, dtype=np.int64)
-        if self.scheme == "scheme2":
-            return self.mapper.forward(idx)
-        if self.scheme == "scheme1":
-            return self.mapper.forward(idx), np.zeros(idx.shape, dtype=np.int64)
-        return idx, np.zeros(idx.shape, dtype=np.int64)
+        if self.mapper is None:
+            return idx, np.zeros(idx.shape, dtype=np.int64)
+        return self.mapper.forward(idx)
 
     def node_images(self, indices: np.ndarray) -> dict[int, np.ndarray]:
         """Packed phi_v image of the given signal indices at every node."""
@@ -471,18 +424,12 @@ class RecursionTree:
                 "recovered": recovered,
                 "found": found.tolist(),
             })
-        root = self.nodes[0]
-        det, rnd = root.unpack(lists[0])
-        if self.scheme == "scheme2":
-            out = self.mapper.invert(det, rnd, self.n_signal)
-            dropped = 0
-        elif self.scheme == "scheme1":
-            out, dropped = self.mapper.invert(lists[0])
+        det, rnd = self.nodes[0].unpack(lists[0])
+        if self.mapper is None:
+            out = np.unique(det[det < self.n_signal])
         else:
-            keep = det < self.n_signal
-            out, dropped = np.unique(det[keep]), 0
-        info = {"nodes": records, "inversion_dropped": dropped}
-        return out, info
+            out = self.mapper.invert(det, rnd, self.n_signal)
+        return out, {"nodes": records}
 
     def planted_losses(self, info: dict, support: np.ndarray) -> list[dict]:
         """Per node record of identify: how many planted images were in its

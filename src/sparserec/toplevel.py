@@ -147,29 +147,27 @@ class _Stage:
         jobs = [] if self.tree is None else self.tree.sketch_jobs(indices, values)
         return jobs + [(op, indices, values) for op in self.layer.operators]
 
-    def split(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The stage's sketch arrays, as views of its flat slice."""
+    def split(self, flat: np.ndarray) -> list[list[np.ndarray]]:
+        """The stage's sketch arrays, as views of its flat slice, grouped
+        per weak layer in the order of `layers`."""
         out, pos = [], 0
         for layer in self.layers:
+            group = []
             for _ in range(layer.sketch_count):
-                out.append(flat[pos : pos + layer.n_buckets])
+                group.append(flat[pos : pos + layer.n_buckets])
                 pos += layer.n_buckets
+            out.append(group)
         return out
 
-    def identify(self, sketches: list[np.ndarray]) -> tuple[np.ndarray, list | None]:
+    def identify(self, sketches: list[list[np.ndarray]]) -> tuple[np.ndarray, list | None]:
         """Candidates and the tree's node records (None on the scan engine)."""
-        grouped, pos = [], 0
-        for layer in self.layers:
-            grouped.append(sketches[pos : pos + layer.sketch_count])
-            pos += layer.sketch_count
         if self.tree is not None:
-            found, info = self.tree.identify(grouped[:-1])
+            found, info = self.tree.identify(sketches[:-1])
             return found, info["nodes"]
-        return self.layer.identify(grouped[-1], np.arange(self.layer.domain)), None
+        return self.layer.identify(sketches[-1], np.arange(self.layer.domain)), None
 
-    def estimate(self, sketches: list[np.ndarray], candidates):
-        layer_sketches = sketches[-self.layer.sketch_count:]
-        return self.layer.estimate(layer_sketches, candidates)
+    def estimate(self, sketches: list[list[np.ndarray]], candidates):
+        return self.layer.estimate(sketches[-1], candidates)
 
 
 class TopLevelSystem:

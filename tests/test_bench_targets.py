@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from sparserec.recursive import RecursionTree, RecursiveParams
-from sparserec.toplevel import TopLevelConfig
+from sparserec.toplevel import TopLevelConfig, TopLevelSystem
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -49,6 +49,7 @@ def test_tree_identify_counter_reads_identify_result():
 
 
 def test_every_workload_config_loads():
+    # building checks the tree option values too, not only their keys
     workloads = _load("workloads")
     for w in [*workloads.WORKLOADS.values(), *workloads.SMOKE_WORKLOADS.values()]:
-        TopLevelConfig(**w.config_kwargs())
+        TopLevelSystem(TopLevelConfig(**w.config_kwargs()), workloads.SYSTEM_SEED)

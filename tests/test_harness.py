@@ -374,13 +374,28 @@ def test_cli_omp(tmp_path):
     assert np.linalg.norm(x - x_hat) < 1e-8
 
 
-def test_cli_usage_errors_exit_1(tmp_path):
+def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert main(["encode", "--system", "/nonexistent", "--signal", "x",
                  "--out", "y"]) == 1
     assert main(["lw-join", "--in", str(tmp_path / "missing.json")]) == 1
     assert main(["bogus-command"]) == 1
     assert main(["lowerbound-demo", "--m", "50", "--n", "100",
                  "--gamma", "0.5"]) == 1  # infeasible gamma/delta pair
+
+    from sparserec.toplevel import TopLevelConfig, TopLevelSystem
+
+    # a descriptor naming a shuffling scheme the library does not have
+    system = TopLevelSystem(TopLevelConfig(n=256, k=2, engine="recursive", ell=7,
+                                           tree=dict(leaf_target=64)), seed=3)
+    blob = json.loads(system.to_json())
+    blob["config"]["tree"]["scheme"] = "scheme1"
+    (tmp_path / "sys.json").write_text(json.dumps(blob))
+    binio.write_vector(tmp_path / "u.bin", system.encode(np.zeros(256)))
+    capsys.readouterr()
+    assert main(["decode", "--system", str(tmp_path / "sys.json"), "--sketch",
+                 str(tmp_path / "u.bin"), "--out", str(tmp_path / "xh.bin")]) == 1
+    assert "scheme1" in capsys.readouterr().err
+    assert not (tmp_path / "xh.bin").exists()
 
 
 def test_cli_numerical_failures_exit_3(monkeypatch):

@@ -9,7 +9,6 @@ from sparserec.fields import FieldSpec
 from sparserec.recursive import (
     RecursionTree,
     RecursiveParams,
-    Scheme1Table,
     Scheme2Map,
     tree_shape,
 )
@@ -271,8 +270,8 @@ def test_loss_accounting_covers_all_misses():
 
 
 def _assert_losses_explained(tree, found, info, supp) -> int:
-    """Every planted index missing from found is charged to a node (or to
-    inversion); returns how many went missing."""
+    """Every planted index missing from found is charged to a node;
+    returns how many went missing."""
     missing = sorted(set(supp.tolist()) - set(found.tolist()))
     images = tree.node_images(np.asarray(missing, dtype=np.int64))
     per_node_lost = {d["node"]: set(d["planted_lost_here"])
@@ -281,10 +280,10 @@ def _assert_losses_explained(tree, found, info, supp) -> int:
         explained = any(
             int(images[v][pos]) in per_node_lost.get(v, set())
             for v in range(tree.node_count)
-        ) or info["inversion_dropped"] > 0
+        )
         assert explained, f"missing index {idx} has no recorded loss"
     total_recorded = sum(len(s) for s in per_node_lost.values())
-    assert len(missing) <= total_recorded + info["inversion_dropped"]
+    assert len(missing) <= total_recorded
     return len(missing)
 
 
@@ -332,36 +331,6 @@ def test_scheme2_fingerprint_above_16_bits_matches_scalar_eval():
     assert mapper.fingerprint(idx).tolist() == want
     with pytest.raises(UsageError):
         mapper.fingerprint(np.array([1 << 17]))
-
-
-def test_scheme1_roundtrip_and_collision_drops():
-    table = Scheme1Table(n_signal=1 << 12, seed=5)
-    idx = np.arange(1 << 12)
-    mapped = table.forward(idx)
-    back, dropped_values = table.invert(mapped)
-    # every ambiguous index disappears; each shared value is dropped once
-    assert len(back) == (1 << 12) - table.collision_count()
-    assert dropped_values >= 1 or table.collision_count() == 0
-    assert np.array_equal(np.sort(table.forward(back)),
-                          np.sort(np.unique(table.forward(back))))
-
-
-def test_scheme1_injective_table_inverts_fully():
-    for seed in range(20):
-        table = Scheme1Table(n_signal=256, seed=seed)
-        if table.collision_count() == 0:
-            back, dropped = table.invert(table.forward(np.arange(256)))
-            assert dropped == 0 and np.array_equal(back, np.arange(256))
-            break
-    else:
-        pytest.fail("no injective table found in 20 seeds")
-
-
-def test_scheme1_collision_count_near_birthday_bound():
-    # E[#colliding indices] ~ n * (n-1) / n^2 ~ 1 at n = 2^12
-    counts = [Scheme1Table(1 << 12, seed=s).collision_count() for s in range(100)]
-    mean = float(np.mean(counts))
-    assert abs(mean - 1.0) <= 0.5
 
 
 def test_scheme2_child_map_is_alpha_random():
@@ -437,9 +406,13 @@ def test_build_validation_errors():
     with pytest.raises(UsageError):
         RecursionTree(n_signal=1024, leaf_target=64, code_kind="nope",
                       params=_params(), seed=1)
-    with pytest.raises(UsageError):
-        RecursionTree(n_signal=1024, leaf_target=64, code_kind="lw",
-                      params=_params(), seed=1, arity=3, scheme="wat")
+    with pytest.raises(UsageError, match="r > b"):
+        RecursionTree(n_signal=1024, leaf_target=64, code_kind="rs",
+                      params=_params(), seed=1)
+    for scheme in ("wat", "scheme1"):
+        with pytest.raises(UsageError, match=scheme):
+            RecursionTree(n_signal=1024, leaf_target=64, code_kind="lw",
+                          params=_params(), seed=1, arity=3, scheme=scheme)
 
 
 def test_leaf_domain_guard():

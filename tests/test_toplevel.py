@@ -91,6 +91,17 @@ def test_exact_sparse_recursive_recovery():
     assert np.linalg.norm(x - x_hat) <= 1e-12
 
 
+def test_default_recursive_system_recovers_exact_sparse():
+    # no tree options: an LW(2) tree, the split tree
+    system = build_toplevel(4096, 4, 0.5, seed=1, engine="recursive")
+    assert all(stage.tree.arity == 2 for stage in system.stages)
+    rng = np.random.default_rng(3)
+    x = np.zeros(4096)
+    x[rng.choice(4096, 4, replace=False)] = rng.choice([-1.0, 1.0], 4) * (1 + rng.random(4))
+    x_hat = system.decode(system.encode(x))
+    assert np.linalg.norm(x - x_hat) <= 1e-12
+
+
 def test_residual_sketch_consistency():
     # encode(x) - encode(acc) must equal encode(x - acc) stage by stage
     system = build_toplevel(512, 4, 0.5, seed=13, engine="scan", ell=7)
