@@ -18,6 +18,15 @@ so the table is at most 1 MiB).  The table is filled through the sign
 family itself; until then, and always on larger operators, each call
 hashes only the rows it touches, and `apply_sparse_many` hashes the rows
 of many operators in shared Horner passes.
+
+Once both tables are in memory, a call whose rows are exactly 0..N-1 in
+order (a dense encode, the readings of a full-domain scan) reads the
+neighbor and sign tables in place instead of gathering copies of them;
+other calls gather the rows they name.  Either way the bucket sums and
+readings are computed by the same expressions over the same (row, slot)
+order, so the results are identical.  The tables never leave the
+operator: `readings` and the sketches are new arrays, and
+`BipartiteGraph.neighbors_of` returns a copy.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ class BipartiteGraph:
             self._table = neighbors
         elif n_left * ell <= _MATERIALIZE_LIMIT:
             self._table = self._generate(np.arange(n_left, dtype=np.uint64))
+            self._table.flags.writeable = False
 
     @staticmethod
     def from_neighbors(neighbors: np.ndarray, n_buckets: int) -> "BipartiteGraph":
@@ -213,29 +223,39 @@ class SignedSketchOperator:
         nz = np.flatnonzero(x)
         return self.apply_sparse(nz, x[nz])
 
-    def _edge_signs(self, indices: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
-        """(len(indices), ell) signs of the edges of the given rows."""
+    def _rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(neighbors, edge signs) of the given rows, each (len(indices), ell):
+        the read-only tables themselves for the rows 0..N-1 in order once
+        both are in memory, else gathered copies or hashed signs.  Telling
+        the whole domain apart costs O(1) unless the row count and both ends
+        match, then one O(N) order check."""
         n, ell = self.graph.n_left, self.graph.ell
         if (self._sign_table is None and indices.size >= n
                 and self.graph.materialized and n * ell <= _MATERIALIZE_LIMIT):
-            rows = np.arange(n, dtype=np.int64)
-            signs = self.signs.sign_vec(np.repeat(rows, ell),
-                                        self.graph.neighbors_of(rows).ravel())
+            signs = self.signs.sign_vec(np.repeat(np.arange(n, dtype=np.int64), ell),
+                                        self.graph._table.ravel())
             self._sign_table = signs.astype(np.int8).reshape(n, ell)
-        if self._sign_table is not None:
-            return self._sign_table[indices]
-        return self.signs.sign_vec(np.repeat(indices, ell),
-                                   nbrs.ravel()).reshape(nbrs.shape)
+            self._sign_table.flags.writeable = False
+        if self._sign_table is None:
+            nbrs = self.graph.neighbors_of(indices)
+            return nbrs, self.signs.sign_vec(np.repeat(indices, ell),
+                                             nbrs.ravel()).reshape(nbrs.shape)
+        if (indices.shape == (n,) and indices[0] == 0 and indices[-1] == n - 1
+                and np.all(indices[1:] > indices[:-1])):
+            return self.graph._table, self._sign_table
+        return self.graph.neighbors_of(indices), self._sign_table[indices]
 
     def apply_sparse(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sketch of the vector with the given nonzero entries."""
         return apply_sparse_many([(self, indices, values)])[0]
 
     def readings(self, sketch: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """(len(indices), ell) sign-corrected bucket readings for each index."""
-        indices = np.asarray(indices, dtype=np.int64)
-        nbrs = self.graph.neighbors_of(indices)
-        return self._edge_signs(indices, nbrs) * sketch[nbrs]
+        """(len(indices), ell) sign-corrected bucket readings for each index,
+        as a new array.  For the indices 0..N-1 in order (a full-domain
+        scan) the neighbor and sign tables, once in memory, are read in
+        place rather than copied."""
+        nbrs, signs = self._rows(np.asarray(indices, dtype=np.int64))
+        return signs * sketch[nbrs]
 
     def dense_matrix(self) -> np.ndarray:
         """Materialized M x N matrix; small instances only (testing)."""
@@ -277,7 +297,10 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
     costs a few Horner passes instead of one per operator.  Every other
     job runs alone, as one `apply_sparse` call would, so a dense encode
     holds one operator's temporaries at a time.  The bucket sums stay one
-    bincount per operator.
+    bincount per operator.  A job whose rows are exactly 0..N-1 in order
+    (a dense encode) reads its operator's neighbor and sign tables in place
+    once they are in memory, at the cost of one O(N) order check, so it
+    copies neither table.
     """
     jobs = [(op, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
             for op, indices, values in jobs]
@@ -296,8 +319,7 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
         if t in signs:
             nb, edge = nbrs[t], signs[t].reshape(nbrs[t].shape)
         else:
-            nb = op.graph.neighbors_of(indices)
-            edge = op._edge_signs(indices, nb)
+            nb, edge = op._rows(indices)
         out.append(np.bincount(nb.ravel(), weights=(edge * values[:, None]).ravel(),
                                minlength=op.n_buckets))
     return out

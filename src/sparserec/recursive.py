@@ -202,6 +202,27 @@ class _Node:
         return packed >> self.rnd_bits, packed & ((1 << self.rnd_bits) - 1)
 
 
+def check_tree_code(code_kind: str, arity: int, rs_b: int, rho: float,
+                    scheme: str) -> tuple[str, int]:
+    """The tree's (code kind, arity), "split" read as LW(2); UsageError for
+    an unknown code kind or scheme, an arity the code cannot take, or an
+    RS rho outside the unique-decoding regime."""
+    if code_kind == "split":  # LW(2) with its two coordinates swapped
+        code_kind, arity = "lw", 2
+    if code_kind not in ("lw", "rs"):
+        raise UsageError(f"unknown code kind {code_kind!r}")
+    if code_kind == "lw" and arity < 2:
+        raise UsageError("lw code needs arity d >= 2")
+    if code_kind == "rs":
+        if arity < rs_b + 1:
+            raise UsageError("rs code needs r > b")
+        if not rho < 0.5 * (1 - rs_b / arity) - 1e-12:
+            raise UsageError("rho outside the rs unique-decoding regime")
+    if scheme not in ("scheme2", "none"):
+        raise UsageError(f"unknown scheme {scheme!r}")
+    return code_kind, arity
+
+
 class RecursionTree:
     """Complete r-ary identification tree over a shuffled signal domain."""
 
@@ -212,17 +233,7 @@ class RecursionTree:
                  fingerprint_degree: int = 0):
         if n_signal < 2 or n_signal & (n_signal - 1):
             raise UsageError("signal length must be a power of two")
-        if code_kind == "split":  # LW(2) with its two coordinates swapped
-            code_kind, arity = "lw", 2
-        if code_kind not in ("lw", "rs"):
-            raise UsageError(f"unknown code kind {code_kind!r}")
-        if code_kind == "lw" and arity < 2:
-            raise UsageError("lw code needs arity d >= 2")
-        if code_kind == "rs":
-            if arity < rs_b + 1:
-                raise UsageError("rs code needs r > b")
-            if not params.rho < 0.5 * (1 - rs_b / arity) - 1e-12:
-                raise UsageError("rho outside the rs unique-decoding regime")
+        code_kind, arity = check_tree_code(code_kind, arity, rs_b, params.rho, scheme)
         self.n_signal = n_signal
         self.signal_bits = n_signal.bit_length() - 1
         self.code_kind = code_kind
@@ -238,10 +249,8 @@ class RecursionTree:
             self.mapper = Scheme2Map(self.signal_bits, alpha,
                                      self.fingerprint_degree, self.seed)
             rnd_in = self.mapper.rnd_bits
-        elif scheme == "none":
-            self.mapper, rnd_in = None, 0
         else:
-            raise UsageError(f"unknown scheme {scheme!r}")
+            self.mapper, rnd_in = None, 0
         det_in = self.signal_bits
 
         root_domain = 1 << (det_in + rnd_in)

@@ -25,7 +25,7 @@ import numpy as np
 
 from sparserec.errors import UsageError
 from sparserec.expander import apply_sparse_many
-from sparserec.recursive import RecursionTree, RecursiveParams
+from sparserec.recursive import RecursionTree, RecursiveParams, check_tree_code
 from sparserec.seeds import derive_seed
 from sparserec.weak import WeakLayer, WeakParams, lower_median
 
@@ -73,6 +73,12 @@ _TREE_PARAM_KEYS = ({f.name for f in fields(RecursiveParams)}
                     - {"k", "eta", "sign_independence"})
 _TREE_KEYS = _TREE_PARAM_KEYS | (set(inspect.signature(RecursionTree).parameters)
                                   - {"n_signal", "params", "seed"})
+# What a stage's tree takes where the config's options are silent.
+_STAGE_TREE = {"leaf_target": 256, "code_kind": "lw"}
+_TREE_DEFAULTS = {
+    **{name: p.default for name, p in inspect.signature(RecursionTree).parameters.items()
+       if p.default is not p.empty},
+    "rho": RecursiveParams.rho, **_STAGE_TREE}
 
 
 @dataclass
@@ -99,6 +105,11 @@ class TopLevelConfig:
         unknown = sorted(set(self.tree) - _TREE_KEYS)
         if unknown:
             raise UsageError(f"unknown tree options: {unknown}")
+        # the tree's own rules, on both engines, so a scan system refuses
+        # the tree options a recursive one would
+        tree = {**_TREE_DEFAULTS, **self.tree}
+        check_tree_code(tree["code_kind"], tree["arity"], tree["rs_b"], tree["rho"],
+                        tree["scheme"])
 
 
 class _Stage:
@@ -113,8 +124,7 @@ class _Stage:
                                sign_independence=config.sign_independence)
         self.tree = None
         if config.engine == "recursive":
-            opts = {"leaf_target": 256, "code_kind": "lw", "ell": config.ell,
-                    "s": spec.copies, **config.tree}
+            opts = {**_STAGE_TREE, "ell": config.ell, "s": spec.copies, **config.tree}
             tree_params = RecursiveParams(
                 k=spec.k, eta=spec.precision, sign_independence=config.sign_independence,
                 **{key: opts.pop(key) for key in _TREE_PARAM_KEYS & opts.keys()})

@@ -221,6 +221,13 @@ def test_sign_table_keeps_apply_and_readings_identical(fill_by):
     for i, (u, r) in zip(subsets, before):
         assert np.array_equal(op.apply_sparse(i, x[i]), u)
         assert np.array_equal(op.readings(sketch, i), r)
+    # every row of the dense x, in order: the tables are read in place, and
+    # the twin hashes the same (row, slot) order
+    got = op.readings(sketch, full).view(np.int64)
+    assert np.array_equal(op.apply_sparse(full, x).view(np.int64),
+                          twin.apply_sparse(full, x).view(np.int64))
+    assert np.array_equal(got, twin.readings(sketch, full).view(np.int64))
+    assert np.array_equal(got, op.readings(sketch, full[::-1])[::-1].view(np.int64))
     assert twin._sign_table is None
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sparserec.errors import UsageError
+from sparserec.expander import BipartiteGraph, SignedSketchOperator
 from sparserec.hashing import SignFamily
 from sparserec.toplevel import (
     StageSchedule,
@@ -256,6 +257,27 @@ def test_unknown_tree_option_is_a_usage_error():
 
 
 @pytest.mark.parametrize("engine", ["scan", "recursive"])
+@pytest.mark.parametrize("tree,match", [
+    (dict(scheme="scheme1", code_kind="bogus", arity=-5), "bogus"),
+    (dict(code_kind="bogus"), "bogus"),
+    (dict(code_kind="lw", arity=-5), "arity"),
+    (dict(code_kind="rs", arity=2, rs_b=2), "r > b"),
+    (dict(code_kind="rs", arity=4, rs_b=2, rho=0.3), "rho"),
+    (dict(scheme="scheme1"), "scheme1"),
+], ids=["repro", "code_kind", "arity", "rs_b", "rho", "scheme"])
+def test_bad_tree_option_values_are_refused_on_both_engines(engine, tree, match):
+    # a scan system builds no tree, but refuses what a recursive one would
+    with pytest.raises(UsageError, match=match):
+        build_toplevel(256, 2, 0.5, seed=3, engine=engine, ell=7, tree=tree)
+    if engine == "scan":
+        good = build_toplevel(256, 2, 0.5, seed=3, engine="scan", ell=7)
+        blob = json.loads(good.to_json())
+        blob["config"]["tree"] = tree
+        with pytest.raises(UsageError, match=match):
+            TopLevelSystem.from_json(json.dumps(blob))
+
+
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
 def test_loaded_system_decodes_without_encoding(engine, monkeypatch):
     system = build_toplevel(1024, 4, 0.5, seed=37, engine=engine, ell=7, tree=_TREE)
     x = _sparse_signal(1024, 4, seed=8)
@@ -339,6 +361,18 @@ def test_batched_tree_encode_matches_per_operator_apply(n, tree):
     _check_batched_encodes(system, rng)
 
 
+def _hashed_sketch(system, x):
+    """Scan-engine sketch of x from twins of the operators whose graphs
+    hold no neighbor table, so every row is generated and hashed."""
+    out = []
+    for op in _operators(system):
+        g = op.graph
+        lazy = BipartiteGraph(g.n_left, g.ell, g.n_buckets, g.seed)
+        lazy._table = None
+        out.append(SignedSketchOperator(lazy, op.signs).apply(x))
+    return np.concatenate(out)
+
+
 @pytest.mark.parametrize("n", [1 << 16, 1 << 10], ids=["n16", "n10"])
 def test_batched_scan_encode_matches_per_operator_apply_and_dense_fills_tables(n):
     system = TopLevelSystem(TopLevelConfig(n=n, k=8, epsilon=0.5, engine="scan",
@@ -348,9 +382,68 @@ def test_batched_scan_encode_matches_per_operator_apply_and_dense_fills_tables(n
     assert all(op._sign_table is None for op in ops)
     _check_batched_encodes(system, rng)
     assert all(op._sign_table is None for op in ops)
-    system.encode(rng.normal(size=system.n))
+    dense = rng.normal(size=system.n)  # every row nonzero
+    want = _hashed_sketch(system, dense).view(np.int64)
+    assert np.array_equal(system.encode(dense).view(np.int64), want)
     assert all(op._sign_table is not None for op in ops)
+    # the filled tables, read in place, give the hashed sketch bit for bit
+    assert np.array_equal(system.encode(dense).view(np.int64), want)
     _check_batched_encodes(system, rng)
+
+
+class _RefuseFullGather(np.ndarray):
+    """A design table that refuses to be gathered over all its rows; what
+    arithmetic on it produces is a plain array."""
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.size >= self.shape[0]:
+            raise AssertionError("full-domain gather of a design table")
+        return super().__getitem__(key)
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        return array[()] if return_scalar else array
+
+
+def test_dense_encode_and_scan_decode_read_the_design_tables_in_place(monkeypatch):
+    system = TopLevelSystem(TopLevelConfig(n=1 << 12, k=8, epsilon=0.5, engine="scan",
+                                           ell=9, sign_independence=16), seed=4)
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=system.n)  # every row nonzero
+    sketch = system.encode(x)  # fills the sign tables
+    trace = []
+    x_hat = system.decode(sketch, trace=trace)
+    ops = _operators(system)
+    assert all(op._sign_table is not None for op in ops)
+
+    gather = BipartiteGraph.neighbors_of
+
+    def refuse(graph, indices):
+        if np.size(indices) >= graph.n_left:
+            raise AssertionError("full-domain gather of a neighbor table")
+        return gather(graph, indices)
+
+    monkeypatch.setattr(BipartiteGraph, "neighbors_of", refuse)
+    for op in ops:
+        monkeypatch.setattr(op, "_sign_table", op._sign_table.view(_RefuseFullGather))
+    assert np.array_equal(system.encode(x).view(np.int64), sketch.view(np.int64))
+    again = []
+    assert np.array_equal(system.decode(sketch, trace=again).view(np.int64),
+                          x_hat.view(np.int64))
+    assert again == trace
+
+
+def test_mutating_returned_rows_leaves_the_design_unchanged():
+    system = build_toplevel(1024, 4, 0.5, seed=29, engine="scan", ell=7)
+    x = np.random.default_rng(31).normal(size=1024)
+    sketch = system.encode(x)
+    op = system.stages[0].layer.ident_ops[0]
+    full = np.arange(1024)
+    tables = (op.graph._table, op._sign_table)
+    for got in (op.graph.neighbors_of(full), op.readings(sketch[:op.n_buckets], full)):
+        if got.flags.writeable:
+            assert not any(np.shares_memory(got, t) for t in tables)
+            got[...] = 0
+    assert np.array_equal(system.encode(x).view(np.int64), sketch.view(np.int64))
 
 
 def test_repeat_median_single_copy_is_identity():
