@@ -327,14 +327,13 @@ class LWCode(_Code):
     def encode(self, x: int) -> tuple[int, ...]:
         return tuple(self.pack_symbol(t) for t in self.encode_tuple(x))
 
-    def encode_vec(self, xs: np.ndarray, u: int) -> np.ndarray:
-        """Symbol u of each message in xs: its digits without digit u."""
+    def encode_vec(self, xs: np.ndarray, u) -> np.ndarray:
+        """Symbol u of each message in xs: its digits without digit u, that
+        is the digits above u shifted down by one place onto those below.
+        An array of positions broadcasts against xs."""
         xs = np.asarray(xs, dtype=np.int64)
-        out = np.zeros_like(xs)
-        for j in range(self.d):
-            if j != u:
-                out = out * self.base + (xs // self.base ** (self.d - 1 - j)) % self.base
-        return out
+        below = np.int64(self.base) ** (self.d - 1 - np.asarray(u, dtype=np.int64))
+        return xs // (below * self.base) * below + xs % below
 
     def list_recover(self, sets, rho: float = 0.0, errors: int = 0) -> list[int]:
         if rho != 0.0:
@@ -382,12 +381,13 @@ class RSCode(_Code):
             out.append(acc)
         return tuple(out)
 
-    def encode_vec(self, xs: np.ndarray, u: int) -> np.ndarray:
+    def encode_vec(self, xs: np.ndarray, u) -> np.ndarray:
         """Symbol u of each message in xs: Horner evaluation of its
-        coefficients at point u."""
+        coefficients at point u.  An array of positions broadcasts against
+        xs."""
         xs = np.asarray(xs, dtype=np.int64)
-        beta = np.full(xs.shape, self.points[u], dtype=np.int64)
-        acc = np.zeros_like(xs)
+        beta = np.asarray(self.points, dtype=np.int64)[u]
+        acc = np.zeros(np.broadcast_shapes(xs.shape, np.shape(beta)), dtype=np.int64)
         for s in range(self.b - 1, -1, -1):
             digit = (xs // self.q**s) % self.q
             acc = self.field.add_vec(self.field.mul_vec(acc, beta), digit)

@@ -16,8 +16,9 @@ of at least N rows (a dense encode, a full-domain identification) and its
 graph holds a materialized neighbor table (N * ell <= _MATERIALIZE_LIMIT,
 so the table is at most 1 MiB).  The table is filled through the sign
 family itself; until then, and always on larger operators, each call
-hashes only the rows it touches, and `apply_sparse_many` hashes the rows
-of many operators in shared Horner passes.
+hashes only the rows it touches, and `apply_sparse_many`, the one sparse
+encode path, hashes the rows of many operators in shared Horner passes
+and sums their buckets in one bincount.
 
 Once both tables are in memory, a call whose rows are exactly 0..N-1 in
 order (a dense encode, the readings of a full-domain scan) reads the
@@ -290,36 +291,49 @@ class SignedSketchOperator:
 def apply_sparse_many(jobs) -> list[np.ndarray]:
     """`op.apply_sparse(indices, values)` of each (op, indices, values) job.
 
-    Operators that hash their rows (no sign table is filled, and this call,
-    needing fewer than n_left rows, would not fill one) in requests small
-    enough to share a pass have their edge signs evaluated together by
-    `hashing.sign_vecs`, so a sparse encode through many small operators
-    costs a few Horner passes instead of one per operator.  Every other
-    job runs alone, as one `apply_sparse` call would, so a dense encode
-    holds one operator's temporaries at a time.  The bucket sums stay one
-    bincount per operator.  A job whose rows are exactly 0..N-1 in order
-    (a dense encode) reads its operator's neighbor and sign tables in place
-    once they are in memory, at the cost of one O(N) order check, so it
-    copies neither table.
+    Small jobs (fewer than n_left rows, at most BATCH_POINTS edges) share
+    work: those on operators that hash their rows (no sign table filled)
+    have their signs evaluated together by `hashing.sign_vecs`, and all are
+    summed by one bincount over offset bucket ids.  Each job's entries stay
+    contiguous and in (row, slot) order, so every bucket takes the same
+    additions from +0.0 as in a bincount of its own.  Every other job runs
+    alone, holding one operator's temporaries at a time; its weights are
+    the edge signs cast to float64 and scaled in place, which is faster
+    than a mixed int8-float64 product and gives the same values.  A job
+    whose rows are exactly 0..N-1 in order (a dense encode) reads its
+    operator's neighbor and sign tables in place once they are in memory,
+    at the cost of one O(N) order check.  The sketches are new arrays or
+    disjoint views of one.
     """
     jobs = [(op, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
             for op, indices, values in jobs]
-    shared = [t for t, (op, indices, _) in enumerate(jobs)
-              if 0 < indices.size < op.n_left and op._sign_table is None
-              and indices.size * op.graph.ell <= BATCH_POINTS]
-    nbrs = {t: jobs[t][0].graph.neighbors_of(jobs[t][1]) for t in shared}
-    signs = dict(zip(shared, sign_vecs([
+    small = [t for t, (op, indices, _) in enumerate(jobs)
+             if indices.size < op.n_left and indices.size * op.graph.ell <= BATCH_POINTS]
+    hashed = [t for t in small if jobs[t][1].size and jobs[t][0]._sign_table is None]
+    nbrs = {t: jobs[t][0].graph.neighbors_of(jobs[t][1]) for t in hashed}
+    signs = dict(zip(hashed, sign_vecs([
         (jobs[t][0].signs, np.repeat(jobs[t][1], jobs[t][0].graph.ell), nbrs[t].ravel())
-        for t in shared])))
-    out = []
+        for t in hashed])))
+    ids, weights, offsets = [], [], [0]
+    for t in small:
+        op, indices, values = jobs[t]
+        if indices.size:
+            nb, edge = ((nbrs[t], signs[t].reshape(nbrs[t].shape)) if t in signs
+                        else op._rows(indices))
+            ids.append((nb + offsets[-1]).ravel())
+            weights.append((edge * values[:, None]).ravel())
+        offsets.append(offsets[-1] + op.n_buckets)
+    # an empty bincount would count in int64
+    sums = (np.bincount(np.concatenate(ids), weights=np.concatenate(weights),
+                        minlength=offsets[-1]) if ids else np.zeros(offsets[-1]))
+    out = [None] * len(jobs)
+    for t, start, stop in zip(small, offsets, offsets[1:]):
+        out[t] = sums[start:stop]
     for t, (op, indices, values) in enumerate(jobs):
-        if indices.size == 0:
-            out.append(np.zeros(op.n_buckets))
-            continue
-        if t in signs:
-            nb, edge = nbrs[t], signs[t].reshape(nbrs[t].shape)
-        else:
+        if out[t] is None:
             nb, edge = op._rows(indices)
-        out.append(np.bincount(nb.ravel(), weights=(edge * values[:, None]).ravel(),
-                               minlength=op.n_buckets))
+            weights = edge.astype(np.float64, copy=False)
+            weights *= values[:, None]
+            out[t] = np.bincount(nb.ravel(), weights=weights.ravel(), minlength=op.n_buckets)
+            del nb, edge, weights  # before the next job's rows are gathered
     return out

@@ -119,12 +119,13 @@ class NodeCode:
     def child_rnd_bits(self) -> int:
         return 0 if self.rnd_code is None else self.rnd_code.q.bit_length() - 1
 
-    def encode_part_vec(self, det: np.ndarray, rnd: np.ndarray, u: int):
-        """Symbol u of each (det, rnd) message, as a (det, rnd) pair."""
-        rnd = np.asarray(rnd, dtype=np.int64)
-        out_r = (np.zeros_like(rnd) if self.rnd_code is None
-                 else self.rnd_code.encode_vec(rnd, u))
-        return self.det_code.encode_vec(det, u), out_r
+    def encode_part_vec(self, det: np.ndarray, rnd: np.ndarray, u):
+        """Symbol u of each (det, rnd) message, as a (det, rnd) pair.  An
+        array of positions broadcasts against the messages."""
+        out_d = self.det_code.encode_vec(det, u)
+        if self.rnd_code is None:
+            return out_d, np.zeros_like(out_d)
+        return out_d, self.rnd_code.encode_vec(rnd, u)
 
     def list_recover_pairs(self, child_sets: list[set[tuple[int, int]]],
                            errors: int = 0, rho: float = 0.0) -> list[tuple[int, int]]:
@@ -329,18 +330,20 @@ class RecursionTree:
         return self.mapper.forward(idx)
 
     def node_images(self, indices: np.ndarray) -> dict[int, np.ndarray]:
-        """Packed phi_v image of the given signal indices at every node."""
+        """Packed phi_v image of the given signal indices at every node.
+        A node's code runs once for all its children, which share widths."""
         det, rnd = self.map_signal(indices)
         parts = {0: (det, rnd)}
         out = {0: self.nodes[0].pack(det, rnd)}
         for node in self.nodes:
             if not node.children:
                 continue
-            det_v, rnd_v = parts[node.node_id]
+            positions = np.arange(len(node.children))[:, None]
+            cd, cr = node.code.encode_part_vec(*parts[node.node_id], positions)
+            packed = self.nodes[node.children[0]].pack(cd, cr)
             for u, child_id in enumerate(node.children):
-                cd, cr = node.code.encode_part_vec(det_v, rnd_v, u)
-                parts[child_id] = (cd, cr)
-                out[child_id] = self.nodes[child_id].pack(cd, cr)
+                parts[child_id] = (cd[u], cr[u])
+                out[child_id] = packed[u]
         return out
 
     def phi(self, node_id: int, root_values: np.ndarray) -> np.ndarray:

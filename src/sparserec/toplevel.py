@@ -6,9 +6,10 @@ optionally a recursive identification tree) on the residual sketch,
 i.e. the stage sketch of x minus the stage encoding of everything
 recovered so far, and the estimates accumulate.  Residual sketches are
 recomputed exactly from the accumulated estimate; no approximate
-updates.  A decode can append one record per stage to a trace list:
-what the stage identified and added to the estimate, and the tree's
-per-node records.
+updates.  A system encode and the decode's residual re-encode share one
+path: all stages' sketch jobs go through one `apply_sparse_many` call.
+A decode can append one record per stage to a trace list: what the stage
+identified and added to the estimate, and the tree's per-node records.
 
 Also here: component-wise median amplification across independently
 seeded system copies, and an orthogonal-matching-pursuit baseline for
@@ -138,14 +139,6 @@ class _Stage:
             total += self.tree.measurement_count
         return total
 
-    def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-        out = []
-        if self.tree is not None:
-            for node_sketches in self.tree.encode_sparse(indices, values):
-                out.extend(node_sketches)
-        out.extend(self.layer.encode_sparse(indices, values))
-        return out
-
     @property
     def layers(self) -> list[WeakLayer]:
         """Weak layers in sketch order: tree nodes first, then the stage's."""
@@ -206,8 +199,7 @@ class TopLevelSystem:
         if x.shape != (self.n,):
             raise UsageError(f"expected signal of length {self.n}")
         nz = np.flatnonzero(x)
-        flat = np.concatenate([u for stage in self.stages
-                               for u in stage.encode_sparse(nz, x[nz])])
+        flat = np.concatenate(_encode_stages(self.stages, nz, x[nz]))
         assert flat.size == self.measurement_count
         return flat
 
@@ -275,7 +267,8 @@ class TopLevelSystem:
 
 def _encode_stages(stages, indices, values) -> list[np.ndarray]:
     """Flat sketch of one sparse vector in each of the given stages, from one
-    `apply_sparse_many` call, so the stages share their Horner passes."""
+    `apply_sparse_many` call, so the stages share their Horner passes and
+    bucket sums: a system encode and the decode's residual re-encode."""
     jobs = [stage.sketch_jobs(indices, values) for stage in stages]
     sketches = iter(apply_sparse_many([job for part in jobs for job in part]))
     return [np.concatenate([next(sketches) for _ in part]) for part in jobs]

@@ -6,6 +6,7 @@ from sparserec.expander import (
     _MATERIALIZE_LIMIT,
     BipartiteGraph,
     SignedSketchOperator,
+    apply_sparse_many,
     unique_neighbor_count,
     verify_expansion,
 )
@@ -229,6 +230,51 @@ def test_sign_table_keeps_apply_and_readings_identical(fill_by):
     assert np.array_equal(got, twin.readings(sketch, full).view(np.int64))
     assert np.array_equal(got, op.readings(sketch, full[::-1])[::-1].view(np.int64))
     assert twin._sign_table is None
+
+
+def _hashed_apply(op, indices, values):
+    """One bincount of hashed edge signs over the (row, slot) order."""
+    indices = np.asarray(indices, dtype=np.int64)
+    nbrs = op.graph.neighbors_of(indices)
+    signs = op.signs.sign_vec(np.repeat(indices, op.graph.ell), nbrs.ravel())
+    return np.bincount(nbrs.ravel(), weights=signs * np.repeat(values, op.graph.ell),
+                       minlength=op.n_buckets)
+
+
+def test_apply_sparse_many_mixed_jobs_match_each_own_apply():
+    rng = np.random.default_rng(23)
+    hashed = _operator(400, 5, 96, seed=31)
+    other_degree = _operator(400, 5, 96, seed=32, indep=4)
+    wide = _operator(1 << 16, 5, 1 << 16, seed=33)  # pair domain above 2^31: M61
+    filled = _operator(300, 5, 64, seed=34)
+    filled.apply(np.ones(300))
+    dense = _operator(200, 4, 32, seed=35)
+    tiny = _operator(8, 3, 16, seed=36)
+    assert filled._sign_table is not None and wide.signs.hash.field.q == (1 << 61) - 1
+
+    def sparse(op, size):
+        return np.sort(rng.choice(op.n_left, size, replace=False)), rng.normal(size=size)
+
+    jobs = [
+        (hashed, np.zeros(0, dtype=np.int64), np.zeros(0)),
+        (hashed, np.array([5, 5, 17, 5]), np.array([1.0, -2.5, -0.0, 3.0])),
+        (filled, *sparse(filled, 20)),
+        (wide, *sparse(wide, 8)),
+        (other_degree, *sparse(other_degree, 12)),
+        (dense, np.arange(200), rng.normal(size=200)),
+        (tiny, np.array([0, 3, 3, 7, 1, 0, 2, 6, 5, 4]), rng.normal(size=10)),
+        (hashed, *sparse(hashed, 30)),
+    ]
+    want = [_hashed_apply(*job).view(np.int64) for job in jobs]
+    got = apply_sparse_many(jobs)
+    for job, g, w in zip(jobs, got, want):
+        assert g.shape == (job[0].n_buckets,)
+        assert np.array_equal(g.view(np.int64), w)
+        assert np.array_equal(job[0].apply_sparse(job[1], job[2]).view(np.int64), w)
+    for t in range(len(got)):
+        got[t][:] = np.nan
+        for g, w in zip(got[t + 1:], want[t + 1:]):
+            assert np.array_equal(g.view(np.int64), w)
 
 
 def test_sign_table_never_filled_above_materialize_limit():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sparserec import hashing
 from sparserec.errors import UsageError
 from sparserec.expander import BipartiteGraph, SignedSketchOperator
 from sparserec.hashing import SignFamily
@@ -110,12 +111,11 @@ def test_residual_sketch_consistency():
     x = rng.normal(size=512)
     acc = np.zeros(512)
     acc[rng.choice(512, 6, replace=False)] = rng.normal(size=6)
-    for stage in system.stages:
-        direct = stage.encode_sparse(*_nz(x - acc))
-        via_diff = [u - v for u, v in
-                    zip(stage.encode_sparse(*_nz(x)), stage.encode_sparse(*_nz(acc)))]
-        for a, b in zip(direct, via_diff):
-            assert np.max(np.abs(a - b)) <= 1e-9
+    direct = _encode_stages(system.stages, *_nz(x - acc))
+    via_diff = [u - v for u, v in zip(_encode_stages(system.stages, *_nz(x)),
+                                      _encode_stages(system.stages, *_nz(acc)))]
+    for a, b in zip(direct, via_diff):
+        assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def _nz(v):
@@ -325,11 +325,16 @@ def _per_operator_sketch(system, indices, values):
     return np.concatenate(out)
 
 
-def _check_batched_encodes(system, rng):
-    # 3000 rows per operator spread over several passes
-    for size in (8, min(3000, system.n // 2)):
+def _check_batched_encodes(system, rng, dense=False):
+    # no rows; 3000 rows per operator spread over several passes; with
+    # dense, every row: heads on a Gaussian tail
+    sizes = [0, 8, min(3000, system.n // 2)] + [system.n] * dense
+    for size in sizes:
         idx = np.sort(rng.choice(system.n, size, replace=False))
         vals = rng.normal(size=size)
+        if size == system.n:
+            vals = vals * 1e-3
+            vals[rng.choice(size, 8, replace=False)] += 1.0 + rng.random(8)
         want = _per_operator_sketch(system, idx, vals).view(np.int64)
         x = np.zeros(system.n)
         x[idx] = vals
@@ -341,11 +346,12 @@ def _check_batched_encodes(system, rng):
 _BENCH_TREE = dict(leaf_target=256, scheme="scheme2", ell=8, gamma=0.1, s=1)
 
 
-@pytest.mark.parametrize("n,tree", [
-    (1 << 16, dict(_BENCH_TREE, code_kind="split", arity=2)),
-    (1 << 14, dict(_BENCH_TREE, code_kind="rs", arity=4, rs_b=2, rho=0.2)),
-], ids=["split-n16", "rs42-n14"])
-def test_batched_tree_encode_matches_per_operator_apply(n, tree):
+@pytest.mark.parametrize("n,tree,dense", [
+    (1 << 16, dict(_BENCH_TREE, code_kind="split", arity=2), False),
+    (1 << 14, dict(_BENCH_TREE, code_kind="rs", arity=4, rs_b=2, rho=0.2), True),
+    (1 << 12, dict(code_kind="lw", arity=3, leaf_target=128, scheme="scheme2"), False),
+], ids=["split-n16", "rs42-n14", "lw3-n12"])
+def test_batched_tree_encode_matches_per_operator_apply(n, tree, dense):
     system = TopLevelSystem(TopLevelConfig(n=n, k=8, epsilon=0.5, engine="recursive",
                                            ell=9, sign_independence=16, tree=tree),
                             seed=2)
@@ -358,7 +364,29 @@ def test_batched_tree_encode_matches_per_operator_apply(n, tree):
     assert any(filled) and not all(filled)
     fields = {op.signs.hash.field.q for op, f in zip(ops, filled) if not f}
     assert fields == {(1 << 61) - 1, (1 << 31) - 1}
-    _check_batched_encodes(system, rng)
+    _check_batched_encodes(system, rng, dense)
+
+
+def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
+    tree = dict(_BENCH_TREE, code_kind="rs", arity=4, rs_b=2, rho=0.2)
+    system = TopLevelSystem(TopLevelConfig(n=1 << 14, k=8, epsilon=0.5, engine="recursive",
+                                           ell=9, sign_independence=16, tree=tree),
+                            seed=2)
+    passes = []
+    horner = hashing._horner_vec
+
+    def counted(f, coefficients, xs):
+        if f.kind == "prime":
+            passes.append(f.q)
+        return horner(f, coefficients, xs)
+
+    monkeypatch.setattr(hashing, "_horner_vec", counted)
+    rng = np.random.default_rng(23)
+    x = np.zeros(system.n)
+    x[rng.choice(system.n, 8, replace=False)] = 1.0 + rng.random(8)
+    system.encode(x)
+    # every stage's tree nodes and weak layer hash their rows together
+    assert sorted(passes) == [(1 << 31) - 1, (1 << 61) - 1]
 
 
 def _hashed_sketch(system, x):
