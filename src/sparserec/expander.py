@@ -18,14 +18,14 @@ so the table is at most 1 MiB).  The table is filled through the sign
 family itself; until then, and always on larger operators, each call
 hashes only the rows it touches, and `apply_sparse_many`, the one sparse
 encode path, hashes the rows of many operators in shared Horner passes
-and sums their buckets in one bincount.
+and sums the small ones' buckets in one bincount.
 
 Once both tables are in memory, a call whose rows are exactly 0..N-1 in
 order (a dense encode, the readings of a full-domain scan) reads the
 neighbor and sign tables in place instead of gathering copies of them;
 other calls gather the rows they name.  Either way the bucket sums and
-readings are computed by the same expressions over the same (row, slot)
-order, so the results are identical.  The tables never leave the
+readings take the same values in the same (row, slot) order, so the
+results are identical.  The tables never leave the
 operator: `readings` and the sketches are new arrays, and
 `BipartiteGraph.neighbors_of` returns a copy.
 """
