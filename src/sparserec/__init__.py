@@ -54,7 +54,6 @@ from sparserec.weak import (
     WeakLayer,
     WeakParams,
     majority_amplify,
-    median_estimate,
     median_estimates,
     weak_estimate,
     weak_identify,

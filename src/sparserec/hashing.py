@@ -6,7 +6,7 @@ polynomial; SignFamily turns a PolyHash into reproducible +-1 values on
 (left vertex, bucket) pairs by keeping one output bit.
 
 Sign evaluation sits on the hot path of every sketch, so SignFamily
-defaults to a Mersenne-prime backing field (2^31-1, or 2^61-1 for large
+uses a Mersenne-prime backing field (2^31-1, or 2^61-1 for large
 pair domains) where Horner's rule vectorizes over numpy integer arrays.
 The one kept bit of a uniform field element carries bias < 2^-31, far
 below anything the estimators can see.  A sparse encode touches a few
@@ -152,8 +152,7 @@ class SignFamily:
     to embed the pair domain injectively.
     """
 
-    def __init__(self, seed: int, independence: int, n_left: int, n_buckets: int,
-                 field: FieldSpec | None = None):
+    def __init__(self, seed: int, independence: int, n_left: int, n_buckets: int):
         if independence < 1:
             raise UsageError("independence degree must be >= 1")
         self.seed = int(seed)
@@ -161,15 +160,12 @@ class SignFamily:
         self.n_left = n_left
         self.n_buckets = n_buckets
         pairs = n_left * n_buckets
-        if field is None:
-            if pairs <= _M31:
-                field = FieldSpec.prime(_M31)
-            elif pairs <= _M61:
-                field = FieldSpec.prime(_M61)
-            else:
-                raise InfeasibleError("pair domain exceeds 2^61-1")
-        elif field.q < pairs:
-            raise UsageError("explicit field too small for the pair domain")
+        if pairs <= _M31:
+            field = FieldSpec.prime(_M31)
+        elif pairs <= _M61:
+            field = FieldSpec.prime(_M61)
+        else:
+            raise InfeasibleError("pair domain exceeds 2^61-1")
         self.hash = PolyHash.from_seed(field, independence - 1, pairs, derive_seed(seed, "signs"))
 
     def sign(self, i: int, j: int) -> int:

@@ -5,7 +5,8 @@ pairs, a weak layer over that domain, and (if internal) a code mapping
 its messages to r child symbols: the product of two `codes` codes of the
 tree's kind, one on each half of the pair.  Encoding pushes the signal
 through the composed coordinate maps phi_v and sketches the aggregated
-image at every node.  Identification runs leaves-first: leaves scan
+image at every node with the node's identification copies, the only
+sketches its decode reads.  Identification runs leaves-first: leaves scan
 their whole (small) domain; an internal node list-recovers its children's
 candidate lists into a set S_v and prunes it with its own weak layer; the
 root's survivors are inverted back to signal indices, with one record
@@ -368,17 +369,17 @@ class RecursionTree:
 
     @property
     def measurement_count(self) -> int:
-        return sum(node.layer.measurement_count for node in self.nodes)
+        return sum(len(node.layer.ident_ops) * node.layer.n_buckets for node in self.nodes)
 
     def sketch_jobs(self, indices: np.ndarray, values: np.ndarray) -> list[tuple]:
         """`apply_sparse_many` jobs of a sparse encode, in sketch order."""
         images = self.node_images(indices)
         return [(op, images[node.node_id], values)
-                for node in self.nodes for op in node.layer.operators]
+                for node in self.nodes for op in node.layer.ident_ops]
 
     def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[list[np.ndarray]]:
         sketches = iter(apply_sparse_many(self.sketch_jobs(indices, values)))
-        return [[next(sketches) for _ in node.layer.operators] for node in self.nodes]
+        return [[next(sketches) for _ in node.layer.ident_ops] for node in self.nodes]
 
     def encode(self, x: np.ndarray) -> list[list[np.ndarray]]:
         x = np.asarray(x, dtype=np.float64)

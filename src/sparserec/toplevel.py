@@ -123,44 +123,39 @@ class _Stage:
         self.layer = WeakLayer(params=params, domain=config.n,
                                n_buckets=buckets, seed=derive_seed(seed, "layer"),
                                sign_independence=config.sign_independence)
+        # The operators the decode reads, one list per weak layer in sketch
+        # order; the stage sketches exactly these.  On the recursive engine
+        # the tree nodes identify with their copies and the stage estimates.
         self.tree = None
-        if config.engine == "recursive":
+        if config.engine == "scan":
+            self.read_ops = [self.layer.operators]
+        else:
             opts = {**_STAGE_TREE, "ell": config.ell, "s": spec.copies, **config.tree}
             tree_params = RecursiveParams(
                 k=spec.k, eta=spec.precision, sign_independence=config.sign_independence,
                 **{key: opts.pop(key) for key in _TREE_PARAM_KEYS & opts.keys()})
             self.tree = RecursionTree(n_signal=config.n, params=tree_params,
                                       seed=derive_seed(seed, "tree"), **opts)
-
-    @property
-    def measurement_count(self) -> int:
-        total = self.layer.measurement_count
-        if self.tree is not None:
-            total += self.tree.measurement_count
-        return total
-
-    @property
-    def layers(self) -> list[WeakLayer]:
-        """Weak layers in sketch order: tree nodes first, then the stage's."""
-        nodes = [] if self.tree is None else [node.layer for node in self.tree.nodes]
-        return nodes + [self.layer]
+            self.read_ops = ([node.layer.ident_ops for node in self.tree.nodes]
+                             + [[self.layer.est_op]])
+        self.measurement_count = sum(op.n_buckets for group in self.read_ops
+                                     for op in group)
 
     def sketch_jobs(self, indices: np.ndarray, values: np.ndarray) -> list[tuple]:
         """`apply_sparse_many` jobs of a sparse encode, in sketch order."""
-        jobs = [] if self.tree is None else self.tree.sketch_jobs(indices, values)
-        return jobs + [(op, indices, values) for op in self.layer.operators]
+        points = [indices]
+        if self.tree is not None:
+            images = self.tree.node_images(indices)
+            points = [images[node.node_id] for node in self.tree.nodes] + points
+        return [(op, at, values) for group, at in zip(self.read_ops, points)
+                for op in group]
 
     def split(self, flat: np.ndarray) -> list[list[np.ndarray]]:
         """The stage's sketch arrays, as views of its flat slice, grouped
-        per weak layer in the order of `layers`."""
-        out, pos = [], 0
-        for layer in self.layers:
-            group = []
-            for _ in range(layer.sketch_count):
-                group.append(flat[pos : pos + layer.n_buckets])
-                pos += layer.n_buckets
-            out.append(group)
-        return out
+        like `read_ops`."""
+        sizes = [op.n_buckets for group in self.read_ops for op in group]
+        parts = iter(np.split(flat, np.cumsum(sizes)[:-1]))
+        return [[next(parts) for _ in group] for group in self.read_ops]
 
     def identify(self, sketches: list[list[np.ndarray]]) -> tuple[np.ndarray, list | None]:
         """Candidates and the tree's node records (None on the scan engine)."""

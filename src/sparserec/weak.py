@@ -21,7 +21,8 @@ sorted and deduplicated first, so the result is always that of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,10 +75,6 @@ def median_estimates(op: SignedSketchOperator, sketch: np.ndarray,
     if indices.size == 0:
         return np.zeros(0)
     return lower_median(op.readings(sketch, indices))
-
-
-def median_estimate(op: SignedSketchOperator, sketch: np.ndarray, i: int) -> float:
-    return float(median_estimates(op, sketch, np.array([i]))[0])
 
 
 def _candidate_set(candidates) -> np.ndarray:
@@ -146,7 +143,9 @@ class WeakLayer:
     """A full weak system: s identification copies plus one estimation sketch.
 
     All operators share (domain, ell, n_buckets) and are independently
-    seeded from the layer seed.
+    seeded from the layer seed.  Each role's operators are built on first
+    use, so a role that no decode reads (a tree node's estimation sketch,
+    a recursive stage's identification copies) is never built.
     """
 
     params: WeakParams
@@ -154,31 +153,19 @@ class WeakLayer:
     n_buckets: int
     seed: int
     sign_independence: int = 32
-    ident_ops: list = field(default_factory=list)
-    est_op: SignedSketchOperator = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if not self.ident_ops:
-            self.ident_ops = [
-                SignedSketchOperator.build(
-                    self.domain, self.params.ell, self.n_buckets,
-                    derive_seed(self.seed, f"ident/{c}"), self.sign_independence)
-                for c in range(self.params.s)
-            ]
-        if self.est_op is None:
-            self.est_op = SignedSketchOperator.build(
-                self.domain, self.params.ell, self.n_buckets,
-                derive_seed(self.seed, "estimate"), self.sign_independence)
+    def _build(self, role: str) -> SignedSketchOperator:
+        return SignedSketchOperator.build(
+            self.domain, self.params.ell, self.n_buckets,
+            derive_seed(self.seed, role), self.sign_independence)
 
-    @property
-    def sketch_count(self) -> int:
-        """Sketch arrays per encode, each n_buckets long: one per
-        identification copy plus the estimation sketch."""
-        return len(self.ident_ops) + 1
+    @cached_property
+    def ident_ops(self) -> list[SignedSketchOperator]:
+        return [self._build(f"ident/{c}") for c in range(self.params.s)]
 
-    @property
-    def measurement_count(self) -> int:
-        return self.sketch_count * self.n_buckets
+    @cached_property
+    def est_op(self) -> SignedSketchOperator:
+        return self._build("estimate")
 
     @property
     def operators(self) -> list[SignedSketchOperator]:
@@ -204,55 +191,3 @@ class WeakLayer:
     def estimate(self, sketches: list[np.ndarray],
                  candidates: np.ndarray) -> WeakDecomposition:
         return weak_estimate(self.est_op, sketches[-1], candidates, self.params)
-
-
-# -- optional diagnostic: bucket classification on planted instances --
-
-def bucket_class_counts(op: SignedSketchOperator, x: np.ndarray, k: int,
-                        zeta: float, eta: float) -> dict[str, int]:
-    """Count buckets of the k head coordinates falling in each interference
-    class: head collision, heavy-tail collision, large tail energy, large
-    signed tail sum.  Diagnostic only; the decoder never consults this.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    head = set(head_indices(x, k).tolist())
-    z = x.copy()
-    z[list(head)] = 0.0
-    z_norm = float(np.linalg.norm(z))
-    heavy_thr = math.sqrt(zeta**2 * eta / k) * z_norm
-    heavy_tail = {i for i in range(n) if i not in head and abs(x[i]) >= heavy_thr and x[i] != 0}
-    light = [i for i in range(n) if i not in head and i not in heavy_tail]
-
-    bucket_members: dict[int, list[int]] = {}
-    for i in range(n):
-        if x[i] == 0 and i not in head:
-            continue
-        for j in set(op.graph.neighbors(i)):
-            bucket_members.setdefault(j, []).append(i)
-
-    light_set = set(light)
-    counts = {"head_collision": 0, "heavy_tail_collision": 0,
-              "tail_energy": 0, "tail_signed_sum": 0, "good": 0}
-    for i in sorted(head):
-        for j in op.graph.neighbors(i):
-            members = [b for b in bucket_members.get(j, []) if b != i]
-            bad = False
-            if any(b in head for b in members):
-                counts["head_collision"] += 1
-                bad = True
-            if any(b in heavy_tail for b in members):
-                counts["heavy_tail_collision"] += 1
-                bad = True
-            lights = [b for b in members if b in light_set]
-            energy = sum(float(x[b]) ** 2 for b in lights)
-            if energy > zeta * eta / k * z_norm**2:
-                counts["tail_energy"] += 1
-                bad = True
-            signed = sum(op.signs.sign(b, j) * float(x[b]) for b in lights)
-            if abs(signed) > math.sqrt(eta / k) * z_norm:
-                counts["tail_signed_sum"] += 1
-                bad = True
-            if not bad:
-                counts["good"] += 1
-    return counts

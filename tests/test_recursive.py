@@ -439,7 +439,8 @@ def test_serialization_roundtrip():
 def test_measurement_count_is_sum_over_nodes():
     tree = RecursionTree(n_signal=1024, leaf_target=64, code_kind="lw",
                          params=_params(s=2), seed=60, arity=3, scheme="scheme2")
-    expect = sum(v.layer.measurement_count for v in tree.nodes)
+    # a node sketches only its s = 2 identification copies
+    expect = sum(2 * v.layer.n_buckets for v in tree.nodes)
     assert tree.measurement_count == expect
     sketches = tree.encode(np.zeros(1024))
     total = sum(len(u) for node_sk in sketches for u in node_sk)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparserec import hashing
+from sparserec import hashing, toplevel
 from sparserec.errors import UsageError
 from sparserec.expander import BipartiteGraph, SignedSketchOperator
 from sparserec.hashing import SignFamily
@@ -54,6 +54,64 @@ def test_measurement_accounting_exact():
     assert system.measurement_count == expected
     flat = system.encode(np.zeros(4096))
     assert flat.size == expected
+    # recursive engine: every tree node sketches its s_i identification
+    # copies, the stage one estimation sketch
+    for tree, nodes in [(dict(code_kind="split", leaf_target=64, buckets_per_node=100), 7),
+                        (dict(code_kind="lw", arity=3, leaf_target=128), 13)]:
+        cfg = TopLevelConfig(n=4096, k=8, epsilon=0.5, engine="recursive", ell=9,
+                             bucket_factor=4.0, min_buckets=32, tree=tree)
+        system = TopLevelSystem(cfg, seed=9)
+        expected = 0
+        for spec in system.schedule.stages:
+            node_buckets = tree.get("buckets_per_node") or 8 * spec.k * 9
+            expected += nodes * spec.copies * node_buckets + max(32, int(4.0 * spec.k * 9))
+        assert [stage.tree.node_count for stage in system.stages] == [nodes] * 4
+        assert system.measurement_count == expected
+        assert system.encode(np.zeros(4096)).size == expected
+
+
+@pytest.mark.parametrize("n,engine,tree", [
+    (1 << 10, "scan", {}),
+    (1 << 10, "recursive", dict(code_kind="rs", arity=4, rs_b=2, rho=0.2)),
+    (1 << 12, "recursive", dict(code_kind="split", leaf_target=64)),
+    (1 << 12, "recursive", dict(code_kind="lw", arity=3, leaf_target=128)),
+], ids=["scan-n10", "rs42-n10", "split-n12", "lw3-n12"])
+def test_every_encoded_operator_is_read(monkeypatch, n, engine, tree):
+    # roomy sketches and 48 geometrically decaying heads on a faint noise
+    # floor: every stage runs (the residual is never exactly zero) and
+    # still has heads left, so every tree node gets candidates
+    if tree:
+        tree = dict(tree, buckets_per_node=1024)
+    system = TopLevelSystem(TopLevelConfig(n=n, k=8, epsilon=0.5, engine=engine, ell=9,
+                                           bucket_factor=32, sign_independence=16,
+                                           tree=tree), seed=6)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=n) * 1e-9
+    x[rng.choice(n, 48, replace=False)] += rng.choice([-1.0, 1.0], 48) * 0.8 ** np.arange(48)
+    encoded, read = [], []
+    apply_many = toplevel.apply_sparse_many
+    monkeypatch.setattr(toplevel, "apply_sparse_many",
+                        lambda jobs: encoded.extend(job[0] for job in jobs) or apply_many(jobs))
+    sketch = system.encode(x)
+    monkeypatch.setattr(toplevel, "apply_sparse_many", apply_many)
+    readings = SignedSketchOperator.readings
+
+    def record(op, sketch, indices):
+        read.append(op)
+        return readings(op, sketch, indices)
+
+    monkeypatch.setattr(SignedSketchOperator, "readings", record)
+    trace = []
+    system.decode(sketch, trace=trace)
+    assert len(trace) == len(system.stages)
+    assert all(rec["candidates"] for rec in trace)
+    assert len(encoded) == len({id(op) for op in encoded})
+    assert {id(op) for op in read} == {id(op) for op in encoded}
+    # what no decode reads is never built
+    for stage in system.stages:
+        if stage.tree is not None:
+            assert "ident_ops" not in vars(stage.layer)
+            assert not any("est_op" in vars(node.layer) for node in stage.tree.nodes)
 
 
 def test_stage_measurements_non_increasing():
@@ -308,20 +366,27 @@ def test_repeated_dense_encode_and_decode_reuse_sign_tables(monkeypatch):
     assert np.array_equal(system.decode(sketch), x_hat)
 
 
+def _stage_operators(stage):
+    """(tree node or None, operator) pairs in sketch order, by the rule: a
+    tree node's identification copies, then the stage's estimation
+    operator on the recursive engine; the stage's whole layer on the scan."""
+    if stage.tree is None:
+        return [(None, op) for op in stage.layer.operators]
+    return ([(node, op) for node in stage.tree.nodes for op in node.layer.ident_ops]
+            + [(None, stage.layer.est_op)])
+
+
 def _operators(system):
-    return [op for stage in system.stages for layer in stage.layers
-            for op in layer.operators]
+    return [op for stage in system.stages for _, op in _stage_operators(stage)]
 
 
 def _per_operator_sketch(system, indices, values):
     """Every operator's own apply_sparse, in sketch order."""
     out = []
     for stage in system.stages:
-        if stage.tree is not None:
-            images = stage.tree.node_images(indices)
-            out += [op.apply_sparse(images[node.node_id], values)
-                    for node in stage.tree.nodes for op in node.layer.operators]
-        out += [op.apply_sparse(indices, values) for op in stage.layer.operators]
+        images = {} if stage.tree is None else stage.tree.node_images(indices)
+        out += [op.apply_sparse(indices if node is None else images[node.node_id], values)
+                for node, op in _stage_operators(stage)]
     return np.concatenate(out)
 
 

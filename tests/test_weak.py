@@ -8,10 +8,8 @@ from sparserec.expander import BipartiteGraph, SignedSketchOperator
 from sparserec.weak import (
     WeakLayer,
     WeakParams,
-    bucket_class_counts,
     lower_median,
     majority_amplify,
-    median_estimate,
     median_estimates,
     weak_estimate,
     weak_identify,
@@ -34,7 +32,7 @@ def test_single_spike_estimated_exactly():
     x = np.zeros(64)
     x[17] = 2.5
     u = op.apply(x)
-    assert median_estimate(op, u, 17) == 2.5
+    assert median_estimates(op, u, np.array([17]))[0] == 2.5
 
 
 def test_zero_signal_estimates_zero():
@@ -54,7 +52,8 @@ def test_estimate_depends_only_on_own_buckets():
     masked = np.zeros_like(u)
     for j in own:
         masked[j] = u[j]
-    assert median_estimate(op, u, i) == median_estimate(op, masked, i)
+    i = np.array([i])
+    assert median_estimates(op, u, i)[0] == median_estimates(op, masked, i)[0]
 
 
 def test_weak_identify_recovers_exact_sparse_support():
@@ -191,9 +190,8 @@ def test_majority_amplify_output_size_bound():
 def test_weak_layer_measurement_accounting():
     params = WeakParams(k=4, gamma=0.2, eta=0.25, ell=6, s=3)
     layer = WeakLayer(params=params, domain=128, n_buckets=64, seed=1)
-    assert layer.measurement_count == (3 + 1) * 64
     sketches = layer.encode(np.zeros(128))
-    assert len(sketches) == 4
+    assert len(layer.operators) == len(sketches) == 3 + 1
     assert all(len(u) == 64 for u in sketches)
 
 
@@ -300,14 +298,3 @@ def test_weak_decomposition_oracle_bounds():
     assert np.linalg.norm(z_hat) ** 2 <= (1 + 22 * math.sqrt(eta)) * z_norm**2
     fitted_c = (np.linalg.norm(z_hat) / z_norm - 1) / eta
     assert fitted_c <= 25
-
-
-def test_bucket_diagnostics_on_planted_instance():
-    op = _operator(128, 6, 256, seed=13)
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=128) * 0.01
-    supp = rng.choice(128, size=4, replace=False)
-    x[supp] = 3.0
-    counts = bucket_class_counts(op, x, k=4, zeta=0.25, eta=0.25)
-    assert sum(counts.values()) >= 4 * 6  # every head bucket classified
-    assert counts["good"] > counts["head_collision"]
