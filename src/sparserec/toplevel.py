@@ -143,12 +143,8 @@ class _Stage:
 
     def sketch_jobs(self, indices: np.ndarray, values: np.ndarray) -> list[tuple]:
         """`apply_sparse_many` jobs of a sparse encode, in sketch order."""
-        points = [indices]
-        if self.tree is not None:
-            images = self.tree.node_images(indices)
-            points = [images[node.node_id] for node in self.tree.nodes] + points
-        return [(op, at, values) for group, at in zip(self.read_ops, points)
-                for op in group]
+        jobs = [] if self.tree is None else self.tree.sketch_jobs(indices, values)
+        return jobs + [(op, indices, values) for op in self.read_ops[-1]]
 
     def split(self, flat: np.ndarray) -> list[list[np.ndarray]]:
         """The stage's sketch arrays, as views of its flat slice, grouped
