@@ -3,8 +3,10 @@
 Binary fields use one fixed irreducible polynomial per width, taken from
 the standard low-weight table (trinomials / pentanomials), so element
 representations are bit-exact across runs.  Widths up to 16 get log/exp
-tables and vectorized numpy multiplication; wider fields fall back to
-carry-less arithmetic on Python ints.
+tables, built with numpy from a primitive element; widths up to
+CLMUL_WIDTH multiply numpy int64 arrays by shift-and-xor carry-less
+products reduced mod the field polynomial (`clmul`); only scalar
+arithmetic, and vectors over wider fields, use Python ints.
 """
 
 from __future__ import annotations
@@ -64,6 +66,16 @@ def _pm_powmod_x(e: int, f: int) -> int:
     return r
 
 
+def _pm_powmod(a: int, e: int, f: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = _pm_mulmod(r, a, f)
+        a = _pm_mulmod(a, a, f)
+        e >>= 1
+    return r
+
+
 def _pm_gcd(a: int, b: int) -> int:
     while b:
         if a.bit_length() < b.bit_length():
@@ -72,6 +84,17 @@ def _pm_gcd(a: int, b: int) -> int:
             a ^= b << (a.bit_length() - b.bit_length())
         a, b = b, a
     return a
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def is_irreducible(f: int) -> bool:
@@ -83,18 +106,7 @@ def is_irreducible(f: int) -> bool:
         return True
     if _pm_powmod_x(n, f) != 0b10:
         return False
-    m = n
-    primes = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
-    for p in primes:
+    for p in _prime_factors(n):
         h = _pm_powmod_x(n // p, f) ^ 0b10
         if _pm_gcd(h if h else f, f) != 1:
             return False
@@ -125,33 +137,85 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+CLMUL_WIDTH = 32  # widest binary field `clmul` multiplies: an unreduced
+                  # product of two elements has degree <= 62, inside int64
+
+
+def _reduce(r: np.ndarray, width: int, poly: int) -> np.ndarray:
+    """r mod poly, in place, for carry-less products r of degree <= 2*width - 2.
+
+    x^width = taps (mod poly), so each round folds the bits at and above
+    width back in as (r >> width) * taps; low-weight taps leave at most a
+    few bits above width for the next round."""
+    taps = [t for t in range(width) if poly >> t & 1]
+    high = np.empty_like(r)
+    shifted = np.empty_like(r)
+    degree = 2 * width - 2
+    while degree >= width:
+        np.right_shift(r, width, out=high)
+        r &= (1 << width) - 1
+        for t in taps:
+            r ^= np.left_shift(high, t, out=shifted)
+        degree += taps[-1] - width
+    return r
+
+
+def clmul(a, b, width: int, poly: int) -> np.ndarray:
+    """Products a*b in GF(2^width) mod poly, as int64, for width <= CLMUL_WIDTH.
+
+    a and b are ints or int64 arrays with entries in [0, 2^width); they
+    broadcast.  The product is the xor of b << k over the set bits k of a,
+    so the loop runs over the bits of a (a Python loop for an int), then
+    one reduction.
+    """
+    b = np.asarray(b, dtype=np.int64)
+    if isinstance(a, (int, np.integer)):
+        r = np.zeros_like(b)
+        for k in range(int(a).bit_length()):
+            if a >> k & 1:
+                r ^= b << k
+        return _reduce(r, width, poly)
+    a = np.asarray(a, dtype=np.int64)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    r = np.zeros(shape, dtype=np.int64)
+    bit = np.empty(a.shape, dtype=np.int64)
+    term = np.empty(shape, dtype=np.int64)
+    for k in range(int(a.max()).bit_length() if a.size else 0):
+        np.right_shift(a, k, out=bit)
+        bit &= 1
+        np.left_shift(b, k, out=term)
+        term *= bit
+        r ^= term
+    return _reduce(r, width, poly)
+
+
 _TABLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _tables_for_width(width: int, poly: int):
-    """log/exp tables for GF(2^width), keyed by a generator orbit."""
+    """exp/log tables for GF(2^width) over its smallest primitive element g.
+
+    g is the smallest g >= 2 with g^((q-1)/p) != 1 for every prime p
+    dividing q-1.  exp[i] = g^i for i < 2(q-1), filled by doubling:
+    exp[n:2n] = exp[:n] * g^n, one `clmul` per step; log is one scatter.
+    """
     if width in _TABLE_CACHE:
         return _TABLE_CACHE[width]
     q = 1 << width
-    exp = np.zeros(max(2 * (q - 1), 2), dtype=np.int64)
+    exp = np.ones(max(2 * (q - 1), 2), dtype=np.int64)
     log = np.zeros(q, dtype=np.int64)
-    if q == 2:
-        exp[:] = 1
-        log[1] = 0
-    else:
-        for g in range(2, q):
-            x = 1
-            ok = True
-            for i in range(q - 1):
-                if x == 1 and i > 0:
-                    ok = False  # order of g divides i < q-1
-                    break
-                exp[i] = x
-                log[x] = i
-                x = _pm_mulmod(x, g, poly)
-            if ok:
-                break
-        exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
+    if q > 2:
+        cofactors = [(q - 1) // p for p in _prime_factors(q - 1)]
+        g = next(g for g in range(2, q)
+                 if all(_pm_powmod(g, c, poly) != 1 for c in cofactors))
+        n, g_n = 1, g  # g_n = g^n
+        while n < q - 1:
+            step = min(n, q - 1 - n)
+            exp[n : n + step] = clmul(g_n, exp[:step], width, poly)
+            n += step
+            g_n = _pm_mulmod(g_n, g_n, poly)
+        log[exp[: q - 1]] = np.arange(q - 1)
+        exp[q - 1 :] = exp[: q - 1]
     _TABLE_CACHE[width] = (exp, log)
     return exp, log
 
@@ -269,6 +333,10 @@ class FieldSpec:
             nz = (av != 0) & (bv != 0)
             out[nz] = self._exp[self._log[av[nz]] + self._log[bv[nz]]]
             return out
+        if self.kind == "binary" and self.width <= CLMUL_WIDTH:
+            if np.ndim(a) == 0:
+                a, b = b, a  # loop over the bits of a scalar operand in Python
+            return clmul(b if np.ndim(b) else int(b), a, self.width, self.poly)
         flat = [self.mul(x, y) for x, y in zip(av.ravel().tolist(), bv.ravel().tolist())]
         return np.array(flat, dtype=np.int64).reshape(av.shape)
 

@@ -12,6 +12,10 @@ The one kept bit of a uniform field element carries bias < 2^-31, far
 below anything the estimators can see.  A sparse encode touches a few
 rows of many families, where numpy's per-call cost dominates, so
 sign_vecs evaluates such requests together in one Horner pass per field.
+
+Over binary fields PolyHash evaluates vectors by log/exp tables up to
+GF(2^16), by carry-less products up to GF(2^CLMUL_WIDTH), and point by
+point beyond.
 """
 
 from __future__ import annotations
@@ -19,12 +23,14 @@ from __future__ import annotations
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
-from sparserec.fields import FieldSpec
+from sparserec.fields import CLMUL_WIDTH, FieldSpec, clmul
 from sparserec.seeds import counter_stream, derive_seed
 
 _M31 = (1 << 31) - 1
 _M61 = (1 << 61) - 1
 _P61 = np.uint64(_M61)
+# the sign families' backing fields, built (and primality-tested) once
+_F31, _F61 = FieldSpec.prime(_M31), FieldSpec.prime(_M61)
 
 
 _MASK30 = np.uint64((1 << 30) - 1)
@@ -106,7 +112,12 @@ class PolyHash:
         return acc
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized Horner evaluation; xs must lie in the domain."""
+        """Vectorized Horner evaluation; xs must lie in the domain, which is
+        checked over binary fields, where a point outside the field would
+        index past the tables or carry past the field width."""
+        if self.field.kind == "binary" and np.size(xs) and not (
+                0 <= np.min(xs) and np.max(xs) < self.domain_size):
+            raise UsageError(f"points outside domain [0, {self.domain_size})")
         if _vectorized(self.field):
             return _horner_vec(self.field, self.coefficients, xs)
         return np.array([self.eval(int(v)) for v in np.ravel(xs)], dtype=np.int64).reshape(
@@ -118,7 +129,7 @@ def _vectorized(f: FieldSpec) -> bool:
     """Whether Horner's rule over f runs on numpy integer arrays."""
     if f.kind == "prime":
         return f.q == _M61 or f.q <= _M31 + 1
-    return f._log is not None
+    return f.width <= CLMUL_WIDTH
 
 
 def _horner_vec(f: FieldSpec, coefficients, xs: np.ndarray) -> np.ndarray:
@@ -135,12 +146,18 @@ def _horner_vec(f: FieldSpec, coefficients, xs: np.ndarray) -> np.ndarray:
             acc *= x
             acc += c
             acc -= acc // f.q * f.q
-    else:
+    elif f._log is not None:
         # f.mul_vec(acc, x) ^ c, with the logarithms of x looked up once
         log, exp = f._log, f._exp
         log_x, zero_x = log[x], x == 0
         for c in reversed(coefficients[:-1]):
             acc = np.where(zero_x | (acc == 0), 0, exp[log[acc] + log_x]) ^ c
+    else:
+        # carry-less products over the bits of the points, which the domain
+        # keeps narrower than the field
+        for c in reversed(coefficients[:-1]):
+            acc = clmul(x, acc, f.width, f.poly)
+            acc ^= c
     return acc
 
 
@@ -161,9 +178,9 @@ class SignFamily:
         self.n_buckets = n_buckets
         pairs = n_left * n_buckets
         if pairs <= _M31:
-            field = FieldSpec.prime(_M31)
+            field = _F31
         elif pairs <= _M61:
-            field = FieldSpec.prime(_M61)
+            field = _F61
         else:
             raise InfeasibleError("pair domain exceeds 2^61-1")
         self.hash = PolyHash.from_seed(field, independence - 1, pairs, derive_seed(seed, "signs"))

@@ -253,7 +253,12 @@ class TopLevelSystem:
         blob = json.loads(text)
         config = dict(blob["config"])
         config.pop("d_exp", None)  # older descriptors store this unused exponent
-        return TopLevelSystem(TopLevelConfig(**config), blob["seed"])
+        system = TopLevelSystem(TopLevelConfig(**config), blob["seed"])
+        stored = blob.get("measurements", system.measurement_count)
+        if stored != system.measurement_count:
+            raise UsageError(f"descriptor records {stored} measurements, but its config "
+                             f"builds {system.measurement_count} here")
+        return system
 
 
 def _encode_stages(stages, indices, values) -> list[np.ndarray]:

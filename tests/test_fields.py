@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sparserec.errors import UsageError
 from sparserec.fields import (
+    CLMUL_WIDTH,
     FieldSpec,
     _LOW_WEIGHT_TAPS,
+    _pm_mulmod,
+    _tables_for_width,
+    clmul,
     irreducible_poly,
     is_irreducible,
 )
@@ -76,8 +82,6 @@ def test_is_irreducible_rejects_composites():
 
 
 def test_table_mul_matches_carryless():
-    from sparserec.fields import _pm_mulmod
-
     for w in (4, 8):
         f = FieldSpec.binary(w)
         rng = np.random.default_rng(w)
@@ -117,3 +121,68 @@ def test_add_vec_matches_scalar(f):
     a = f.q - 1 - rng.integers(0, min(f.q, 1 << 20), size=200).astype(np.int64)
     b = f.q - 1 - rng.integers(0, min(f.q, 1 << 20), size=200).astype(np.int64)
     assert np.array_equal(f.add_vec(a, b), [f.add(int(x), int(y)) for x, y in zip(a, b)])
+
+
+def _orbit_tables(width, poly):
+    """Reference exp/log tables: walk each candidate g = 2, 3, ... along its
+    orbit, one scalar multiply per step, and keep the first whose orbit
+    returns to 1 only after q - 1 steps."""
+    q = 1 << width
+    exp = np.zeros(max(2 * (q - 1), 2), dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    if q == 2:
+        exp[:] = 1
+        return exp, log, None
+    for g in range(2, q):
+        x, ok = 1, True
+        for i in range(q - 1):
+            if x == 1 and i > 0:
+                ok = False  # order of g divides i < q-1
+                break
+            exp[i] = x
+            log[x] = i
+            x = _pm_mulmod(x, g, poly)
+        if ok:
+            break
+    exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
+    return exp, log, g
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_tables_match_generator_orbit(width):
+    poly = irreducible_poly(width)
+    want_exp, want_log, g = _orbit_tables(width, poly)
+    exp, log = _tables_for_width(width, poly)
+    assert exp.dtype == log.dtype == np.int64
+    assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log)
+    if g is not None:
+        assert exp[1] == g
+
+
+def test_gf2_14_tables_pinned():
+    f = FieldSpec.binary(14)
+    assert hashlib.sha256(f._exp.tobytes()).hexdigest() == (
+        "661aa37bcc5b11f44be85b58c4ebd105ace68ce37249903a4f002081013b4978")
+    assert hashlib.sha256(f._log.tobytes()).hexdigest() == (
+        "3f29b4307cab48e08e5adc1d6152976aeb7590dc5ecb977b3e33f32072391466")
+
+
+@pytest.mark.parametrize("width", [17, 20, 24, 31, CLMUL_WIDTH])
+def test_clmul_mul_vec_match_scalar_mul(width):
+    f = FieldSpec.binary(width)
+    assert f._log is None  # no tables: mul_vec runs clmul
+    rng = np.random.default_rng(width)
+    edge = np.array([0, 1, 2, f.q - 2, f.q - 1], dtype=np.int64)
+    a = np.concatenate([np.repeat(edge, edge.size), rng.integers(0, f.q, 400)])
+    b = np.concatenate([np.tile(edge, edge.size), rng.integers(0, f.q, 400)])
+    want = np.array([f.mul(int(x), int(y)) for x, y in zip(a, b)], dtype=np.int64)
+    for got in (f.mul_vec(a, b), f.mul_vec(b, a), clmul(a, b, width, f.poly)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    for c in (0, 1, f.q - 1, int(b[-1])):
+        want = [f.mul(int(x), c) for x in a]
+        assert np.array_equal(f.mul_vec(a, c), want)
+        assert np.array_equal(f.mul_vec(np.int64(c), a), want)
+    # a column against a row broadcasts to the full product table
+    grid = f.mul_vec(edge[:, None], edge[None, :])
+    assert grid.tolist() == [[f.mul(int(x), int(y)) for y in edge] for x in edge]

@@ -257,6 +257,25 @@ def test_cli_encode_decode_roundtrip(tmp_path):
     assert np.linalg.norm(x - x_hat) <= 1e-9
 
 
+def test_cli_decode_refuses_a_descriptor_with_another_measurement_count(tmp_path, capsys):
+    from sparserec.toplevel import TopLevelConfig, TopLevelSystem
+
+    tree = dict(code_kind="split", leaf_target=64, scheme="scheme2")
+    system = TopLevelSystem(TopLevelConfig(n=1024, k=4, engine="recursive", ell=7,
+                                           tree=tree), seed=43)
+    blob = json.loads(system.to_json())
+    assert blob["measurements"] == 4712
+    blob["measurements"] = 8080
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(blob))
+    binio.write_vector(tmp_path / "u.bin", np.zeros(8080))
+    assert main(["decode", "--system", str(sys_path), "--sketch", str(tmp_path / "u.bin"),
+                 "--out", str(tmp_path / "xh.bin")]) == 1
+    err = capsys.readouterr().err
+    assert "8080" in err and "4712" in err
+    assert not (tmp_path / "xh.bin").exists()
+
+
 @pytest.mark.parametrize("engine", ["scan", "recursive"])
 def test_cli_decode_trace_replays_to_the_output(tmp_path, engine):
     from sparserec.toplevel import TopLevelConfig, TopLevelSystem

@@ -5,6 +5,7 @@ import pytest
 
 from sparserec.errors import UsageError
 from sparserec.fields import FieldSpec
+from sparserec import fields
 from sparserec.hashing import PolyHash, SignFamily
 
 M61 = (1 << 61) - 1
@@ -97,6 +98,32 @@ def test_eval_vec_matches_scalar(field):
     got = h.eval_vec(xs)
     want = np.array([h.eval(int(x)) for x in xs], dtype=np.int64)
     assert np.array_equal(got.astype(np.int64), want)
+
+
+@pytest.mark.parametrize("width", [17, 20, 24, 31])
+def test_wide_binary_eval_vec_matches_scalar(width, monkeypatch):
+    field = FieldSpec.binary(width)
+    h = PolyHash.from_seed(field, 9, field.q, seed=width)
+    rng = np.random.default_rng(width)
+    xs = np.concatenate([[0, 1, field.q - 2, field.q - 1], rng.integers(0, field.q, 60)])
+    want = [h.eval(int(x)) for x in xs]
+    # one vectorized pass: no scalar multiply runs
+    monkeypatch.setattr(FieldSpec, "mul", None)
+    got = h.eval_vec(xs)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+
+
+def test_sign_families_share_their_mersenne_fields(monkeypatch):
+    monkeypatch.setattr(fields, "_is_prime", None)  # no primality test per family
+    small = [SignFamily(seed=s, independence=8, n_left=1 << 10, n_buckets=64)
+             for s in (1, 2)]
+    wide = [SignFamily(seed=s, independence=8, n_left=1 << 33, n_buckets=1 << 10)
+            for s in (1, 2)]
+    assert small[0].hash.field is small[1].hash.field
+    assert small[0].hash.field.q == (1 << 31) - 1
+    assert wide[0].hash.field is wide[1].hash.field
+    assert wide[0].hash.field.q == M61
 
 
 def test_sign_family_deterministic_and_binary():

@@ -324,7 +324,7 @@ def test_scheme2_rejects_mismatched_fingerprints():
 
 
 def test_scheme2_fingerprint_above_16_bits_matches_scalar_eval():
-    # GF(2^17) has no log tables, so the vectorized path evaluates per point
+    # GF(2^17) has no log tables: the fingerprint takes carry-less products
     mapper = Scheme2Map(signal_bits=17, alpha=0.5, degree=5, seed=23)
     idx = np.array([0, 1, 2, 977, 65535, 65536, (1 << 17) - 1], dtype=np.int64)
     want = [mapper.g.eval(int(i)) for i in idx]

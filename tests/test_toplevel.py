@@ -266,6 +266,18 @@ def test_descriptor_with_d_exp_loads_identically(engine):
     assert np.array_equal(old.decode(sketch), plain.decode(sketch))
 
 
+def test_descriptor_with_another_measurement_count_is_refused():
+    tree = dict(code_kind="split", leaf_target=64, scheme="scheme2")
+    system = build_toplevel(1024, 4, 0.5, seed=43, engine="recursive", ell=7, tree=tree)
+    assert system.measurement_count == 4712
+    blob = json.loads(system.to_json())
+    blob["measurements"] = 8080  # the count an older layout recorded
+    with pytest.raises(UsageError, match="8080.*4712"):
+        TopLevelSystem.from_json(json.dumps(blob))
+    del blob["measurements"]  # a descriptor without the count still loads
+    assert TopLevelSystem.from_json(json.dumps(blob)).measurement_count == 4712
+
+
 def test_split_descriptor_decodes_like_lw2():
     tree = dict(code_kind="lw", arity=2, leaf_target=64, scheme="scheme2")
     lw = build_toplevel(4096, 4, 0.5, seed=41, engine="recursive", ell=7, tree=tree)
