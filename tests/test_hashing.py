@@ -5,7 +5,7 @@ import pytest
 
 from sparserec.errors import UsageError
 from sparserec.fields import FieldSpec
-from sparserec import fields
+from sparserec import fields, hashing
 from sparserec.hashing import PolyHash, SignFamily
 
 M61 = (1 << 61) - 1
@@ -88,30 +88,19 @@ def test_m61_eval_vec_matches_int_horner():
 @pytest.mark.parametrize(
     "field",
     [FieldSpec.prime((1 << 31) - 1), FieldSpec.prime(M61), FieldSpec.binary(12),
-     FieldSpec.prime(13), FieldSpec.binary(3)],  # small fields: Horner passes 0
+     FieldSpec.prime(13), FieldSpec.binary(3),  # small fields: Horner passes 0
+     FieldSpec.binary(17), FieldSpec.binary(20), FieldSpec.binary(24), FieldSpec.binary(31)],
     ids=str,
 )
 def test_eval_vec_matches_scalar(field):
     rng = np.random.default_rng(5)
     h = PolyHash.from_seed(field, 7, min(field.q, 1 << 40), seed=99)
     xs = rng.integers(0, min(field.q, 1 << 30), size=64, dtype=np.int64)
+    xs = np.concatenate([xs, [0, h.domain_size - 1]])
+    assert hashing._vectorized(field)  # one Horner pass, not one eval per point
     got = h.eval_vec(xs)
     want = np.array([h.eval(int(x)) for x in xs], dtype=np.int64)
     assert np.array_equal(got.astype(np.int64), want)
-
-
-@pytest.mark.parametrize("width", [17, 20, 24, 31])
-def test_wide_binary_eval_vec_matches_scalar(width, monkeypatch):
-    field = FieldSpec.binary(width)
-    h = PolyHash.from_seed(field, 9, field.q, seed=width)
-    rng = np.random.default_rng(width)
-    xs = np.concatenate([[0, 1, field.q - 2, field.q - 1], rng.integers(0, field.q, 60)])
-    want = [h.eval(int(x)) for x in xs]
-    # one vectorized pass: no scalar multiply runs
-    monkeypatch.setattr(FieldSpec, "mul", None)
-    got = h.eval_vec(xs)
-    assert got.dtype == np.int64
-    assert got.tolist() == want
 
 
 def test_sign_families_share_their_mersenne_fields(monkeypatch):
