@@ -4,10 +4,6 @@ A graph maps each of N left vertices to ell buckets in [M], drawn with
 replacement from a counter-based stream, so neighbor lists regenerate in
 O(1) from (seed, N, ell, M) alone.  That matters because the recursion
 works over implicit domains (up to 2^61) that can never be materialized.
-A materialized table and a gather of rows take one path: the keys are
-written into the output and mixed and reduced there in place,
-STREAM_BLOCK keys at a time, so a build allocates its table and one
-block-sized scratch buffer.
 
 The signed sketch operator multiplies each edge by a +-1 value from a
 limited-independence sign family; applying it to a vector x produces the
@@ -44,11 +40,9 @@ import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.hashing import BATCH_POINTS, SignFamily, sign_vecs
-from sparserec.seeds import mix64, mix64_into
+from sparserec.seeds import counter_stream
 
 _MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
-STREAM_BLOCK = 1 << 16  # keys per in-place counter-stream pass; its scratch
-                        # buffer takes 8 bytes per key
 
 
 class BipartiteGraph:
@@ -65,9 +59,6 @@ class BipartiteGraph:
         self.n_buckets = n_buckets
         self.seed = int(seed)
         self._table = None
-        # the counter stream's seed mix, modulus and slot offsets, per call
-        self._base, self._m = np.uint64(mix64(self.seed)), np.uint64(n_buckets)
-        self._slots = np.arange(ell, dtype=np.int64)
         if neighbors is not None:
             neighbors = np.asarray(neighbors, dtype=np.int64)
             if neighbors.shape != (n_left, ell):
@@ -76,7 +67,7 @@ class BipartiteGraph:
                 raise UsageError("neighbor outside bucket range")
             self._table = neighbors
         elif n_left * ell <= _MATERIALIZE_LIMIT:
-            self._table = self._generate(np.arange(n_left, dtype=np.int64))
+            self._table = self._generate(np.arange(n_left, dtype=np.uint64))
             self._table.flags.writeable = False
 
     @staticmethod
@@ -86,25 +77,9 @@ class BipartiteGraph:
                               seed=0, neighbors=neighbors)
 
     def _generate(self, indices: np.ndarray) -> np.ndarray:
-        """(len(indices), ell) buckets: `counter_stream(seed, i * ell + s) % M`
-        for row i and slot s.  The keys are written into the int64 output,
-        then mixed and reduced in place, STREAM_BLOCK keys at a time through
-        one scratch buffer; the remainder is taken as z - (z // M) * M,
-        which numpy computes faster than `%`."""
-        out = np.empty((indices.size, self.ell), dtype=np.int64)
-        np.multiply(indices[:, None], self.ell, out=out)
-        out += self._slots
-        keys = out.reshape(-1).view(np.uint64)
-        scratch = np.empty(min(keys.size, STREAM_BLOCK), dtype=np.uint64)
-        for start in range(0, keys.size, STREAM_BLOCK):
-            z = keys[start : start + STREAM_BLOCK]
-            part = scratch[: z.size]
-            z ^= self._base
-            mix64_into(z, part)
-            np.floor_divide(z, self._m, out=part)
-            part *= self._m
-            z -= part
-        return out
+        slots = np.arange(self.ell, dtype=np.uint64)
+        keys = indices[:, None] * np.uint64(self.ell) + slots[None, :]
+        return (counter_stream(self.seed, keys) % np.uint64(self.n_buckets)).astype(np.int64)
 
     @property
     def materialized(self) -> bool:
@@ -116,7 +91,7 @@ class BipartiteGraph:
         indices = np.asarray(indices)
         if self._table is not None:
             return self._table[indices]
-        return self._generate(indices.astype(np.int64, copy=False))
+        return self._generate(indices.astype(np.uint64))
 
     def neighbors(self, i: int) -> list[int]:
         return self.neighbors_of(np.array([i]))[0].tolist()

@@ -8,9 +8,7 @@ master seed and the labels of its parts.
 Bucket choices and table entries that must be regenerable per-index in
 O(1) (the recursion works over implicit domains far too large to
 materialize) come from a splitmix64 counter stream, vectorized over
-numpy uint64 arrays.  `mix64_into` runs the finalizer in place with one
-caller-supplied scratch buffer, so a caller can stream a large index set
-through a block-sized scratch instead of allocating a temporary per step.
+numpy uint64 arrays.
 """
 
 from __future__ import annotations
@@ -19,9 +17,7 @@ import hashlib
 
 import numpy as np
 
-_GOLDEN, _MUL1, _MUL2 = (np.uint64(v) for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
-                                                0x94D049BB133111EB))
-_S27, _S30, _S31 = (np.uint64(v) for v in (27, 30, 31))
+_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -39,18 +35,12 @@ def mix64(z: np.ndarray | int):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
         return z ^ (z >> 31)
     z = z.astype(np.uint64, copy=True)
-    return mix64_into(z, np.empty_like(z))
-
-
-def mix64_into(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """`mix64` of a uint64 array, in place; scratch is a uint64 array of
-    z's shape whose contents are overwritten."""
-    z += _GOLDEN
-    z ^= np.right_shift(z, _S30, out=scratch)
-    z *= _MUL1
-    z ^= np.right_shift(z, _S27, out=scratch)
-    z *= _MUL2
-    z ^= np.right_shift(z, _S31, out=scratch)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
     return z
 
 

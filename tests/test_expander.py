@@ -6,7 +6,6 @@ import pytest
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import (
     _MATERIALIZE_LIMIT,
-    STREAM_BLOCK,
     BipartiteGraph,
     SignedSketchOperator,
     apply_sparse_many,
@@ -14,7 +13,6 @@ from sparserec.expander import (
     verify_expansion,
 )
 from sparserec.hashing import SignFamily
-from sparserec.seeds import counter_stream
 
 
 def _disjoint_graph(n, ell, m):
@@ -55,37 +53,6 @@ def test_lazy_generation_matches_table():
     lazy._table = None  # force per-index regeneration
     idx = np.array([0, 7, 199, 42])
     assert np.array_equal(g.neighbors_of(idx), lazy.neighbors_of(idx))
-
-
-def _reference_neighbors(graph, rows):
-    # the counter-stream formula in one unblocked pass
-    keys = (np.asarray(rows, dtype=np.uint64)[:, None] * np.uint64(graph.ell)
-            + np.arange(graph.ell, dtype=np.uint64))
-    return (counter_stream(graph.seed, keys) % np.uint64(graph.n_buckets)).astype(np.int64)
-
-
-@pytest.mark.parametrize("edges,ell", [(STREAM_BLOCK - 1, None), (STREAM_BLOCK, None),
-                                       (STREAM_BLOCK + 1, None), ((1 << 16) * 9, 9)],
-                         ids=["block-1", "block", "block+1", "2^16x9"])
-def test_blocked_table_matches_counter_stream(edges, ell):
-    ell = ell or next(e for e in (9, 8, 7, 5, 3, 1) if edges % e == 0)
-    graph = BipartiteGraph(edges // ell, ell, 1000, seed=edges)
-    assert graph.materialized and graph._table.dtype == np.int64
-    assert np.array_equal(graph._table, _reference_neighbors(graph, np.arange(graph.n_left)))
-
-
-def test_lazy_rows_match_counter_stream():
-    # too large to materialize: every call streams its own keys
-    graph = BipartiteGraph(1 << 21, 9, 3001, seed=11)
-    assert not graph.materialized
-    rng = np.random.default_rng(2)
-    rows = rng.integers(0, graph.n_left, STREAM_BLOCK // 9 + 50)  # unsorted, two blocks
-    rows[::7] = rows[3]  # duplicates
-    rows[:2] = [graph.n_left - 1, 0]
-    for part in (rows, rows[:5], rows[:0]):
-        got = graph.neighbors_of(part)
-        assert got.dtype == np.int64 and got.shape == (part.size, 9)
-        assert np.array_equal(got, _reference_neighbors(graph, part))
 
 
 def test_neighbor_table_pinned():
