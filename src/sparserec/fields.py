@@ -327,16 +327,16 @@ class FieldSpec:
         """Products of int64 arrays (or scalars), broadcast; int64 for q < 2^63."""
         if self.kind == "prime" and self.q <= (1 << 31):
             return a * b % self.q
+        if self.kind == "binary" and self._log is None and self.width <= CLMUL_WIDTH:
+            if np.ndim(a) == 0:
+                a, b = b, a  # loop over the bits of a scalar operand in Python
+            return clmul(b if np.ndim(b) else int(b), a, self.width, self.poly)
         av, bv = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         if self._log is not None:
             out = np.zeros(av.shape, dtype=np.int64)
             nz = (av != 0) & (bv != 0)
             out[nz] = self._exp[self._log[av[nz]] + self._log[bv[nz]]]
             return out
-        if self.kind == "binary" and self.width <= CLMUL_WIDTH:
-            if np.ndim(a) == 0:
-                a, b = b, a  # loop over the bits of a scalar operand in Python
-            return clmul(b if np.ndim(b) else int(b), a, self.width, self.poly)
         flat = [self.mul(x, y) for x, y in zip(av.ravel().tolist(), bv.ravel().tolist())]
         return np.array(flat, dtype=np.int64).reshape(av.shape)
 

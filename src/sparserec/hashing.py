@@ -112,10 +112,12 @@ class PolyHash:
         return acc
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized Horner evaluation; xs must lie in the domain, which is
-        checked over binary fields, where a point outside the field would
-        index past the tables or carry past the field width."""
-        if self.field.kind == "binary" and np.size(xs) and not (
+        """Vectorized Horner evaluation; xs must lie in the domain.  Over a
+        binary field without tables that is checked, as `eval` checks it:
+        carry-less products of points outside the field are not field
+        elements.  The table fields' hot paths skip the check."""
+        f = self.field
+        if f.kind == "binary" and f._log is None and np.size(xs) and not (
                 0 <= np.min(xs) and np.max(xs) < self.domain_size):
             raise UsageError(f"points outside domain [0, {self.domain_size})")
         if _vectorized(self.field):
@@ -153,8 +155,8 @@ def _horner_vec(f: FieldSpec, coefficients, xs: np.ndarray) -> np.ndarray:
         for c in reversed(coefficients[:-1]):
             acc = np.where(zero_x | (acc == 0), 0, exp[log[acc] + log_x]) ^ c
     else:
-        # carry-less products over the bits of the points, which the domain
-        # keeps narrower than the field
+        # carry-less products, looping over the bits of the points: no more
+        # than the domain's bit length
         for c in reversed(coefficients[:-1]):
             acc = clmul(x, acc, f.width, f.poly)
             acc ^= c

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from sparserec import fields, hashing
 from sparserec.errors import UsageError
 from sparserec.fields import FieldSpec
-from sparserec import fields, hashing
 from sparserec.hashing import PolyHash, SignFamily
 
 M61 = (1 << 61) - 1
