@@ -10,15 +10,18 @@ limited-independence sign family; applying it to a vector x produces the
 bucket sums u_j = sum over edges (i -> j) of sign(i, j) * x_i, with
 duplicate edges contributing twice.
 
-The edge signs belong to the design, not to the signal, so an operator
-keeps them as an int8 (N, ell) sign table once some call needs the signs
-of at least N rows (a dense encode, a full-domain identification) and its
-graph holds a materialized neighbor table (N * ell <= _MATERIALIZE_LIMIT,
-so the table is at most 1 MiB).  The table is filled through the sign
-family itself; until then, and always on larger operators, each call
-hashes only the rows it touches, and `apply_sparse_many`, the one sparse
-encode path, hashes the rows of many operators in shared Horner passes
-and sums the small ones' buckets in one bincount.
+A graph's neighbor table and an operator's int8 (N, ell) sign table
+belong to the design, not to the signal, so they are kept once some
+call needs the rows of the whole domain (a call on at least N rows: a
+dense encode, a full-domain identification), and only where N * ell <=
+_MATERIALIZE_LIMIT (the sign table is then at most 1 MiB, the neighbor
+table 8 MiB).  Until
+then, and always on larger graphs, each call generates and hashes only
+the rows it touches: a design whose decoder scans few of its operators
+never builds the others' tables.  `apply_sparse_many`, the one sparse
+encode path, generates the rows of all its table-less jobs in one
+counter-stream pass, hashes their signs in shared Horner passes and
+sums the small jobs' buckets in one bincount.
 
 Once both tables are in memory, a call whose rows are exactly 0..N-1 in
 order (a dense encode, the readings of a full-domain scan) reads the
@@ -66,9 +69,6 @@ class BipartiteGraph:
             if neighbors.min() < 0 or neighbors.max() >= n_buckets:
                 raise UsageError("neighbor outside bucket range")
             self._table = neighbors
-        elif n_left * ell <= _MATERIALIZE_LIMIT:
-            self._table = self._generate(np.arange(n_left, dtype=np.uint64))
-            self._table.flags.writeable = False
 
     @staticmethod
     def from_neighbors(neighbors: np.ndarray, n_buckets: int) -> "BipartiteGraph":
@@ -76,22 +76,26 @@ class BipartiteGraph:
         return BipartiteGraph(neighbors.shape[0], neighbors.shape[1], n_buckets,
                               seed=0, neighbors=neighbors)
 
-    def _generate(self, indices: np.ndarray) -> np.ndarray:
-        slots = np.arange(self.ell, dtype=np.uint64)
-        keys = indices[:, None] * np.uint64(self.ell) + slots[None, :]
-        return (counter_stream(self.seed, keys) % np.uint64(self.n_buckets)).astype(np.int64)
-
     @property
     def materialized(self) -> bool:
         """Whether the neighbor table is held in memory."""
         return self._table is not None
 
+    def table(self) -> np.ndarray | None:
+        """The read-only (N, ell) neighbor table, built by the first call if
+        N * ell <= _MATERIALIZE_LIMIT; None for a larger graph without one."""
+        if self._table is None and self.n_left * self.ell <= _MATERIALIZE_LIMIT:
+            self._table = generate_rows([(self, np.arange(self.n_left))])[0]
+            self._table.flags.writeable = False
+        return self._table
+
     def neighbors_of(self, indices: np.ndarray) -> np.ndarray:
-        """(len(indices), ell) bucket table for the given left vertices."""
+        """(len(indices), ell) bucket table for the given left vertices.  A
+        call on at least N rows builds the neighbor table first."""
         indices = np.asarray(indices)
-        if self._table is not None:
-            return self._table[indices]
-        return self._generate(indices.astype(np.uint64))
+        if indices.size >= self.n_left:
+            self.table()
+        return neighbor_rows([(self, indices)])[0]
 
     def neighbors(self, i: int) -> list[int]:
         return self.neighbors_of(np.array([i]))[0].tolist()
@@ -122,6 +126,42 @@ class BipartiteGraph:
         return "\n".join(
             f"{i}: " + " ".join(str(j) for j in row) for i, row in enumerate(table)
         ) + "\n"
+
+
+def neighbor_rows(requests) -> list[np.ndarray]:
+    """`graph.neighbors_of(indices)` of each (graph, indices) request, as new
+    arrays, building no table: the rows of a graph that holds its table are
+    gathered, and all the others come from one `generate_rows` pass."""
+    out = [None] * len(requests)
+    generated = [t for t, (graph, _) in enumerate(requests) if graph._table is None]
+    for t, rows in zip(generated, generate_rows([requests[t] for t in generated])):
+        out[t] = rows
+    for t, (graph, indices) in enumerate(requests):
+        if out[t] is None:
+            out[t] = graph._table[indices]
+    return out
+
+
+def generate_rows(requests) -> list[np.ndarray]:
+    """Counter-stream neighbor rows of each (graph, indices) request, as new
+    (len(indices), ell) int64 arrays: slot s of row i is counter_stream(seed,
+    i * ell + s) mod M.  The keys of all requests share one pass, in which
+    each key carries its own graph's seed and bucket count."""
+    if not requests:
+        return []
+    keys = [np.asarray(indices, dtype=np.uint64)[:, None] * np.uint64(graph.ell)
+            + np.arange(graph.ell, dtype=np.uint64) for graph, indices in requests]
+    if len(requests) == 1:  # one stream: its seed and bucket count stay scalars
+        graph = requests[0][0]
+        return [(counter_stream(graph.seed, keys[0]) % np.uint64(graph.n_buckets))
+                .astype(np.int64)]
+    sizes = [k.size for k in keys]
+    seeds, moduli = (np.repeat(np.array([getattr(graph, name) for graph, _ in requests],
+                                        dtype=np.uint64), sizes)
+                     for name in ("seed", "n_buckets"))
+    flat = counter_stream(seeds, np.concatenate([k.ravel() for k in keys])) % moduli
+    parts = np.split(flat.astype(np.int64), np.cumsum(sizes)[:-1])
+    return [part.reshape(k.shape) for part, k in zip(parts, keys)]
 
 
 @dataclass(frozen=True)
@@ -227,12 +267,13 @@ class SignedSketchOperator:
     def _rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(neighbors, edge signs) of the given rows, each (len(indices), ell):
         the read-only tables themselves for the rows 0..N-1 in order once
-        both are in memory, else gathered copies or hashed signs.  Telling
+        both are in memory, else gathered copies or hashed signs.  A call on
+        at least N rows builds both tables where they fit.  Telling
         the whole domain apart costs O(1) unless the row count and both ends
         match, then one O(N) order check."""
         n, ell = self.graph.n_left, self.graph.ell
-        if (self._sign_table is None and indices.size >= n
-                and self.graph.materialized and n * ell <= _MATERIALIZE_LIMIT):
+        if (self._sign_table is None and indices.size >= n and n * ell <= _MATERIALIZE_LIMIT
+                and self.graph.table() is not None):
             signs = self.signs.sign_vec(np.repeat(np.arange(n, dtype=np.int64), ell),
                                         self.graph._table.ravel())
             self._sign_table = signs.astype(np.int8).reshape(n, ell)
@@ -292,17 +333,19 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
     """`op.apply_sparse(indices, values)` of each (op, indices, values) job.
 
     Small jobs (fewer than n_left rows, at most BATCH_POINTS edges) share
-    work: those on operators that hash their rows (no sign table filled)
-    have their signs evaluated together by `hashing.sign_vecs`, and all are
-    summed by one bincount over offset bucket ids.  Each job's entries stay
+    work and build no table: those on operators that hash their rows (no
+    sign table filled) take their neighbor rows from one `neighbor_rows`
+    call, so every table-less graph's rows come from one counter-stream
+    pass, and their signs from `hashing.sign_vecs`; all are summed by one
+    bincount over offset bucket ids.  Each job's entries stay
     contiguous and in (row, slot) order, so every bucket takes the same
     additions from +0.0 as in a bincount of its own.  Every other job runs
     alone, holding one operator's temporaries at a time; its weights are
     the edge signs cast to float64 and scaled in place, which is faster
     than a mixed int8-float64 product and gives the same values.  A job
-    whose rows are exactly 0..N-1 in order (a dense encode) reads its
-    operator's neighbor and sign tables in place once they are in memory,
-    at the cost of one O(N) order check.  The sketches are new arrays or
+    on at least N rows (a dense encode) builds its operator's tables where
+    they fit, and one whose rows are exactly 0..N-1 in order reads them in
+    place, at the cost of one O(N) order check.  The sketches are new arrays or
     disjoint views of one.
     """
     jobs = [(op, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
@@ -310,7 +353,7 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
     small = [t for t, (op, indices, _) in enumerate(jobs)
              if indices.size < op.n_left and indices.size * op.graph.ell <= BATCH_POINTS]
     hashed = [t for t in small if jobs[t][1].size and jobs[t][0]._sign_table is None]
-    nbrs = {t: jobs[t][0].graph.neighbors_of(jobs[t][1]) for t in hashed}
+    nbrs = dict(zip(hashed, neighbor_rows([(jobs[t][0].graph, jobs[t][1]) for t in hashed])))
     signs = dict(zip(hashed, sign_vecs([
         (jobs[t][0].signs, np.repeat(jobs[t][1], jobs[t][0].graph.ell), nbrs[t].ravel())
         for t in hashed])))

@@ -331,12 +331,10 @@ class FieldSpec:
             if np.ndim(a) == 0:
                 a, b = b, a  # loop over the bits of a scalar operand in Python
             return clmul(b if np.ndim(b) else int(b), a, self.width, self.poly)
-        av, bv = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         if self._log is not None:
-            out = np.zeros(av.shape, dtype=np.int64)
-            nz = (av != 0) & (bv != 0)
-            out[nz] = self._exp[self._log[av[nz]] + self._log[bv[nz]]]
-            return out
+            # log[0] is 0, so the exp lookup is in range wherever an operand is 0
+            return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
+        av, bv = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         flat = [self.mul(x, y) for x, y in zip(av.ravel().tolist(), bv.ravel().tolist())]
         return np.array(flat, dtype=np.int64).reshape(av.shape)
 

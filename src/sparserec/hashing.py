@@ -11,7 +11,8 @@ pair domains) where Horner's rule vectorizes over numpy integer arrays.
 The one kept bit of a uniform field element carries bias < 2^-31, far
 below anything the estimators can see.  A sparse encode touches a few
 rows of many families, where numpy's per-call cost dominates, so
-sign_vecs evaluates such requests together in one Horner pass per field.
+eval_many evaluates such requests together in one Horner pass per field,
+for sign_vecs and for the recursion trees' fingerprints alike.
 
 Over binary fields PolyHash evaluates vectors by log/exp tables up to
 GF(2^16), by carry-less products up to GF(2^CLMUL_WIDTH), and point by
@@ -111,15 +112,20 @@ class PolyHash:
             acc = f.add(f.mul(acc, i) if acc else 0, c)
         return acc
 
-    def eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized Horner evaluation; xs must lie in the domain.  Over a
-        binary field without tables that is checked, as `eval` checks it:
-        carry-less products of points outside the field are not field
-        elements.  The table fields' hot paths skip the check."""
+    def check_points(self, xs: np.ndarray):
+        """Over a binary field without tables, UsageError for points outside
+        the domain, as `eval` checks them: carry-less products of points
+        outside the field are not field elements.  The other fields' hot
+        paths skip the check."""
         f = self.field
         if f.kind == "binary" and f._log is None and np.size(xs) and not (
                 0 <= np.min(xs) and np.max(xs) < self.domain_size):
             raise UsageError(f"points outside domain [0, {self.domain_size})")
+
+    def eval_vec(self, xs: np.ndarray) -> np.ndarray:
+        """Vectorized Horner evaluation; xs must lie in the domain (see
+        `check_points`)."""
+        self.check_points(xs)
         if _vectorized(self.field):
             return _horner_vec(self.field, self.coefficients, xs)
         return np.array([self.eval(int(v)) for v in np.ravel(xs)], dtype=np.int64).reshape(
@@ -192,10 +198,13 @@ class SignFamily:
             raise UsageError("pair outside the declared index domain")
         return 1 - 2 * (self.hash.eval(i * self.n_buckets + j) & 1)
 
+    def pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The hash's evaluation points of the (i, j) pairs, i * M + j."""
+        return i.astype(np.uint64) * np.uint64(self.n_buckets) + j.astype(np.uint64)
+
     def sign_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Vectorized signs as float64 (+1.0 / -1.0)."""
-        pair = i.astype(np.uint64) * np.uint64(self.n_buckets) + j.astype(np.uint64)
-        bits = self.hash.eval_vec(pair).astype(np.int64) & 1
+        bits = self.hash.eval_vec(self.pairs(i, j)).astype(np.int64) & 1
         return 1.0 - 2.0 * bits
 
 
@@ -203,28 +212,27 @@ BATCH_POINTS = 1 << 16  # points per shared Horner pass; its coefficient
                         # columns take 8 bytes per point and coefficient
 
 
-def sign_vecs(requests) -> list[np.ndarray]:
-    """`family.sign_vec(i, j)` of each (family, i, j) request.
+def eval_many(requests) -> list[np.ndarray]:
+    """`poly.eval_vec(xs)` of each (PolyHash, xs) request.
 
-    Small requests on SignFamily instances with the same backing field and
-    degree share one Horner pass, up to BATCH_POINTS points, in which every
-    point carries its own family's coefficients.  The arithmetic is that of
-    sign_vec, so the signs are identical, but a pass costs its numpy calls
-    once instead of once per family.  A request alone in its pass, or on
-    another kind of family or field, goes through its family's sign_vec.
+    Small requests over the same field share one Horner pass, up to
+    BATCH_POINTS points, in which every point carries its own polynomial's
+    coefficients.  A polynomial of lower degree than the pass's highest is
+    padded with leading zero coefficients, which keep Horner's accumulator
+    at 0 until its own leading coefficient, so the values are identical,
+    but a pass costs its numpy calls once instead of once per polynomial.
+    A request alone in its pass, or over a field that Horner's rule does
+    not vectorize on, goes through its own eval_vec.
     """
     out: list = [None] * len(requests)
     groups: dict = {}
-    for t, (fam, _, _) in enumerate(requests):
-        if isinstance(fam, SignFamily) and _vectorized(fam.hash.field):
-            f = fam.hash.field
-            groups.setdefault((f.kind, f.q, fam.hash.degree), []).append(t)
-        else:
-            groups[t] = [t]
+    for t, (poly, _) in enumerate(requests):
+        f = poly.field
+        groups.setdefault((f.kind, f.q, f.poly) if _vectorized(f) else t, []).append(t)
     for members in groups.values():
         passes, filled = [[]], 0
         for t in members:
-            size = requests[t][1].size
+            size = np.size(requests[t][1])
             if passes[-1] and filled + size > BATCH_POINTS:
                 passes.append([])
                 filled = 0
@@ -232,21 +240,30 @@ def sign_vecs(requests) -> list[np.ndarray]:
             filled += size
         for batch in passes:
             if len(batch) == 1:
-                fam, i, j = requests[batch[0]]
-                out[batch[0]] = fam.sign_vec(i, j)
+                poly, xs = requests[batch[0]]
+                out[batch[0]] = poly.eval_vec(xs)
                 continue
-            fams = [requests[t][0] for t in batch]
-            sizes = [requests[t][1].size for t in batch]
-            i, j = (np.concatenate([requests[t][c] for t in batch]).astype(np.uint64)
-                    for c in (1, 2))
-            buckets = np.repeat(np.array([fam.n_buckets for fam in fams], dtype=np.uint64),
-                                sizes)
-            columns = np.repeat(np.array([fam.hash.coefficients for fam in fams],
-                                         dtype=np.int64).T, sizes, axis=1)
-            bits = _horner_vec(fams[0].hash.field, columns, i * buckets + j) & 1
-            signs = 1.0 - 2.0 * bits
+            polys = [requests[t][0] for t in batch]
+            points = [np.asarray(requests[t][1]) for t in batch]
+            for poly, xs in zip(polys, points):
+                poly.check_points(xs)
+            sizes = [xs.size for xs in points]
+            width = max(poly.degree for poly in polys) + 1
+            coefficients = np.array([poly.coefficients + (0,) * (width - 1 - poly.degree)
+                                     for poly in polys], dtype=np.int64)
+            columns = np.repeat(coefficients.T, sizes, axis=1)
+            values = _horner_vec(polys[0].field, columns,
+                                 np.concatenate([xs.ravel() for xs in points]))
             start = 0
-            for t, size in zip(batch, sizes):
-                out[t] = signs[start : start + size]
-                start += size
+            for t, xs in zip(batch, points):
+                out[t] = values[start : start + xs.size].reshape(xs.shape)
+                start += xs.size
     return out
+
+
+def sign_vecs(requests) -> list[np.ndarray]:
+    """`family.sign_vec(i, j)` of each (family, i, j) request, with the
+    families' polynomials evaluated together by `eval_many`: the arithmetic
+    is that of sign_vec, so the signs are identical."""
+    values = eval_many([(fam.hash, fam.pairs(i, j)) for fam, i, j in requests])
+    return [1.0 - 2.0 * (v & 1) for v in values]

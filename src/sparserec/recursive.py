@@ -31,7 +31,7 @@ from sparserec.codes import LWCode, RSCode, _rows, lw_recover, rs_recover
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
-from sparserec.hashing import PolyHash
+from sparserec.hashing import PolyHash, eval_many
 from sparserec.seeds import derive_seed
 from sparserec.weak import WeakLayer, WeakParams
 
@@ -111,6 +111,13 @@ class NodeCode:
 
     det_code: LWCode | RSCode
     rnd_code: LWCode | RSCode | None = None
+
+    @property
+    def key(self) -> tuple:
+        """Equal for node codes that encode alike."""
+        return tuple(None if c is None
+                     else (c.kind, c.n, c.q, c.r, tuple(getattr(c, "points", ())))
+                     for c in (self.det_code, self.rnd_code))
 
     @property
     def child_det_bits(self) -> int:
@@ -202,6 +209,42 @@ class _Node:
     def unpack(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         packed = np.asarray(packed, dtype=np.int64)
         return packed >> self.rnd_bits, packed & ((1 << self.rnd_bits) - 1)
+
+
+def node_images_many(trees, indices: np.ndarray) -> list[dict[int, np.ndarray]]:
+    """`tree.node_images(indices)` of each tree: the packed phi_v image of the
+    signal indices at every node.
+
+    The trees' fingerprints are one `hashing.eval_many` call.  Depth by
+    depth, the internal nodes of all trees whose codes are equal and whose
+    children share widths stack their messages, and their code runs once
+    for all of them and all of their children.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    mapped = [tree for tree in trees if tree.mapper is not None]
+    fingerprints = iter(eval_many([(tree.mapper.g, idx) for tree in mapped]))
+    parts = [{0: (idx, next(fingerprints) if tree.mapper is not None
+                  else np.zeros(idx.shape, dtype=np.int64))} for tree in trees]
+    out = [{0: tree.nodes[0].pack(*part[0])} for tree, part in zip(trees, parts)]
+    for depth in range(max((tree.height for tree in trees), default=0)):
+        groups: dict = {}
+        for at, tree in enumerate(trees):
+            for node in tree.nodes:
+                if node.depth == depth and node.children:
+                    child = tree.nodes[node.children[0]]
+                    groups.setdefault((node.code.key, child.rnd_bits), []).append((at, node))
+        for members in groups.values():
+            det, rnd = (np.concatenate([parts[at][node.node_id][c] for at, node in members])
+                        for c in (0, 1))
+            at, node = members[0]
+            cd, cr = node.code.encode_part_vec(det, rnd, np.arange(len(node.children))[:, None])
+            packed = trees[at].nodes[node.children[0]].pack(cd, cr)
+            for block, (at, node) in enumerate(members):
+                cols = slice(block * idx.size, (block + 1) * idx.size)
+                for u, child_id in enumerate(node.children):
+                    parts[at][child_id] = (cd[u, cols], cr[u, cols])
+                    out[at][child_id] = packed[u, cols]
+    return out
 
 
 def check_tree_code(code_kind: str, arity: int, rs_b: int, rho: float,
@@ -331,21 +374,8 @@ class RecursionTree:
         return self.mapper.forward(idx)
 
     def node_images(self, indices: np.ndarray) -> dict[int, np.ndarray]:
-        """Packed phi_v image of the given signal indices at every node.
-        A node's code runs once for all its children, which share widths."""
-        det, rnd = self.map_signal(indices)
-        parts = {0: (det, rnd)}
-        out = {0: self.nodes[0].pack(det, rnd)}
-        for node in self.nodes:
-            if not node.children:
-                continue
-            positions = np.arange(len(node.children))[:, None]
-            cd, cr = node.code.encode_part_vec(*parts[node.node_id], positions)
-            packed = self.nodes[node.children[0]].pack(cd, cr)
-            for u, child_id in enumerate(node.children):
-                parts[child_id] = (cd[u], cr[u])
-                out[child_id] = packed[u]
-        return out
+        """Packed phi_v image of the given signal indices at every node."""
+        return node_images_many([self], indices)[0]
 
     def phi(self, node_id: int, root_values: np.ndarray) -> np.ndarray:
         """Symbol of each packed root-domain value at the given node
@@ -371,14 +401,15 @@ class RecursionTree:
     def measurement_count(self) -> int:
         return sum(len(node.layer.ident_ops) * node.layer.n_buckets for node in self.nodes)
 
-    def sketch_jobs(self, indices: np.ndarray, values: np.ndarray) -> list[tuple]:
-        """`apply_sparse_many` jobs of a sparse encode, in sketch order."""
-        images = self.node_images(indices)
+    def sketch_jobs(self, images: dict[int, np.ndarray], values: np.ndarray) -> list[tuple]:
+        """`apply_sparse_many` jobs of a sparse encode, in sketch order, from
+        the `node_images` of its indices."""
         return [(op, images[node.node_id], values)
                 for node in self.nodes for op in node.layer.ident_ops]
 
     def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[list[np.ndarray]]:
-        sketches = iter(apply_sparse_many(self.sketch_jobs(indices, values)))
+        jobs = self.sketch_jobs(self.node_images(indices), values)
+        sketches = iter(apply_sparse_many(jobs))
         return [[next(sketches) for _ in node.layer.ident_ops] for node in self.nodes]
 
     def encode(self, x: np.ndarray) -> list[list[np.ndarray]]:

@@ -8,7 +8,8 @@ master seed and the labels of its parts.
 Bucket choices and table entries that must be regenerable per-index in
 O(1) (the recursion works over implicit domains far too large to
 materialize) come from a splitmix64 counter stream, vectorized over
-numpy uint64 arrays.
+numpy uint64 arrays; one pass can serve many streams, each index
+carrying its own seed.
 """
 
 from __future__ import annotations
@@ -44,17 +45,18 @@ def mix64(z: np.ndarray | int):
     return z
 
 
-def counter_stream(seed: int, index: np.ndarray | int):
+def counter_stream(seed, index: np.ndarray | int):
     """Deterministic 64-bit values addressed by integer index.
 
     ``counter_stream(seed, i)`` is a pure function of (seed, i); distinct
-    seeds give statistically independent-looking streams.
+    seeds give statistically independent-looking streams.  With an index
+    array, seed may also be a uint64 array giving each index its own.
     """
-    base = mix64(seed)
     if isinstance(index, (int, np.integer)):
-        return mix64((int(index) ^ base) & 0xFFFFFFFFFFFFFFFF)
-    idx = np.asarray(index, dtype=np.uint64)
-    return mix64(idx ^ np.uint64(base))
+        return mix64((int(index) ^ mix64(seed)) & 0xFFFFFFFFFFFFFFFF)
+    base = (np.uint64(mix64(seed)) if isinstance(seed, (int, np.integer))
+            else mix64(np.asarray(seed, dtype=np.uint64)))
+    return mix64(np.asarray(index, dtype=np.uint64) ^ base)
 
 
 def rng_for(seed: int, label: str) -> np.random.Generator:

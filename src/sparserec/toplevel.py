@@ -7,7 +7,8 @@ i.e. the stage sketch of x minus the stage encoding of everything
 recovered so far, and the estimates accumulate.  Residual sketches are
 recomputed exactly from the accumulated estimate; no approximate
 updates.  A system encode and the decode's residual re-encode share one
-path: all stages' sketch jobs go through one `apply_sparse_many` call.
+path: all stage trees' node images come from one `node_images_many`
+call, and all stages' sketch jobs go through one `apply_sparse_many` call.
 A decode can append one record per stage to a trace list: what the stage
 identified and added to the estimate, and the tree's per-node records.
 
@@ -26,7 +27,8 @@ import numpy as np
 
 from sparserec.errors import UsageError
 from sparserec.expander import apply_sparse_many
-from sparserec.recursive import RecursionTree, RecursiveParams, check_tree_code
+from sparserec.recursive import (RecursionTree, RecursiveParams, check_tree_code,
+                                 node_images_many)
 from sparserec.seeds import derive_seed
 from sparserec.weak import WeakLayer, WeakParams, lower_median
 
@@ -141,9 +143,11 @@ class _Stage:
         self.measurement_count = sum(op.n_buckets for group in self.read_ops
                                      for op in group)
 
-    def sketch_jobs(self, indices: np.ndarray, values: np.ndarray) -> list[tuple]:
-        """`apply_sparse_many` jobs of a sparse encode, in sketch order."""
-        jobs = [] if self.tree is None else self.tree.sketch_jobs(indices, values)
+    def sketch_jobs(self, indices: np.ndarray, values: np.ndarray,
+                    images: dict | None) -> list[tuple]:
+        """`apply_sparse_many` jobs of a sparse encode, in sketch order; images
+        are the tree's `node_images` of the indices (None on the scan engine)."""
+        jobs = [] if self.tree is None else self.tree.sketch_jobs(images, values)
         return jobs + [(op, indices, values) for op in self.read_ops[-1]]
 
     def split(self, flat: np.ndarray) -> list[list[np.ndarray]]:
@@ -263,9 +267,13 @@ class TopLevelSystem:
 
 def _encode_stages(stages, indices, values) -> list[np.ndarray]:
     """Flat sketch of one sparse vector in each of the given stages, from one
-    `apply_sparse_many` call, so the stages share their Horner passes and
+    `node_images_many` call and one `apply_sparse_many` call, so the stages
+    share their fingerprint, code, neighbor-row and sign passes and their
     bucket sums: a system encode and the decode's residual re-encode."""
-    jobs = [stage.sketch_jobs(indices, values) for stage in stages]
+    trees = [stage.tree for stage in stages if stage.tree is not None]
+    images = iter(node_images_many(trees, indices))
+    jobs = [stage.sketch_jobs(indices, values, None if stage.tree is None else next(images))
+            for stage in stages]
     sketches = iter(apply_sparse_many([job for part in jobs for job in part]))
     return [np.concatenate([next(sketches) for _ in part]) for part in jobs]
 

@@ -9,10 +9,12 @@ from sparserec.expander import (
     BipartiteGraph,
     SignedSketchOperator,
     apply_sparse_many,
+    neighbor_rows,
     unique_neighbor_count,
     verify_expansion,
 )
 from sparserec.hashing import SignFamily
+from sparserec.seeds import counter_stream
 
 
 def _disjoint_graph(n, ell, m):
@@ -50,15 +52,45 @@ def test_build_graph_validates_parameters():
 def test_lazy_generation_matches_table():
     g = BipartiteGraph(200, 4, 64, seed=3)
     lazy = BipartiteGraph(200, 4, 64, seed=3)
-    lazy._table = None  # force per-index regeneration
+    assert not g.materialized  # built by the first call that needs it
+    assert g.table() is g.table() and g.materialized
     idx = np.array([0, 7, 199, 42])
     assert np.array_equal(g.neighbors_of(idx), lazy.neighbors_of(idx))
+    assert not lazy.materialized  # a call on fewer than N rows builds none
 
 
 def test_neighbor_table_pinned():
     graph = BipartiteGraph(1 << 16, 9, 1000, seed=2026)
-    assert hashlib.sha256(graph._table.tobytes()).hexdigest() == (
-        "4e816876fc874b27e73e2df4838a39c32bcbf9b7f0db74210b176291fbbd735e")
+    rows = graph.neighbors_of(np.arange(1 << 16))  # a full-domain call builds it
+    assert graph.materialized
+    for table in (graph._table, rows):
+        assert hashlib.sha256(table.tobytes()).hexdigest() == (
+            "4e816876fc874b27e73e2df4838a39c32bcbf9b7f0db74210b176291fbbd735e")
+
+
+def test_neighbor_rows_of_many_graphs_match_each_counter_stream():
+    graphs = [BipartiteGraph(300, 5, 64, seed=7), BipartiteGraph(300, 5, 64, seed=8),
+              BipartiteGraph(1 << 20, 3, 1000, seed=9),  # too large for a table
+              BipartiteGraph(50, 6, 7, seed=10), BipartiteGraph(40, 2, 1 << 40, seed=11)]
+    graphs[3].table()
+    rng = np.random.default_rng(4)
+    requests = [(graphs[0], np.array([5, 5, 299, 0, 17])),
+                (graphs[1], np.zeros(0, dtype=np.int64)),
+                (graphs[2], rng.choice(1 << 20, 30)), (graphs[3], np.array([49, 3, 3])),
+                (graphs[4], np.arange(39, -1, -1)), (graphs[0], np.array([1]))]
+
+    def reference(graph, indices):
+        keys = (np.asarray(indices, dtype=np.uint64)[:, None] * np.uint64(graph.ell)
+                + np.arange(graph.ell, dtype=np.uint64))
+        return (counter_stream(graph.seed, keys) % np.uint64(graph.n_buckets)).astype(np.int64)
+
+    rows = neighbor_rows(requests)
+    assert [g.materialized for g in graphs] == [False, False, False, True, False]
+    for got, (graph, indices) in zip(rows, requests):
+        assert got.dtype == np.int64 and got.shape == (indices.size, graph.ell)
+        assert np.array_equal(got, reference(graph, indices))
+        assert np.array_equal(got, graph.neighbors_of(indices))
+    assert graphs[4].materialized  # neighbors_of on all N rows builds the table
 
 
 def test_disjoint_neighborhoods_expand_perfectly():
@@ -202,7 +234,7 @@ def _lazy_twin(op):
     table, so it hashes its edge signs on every call."""
     g = op.graph
     lazy = BipartiteGraph(g.n_left, g.ell, g.n_buckets, g.seed)
-    lazy._table = None
+    lazy.table = lambda: None  # never builds its table
     return SignedSketchOperator(lazy, op.signs)
 
 
@@ -237,7 +269,7 @@ def test_sign_table_keeps_apply_and_readings_identical(fill_by):
                           twin.apply_sparse(full, x).view(np.int64))
     assert np.array_equal(got, twin.readings(sketch, full).view(np.int64))
     assert np.array_equal(got, op.readings(sketch, full[::-1])[::-1].view(np.int64))
-    assert twin._sign_table is None
+    assert twin._sign_table is None and not twin.graph.materialized
 
 
 def _hashed_apply(op, indices, values):

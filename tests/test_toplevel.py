@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sparserec import hashing, toplevel
+from sparserec import expander, hashing, toplevel
 from sparserec.errors import UsageError
 from sparserec.expander import BipartiteGraph, SignedSketchOperator
 from sparserec.hashing import SignFamily
@@ -402,9 +402,23 @@ def _per_operator_sketch(system, indices, values):
     return np.concatenate(out)
 
 
+def _eager_twin(system):
+    """The same system with every neighbor table built up front."""
+    twin = TopLevelSystem(system.config, system.seed)
+    for op in _operators(twin):
+        op.graph.table()
+    return twin
+
+
+def _tables_built(system):
+    return [op.graph.materialized for op in _operators(system)]
+
+
 def _check_batched_encodes(system, rng, dense=False):
     # no rows; 3000 rows per operator spread over several passes; with
-    # dense, every row: heads on a Gaussian tail
+    # dense, every row: heads on a Gaussian tail.  Each sketch is also that
+    # of an eagerly built twin.
+    twin = _eager_twin(system)
     sizes = [0, 8, min(3000, system.n // 2)] + [system.n] * dense
     for size in sizes:
         idx = np.sort(rng.choice(system.n, size, replace=False))
@@ -416,6 +430,7 @@ def _check_batched_encodes(system, rng, dense=False):
         x = np.zeros(system.n)
         x[idx] = vals
         assert np.array_equal(system.encode(x).view(np.int64), want)
+        assert np.array_equal(twin.encode(x).view(np.int64), want)
         staged = np.concatenate(_encode_stages(system.stages, idx, vals))
         assert np.array_equal(staged.view(np.int64), want)
 
@@ -432,13 +447,24 @@ def test_batched_tree_encode_matches_per_operator_apply(n, tree, dense):
     system = TopLevelSystem(TopLevelConfig(n=n, k=8, epsilon=0.5, engine="recursive",
                                            ell=9, sign_independence=16, tree=tree),
                             seed=2)
+    ops = _operators(system)
+    assert not any(_tables_built(system))  # a fresh system builds no table
     rng = np.random.default_rng(17)
     x = np.zeros(n)
     x[rng.choice(n, 8, replace=False)] = 1.0 + rng.random(8)
-    assert np.allclose(system.decode(system.encode(x)), x)  # fills leaf tables
-    ops = _operators(system)
+    sketch = system.encode(x)
+    assert not any(_tables_built(system))  # nor does a sparse encode
+    assert np.array_equal(sketch.view(np.int64),
+                          _eager_twin(system).encode(x).view(np.int64))
+    trace = []
+    assert np.allclose(system.decode(sketch, trace=trace), x)
+    # a decode builds the tables of the leaves it scans, and only those
+    scanned = {id(op) for stage, record in zip(system.stages, trace) if record["nodes"]
+               for node in stage.tree.nodes if not node.children
+               for op in node.layer.ident_ops}
+    assert scanned and _tables_built(system) == [id(op) in scanned for op in ops]
     filled = [op._sign_table is not None for op in ops]
-    assert any(filled) and not all(filled)
+    assert filled == _tables_built(system)
     fields = {op.signs.hash.field.q for op, f in zip(ops, filled) if not f}
     assert fields == {(1 << 61) - 1, (1 << 31) - 1}
     _check_batched_encodes(system, rng, dense)
@@ -449,21 +475,34 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
     system = TopLevelSystem(TopLevelConfig(n=1 << 14, k=8, epsilon=0.5, engine="recursive",
                                            ell=9, sign_independence=16, tree=tree),
                             seed=2)
-    passes = []
-    horner = hashing._horner_vec
+    passes, streams = [], []
+    horner, stream = hashing._horner_vec, expander.counter_stream
 
     def counted(f, coefficients, xs):
-        if f.kind == "prime":
-            passes.append(f.q)
+        passes.append(repr(f))
         return horner(f, coefficients, xs)
 
+    def counted_stream(seed, index):
+        streams.append(np.size(index))
+        return stream(seed, index)
+
     monkeypatch.setattr(hashing, "_horner_vec", counted)
+    monkeypatch.setattr(expander, "counter_stream", counted_stream)
     rng = np.random.default_rng(23)
     x = np.zeros(system.n)
     x[rng.choice(system.n, 8, replace=False)] = 1.0 + rng.random(8)
     system.encode(x)
-    # every stage's tree nodes and weak layer hash their rows together
-    assert sorted(passes) == [(1 << 31) - 1, (1 << 61) - 1]
+    # every stage's tree nodes and weak layer hash their rows together, the
+    # four stage trees share one fingerprint pass, and every operator's
+    # neighbor rows come from one counter-stream pass
+    assert sorted(passes) == ["GF(2147483647)", "GF(2305843009213693951)", "GF(2^14)"]
+    assert streams == [sum(8 * op.graph.ell for op in _operators(system))]
+    assert not any(_tables_built(system))
+    passes.clear()
+    streams.clear()
+    _encode_stages(system.stages[1:], np.flatnonzero(x), x[np.flatnonzero(x)])
+    assert sorted(passes) == ["GF(2147483647)", "GF(2305843009213693951)", "GF(2^14)"]
+    assert len(streams) == 1
 
 
 def _hashed_sketch(system, x):
@@ -473,7 +512,7 @@ def _hashed_sketch(system, x):
     for op in _operators(system):
         g = op.graph
         lazy = BipartiteGraph(g.n_left, g.ell, g.n_buckets, g.seed)
-        lazy._table = None
+        lazy.table = lambda: None  # never builds its table
         out.append(SignedSketchOperator(lazy, op.signs).apply(x))
     return np.concatenate(out)
 
@@ -484,15 +523,19 @@ def test_batched_scan_encode_matches_per_operator_apply_and_dense_fills_tables(n
                                            ell=9, sign_independence=16), seed=1)
     rng = np.random.default_rng(19)
     ops = _operators(system)
+    assert not any(_tables_built(system))  # a fresh system builds no table
     assert all(op._sign_table is None for op in ops)
     _check_batched_encodes(system, rng)
+    assert not any(_tables_built(system))  # nor do sparse encodes
     assert all(op._sign_table is None for op in ops)
     dense = rng.normal(size=system.n)  # every row nonzero
     want = _hashed_sketch(system, dense).view(np.int64)
     assert np.array_equal(system.encode(dense).view(np.int64), want)
+    assert all(_tables_built(system))  # a dense encode builds every table
     assert all(op._sign_table is not None for op in ops)
     # the filled tables, read in place, give the hashed sketch bit for bit
     assert np.array_equal(system.encode(dense).view(np.int64), want)
+    assert np.array_equal(_eager_twin(system).encode(dense).view(np.int64), want)
     _check_batched_encodes(system, rng)
 
 
