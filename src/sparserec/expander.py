@@ -85,7 +85,7 @@ class BipartiteGraph:
         """The read-only (N, ell) neighbor table, built by the first call if
         N * ell <= _MATERIALIZE_LIMIT; None for a larger graph without one."""
         if self._table is None and self.n_left * self.ell <= _MATERIALIZE_LIMIT:
-            self._table = generate_rows([(self, np.arange(self.n_left))])[0]
+            self._table = neighbor_rows([(self, np.arange(self.n_left))])[0]
             self._table.flags.writeable = False
         return self._table
 
@@ -130,38 +130,29 @@ class BipartiteGraph:
 
 def neighbor_rows(requests) -> list[np.ndarray]:
     """`graph.neighbors_of(indices)` of each (graph, indices) request, as new
-    arrays, building no table: the rows of a graph that holds its table are
-    gathered, and all the others come from one `generate_rows` pass."""
-    out = [None] * len(requests)
-    generated = [t for t, (graph, _) in enumerate(requests) if graph._table is None]
-    for t, rows in zip(generated, generate_rows([requests[t] for t in generated])):
-        out[t] = rows
-    for t, (graph, indices) in enumerate(requests):
-        if out[t] is None:
-            out[t] = graph._table[indices]
-    return out
-
-
-def generate_rows(requests) -> list[np.ndarray]:
-    """Counter-stream neighbor rows of each (graph, indices) request, as new
-    (len(indices), ell) int64 arrays: slot s of row i is counter_stream(seed,
-    i * ell + s) mod M.  The keys of all requests share one pass, in which
-    each key carries its own graph's seed and bucket count."""
-    if not requests:
-        return []
-    keys = [np.asarray(indices, dtype=np.uint64)[:, None] * np.uint64(graph.ell)
-            + np.arange(graph.ell, dtype=np.uint64) for graph, indices in requests]
-    if len(requests) == 1:  # one stream: its seed and bucket count stay scalars
-        graph = requests[0][0]
-        return [(counter_stream(graph.seed, keys[0]) % np.uint64(graph.n_buckets))
-                .astype(np.int64)]
+    arrays, building no table.  The rows of a graph that holds its table are
+    gathered.  All the others come from one counter-stream pass, slot s of
+    row i being counter_stream(seed, i * ell + s) mod M, in which each key
+    carries its own graph's seed and bucket count."""
+    out = [None if graph._table is None else graph._table[indices]
+           for graph, indices in requests]
+    graphs = [(t, requests[t][0]) for t, rows in enumerate(out) if rows is None]
+    keys = [np.asarray(requests[t][1], dtype=np.uint64)[:, None] * np.uint64(graph.ell)
+            + np.arange(graph.ell, dtype=np.uint64) for t, graph in graphs]
     sizes = [k.size for k in keys]
-    seeds, moduli = (np.repeat(np.array([getattr(graph, name) for graph, _ in requests],
-                                        dtype=np.uint64), sizes)
-                     for name in ("seed", "n_buckets"))
-    flat = counter_stream(seeds, np.concatenate([k.ravel() for k in keys])) % moduli
-    parts = np.split(flat.astype(np.int64), np.cumsum(sizes)[:-1])
-    return [part.reshape(k.shape) for part, k in zip(parts, keys)]
+    if len(graphs) == 1:  # one stream: its seed and bucket count stay scalars
+        seeds, moduli, flat = graphs[0][1].seed, np.uint64(graphs[0][1].n_buckets), keys[0]
+    elif graphs:
+        seeds, moduli = (np.repeat(np.array([getattr(graph, name) for _, graph in graphs],
+                                            dtype=np.uint64), sizes)
+                         for name in ("seed", "n_buckets"))
+        flat = np.concatenate([k.ravel() for k in keys])
+    else:
+        return out
+    rows = (counter_stream(seeds, flat) % moduli).astype(np.int64).ravel()
+    for (t, _), part, k in zip(graphs, np.split(rows, np.cumsum(sizes)[:-1]), keys):
+        out[t] = part.reshape(k.shape)
+    return out
 
 
 @dataclass(frozen=True)

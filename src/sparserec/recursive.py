@@ -113,13 +113,6 @@ class NodeCode:
     rnd_code: LWCode | RSCode | None = None
 
     @property
-    def key(self) -> tuple:
-        """Equal for node codes that encode alike."""
-        return tuple(None if c is None
-                     else (c.kind, c.n, c.q, c.r, tuple(getattr(c, "points", ())))
-                     for c in (self.det_code, self.rnd_code))
-
-    @property
     def child_det_bits(self) -> int:
         return self.det_code.q.bit_length() - 1
 
@@ -216,9 +209,9 @@ def node_images_many(trees, indices: np.ndarray) -> list[dict[int, np.ndarray]]:
     signal indices at every node.
 
     The trees' fingerprints are one `hashing.eval_many` call.  Depth by
-    depth, the internal nodes of all trees whose codes are equal and whose
-    children share widths stack their messages, and their code runs once
-    for all of them and all of their children.
+    depth, the internal nodes of all trees with the same code (the same
+    kind, arity and widths) and the same child widths stack their messages,
+    and the code runs once for all of them and all of their children.
     """
     idx = np.asarray(indices, dtype=np.int64)
     mapped = [tree for tree in trees if tree.mapper is not None]
@@ -231,8 +224,9 @@ def node_images_many(trees, indices: np.ndarray) -> list[dict[int, np.ndarray]]:
         for at, tree in enumerate(trees):
             for node in tree.nodes:
                 if node.depth == depth and node.children:
-                    child = tree.nodes[node.children[0]]
-                    groups.setdefault((node.code.key, child.rnd_bits), []).append((at, node))
+                    key = (tree.code_kind, tree.arity, tree.rs_b, node.det_bits,
+                           node.rnd_bits, tree.nodes[node.children[0]].rnd_bits)
+                    groups.setdefault(key, []).append((at, node))
         for members in groups.values():
             det, rnd = (np.concatenate([parts[at][node.node_id][c] for at, node in members])
                         for c in (0, 1))
@@ -364,14 +358,6 @@ class RecursionTree:
         assert len(self.nodes) == self.node_count
 
     # -- coordinate maps --
-
-    def map_signal(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(det, rnd) image of signal indices under the fingerprint map;
-        without one, the indices themselves with no random part."""
-        idx = np.asarray(indices, dtype=np.int64)
-        if self.mapper is None:
-            return idx, np.zeros(idx.shape, dtype=np.int64)
-        return self.mapper.forward(idx)
 
     def node_images(self, indices: np.ndarray) -> dict[int, np.ndarray]:
         """Packed phi_v image of the given signal indices at every node."""

@@ -138,7 +138,7 @@ def test_node_images_matches_phi():
     tree = RecursionTree(n_signal=1024, leaf_target=64, code_kind="lw",
                          params=_params(), seed=9, arity=3, scheme="scheme2")
     idx = np.array([5, 99, 1000], dtype=np.int64)
-    det, rnd = tree.map_signal(idx)
+    det, rnd = idx, tree.mapper.fingerprint(idx)
     root_vals = tree.nodes[0].pack(det, rnd)
     images = tree.node_images(idx)
     for v in tree.nodes:
