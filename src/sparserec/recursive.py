@@ -74,11 +74,6 @@ class Scheme2Map:
     def fingerprint(self, indices: np.ndarray) -> np.ndarray:
         return self.g.eval_vec(np.asarray(indices, dtype=np.int64))
 
-    def forward(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(deterministic part, random part) of each mapped index."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return idx, self.fingerprint(idx)
-
     def invert(self, det: np.ndarray, rnd: np.ndarray, n_signal: int) -> np.ndarray:
         """Projection inverse; mapped values whose fingerprint does not
         match are not images of any index and are discarded."""
