@@ -209,10 +209,10 @@ def node_images_many(trees, indices: np.ndarray) -> list[dict[int, np.ndarray]]:
     and the code runs once for all of them and all of their children.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    mapped = [tree for tree in trees if tree.mapper is not None]
-    fingerprints = iter(eval_many([(tree.mapper.g, idx) for tree in mapped]))
-    parts = [{0: (idx, next(fingerprints) if tree.mapper is not None
-                  else np.zeros(idx.shape, dtype=np.int64))} for tree in trees]
+    fingerprints = iter(eval_many([(tree.mapper.g, idx) for tree in trees
+                                   if tree.mapper is not None]))
+    parts = [{0: (idx, np.zeros_like(idx) if tree.mapper is None else next(fingerprints))}
+             for tree in trees]
     out = [{0: tree.nodes[0].pack(*part[0])} for tree, part in zip(trees, parts)]
     for depth in range(max((tree.height for tree in trees), default=0)):
         groups: dict = {}
