@@ -19,9 +19,13 @@ table 8 MiB).  Until
 then, and always on larger graphs, each call generates and hashes only
 the rows it touches: a design whose decoder scans few of its operators
 never builds the others' tables.  `apply_sparse_many`, the one sparse
-encode path, generates the rows of all its table-less jobs in one
-counter-stream pass, hashes their signs in shared Horner passes and
-sums the small jobs' buckets in one bincount.
+encode path, lays the edges of all its small jobs on table-less graphs
+out flat, as per-edge (job, row, slot) arrays, and computes each
+per-edge quantity in one numpy pass over them: bucket ids from one
+counter-stream pass, signs from one Horner pass per sign field, weights
+and offset bucket ids.  A call then costs a fixed number of numpy calls
+however many operators it touches, and one bincount sums all small jobs.
+Rows outside [0, N) raise UsageError on every path.
 
 Once both tables are in memory, a call whose rows are exactly 0..N-1 in
 order (a dense encode, the readings of a full-domain scan) reads the
@@ -38,11 +42,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
-from sparserec.hashing import BATCH_POINTS, SignFamily, sign_vecs
+from sparserec.hashing import BATCH_POINTS, SignFamily, batches, horner_signs
 from sparserec.seeds import counter_stream
 
 _MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
@@ -85,17 +91,27 @@ class BipartiteGraph:
         """The read-only (N, ell) neighbor table, built by the first call if
         N * ell <= _MATERIALIZE_LIMIT; None for a larger graph without one."""
         if self._table is None and self.n_left * self.ell <= _MATERIALIZE_LIMIT:
-            self._table = neighbor_rows([(self, np.arange(self.n_left))])[0]
+            self._table = self._generate(np.arange(self.n_left))
             self._table.flags.writeable = False
         return self._table
 
+    def _generate(self, indices: np.ndarray) -> np.ndarray:
+        """The rows of the given vertices from the counter stream, building
+        no table: slot s of row i is counter_stream(seed, i * ell + s) mod M."""
+        keys = (np.asarray(indices, dtype=np.uint64)[:, None] * np.uint64(self.ell)
+                + np.arange(self.ell, dtype=np.uint64))
+        return (counter_stream(self.seed, keys) % np.uint64(self.n_buckets)).astype(np.int64)
+
     def neighbors_of(self, indices: np.ndarray) -> np.ndarray:
-        """(len(indices), ell) bucket table for the given left vertices.  A
-        call on at least N rows builds the neighbor table first."""
+        """(len(indices), ell) bucket table for the given left vertices, as
+        a new array; UsageError for a vertex outside [0, N).  A call on at
+        least N rows builds the neighbor table first."""
         indices = np.asarray(indices)
+        if indices.size and not (0 <= indices.min() and indices.max() < self.n_left):
+            raise UsageError(f"vertex outside [0, {self.n_left})")
         if indices.size >= self.n_left:
             self.table()
-        return neighbor_rows([(self, indices)])[0]
+        return self._generate(indices) if self._table is None else self._table[indices]
 
     def neighbors(self, i: int) -> list[int]:
         return self.neighbors_of(np.array([i]))[0].tolist()
@@ -126,33 +142,6 @@ class BipartiteGraph:
         return "\n".join(
             f"{i}: " + " ".join(str(j) for j in row) for i, row in enumerate(table)
         ) + "\n"
-
-
-def neighbor_rows(requests) -> list[np.ndarray]:
-    """`graph.neighbors_of(indices)` of each (graph, indices) request, as new
-    arrays, building no table.  The rows of a graph that holds its table are
-    gathered.  All the others come from one counter-stream pass, slot s of
-    row i being counter_stream(seed, i * ell + s) mod M, in which each key
-    carries its own graph's seed and bucket count."""
-    out = [None if graph._table is None else graph._table[indices]
-           for graph, indices in requests]
-    graphs = [(t, requests[t][0]) for t, rows in enumerate(out) if rows is None]
-    keys = [np.asarray(requests[t][1], dtype=np.uint64)[:, None] * np.uint64(graph.ell)
-            + np.arange(graph.ell, dtype=np.uint64) for t, graph in graphs]
-    sizes = [k.size for k in keys]
-    if len(graphs) == 1:  # one stream: its seed and bucket count stay scalars
-        seeds, moduli, flat = graphs[0][1].seed, np.uint64(graphs[0][1].n_buckets), keys[0]
-    elif graphs:
-        seeds, moduli = (np.repeat(np.array([getattr(graph, name) for _, graph in graphs],
-                                            dtype=np.uint64), sizes)
-                         for name in ("seed", "n_buckets"))
-        flat = np.concatenate([k.ravel() for k in keys])
-    else:
-        return out
-    rows = (counter_stream(seeds, flat) % moduli).astype(np.int64).ravel()
-    for (t, _), part, k in zip(graphs, np.split(rows, np.cumsum(sizes)[:-1]), keys):
-        out[t] = part.reshape(k.shape)
-    return out
 
 
 @dataclass(frozen=True)
@@ -278,6 +267,15 @@ class SignedSketchOperator:
             return self.graph._table, self._sign_table
         return self.graph.neighbors_of(indices), self._sign_table[indices]
 
+    @cached_property
+    def _edge_row(self) -> tuple:
+        """(sign field, uint64 [N, ell, graph seed, M, sign family's M, the
+        sign polynomial's coefficients]): what `_edge_pass` reads of the
+        operator, built by the first pass that needs it."""
+        g, h = self.graph, self.signs.hash
+        return h.field, np.array((g.n_left, g.ell, g.seed, g.n_buckets, self.signs.n_buckets,
+                                  *h.coefficients), dtype=np.uint64)
+
     def apply_sparse(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sketch of the vector with the given nonzero entries."""
         return apply_sparse_many([(self, indices, values)])[0]
@@ -324,45 +322,59 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
     """`op.apply_sparse(indices, values)` of each (op, indices, values) job.
 
     Small jobs (fewer than n_left rows, at most BATCH_POINTS edges) share
-    work and build no table: those on operators that hash their rows (no
-    sign table filled) take their neighbor rows from one `neighbor_rows`
-    call, so every table-less graph's rows come from one counter-stream
-    pass, and their signs from `hashing.sign_vecs`; all are summed by one
-    bincount over offset bucket ids.  Each job's entries stay
-    contiguous and in (row, slot) order, so every bucket takes the same
-    additions from +0.0 as in a bincount of its own.  Every other job runs
-    alone, holding one operator's temporaries at a time; its weights are
-    the edge signs cast to float64 and scaled in place, which is faster
-    than a mixed int8-float64 product and gives the same values.  A job
-    on at least N rows (a dense encode) builds its operator's tables where
-    they fit, and one whose rows are exactly 0..N-1 in order reads them in
-    place, at the cost of one O(N) order check.  The sketches are new arrays or
-    disjoint views of one.
+    work and build no table.  Those on graphs that generate their rows (no
+    neighbor table held) are laid out flat by `_edge_pass`: their rows are
+    concatenated and expanded once into per-edge (job, row, slot) arrays,
+    and one numpy pass over them gives each of the bucket ids (one
+    counter-stream pass, each edge carrying its graph's seed, ell and
+    bucket count), the pair points, the signs (one Horner pass per sign
+    field, each edge carrying its operator's coefficients), the weights and
+    the offset bucket ids.  Each operator's static row is built on first
+    use.  A pass holds at most BATCH_POINTS edges and costs a fixed number
+    of numpy calls however many jobs it holds.  The other small jobs gather
+    their rows, and their signs from a filled sign table or by hashing.
+    One bincount over offset bucket ids sums all small jobs.  Each job's
+    entries stay contiguous and in (row, slot) order, so every bucket takes
+    the same additions from +0.0 as in a bincount of its own.
+
+    Every other job runs alone, holding one operator's temporaries at a
+    time; its weights are the edge signs cast to float64 and scaled in
+    place, which is faster than a mixed int8-float64 product and gives the
+    same values.  A job on at least N rows (a dense encode) builds its
+    operator's tables where they fit, and one whose rows are exactly 0..N-1
+    in order reads them in place, at the cost of one O(N) order check.
+
+    Rows outside [0, N), and value arrays whose shape differs from the
+    rows', raise UsageError.  The sketches are new arrays or disjoint views
+    of one.
     """
     jobs = [(op, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
             for op, indices, values in jobs]
-    small = [t for t, (op, indices, _) in enumerate(jobs)
-             if indices.size < op.n_left and indices.size * op.graph.ell <= BATCH_POINTS]
-    hashed = [t for t in small if jobs[t][1].size and jobs[t][0]._sign_table is None]
-    nbrs = dict(zip(hashed, neighbor_rows([(jobs[t][0].graph, jobs[t][1]) for t in hashed])))
-    signs = dict(zip(hashed, sign_vecs([
-        (jobs[t][0].signs, np.repeat(jobs[t][1], jobs[t][0].graph.ell), nbrs[t].ravel())
-        for t in hashed])))
-    ids, weights, offsets = [], [], [0]
-    for t in small:
-        op, indices, values = jobs[t]
-        if indices.size:
-            nb, edge = ((nbrs[t], signs[t].reshape(nbrs[t].shape)) if t in signs
-                        else op._rows(indices))
-            ids.append((nb + offsets[-1]).ravel())
+    if any(indices.shape != values.shape for _, indices, values in jobs):
+        raise UsageError("need one value per row")
+    small, generated, ids, weights, offset = [], [], [], [], 0
+    for t, (op, indices, values) in enumerate(jobs):
+        if indices.size >= op.n_left or indices.size * op.graph.ell > BATCH_POINTS:
+            continue
+        small.append((t, offset))
+        if indices.size and op.graph._table is None:
+            generated.append((op, indices, values, offset))
+        elif indices.size:
+            nb, edge = op._rows(indices)
+            ids.append((nb + offset).ravel())
             weights.append((edge * values[:, None]).ravel())
-        offsets.append(offsets[-1] + op.n_buckets)
+        offset += op.n_buckets
+    generated.sort(key=lambda job: job[0]._edge_row[0].q)  # each field's edges together
+    for batch in batches(generated, lambda job: job[1].size * job[0].graph.ell):
+        batch_ids, batch_weights = _edge_pass(batch)
+        ids.append(batch_ids)
+        weights.append(batch_weights)
     # an empty bincount would count in int64
     sums = (np.bincount(np.concatenate(ids), weights=np.concatenate(weights),
-                        minlength=offsets[-1]) if ids else np.zeros(offsets[-1]))
+                        minlength=offset) if ids else np.zeros(offset))
     out = [None] * len(jobs)
-    for t, start, stop in zip(small, offsets, offsets[1:]):
-        out[t] = sums[start:stop]
+    for t, start in small:
+        out[t] = sums[start:start + jobs[t][0].n_buckets]
     for t, (op, indices, values) in enumerate(jobs):
         if out[t] is None:
             nb, edge = op._rows(indices)
@@ -371,3 +383,38 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
             out[t] = np.bincount(nb.ravel(), weights=weights.ravel(), minlength=op.n_buckets)
             del nb, edge, weights  # before the next job's rows are gathered
     return out
+
+
+def _edge_pass(jobs) -> tuple[np.ndarray, np.ndarray]:
+    """Offset bucket ids and weights of every edge of the (op, indices,
+    values, offset) jobs: non-empty, on graphs without a neighbor table,
+    grouped by sign field, at most BATCH_POINTS edges in all.  Slot s of
+    row i takes bucket counter_stream(seed, i * ell + s) mod M and the sign
+    of pair point i * M' + bucket, M' being the sign family's bucket count:
+    the arithmetic of `BipartiteGraph._generate` and `SignFamily.sign_vec`,
+    so the values are identical."""
+    counts = [indices.size for _, indices, _, _ in jobs]
+    ells = [op.graph.ell for op, *_ in jobs]
+    sizes = [count * ell for count, ell in zip(counts, ells)]
+    static = [op._edge_row[1] for op, *_ in jobs]
+    width = max(row.size for row in static)  # shorter coefficient rows end in zeros
+    params = np.array([row if row.size == width else
+                       np.concatenate((row, np.zeros(width - row.size, np.uint64)))
+                       for row in static])
+    job = np.repeat(np.arange(len(jobs)), sizes)
+    n_left, ell, seed, n_buckets, sign_buckets = params[job, :5].T
+    row_ell = np.repeat(ells, counts)
+    edge_row = np.repeat(np.arange(row_ell.size), row_ell)
+    indices = np.concatenate([indices for _, indices, _, _ in jobs]).astype(np.uint64)[edge_row]
+    if np.any(indices >= n_left):  # a negative row wraps above every N
+        raise UsageError("row outside [0, N)")
+    slots = np.arange(job.size) - (np.cumsum(row_ell) - row_ell)[edge_row]
+    buckets = counter_stream(seed, indices * ell + slots.astype(np.uint64)) % n_buckets
+    points = indices * sign_buckets + buckets
+    signs, start = np.empty(job.size), 0
+    for field, group in groupby(zip(jobs, sizes), key=lambda pair: pair[0][0]._edge_row[0]):
+        stop = start + sum(size for _, size in group)
+        signs[start:stop] = horner_signs(field, params[job[start:stop], 5:].T, points[start:stop])
+        start = stop
+    signs *= np.concatenate([values for _, _, values, _ in jobs])[edge_row]
+    return buckets.astype(np.int64) + np.repeat([offset for *_, offset in jobs], sizes), signs

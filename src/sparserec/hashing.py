@@ -10,9 +10,10 @@ uses a Mersenne-prime backing field (2^31-1, or 2^61-1 for large
 pair domains) where Horner's rule vectorizes over numpy integer arrays.
 The one kept bit of a uniform field element carries bias < 2^-31, far
 below anything the estimators can see.  A sparse encode touches a few
-rows of many families, where numpy's per-call cost dominates, so
-eval_many evaluates such requests together in one Horner pass per field,
-for sign_vecs and for the recursion trees' fingerprints alike.
+rows of many families, where numpy's per-call cost dominates, so its
+signs come from `horner_signs`: one Horner pass per field over points of
+many families, each point carrying its own family's coefficients.
+eval_many evaluates the recursion trees' fingerprints the same way.
 
 Over binary fields PolyHash evaluates vectors by log/exp tables up to
 GF(2^16), by carry-less products up to GF(2^CLMUL_WIDTH), and point by
@@ -198,18 +199,29 @@ class SignFamily:
             raise UsageError("pair outside the declared index domain")
         return 1 - 2 * (self.hash.eval(i * self.n_buckets + j) & 1)
 
-    def pairs(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The hash's evaluation points of the (i, j) pairs, i * M + j."""
-        return i.astype(np.uint64) * np.uint64(self.n_buckets) + j.astype(np.uint64)
-
     def sign_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Vectorized signs as float64 (+1.0 / -1.0)."""
-        bits = self.hash.eval_vec(self.pairs(i, j)).astype(np.int64) & 1
-        return 1.0 - 2.0 * bits
+        """Vectorized signs as float64 (+1.0 / -1.0), hashing the pairs at
+        the points i * M + j."""
+        points = i.astype(np.uint64) * np.uint64(self.n_buckets) + j.astype(np.uint64)
+        return 1.0 - 2.0 * (self.hash.eval_vec(points) & 1)
 
 
 BATCH_POINTS = 1 << 16  # points per shared Horner pass; its coefficient
                         # columns take 8 bytes per point and coefficient
+
+
+def batches(items, size) -> list[list]:
+    """The items cut, in order, into runs of at most BATCH_POINTS points,
+    `size(item)` being an item's count; a larger item runs alone."""
+    runs, filled = [], 0
+    for item in items:
+        count = size(item)
+        if not runs or filled + count > BATCH_POINTS:
+            runs.append([])
+            filled = 0
+        runs[-1].append(item)
+        filled += count
+    return runs
 
 
 def eval_many(requests) -> list[np.ndarray]:
@@ -230,15 +242,7 @@ def eval_many(requests) -> list[np.ndarray]:
         f = poly.field
         groups.setdefault((f.kind, f.q, f.poly) if _vectorized(f) else t, []).append(t)
     for members in groups.values():
-        passes, filled = [[]], 0
-        for t in members:
-            size = np.size(requests[t][1])
-            if passes[-1] and filled + size > BATCH_POINTS:
-                passes.append([])
-                filled = 0
-            passes[-1].append(t)
-            filled += size
-        for batch in passes:
+        for batch in batches(members, lambda t: np.size(requests[t][1])):
             if len(batch) == 1:
                 poly, xs = requests[batch[0]]
                 out[batch[0]] = poly.eval_vec(xs)
@@ -261,9 +265,10 @@ def eval_many(requests) -> list[np.ndarray]:
     return out
 
 
-def sign_vecs(requests) -> list[np.ndarray]:
-    """`family.sign_vec(i, j)` of each (family, i, j) request, with the
-    families' polynomials evaluated together by `eval_many`: the arithmetic
-    is that of sign_vec, so the signs are identical."""
-    values = eval_many([(fam.hash, fam.pairs(i, j)) for fam, i, j in requests])
-    return [1.0 - 2.0 * (v & 1) for v in values]
+def horner_signs(field: FieldSpec, columns: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """`SignFamily.sign_vec` signs of points of many families over one field,
+    in one Horner pass: row j of the (degree + 1, len(points)) `columns`
+    holds each point's own family's coefficient of x^j, zero above its
+    degree (see eval_many)."""
+    values = _horner_vec(field, np.ascontiguousarray(columns, dtype=np.int64), points)
+    return 1.0 - 2.0 * (values & 1)

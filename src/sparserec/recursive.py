@@ -358,24 +358,6 @@ class RecursionTree:
         """Packed phi_v image of the given signal indices at every node."""
         return node_images_many([self], indices)[0]
 
-    def phi(self, node_id: int, root_values: np.ndarray) -> np.ndarray:
-        """Symbol of each packed root-domain value at the given node
-        (identity at the root)."""
-        if not 0 <= node_id < self.node_count:
-            raise UsageError(f"unknown node {node_id}")
-        root = self.nodes[0]
-        det, rnd = root.unpack(np.asarray(root_values, dtype=np.int64))
-        path = []
-        nid = node_id
-        while nid != 0:
-            parent = self.nodes[nid].parent
-            path.append((parent, self.nodes[parent].children.index(nid)))
-            nid = parent
-        for parent, u in reversed(path):
-            det, rnd = self.nodes[parent].code.encode_part_vec(det, rnd, u)
-        target = self.nodes[node_id]
-        return target.pack(det, rnd)
-
     # -- encoding --
 
     @property

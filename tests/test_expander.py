@@ -9,11 +9,11 @@ from sparserec.expander import (
     BipartiteGraph,
     SignedSketchOperator,
     apply_sparse_many,
-    neighbor_rows,
     unique_neighbor_count,
     verify_expansion,
 )
-from sparserec.hashing import SignFamily
+from sparserec import hashing
+from sparserec.hashing import BATCH_POINTS, SignFamily
 from sparserec.seeds import counter_stream
 
 
@@ -68,7 +68,7 @@ def test_neighbor_table_pinned():
             "4e816876fc874b27e73e2df4838a39c32bcbf9b7f0db74210b176291fbbd735e")
 
 
-def test_neighbor_rows_of_many_graphs_match_each_counter_stream():
+def test_neighbors_of_many_graphs_match_each_counter_stream():
     graphs = [BipartiteGraph(300, 5, 64, seed=7), BipartiteGraph(300, 5, 64, seed=8),
               BipartiteGraph(1 << 20, 3, 1000, seed=9),  # too large for a table
               BipartiteGraph(50, 6, 7, seed=10), BipartiteGraph(40, 2, 1 << 40, seed=11)]
@@ -84,13 +84,12 @@ def test_neighbor_rows_of_many_graphs_match_each_counter_stream():
                 + np.arange(graph.ell, dtype=np.uint64))
         return (counter_stream(graph.seed, keys) % np.uint64(graph.n_buckets)).astype(np.int64)
 
-    rows = neighbor_rows(requests)
-    assert [g.materialized for g in graphs] == [False, False, False, True, False]
-    for got, (graph, indices) in zip(rows, requests):
+    for graph, indices in requests:
+        got = graph.neighbors_of(indices)
         assert got.dtype == np.int64 and got.shape == (indices.size, graph.ell)
         assert np.array_equal(got, reference(graph, indices))
-        assert np.array_equal(got, graph.neighbors_of(indices))
-    assert graphs[4].materialized  # neighbors_of on all N rows builds the table
+    # neighbors_of on all N rows builds the table; fewer rows build none
+    assert [g.materialized for g in graphs] == [False, False, False, True, True]
 
 
 def test_disjoint_neighborhoods_expand_perfectly():
@@ -281,7 +280,7 @@ def _hashed_apply(op, indices, values):
                        minlength=op.n_buckets)
 
 
-def test_apply_sparse_many_mixed_jobs_match_each_own_apply():
+def test_apply_sparse_many_mixed_jobs_match_each_own_apply(monkeypatch):
     rng = np.random.default_rng(23)
     hashed = _operator(400, 5, 96, seed=31)
     other_degree = _operator(400, 5, 96, seed=32, indep=4)
@@ -290,7 +289,13 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply():
     filled.apply(np.ones(300))
     dense = _operator(200, 4, 32, seed=35)
     tiny = _operator(8, 3, 16, seed=36)
+    tree_ell, stage_ell = _operator(500, 8, 128, seed=37), _operator(500, 9, 128, seed=38)
+    explicit = SignedSketchOperator(  # rows gathered from its table, signs hashed
+        BipartiteGraph.from_neighbors(rng.integers(0, 40, size=(60, 4)), 40),
+        SignFamily(seed=39, independence=8, n_left=60, n_buckets=40))
+    big = _operator(1 << 16, 5, 1024, seed=40)  # two jobs: more edges than one pass
     assert filled._sign_table is not None and wide.signs.hash.field.q == (1 << 61) - 1
+    assert explicit._sign_table is None
 
     def sparse(op, size):
         return np.sort(rng.choice(op.n_left, size, replace=False)), rng.normal(size=size)
@@ -300,13 +305,27 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply():
         (hashed, np.array([5, 5, 17, 5]), np.array([1.0, -2.5, -0.0, 3.0])),
         (filled, *sparse(filled, 20)),
         (wide, *sparse(wide, 8)),
+        (big, *sparse(big, 7000)),
         (other_degree, *sparse(other_degree, 12)),
+        (tree_ell, *sparse(tree_ell, 8)),
         (dense, np.arange(200), rng.normal(size=200)),
+        (stage_ell, *sparse(stage_ell, 8)),
         (tiny, np.array([0, 3, 3, 7, 1, 0, 2, 6, 5, 4]), rng.normal(size=10)),
+        (explicit, *sparse(explicit, 9)),
+        (big, *sparse(big, 7000)),
         (hashed, *sparse(hashed, 30)),
     ]
+    assert sum(job[1].size * job[0].graph.ell for job in jobs[4::7]) > BATCH_POINTS
     want = [_hashed_apply(*job).view(np.int64) for job in jobs]
+    points, bincounts = [], []
+    horner, bincount = hashing._horner_vec, np.bincount
+    monkeypatch.setattr(hashing, "_horner_vec",
+                        lambda f, c, xs: points.append(xs.size) or horner(f, c, xs))
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
     got = apply_sparse_many(jobs)
+    monkeypatch.undo()
+    assert max(points) <= BATCH_POINTS and len(points) > 2  # the edges took several passes
+    assert len(bincounts) == 3  # the small jobs' one, and one per job on at least N rows
     for job, g, w in zip(jobs, got, want):
         assert g.shape == (job[0].n_buckets,)
         assert np.array_equal(g.view(np.int64), w)
@@ -315,6 +334,30 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply():
         got[t][:] = np.nan
         for g, w in zip(got[t + 1:], want[t + 1:]):
             assert np.array_equal(g.view(np.int64), w)
+    # a bad job anywhere in a call refuses the whole call
+    for op, indices, values in [(hashed, [3, -1], [1.0, 2.0]), (hashed, [400], [1.0]),
+                                (filled, [-2], [1.0]), (explicit, [60], [1.0]),
+                                (dense, np.r_[1:200, 200], np.ones(200)),
+                                (hashed, [1, 2], [1.0]), (dense, np.arange(200), np.ones(199))]:
+        with pytest.raises(UsageError):
+            apply_sparse_many(jobs[:3] + [(op, indices, values)] + jobs[3:])
+
+
+def test_rows_outside_the_domain_are_refused():
+    op = SignedSketchOperator.build(64, 4, 16, 7, 8)
+    u = op.apply(np.ones(64))  # fills the tables
+    for rows in ([-1], [64], [1 << 40]):
+        for target in (op, _lazy_twin(op)):
+            with pytest.raises(UsageError):
+                target.apply_sparse(np.array(rows), np.array([1.0]))
+            with pytest.raises(UsageError):
+                target.readings(u, np.array([0] + rows))
+            with pytest.raises(UsageError):
+                target.graph.neighbors_of(np.array(rows))
+    with pytest.raises(UsageError):
+        op.readings(u, np.array([-1, 64]))
+    with pytest.raises(UsageError):
+        op.apply_sparse(np.array([1, 2]), np.array([1.0]))
 
 
 def test_sign_table_never_filled_above_materialize_limit():

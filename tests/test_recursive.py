@@ -69,11 +69,28 @@ def test_single_node_tree_equals_weak_identify():
 
 # --- coordinate maps ---
 
+def _phi(tree, node_id, root_values):
+    """Oracle for `node_images`: the symbol of each packed root-domain value
+    at the given node (identity at the root), walking the codes down from
+    the root."""
+    if not 0 <= node_id < tree.node_count:
+        raise UsageError(f"unknown node {node_id}")
+    det, rnd = tree.nodes[0].unpack(np.asarray(root_values, dtype=np.int64))
+    path, nid = [], node_id
+    while nid != 0:
+        parent = tree.nodes[nid].parent
+        path.append((parent, tree.nodes[parent].children.index(nid)))
+        nid = parent
+    for parent, u in reversed(path):
+        det, rnd = tree.nodes[parent].code.encode_part_vec(det, rnd, u)
+    return tree.nodes[node_id].pack(det, rnd)
+
+
 def test_phi_root_is_identity():
     tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
                          params=_params(), seed=5, arity=3, scheme="scheme2")
     vals = np.array([0, 17, 4095], dtype=np.int64)
-    assert np.array_equal(tree.phi(0, vals), vals)
+    assert np.array_equal(_phi(tree, 0, vals), vals)
 
 
 def test_phi_consistent_with_stepwise_encoding():
@@ -84,18 +101,18 @@ def test_phi_consistent_with_stepwise_encoding():
     for v in tree.nodes:
         if not v.children:
             continue
-        det, rnd = v.unpack(tree.phi(v.node_id, root_vals))
+        det, rnd = v.unpack(_phi(tree, v.node_id, root_vals))
         for u, child_id in enumerate(v.children):
             cd, cr = v.code.encode_part_vec(det, rnd, u)
             expect = tree.nodes[child_id].pack(cd, cr)
-            assert np.array_equal(tree.phi(child_id, root_vals), expect)
+            assert np.array_equal(_phi(tree, child_id, root_vals), expect)
 
 
 def test_phi_unknown_node_errors():
     tree = RecursionTree(n_signal=256, leaf_target=512, code_kind="lw",
                          params=_params(), seed=2, arity=3, scheme="none")
     with pytest.raises(UsageError):
-        tree.phi(99, np.array([0]))
+        _phi(tree, 99, np.array([0]))
 
 
 def test_split_phi_takes_bit_halves():
@@ -105,8 +122,8 @@ def test_split_phi_takes_bit_halves():
                          params=_params(), seed=4, scheme="none")
     assert tree.height >= 1
     vals = np.arange(0, 2**10, 37, dtype=np.int64)
-    lo = tree.phi(tree.nodes[0].children[0], vals)
-    hi = tree.phi(tree.nodes[0].children[1], vals)
+    lo = _phi(tree, tree.nodes[0].children[0], vals)
+    hi = _phi(tree, tree.nodes[0].children[1], vals)
     assert np.array_equal(lo, vals & 31)
     assert np.array_equal(hi, vals >> 5)
 
@@ -142,7 +159,7 @@ def test_node_images_matches_phi():
     root_vals = tree.nodes[0].pack(det, rnd)
     images = tree.node_images(idx)
     for v in tree.nodes:
-        assert np.array_equal(images[v.node_id], tree.phi(v.node_id, root_vals))
+        assert np.array_equal(images[v.node_id], _phi(tree, v.node_id, root_vals))
 
 
 # --- node list recovery against a brute-force oracle ---

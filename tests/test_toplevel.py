@@ -488,21 +488,27 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
 
     monkeypatch.setattr(hashing, "_horner_vec", counted)
     monkeypatch.setattr(expander, "counter_stream", counted_stream)
+    bincounts, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
     rng = np.random.default_rng(23)
     x = np.zeros(system.n)
     x[rng.choice(system.n, 8, replace=False)] = 1.0 + rng.random(8)
     system.encode(x)
     # every stage's tree nodes and weak layer hash their rows together, the
-    # four stage trees share one fingerprint pass, and every operator's
-    # neighbor rows come from one counter-stream pass
+    # four stage trees share one fingerprint pass, every operator's
+    # neighbor rows come from one counter-stream pass, and one bincount
+    # sums every sketch
     assert sorted(passes) == ["GF(2147483647)", "GF(2305843009213693951)", "GF(2^14)"]
     assert streams == [sum(8 * op.graph.ell for op in _operators(system))]
+    assert len(bincounts) == 1
     assert not any(_tables_built(system))
     passes.clear()
     streams.clear()
+    bincounts.clear()
     _encode_stages(system.stages[1:], np.flatnonzero(x), x[np.flatnonzero(x)])
     assert sorted(passes) == ["GF(2147483647)", "GF(2305843009213693951)", "GF(2^14)"]
     assert len(streams) == 1
+    assert len(bincounts) == 1
 
 
 def _hashed_sketch(system, x):
