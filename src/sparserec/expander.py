@@ -35,12 +35,20 @@ readings take the same values in the same (row, slot) order, so the
 results are identical.  The tables never leave the
 operator: `readings` and the sketches are new arrays, and
 `BipartiteGraph.neighbors_of` returns a copy.
+
+The jobs of one `apply_sparse_many` call that run alone (a dense encode
+sketches every operator over all N rows) are independent, so those whose
+operators hold both tables run side by side, on one thread per CPU the
+process may run on: the calling thread and a pool of workers, started by
+the first call that needs it and dropped in a forked child.  A call on
+one CPU, or with one such job, runs in the calling thread alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -244,6 +252,17 @@ class SignedSketchOperator:
         nz = np.flatnonzero(x)
         return self.apply_sparse(nz, x[nz])
 
+    def _fill_tables(self) -> None:
+        """Build the graph's neighbor table and this operator's read-only
+        int8 (N, ell) sign table, where N * ell <= _MATERIALIZE_LIMIT."""
+        n, ell = self.graph.n_left, self.graph.ell
+        if (self._sign_table is None and n * ell <= _MATERIALIZE_LIMIT
+                and self.graph.table() is not None):
+            signs = self.signs.sign_vec(np.repeat(np.arange(n, dtype=np.int64), ell),
+                                        self.graph._table.ravel())
+            self._sign_table = signs.astype(np.int8).reshape(n, ell)
+            self._sign_table.flags.writeable = False
+
     def _rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(neighbors, edge signs) of the given rows, each (len(indices), ell):
         the read-only tables themselves for the rows 0..N-1 in order once
@@ -252,12 +271,8 @@ class SignedSketchOperator:
         the whole domain apart costs O(1) unless the row count and both ends
         match, then one O(N) order check."""
         n, ell = self.graph.n_left, self.graph.ell
-        if (self._sign_table is None and indices.size >= n and n * ell <= _MATERIALIZE_LIMIT
-                and self.graph.table() is not None):
-            signs = self.signs.sign_vec(np.repeat(np.arange(n, dtype=np.int64), ell),
-                                        self.graph._table.ravel())
-            self._sign_table = signs.astype(np.int8).reshape(n, ell)
-            self._sign_table.flags.writeable = False
+        if indices.size >= n:
+            self._fill_tables()
         if self._sign_table is None:
             nbrs = self.graph.neighbors_of(indices)
             return nbrs, self.signs.sign_vec(np.repeat(indices, ell),
@@ -337,12 +352,21 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
     entries stay contiguous and in (row, slot) order, so every bucket takes
     the same additions from +0.0 as in a bincount of its own.
 
-    Every other job runs alone, holding one operator's temporaries at a
-    time; its weights are the edge signs cast to float64 and scaled in
-    place, which is faster than a mixed int8-float64 product and gives the
-    same values.  A job on at least N rows (a dense encode) builds its
-    operator's tables where they fit, and one whose rows are exactly 0..N-1
-    in order reads them in place, at the cost of one O(N) order check.
+    Every other job runs alone, with its own rows and bincount; its weights
+    are the edge signs cast to float64 and scaled in place, which is faster
+    than a mixed int8-float64 product and gives the same values.  A job on
+    at least N rows (a dense encode) builds its operator's tables where
+    they fit, and one whose rows are exactly 0..N-1 in order reads them in
+    place, at the cost of one O(N) order check.  The calling thread first
+    builds the tables of every such job, one at a time in job order.  When
+    two or more of the jobs that run alone then have both tables, they run
+    on one thread per CPU in the process's affinity mask: the calling
+    thread takes every CPU-th of them and a module-level pool of workers,
+    started on first use, the others.  numpy releases the GIL in their
+    gathers, casts, products and bincounts, and each writes its own
+    sketch, so the sketches are the same bit for bit.  The other jobs (on
+    graphs without tables, whose hashing temporaries grow with N * ell)
+    run after them in the calling thread, one at a time.
 
     Rows outside [0, N), and value arrays whose shape differs from the
     rows', raise UsageError.  The sketches are new arrays or disjoint views
@@ -375,14 +399,66 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
     out = [None] * len(jobs)
     for t, start in small:
         out[t] = sums[start:start + jobs[t][0].n_buckets]
-    for t, (op, indices, values) in enumerate(jobs):
+    alone = [t for t in range(len(jobs)) if out[t] is None]
+    for t in alone:  # tables are built here, in job order, so no worker builds one
+        if jobs[t][1].size >= jobs[t][0].n_left:
+            jobs[t][0]._fill_tables()
+    tabled = [t for t in alone if jobs[t][0]._sign_table is not None]
+    if len(tabled) > 1:
+        for t, sketch in zip(tabled, _sketch_on_all_cpus([jobs[t] for t in tabled])):
+            out[t] = sketch
+    for t in alone:
         if out[t] is None:
-            nb, edge = op._rows(indices)
-            weights = edge.astype(np.float64, copy=False)
-            weights *= values[:, None]
-            out[t] = np.bincount(nb.ravel(), weights=weights.ravel(), minlength=op.n_buckets)
-            del nb, edge, weights  # before the next job's rows are gathered
+            out[t] = _sketch_alone(*jobs[t])
     return out
+
+
+def _sketch_alone(op, indices, values) -> np.ndarray:
+    """One job's sketch from its own rows: the edge signs cast to float64
+    and scaled in place, summed by one bincount."""
+    nb, edge = op._rows(indices)
+    weights = edge.astype(np.float64, copy=False)
+    weights *= values[:, None]
+    return np.bincount(nb.ravel(), weights=weights.ravel(), minlength=op.n_buckets)
+
+
+def _sketch_on_all_cpus(jobs) -> list[np.ndarray]:
+    """`_sketch_alone` of each job, in order, on one thread per CPU the
+    process may run on: the calling thread takes every CPU-th job and the
+    pool's workers the others."""
+    threads, pool = _pool()
+    futures = {i: pool.submit(_sketch_alone, *job) for i, job in enumerate(jobs) if i % threads}
+    mine = {i: _sketch_alone(*jobs[i]) for i in range(0, len(jobs), threads)}
+    return [mine[i] if i in mine else futures[i].result() for i in range(len(jobs))]
+
+
+_POOL = None  # (threads, worker pool), started by the first call that fans out
+
+
+def _pool() -> tuple:
+    """The number of CPUs in the process's affinity mask and a
+    ThreadPoolExecutor of one worker per CPU but the calling thread's; no
+    pool on one CPU.  A process that never fans out never imports it."""
+    global _POOL
+    if _POOL is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        _POOL = cpus, (ThreadPoolExecutor(max_workers=cpus - 1,
+                                          thread_name_prefix="sparserec-sketch")
+                       if cpus > 1 else None)
+    return _POOL
+
+
+def _drop_pool() -> None:
+    """A forked child holds none of its parent's workers: it starts its own."""
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _edge_pass(jobs) -> tuple[np.ndarray, np.ndarray]:

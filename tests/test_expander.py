@@ -1,8 +1,16 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparserec
+from sparserec import expander
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import (
     _MATERIALIZE_LIMIT,
@@ -341,6 +349,76 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply(monkeypatch):
                                 (hashed, [1, 2], [1.0]), (dense, np.arange(200), np.ones(199))]:
         with pytest.raises(UsageError):
             apply_sparse_many(jobs[:3] + [(op, indices, values)] + jobs[3:])
+
+
+def test_dense_jobs_fan_out_match_single_job_calls(monkeypatch):
+    rng = np.random.default_rng(29)
+    shared, reversed_rows = _operator(4096, 5, 256, seed=41), _operator(3000, 4, 128, seed=42)
+    above = _operator(_MATERIALIZE_LIMIT // 4 + 1, 4, 64, seed=43, indep=4)  # no tables
+    small = _operator(500, 5, 64, seed=44)
+    jobs = [
+        (shared, np.arange(4096), rng.normal(size=4096)),
+        (small, np.array([3, 499, 3]), rng.normal(size=3)),
+        (reversed_rows, np.arange(2999, -1, -1), rng.normal(size=3000)),
+        (above, np.arange(above.n_left), rng.normal(size=above.n_left)),
+        (shared, np.arange(4096), rng.normal(size=4096)),  # the same operator again
+        (shared, np.array([17, 5]), rng.normal(size=2)),
+    ]
+    ran = []  # (thread, op, rows) of every job sketched alone
+    alone = expander._sketch_alone
+    monkeypatch.setattr(expander, "_sketch_alone", lambda op, indices, values: ran.append(
+        (threading.current_thread(), op, indices.size)) or alone(op, indices, values))
+    got = apply_sparse_many(jobs)
+    tables = [(op.graph._table, op._sign_table) for op in (shared, reversed_rows)]
+    assert all(t is not None for pair in tables for t in pair)
+    for op in (above, small):
+        assert op._sign_table is None and not op.graph.materialized
+    again = apply_sparse_many(jobs)  # reuses the tables the first call built
+    assert all(a is b for pair, op in zip(tables, (shared, reversed_rows))
+               for a, b in zip(pair, (op.graph._table, op._sign_table)))
+    workers = {t for t, _, _ in ran if t is not threading.main_thread()}
+    assert len(ran) == 8 and bool(workers) == (expander._pool()[0] > 1)
+    assert all(t is threading.main_thread() for t, op, _ in ran if op is above)
+    for job, g, h in zip(jobs, got, again):
+        want = apply_sparse_many([job])[0].view(np.int64)
+        assert np.array_equal(g.view(np.int64), want)
+        assert np.array_equal(h.view(np.int64), want)
+    # a worker's UsageError reaches the caller: the bad job is the second
+    # table-backed job, which the calling thread leaves to the pool
+    ran.clear()
+    with pytest.raises(UsageError):
+        apply_sparse_many([jobs[0], (reversed_rows, np.r_[1:3000, 3000], np.ones(3000))])
+    assert [t is threading.main_thread() for t, op, _ in ran if op is reversed_rows] == [
+        expander._pool()[0] == 1]
+
+
+def test_dense_encode_exits_and_forks_cleanly():
+    # a dense encode starts the workers; a child forked after that encodes
+    # too, and the process exits with no worker left behind
+    script = textwrap.dedent("""
+        import os, signal, threading
+        import numpy as np
+        from sparserec import TopLevelConfig, TopLevelSystem
+        system = TopLevelSystem(TopLevelConfig(n=4096, k=8, epsilon=0.5, engine="scan",
+                                               ell=9), seed=1)
+        x = np.random.default_rng(0).normal(size=4096)
+        want = system.encode(x).tobytes()
+        from sparserec import expander
+        workers = [t for t in threading.enumerate() if t.name.startswith("sparserec")]
+        assert bool(workers) == (expander._pool()[0] > 1), workers
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(20)  # a child stuck on its parent's workers dies
+            os._exit(0 if system.encode(x).tobytes() == want else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert system.encode(x).tobytes() == want
+    """)
+    src = str(Path(sparserec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rows_outside_the_domain_are_refused():
