@@ -10,38 +10,25 @@ limited-independence sign family; applying it to a vector x produces the
 bucket sums u_j = sum over edges (i -> j) of sign(i, j) * x_i, with
 duplicate edges contributing twice.
 
-A graph's neighbor table and an operator's int8 (N, ell) sign table
-belong to the design, not to the signal, so they are kept once some
-call needs the rows of the whole domain (a call on at least N rows: a
-dense encode, a full-domain identification), and only where N * ell <=
-_MATERIALIZE_LIMIT (the sign table is then at most 1 MiB, the neighbor
-table 8 MiB).  Until
-then, and always on larger graphs, each call generates and hashes only
-the rows it touches: a design whose decoder scans few of its operators
-never builds the others' tables.  `apply_sparse_many`, the one sparse
-encode path, lays the edges of all its small jobs on table-less graphs
-out flat, as per-edge (job, row, slot) arrays, and computes each
-per-edge quantity in one numpy pass over them: bucket ids from one
-counter-stream pass, signs from one Horner pass per sign field, weights
-and offset bucket ids.  A call then costs a fixed number of numpy calls
-however many operators it touches, and one bincount sums all small jobs.
-Rows outside [0, N) raise UsageError on every path.
+Every edge on every path comes from one kernel, `edges_many`, which maps
+(operator, rows) requests to (buckets, signs) arrays of shape (rows,
+ell) in (row, slot) order, with the design tables as its cache.  A
+graph's neighbor table and an operator's int8 sign table belong to the
+design, not to the signal: the first request on at least N rows (a dense
+encode, a full-domain identification) builds them, where N * ell <=
+_MATERIALIZE_LIMIT (then at most 1 MiB and 8 MiB), so a decoder that
+scans few operators never builds the others'.  A request on exactly the
+rows 0..N-1 reads both tables in place, other requests on tabled
+operators gather rows, and the rest of a call shares one counter-stream
+pass for its bucket ids and one `hashing.edge_signs` Horner pass per
+sign field.  Rows outside [0, N) raise UsageError.  Readings and
+sketches are new arrays, and `BipartiteGraph.neighbors_of` returns a copy.
 
-Once both tables are in memory, a call whose rows are exactly 0..N-1 in
-order (a dense encode, the readings of a full-domain scan) reads the
-neighbor and sign tables in place instead of gathering copies of them;
-other calls gather the rows they name.  Either way the bucket sums and
-readings take the same values in the same (row, slot) order, so the
-results are identical.  The tables never leave the
-operator: `readings` and the sketches are new arrays, and
-`BipartiteGraph.neighbors_of` returns a copy.
-
-The jobs of one `apply_sparse_many` call that run alone (a dense encode
-sketches every operator over all N rows) are independent, so those whose
-operators hold both tables run side by side, on one thread per CPU the
-process may run on: the calling thread and a pool of workers, started by
-the first call that needs it and dropped in a forked child.  A call on
-one CPU, or with one such job, runs in the calling thread alone.
+`apply_sparse_many` (the encode) and `readings_many` (the decode) make
+one kernel call for many operators.  The dense jobs of one
+`apply_sparse_many` call whose operators hold both tables run on one
+thread per CPU the process may run on: the calling thread and a pool of
+workers, started on first use and dropped in a forked child.
 """
 
 from __future__ import annotations
@@ -49,14 +36,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import groupby
+from itertools import accumulate, groupby
 
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
-from sparserec.hashing import BATCH_POINTS, SignFamily, batches, horner_signs
+from sparserec.hashing import BATCH_POINTS, SignFamily, batches, edge_signs
 from sparserec.seeds import counter_stream
 
 _MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
@@ -99,27 +86,14 @@ class BipartiteGraph:
         """The read-only (N, ell) neighbor table, built by the first call if
         N * ell <= _MATERIALIZE_LIMIT; None for a larger graph without one."""
         if self._table is None and self.n_left * self.ell <= _MATERIALIZE_LIMIT:
-            self._table = self._generate(np.arange(self.n_left))
+            self._table = _hashed_edges([(self, None, np.arange(self.n_left))])[0][0]
             self._table.flags.writeable = False
         return self._table
 
-    def _generate(self, indices: np.ndarray) -> np.ndarray:
-        """The rows of the given vertices from the counter stream, building
-        no table: slot s of row i is counter_stream(seed, i * ell + s) mod M."""
-        keys = (np.asarray(indices, dtype=np.uint64)[:, None] * np.uint64(self.ell)
-                + np.arange(self.ell, dtype=np.uint64))
-        return (counter_stream(self.seed, keys) % np.uint64(self.n_buckets)).astype(np.int64)
-
     def neighbors_of(self, indices: np.ndarray) -> np.ndarray:
         """(len(indices), ell) bucket table for the given left vertices, as
-        a new array; UsageError for a vertex outside [0, N).  A call on at
-        least N rows builds the neighbor table first."""
-        indices = np.asarray(indices)
-        if indices.size and not (0 <= indices.min() and indices.max() < self.n_left):
-            raise UsageError(f"vertex outside [0, {self.n_left})")
-        if indices.size >= self.n_left:
-            self.table()
-        return self._generate(indices) if self._table is None else self._table[indices]
+        a new array (`edges_many`)."""
+        return edges_many([(self, indices)])[0][0]
 
     def neighbors(self, i: int) -> list[int]:
         return self.neighbors_of(np.array([i]))[0].tolist()
@@ -252,67 +226,14 @@ class SignedSketchOperator:
         nz = np.flatnonzero(x)
         return self.apply_sparse(nz, x[nz])
 
-    def _fill_tables(self) -> None:
-        """Build the graph's neighbor table and this operator's read-only
-        int8 (N, ell) sign table, where N * ell <= _MATERIALIZE_LIMIT."""
-        n, ell = self.graph.n_left, self.graph.ell
-        if (self._sign_table is None and n * ell <= _MATERIALIZE_LIMIT
-                and self.graph.table() is not None):
-            signs = self.signs.sign_vec(np.repeat(np.arange(n, dtype=np.int64), ell),
-                                        self.graph._table.ravel())
-            self._sign_table = signs.astype(np.int8).reshape(n, ell)
-            self._sign_table.flags.writeable = False
-
-    def _rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbors, edge signs) of the given rows, each (len(indices), ell):
-        the read-only tables themselves for the rows 0..N-1 in order once
-        both are in memory, else gathered copies or hashed signs.  A call on
-        at least N rows builds both tables where they fit.  Telling
-        the whole domain apart costs O(1) unless the row count and both ends
-        match, then one O(N) order check."""
-        n, ell = self.graph.n_left, self.graph.ell
-        if indices.size >= n:
-            self._fill_tables()
-        if self._sign_table is None:
-            nbrs = self.graph.neighbors_of(indices)
-            return nbrs, self.signs.sign_vec(np.repeat(indices, ell),
-                                             nbrs.ravel()).reshape(nbrs.shape)
-        if (indices.shape == (n,) and indices[0] == 0 and indices[-1] == n - 1
-                and np.all(indices[1:] > indices[:-1])):
-            return self.graph._table, self._sign_table
-        return self.graph.neighbors_of(indices), self._sign_table[indices]
-
-    @cached_property
-    def _edge_row(self) -> tuple:
-        """(sign field, uint64 [N, ell, graph seed, M, sign family's M, the
-        sign polynomial's coefficients]): what `_edge_pass` reads of the
-        operator, built by the first pass that needs it."""
-        g, h = self.graph, self.signs.hash
-        return h.field, np.array((g.n_left, g.ell, g.seed, g.n_buckets, self.signs.n_buckets,
-                                  *h.coefficients), dtype=np.uint64)
-
     def apply_sparse(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sketch of the vector with the given nonzero entries."""
         return apply_sparse_many([(self, indices, values)])[0]
 
     def readings(self, sketch: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """(len(indices), ell) sign-corrected bucket readings for each index,
-        as a new array.  For the indices 0..N-1 in order (a full-domain
-        scan) the neighbor and sign tables, once in memory, are read in
-        place rather than copied."""
-        nbrs, signs = self._rows(np.asarray(indices, dtype=np.int64))
-        return signs * sketch[nbrs]
-
-    def dense_matrix(self) -> np.ndarray:
-        """Materialized M x N matrix; small instances only (testing)."""
-        n, m = self.graph.n_left, self.graph.n_buckets
-        if n * m > _MATERIALIZE_LIMIT:
-            raise InfeasibleError("dense materialization too large")
-        out = np.zeros((m, n))
-        for i in range(n):
-            for j in self.graph.neighbors(i):
-                out[j, i] += self.signs.sign(i, j)
-        return out
+        as a new array (`readings_many`)."""
+        return next(readings_many([(self, sketch, indices)]))
 
     def to_params(self) -> dict:
         return {
@@ -333,76 +254,150 @@ class SignedSketchOperator:
         return json.dumps(self.to_params(), sort_keys=True)
 
 
+def edges_many(requests) -> list[tuple]:
+    """(buckets, signs) of each (op, rows) request, an operator's or a
+    graph's (signs None): int64 bucket ids and +-1 signs, each (len(rows),
+    ell) in (row, slot) order.  After `_fill_tables`, tables are read in
+    place (read-only) by a request on exactly the rows 0..N-1 of an
+    operator holding both (one O(N) check once the count and both ends
+    match), else gathered; `_hashed_edges` makes the rest.  A row outside
+    [0, N) raises UsageError."""
+    requests = [(op, np.asarray(rows, dtype=np.int64)) for op, rows in requests]
+    _fill_tables(requests)
+    out, rest = [None] * len(requests), []
+    for t, (op, rows) in enumerate(requests):
+        graph, family, signs = ((op, None, None) if isinstance(op, BipartiteGraph)
+                                else (op.graph, op.signs, op._sign_table))
+        if (signs is not None and rows.shape == signs.shape[:1] and rows[0] == 0
+                and rows[-1] == rows.size - 1 and np.all(rows[1:] > rows[:-1])):
+            out[t] = graph._table, signs
+        else:
+            rest.append((t, graph, family, signs, rows))
+    if rest:
+        rows = np.concatenate([rows for *_, rows in rest]).astype(np.uint64)
+        limits = np.repeat(np.array([graph.n_left for _, graph, *_ in rest], dtype=np.uint64),
+                           [rows.size for *_, rows in rest])
+        if np.any(rows >= limits):  # a negative row wraps above every N
+            raise UsageError("row outside [0, N)")
+    for t, graph, family, signs, rows in rest:
+        if graph._table is not None:  # with no sign table, signs hashed on their own
+            buckets = graph._table[rows]
+            out[t] = buckets, (None if family is None else signs[rows] if signs is not None
+                               else edge_signs([family], None, rows[:, None], buckets))
+    hashed = [(t, graph, family, rows) for t, graph, family, _, rows in rest if out[t] is None]
+    for (t, *_), edges in zip(hashed, _hashed_edges([request[1:] for request in hashed])):
+        out[t] = edges
+    return out
+
+
+def _fill_tables(requests) -> None:
+    """Build, in order, the neighbor table of each (op, rows) request on at
+    least N rows and, for an operator, its read-only int8 (N, ell) sign
+    table, where N * ell <= _MATERIALIZE_LIMIT."""
+    for op, rows in requests:
+        graph = op if isinstance(op, BipartiteGraph) else op.graph
+        if (rows.size >= graph.n_left and graph.n_left * graph.ell <= _MATERIALIZE_LIMIT
+                and graph.table() is not None and graph is not op and op._sign_table is None):
+            signs = edge_signs([op.signs], None, np.arange(graph.n_left)[:, None], graph._table)
+            op._sign_table = signs.astype(np.int8)
+            op._sign_table.flags.writeable = False
+
+
+def _hashed_edges(requests) -> list[tuple]:
+    """`edges_many` of (graph, sign family or None, rows) requests on graphs
+    without tables, with rows in [0, N).  Slot s of row i takes bucket
+    counter_stream(seed, i * ell + s) mod M and the sign of (i, bucket).
+    The requests, each sign field's together, are cut into `batches` of at
+    most BATCH_POINTS edges.  A batch of several lays its edges out flat,
+    each edge carrying its graph's seed, ell and M into one counter-stream
+    pass and its family's coefficients into one `edge_signs` pass per
+    field.  A request alone in its batch (a table build, a dense job
+    without tables) keeps them scalar, its (rows, 1) vertices broadcast
+    against its ell slots: no per-edge columns."""
+    out = [None] * len(requests)
+    fields = [0 if family is None else family.hash.field.q for _, family, _ in requests]
+    for run in batches(sorted(range(len(requests)), key=fields.__getitem__),
+                       lambda t: requests[t][2].size * requests[t][0].ell):
+        graphs, families, rows = zip(*(requests[t] for t in run))
+        sizes = [r.size * graph.ell for r, graph in zip(rows, graphs)]
+        starts = list(accumulate(sizes, initial=0))
+        params = np.array([(g.seed, g.ell, g.n_buckets) for g in graphs], dtype=np.uint64)
+        if len(run) == 1:  # scalar parameters
+            vertices = rows[0].astype(np.uint64)[:, None]
+            slots, params = np.arange(graphs[0].ell, dtype=np.uint64), params[0]
+        else:
+            row_ell = np.repeat([graph.ell for graph in graphs], [r.size for r in rows])
+            vertices = np.repeat(np.concatenate(rows).astype(np.uint64), row_ell)
+            slots = (np.arange(vertices.size)
+                     - np.repeat(np.cumsum(row_ell) - row_ell, row_ell)).astype(np.uint64)
+            params = np.repeat(params.T, sizes, axis=1)
+        seed, ell, n_buckets = params
+        buckets = counter_stream(seed, vertices * ell + slots) % n_buckets
+        if len(run) == 1:
+            out[run[0]] = buckets.view(np.int64), (
+                None if families[0] is None else edge_signs(families, None, vertices, buckets))
+            continue
+        signs = np.empty(buckets.size)
+        for _, group in groupby(range(len(run)), key=lambda u: fields[run[u]]):
+            group = list(group)
+            cut = slice(starts[group[0]], starts[group[-1] + 1])
+            if families[group[0]] is not None:
+                signs[cut] = edge_signs([families[u] for u in group], [sizes[u] for u in group],
+                                        vertices[cut], buckets[cut])
+        ids = buckets.view(np.int64)
+        for t, graph, family, r, start, stop in zip(run, graphs, families, rows,
+                                                    starts, starts[1:]):
+            out[t] = (ids[start:stop].reshape(r.size, graph.ell),
+                      None if family is None else signs[start:stop].reshape(r.size, graph.ell))
+    return out
+
+
+def readings_many(requests):
+    """`op.readings(sketch, rows)` of each (op, sketch, rows) request, from
+    one `edges_many` call made before it returns, as an iterator that
+    computes each when reached: a caller reducing each holds one at a time."""
+    edges = edges_many([(op, rows) for op, _, rows in requests])
+    return (signs * sketch[nbrs] for (_, sketch, _), (nbrs, signs) in zip(requests, edges))
+
+
 def apply_sparse_many(jobs) -> list[np.ndarray]:
     """`op.apply_sparse(indices, values)` of each (op, indices, values) job.
 
-    Small jobs (fewer than n_left rows, at most BATCH_POINTS edges) share
-    work and build no table.  Those on graphs that generate their rows (no
-    neighbor table held) are laid out flat by `_edge_pass`: their rows are
-    concatenated and expanded once into per-edge (job, row, slot) arrays,
-    and one numpy pass over them gives each of the bucket ids (one
-    counter-stream pass, each edge carrying its graph's seed, ell and
-    bucket count), the pair points, the signs (one Horner pass per sign
-    field, each edge carrying its operator's coefficients), the weights and
-    the offset bucket ids.  Each operator's static row is built on first
-    use.  A pass holds at most BATCH_POINTS edges and costs a fixed number
-    of numpy calls however many jobs it holds.  The other small jobs gather
-    their rows, and their signs from a filled sign table or by hashing.
-    One bincount over offset bucket ids sums all small jobs.  Each job's
-    entries stay contiguous and in (row, slot) order, so every bucket takes
-    the same additions from +0.0 as in a bincount of its own.
-
-    Every other job runs alone, with its own rows and bincount; its weights
-    are the edge signs cast to float64 and scaled in place, which is faster
-    than a mixed int8-float64 product and gives the same values.  A job on
-    at least N rows (a dense encode) builds its operator's tables where
-    they fit, and one whose rows are exactly 0..N-1 in order reads them in
-    place, at the cost of one O(N) order check.  The calling thread first
-    builds the tables of every such job, one at a time in job order.  When
-    two or more of the jobs that run alone then have both tables, they run
-    on one thread per CPU in the process's affinity mask: the calling
-    thread takes every CPU-th of them and a module-level pool of workers,
-    started on first use, the others.  numpy releases the GIL in their
-    gathers, casts, products and bincounts, and each writes its own
-    sketch, so the sketches are the same bit for bit.  The other jobs (on
-    graphs without tables, whose hashing temporaries grow with N * ell)
-    run after them in the calling thread, one at a time.
-
-    Rows outside [0, N), and value arrays whose shape differs from the
-    rows', raise UsageError.  The sketches are new arrays or disjoint views
-    of one.
+    Small jobs (fewer than N rows, at most BATCH_POINTS edges) take their
+    edges from one `edges_many` call and their sums from one bincount over
+    offset bucket ids.  Each job's weights (sign times value) stay
+    contiguous and in (row, slot) order, so every bucket takes the same
+    additions from +0.0 as in a bincount of its own.  Every other job runs
+    alone (`_sketch_alone`), after the calling thread has built the tables
+    of those on at least N rows, in job order.  Two or more with both
+    tables run on one thread per CPU in the affinity mask, the calling
+    thread taking every CPU-th and the pool's workers the others, as numpy
+    releases the GIL in their gathers, products and bincounts.  The others
+    (on graphs without tables) then run in the calling thread.  Rows
+    outside [0, N), and value arrays shaped unlike the rows, raise
+    UsageError.  The sketches are new arrays or disjoint views of one.
     """
     jobs = [(op, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
             for op, indices, values in jobs]
     if any(indices.shape != values.shape for _, indices, values in jobs):
         raise UsageError("need one value per row")
-    small, generated, ids, weights, offset = [], [], [], [], 0
-    for t, (op, indices, values) in enumerate(jobs):
-        if indices.size >= op.n_left or indices.size * op.graph.ell > BATCH_POINTS:
-            continue
-        small.append((t, offset))
-        if indices.size and op.graph._table is None:
-            generated.append((op, indices, values, offset))
-        elif indices.size:
-            nb, edge = op._rows(indices)
-            ids.append((nb + offset).ravel())
-            weights.append((edge * values[:, None]).ravel())
-        offset += op.n_buckets
-    generated.sort(key=lambda job: job[0]._edge_row[0].q)  # each field's edges together
-    for batch in batches(generated, lambda job: job[1].size * job[0].graph.ell):
-        batch_ids, batch_weights = _edge_pass(batch)
-        ids.append(batch_ids)
-        weights.append(batch_weights)
-    # an empty bincount would count in int64
-    sums = (np.bincount(np.concatenate(ids), weights=np.concatenate(weights),
-                        minlength=offset) if ids else np.zeros(offset))
+    small = [t for t, (op, indices, _) in enumerate(jobs)
+             if indices.size < op.n_left and indices.size * op.graph.ell <= BATCH_POINTS]
     out = [None] * len(jobs)
-    for t, start in small:
-        out[t] = sums[start:start + jobs[t][0].n_buckets]
+    if small:
+        edges = edges_many([jobs[t][:2] for t in small])
+        offsets = list(accumulate((jobs[t][0].n_buckets for t in small), initial=0))
+        counts, ells = zip(*((jobs[t][1].size, jobs[t][0].graph.ell) for t in small))
+        ids = np.concatenate([nb for nb, _ in edges], axis=None)
+        ids += np.repeat(offsets[:-1], np.multiply(counts, ells))
+        weights = np.concatenate([edge for _, edge in edges], axis=None, dtype=np.float64)
+        weights *= np.repeat(np.concatenate([jobs[t][2] for t in small]),
+                             np.repeat(ells, counts))
+        sums = np.bincount(ids, weights=weights, minlength=offsets[-1])
+        for t, start, stop in zip(small, offsets, offsets[1:]):
+            out[t] = sums[start:stop]
     alone = [t for t in range(len(jobs)) if out[t] is None]
-    for t in alone:  # tables are built here, in job order, so no worker builds one
-        if jobs[t][1].size >= jobs[t][0].n_left:
-            jobs[t][0]._fill_tables()
+    _fill_tables([jobs[t][:2] for t in alone])  # here, so no worker builds one
     tabled = [t for t in alone if jobs[t][0]._sign_table is not None]
     if len(tabled) > 1:
         for t, sketch in zip(tabled, _sketch_on_all_cpus([jobs[t] for t in tabled])):
@@ -414,12 +409,21 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
 
 
 def _sketch_alone(op, indices, values) -> np.ndarray:
-    """One job's sketch from its own rows: the edge signs cast to float64
-    and scaled in place, summed by one bincount."""
-    nb, edge = op._rows(indices)
-    weights = edge.astype(np.float64, copy=False)
+    """One job's sketch from its own `edges_many` call and one bincount.
+    Hashed signs are scaled in place; a sign table's int8 rows are cast
+    into the thread's float64 weights buffer first, so a dense encode
+    allocates no N * ell array."""
+    nb, weights = edges_many([(op, indices)])[0]
+    if weights.dtype == np.int8:
+        if getattr(_BUFFER, "weights", np.zeros(0)).size < weights.size:
+            _BUFFER.weights = np.empty(weights.size)
+        signs, weights = weights, _BUFFER.weights[:weights.size].reshape(weights.shape)
+        np.copyto(weights, signs)
     weights *= values[:, None]
     return np.bincount(nb.ravel(), weights=weights.ravel(), minlength=op.n_buckets)
+
+
+_BUFFER = threading.local()  # per thread: the float64 weights of table-backed jobs
 
 
 def _sketch_on_all_cpus(jobs) -> list[np.ndarray]:
@@ -459,38 +463,3 @@ def _drop_pool() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _edge_pass(jobs) -> tuple[np.ndarray, np.ndarray]:
-    """Offset bucket ids and weights of every edge of the (op, indices,
-    values, offset) jobs: non-empty, on graphs without a neighbor table,
-    grouped by sign field, at most BATCH_POINTS edges in all.  Slot s of
-    row i takes bucket counter_stream(seed, i * ell + s) mod M and the sign
-    of pair point i * M' + bucket, M' being the sign family's bucket count:
-    the arithmetic of `BipartiteGraph._generate` and `SignFamily.sign_vec`,
-    so the values are identical."""
-    counts = [indices.size for _, indices, _, _ in jobs]
-    ells = [op.graph.ell for op, *_ in jobs]
-    sizes = [count * ell for count, ell in zip(counts, ells)]
-    static = [op._edge_row[1] for op, *_ in jobs]
-    width = max(row.size for row in static)  # shorter coefficient rows end in zeros
-    params = np.array([row if row.size == width else
-                       np.concatenate((row, np.zeros(width - row.size, np.uint64)))
-                       for row in static])
-    job = np.repeat(np.arange(len(jobs)), sizes)
-    n_left, ell, seed, n_buckets, sign_buckets = params[job, :5].T
-    row_ell = np.repeat(ells, counts)
-    edge_row = np.repeat(np.arange(row_ell.size), row_ell)
-    indices = np.concatenate([indices for _, indices, _, _ in jobs]).astype(np.uint64)[edge_row]
-    if np.any(indices >= n_left):  # a negative row wraps above every N
-        raise UsageError("row outside [0, N)")
-    slots = np.arange(job.size) - (np.cumsum(row_ell) - row_ell)[edge_row]
-    buckets = counter_stream(seed, indices * ell + slots.astype(np.uint64)) % n_buckets
-    points = indices * sign_buckets + buckets
-    signs, start = np.empty(job.size), 0
-    for field, group in groupby(zip(jobs, sizes), key=lambda pair: pair[0][0]._edge_row[0]):
-        stop = start + sum(size for _, size in group)
-        signs[start:stop] = horner_signs(field, params[job[start:stop], 5:].T, points[start:stop])
-        start = stop
-    signs *= np.concatenate([values for _, _, values, _ in jobs])[edge_row]
-    return buckets.astype(np.int64) + np.repeat([offset for *_, offset in jobs], sizes), signs

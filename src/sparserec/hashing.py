@@ -9,10 +9,11 @@ Sign evaluation sits on the hot path of every sketch, so SignFamily
 uses a Mersenne-prime backing field (2^31-1, or 2^61-1 for large
 pair domains) where Horner's rule vectorizes over numpy integer arrays.
 The one kept bit of a uniform field element carries bias < 2^-31, far
-below anything the estimators can see.  A sparse encode touches a few
-rows of many families, where numpy's per-call cost dominates, so its
-signs come from `horner_signs`: one Horner pass per field over points of
-many families, each point carrying its own family's coefficients.
+below anything the estimators can see.  `edge_signs`, the one function
+that hashes (vertex, bucket) pairs, serves the expander's edge kernel:
+numpy's per-call cost dominates a call on a few rows of many families,
+so one Horner pass (`_horner_many`) takes the points of several families
+over one field, each point carrying its own family's coefficients.
 eval_many evaluates the recursion trees' fingerprints the same way.
 
 Over binary fields PolyHash evaluates vectors by log/exp tables up to
@@ -21,6 +22,8 @@ point beyond.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -200,10 +203,8 @@ class SignFamily:
         return 1 - 2 * (self.hash.eval(i * self.n_buckets + j) & 1)
 
     def sign_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Vectorized signs as float64 (+1.0 / -1.0), hashing the pairs at
-        the points i * M + j."""
-        points = i.astype(np.uint64) * np.uint64(self.n_buckets) + j.astype(np.uint64)
-        return 1.0 - 2.0 * (self.hash.eval_vec(points) & 1)
+        """Vectorized signs as float64 (+1.0 / -1.0) of the pairs (i, j)."""
+        return edge_signs([self], None, i, j)
 
 
 BATCH_POINTS = 1 << 16  # points per shared Horner pass; its coefficient
@@ -224,18 +225,26 @@ def batches(items, size) -> list[list]:
     return runs
 
 
-def eval_many(requests) -> list[np.ndarray]:
-    """`poly.eval_vec(xs)` of each (PolyHash, xs) request.
+def _horner_many(polys, sizes, xs: np.ndarray) -> np.ndarray:
+    """Values of the points xs in one Horner pass over a vectorized field,
+    the first sizes[0] under polys[0], and so on.  Several polynomials take
+    per-point coefficient columns, lower degrees padded with leading zeros,
+    which keep Horner's accumulator at 0 until the polynomial's own
+    leading coefficient; one keeps its coefficients scalar."""
+    if len(polys) == 1:
+        return _horner_vec(polys[0].field, polys[0].coefficients, xs)
+    width = max(len(poly.coefficients) for poly in polys)
+    coefficients = np.array([poly.coefficients + (0,) * (width - len(poly.coefficients))
+                             for poly in polys], dtype=np.int64)
+    return _horner_vec(polys[0].field, np.repeat(coefficients.T, sizes, axis=1), xs)
 
-    Small requests over the same field share one Horner pass, up to
-    BATCH_POINTS points, in which every point carries its own polynomial's
-    coefficients.  A polynomial of lower degree than the pass's highest is
-    padded with leading zero coefficients, which keep Horner's accumulator
-    at 0 until its own leading coefficient, so the values are identical,
-    but a pass costs its numpy calls once instead of once per polynomial.
-    A request alone in its pass, or over a field that Horner's rule does
-    not vectorize on, goes through its own eval_vec.
-    """
+
+def eval_many(requests) -> list[np.ndarray]:
+    """`poly.eval_vec(xs)` of each (PolyHash, xs) request: requests over the
+    same vectorized field share `_horner_many` passes of up to
+    BATCH_POINTS points.  A request alone in its pass, or over a field
+    that Horner's rule does not vectorize on, goes through its own
+    eval_vec."""
     out: list = [None] * len(requests)
     groups: dict = {}
     for t, (poly, _) in enumerate(requests):
@@ -243,32 +252,28 @@ def eval_many(requests) -> list[np.ndarray]:
         groups.setdefault((f.kind, f.q, f.poly) if _vectorized(f) else t, []).append(t)
     for members in groups.values():
         for batch in batches(members, lambda t: np.size(requests[t][1])):
+            polys, points = zip(*((requests[t][0], np.asarray(requests[t][1])) for t in batch))
             if len(batch) == 1:
-                poly, xs = requests[batch[0]]
-                out[batch[0]] = poly.eval_vec(xs)
+                out[batch[0]] = polys[0].eval_vec(points[0])
                 continue
-            polys = [requests[t][0] for t in batch]
-            points = [np.asarray(requests[t][1]) for t in batch]
             for poly, xs in zip(polys, points):
                 poly.check_points(xs)
             sizes = [xs.size for xs in points]
-            width = max(poly.degree for poly in polys) + 1
-            coefficients = np.array([poly.coefficients + (0,) * (width - 1 - poly.degree)
-                                     for poly in polys], dtype=np.int64)
-            columns = np.repeat(coefficients.T, sizes, axis=1)
-            values = _horner_vec(polys[0].field, columns,
-                                 np.concatenate([xs.ravel() for xs in points]))
-            start = 0
-            for t, xs in zip(batch, points):
+            values = _horner_many(polys, sizes, np.concatenate([xs.ravel() for xs in points]))
+            for t, xs, start in zip(batch, points, accumulate(sizes, initial=0)):
                 out[t] = values[start : start + xs.size].reshape(xs.shape)
-                start += xs.size
     return out
 
 
-def horner_signs(field: FieldSpec, columns: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """`SignFamily.sign_vec` signs of points of many families over one field,
-    in one Horner pass: row j of the (degree + 1, len(points)) `columns`
-    holds each point's own family's coefficient of x^j, zero above its
-    degree (see eval_many)."""
-    values = _horner_vec(field, np.ascontiguousarray(columns, dtype=np.int64), points)
+def edge_signs(families, sizes, vertices, buckets) -> np.ndarray:
+    """+-1.0 signs of (vertex, bucket) pairs of sign families over one field
+    in one `_horner_many` pass: a family with M buckets hashes (i, j) at
+    i * M + j and keeps 1 - 2 * the value's low bit.  One family takes
+    arrays of any broadcastable shapes (no sizes); several take flat
+    arrays, the first sizes[0] pairs families[0]'s, and so on."""
+    scale = (np.uint64(families[0].n_buckets) if len(families) == 1 else
+             np.repeat(np.array([f.n_buckets for f in families], dtype=np.uint64), sizes))
+    points = (np.asarray(vertices).astype(np.uint64, copy=False) * scale
+              + np.asarray(buckets).astype(np.uint64, copy=False))
+    values = _horner_many([f.hash for f in families], sizes, points)
     return 1.0 - 2.0 * (values & 1)

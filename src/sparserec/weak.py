@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from sparserec.errors import UsageError
-from sparserec.expander import SignedSketchOperator, apply_sparse_many
+from sparserec.expander import SignedSketchOperator, apply_sparse_many, readings_many
 from sparserec.seeds import derive_seed
 from sparserec.vectors import head_indices
 
@@ -63,10 +63,15 @@ class WeakParams:
 
 
 def lower_median(readings: np.ndarray) -> np.ndarray:
-    """Row-wise lower median (order statistic ceil(n/2) of n)."""
-    n = readings.shape[-1]
-    idx = (n - 1) // 2
-    return np.partition(readings, idx, axis=-1)[..., idx]
+    """Row-wise lower median (order statistic ceil(n/2) of n) of a copy."""
+    return _medians(np.array(readings))
+
+
+def _medians(readings: np.ndarray) -> np.ndarray:
+    """In-place `lower_median` of readings the caller owns, as np.partition does to its copy."""
+    idx = (readings.shape[-1] - 1) // 2
+    readings.partition(idx, axis=-1)
+    return readings[..., idx]
 
 
 def median_estimates(op: SignedSketchOperator, sketch: np.ndarray,
@@ -74,7 +79,7 @@ def median_estimates(op: SignedSketchOperator, sketch: np.ndarray,
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         return np.zeros(0)
-    return lower_median(op.readings(sketch, indices))
+    return _medians(op.readings(sketch, indices))
 
 
 def _candidate_set(candidates) -> np.ndarray:
@@ -89,11 +94,20 @@ def _candidate_set(candidates) -> np.ndarray:
 def weak_identify(op: SignedSketchOperator, sketch: np.ndarray,
                   candidates: np.ndarray, params: WeakParams) -> np.ndarray:
     """Candidate indices with the top k + ceil(k/eta) median estimates."""
-    cand = _candidate_set(candidates)
-    if cand.size == 0:
-        return cand
-    ests = median_estimates(op, sketch, cand)
-    return cand[head_indices(ests, params.ident_count)]
+    return identify_many([(params, [(op, sketch)], candidates)])[0]
+
+
+def identify_many(jobs) -> list[np.ndarray]:
+    """For each (params, copies, candidates) job, the candidates in more than
+    half of its (op, sketch) copies' top k + ceil(k/eta) median estimates;
+    one `readings_many` call reads every copy of every job."""
+    jobs = [(params, list(copies), _candidate_set(candidates))
+            for params, copies, candidates in jobs]
+    readings = readings_many([(op, u, cand) for _, copies, cand in jobs if cand.size
+                              for op, u in copies])
+    return [majority_amplify([cand[head_indices(_medians(next(readings)), params.ident_count)]
+                              if cand.size else cand for _ in copies])
+            for params, copies, cand in jobs]
 
 
 @dataclass
@@ -182,11 +196,7 @@ class WeakLayer:
 
     def identify(self, sketches: list[np.ndarray],
                  candidates: np.ndarray) -> np.ndarray:
-        lists = [
-            weak_identify(op, u, candidates, self.params)
-            for op, u in zip(self.ident_ops, sketches)
-        ]
-        return majority_amplify(lists)
+        return identify_many([(self.params, zip(self.ident_ops, sketches), candidates)])[0]
 
     def estimate(self, sketches: list[np.ndarray],
                  candidates: np.ndarray) -> WeakDecomposition:

@@ -17,6 +17,8 @@ from sparserec.expander import (
     BipartiteGraph,
     SignedSketchOperator,
     apply_sparse_many,
+    edges_many,
+    readings_many,
     unique_neighbor_count,
     verify_expansion,
 )
@@ -205,9 +207,19 @@ def test_apply_single_column_with_multiedges():
     assert np.array_equal(u, expected)
 
 
+def _dense_matrix(op):
+    """The operator's M x N matrix, entry by entry from the scalar
+    `graph.neighbors` and `signs.sign`: the sketches' oracle."""
+    out = np.zeros((op.n_buckets, op.n_left))
+    for i in range(op.n_left):
+        for j in op.graph.neighbors(i):
+            out[j, i] += op.signs.sign(i, j)
+    return out
+
+
 def test_apply_matches_dense_matrix_exactly():
     op = _operator(32, 6, 64, seed=11)
-    dense = op.dense_matrix()
+    dense = _dense_matrix(op)
     rng = np.random.default_rng(5)
     x = rng.integers(-3, 4, size=32).astype(float)
     assert np.max(np.abs(op.apply(x) - dense @ x)) == 0.0
@@ -430,12 +442,68 @@ def test_rows_outside_the_domain_are_refused():
                 target.apply_sparse(np.array(rows), np.array([1.0]))
             with pytest.raises(UsageError):
                 target.readings(u, np.array([0] + rows))
+            with pytest.raises(UsageError):  # a bad request refuses the whole call
+                readings_many([(target, u, np.arange(64)), (target, u, np.array(rows))])
             with pytest.raises(UsageError):
                 target.graph.neighbors_of(np.array(rows))
     with pytest.raises(UsageError):
         op.readings(u, np.array([-1, 64]))
     with pytest.raises(UsageError):
         op.apply_sparse(np.array([1, 2]), np.array([1.0]))
+
+
+def test_edges_many_matches_scalar_neighbors_and_signs(monkeypatch):
+    rng = np.random.default_rng(61)
+    tabled = _operator(300, 5, 64, seed=51)
+    tabled.apply(np.ones(300))  # fills both tables
+    explicit = SignedSketchOperator(  # rows from its table, signs hashed
+        BipartiteGraph.from_neighbors(rng.integers(0, 40, size=(60, 4)), 40),
+        SignFamily(seed=52, independence=8, n_left=60, n_buckets=40))
+    low_degree, high_degree = _operator(400, 5, 96, seed=53, indep=4), _operator(500, 8, 128, 54)
+    wide = _operator(1 << 16, 5, 1 << 16, seed=55)  # pair domain above 2^31: M61
+    big = _operator(1 << 12, 9, 256, seed=56)
+    assert wide.signs.hash.field.q == (1 << 61) - 1 and big.signs.hash.field.q == (1 << 31) - 1
+    requests = [
+        (tabled, np.arange(300)),  # the tables in place
+        (tabled, np.array([7, 7, 299, 0])),  # gathered from the tables
+        (explicit, np.array([59, 0, 3, 3])),
+        (low_degree, rng.choice(400, 30)),
+        (wide, rng.choice(1 << 16, 12)),
+        (high_degree, rng.choice(500, 20)),
+        (big, rng.integers(0, 512, 4000)),  # the two big requests together
+        (big, rng.integers(0, 512, 4000)),  # exceed one pass
+        (wide.graph, np.array([3, 1, 3])),  # a graph's request: buckets alone
+    ]
+    assert sum(rows.size * op.graph.ell for op, rows in requests[6:8]) > BATCH_POINTS
+    passes, edge_signs = [], expander.edge_signs
+    monkeypatch.setattr(expander, "edge_signs", lambda families, sizes, vertices, buckets: (
+        passes.append(([f.independence for f in families], np.size(buckets)))
+        or edge_signs(families, sizes, vertices, buckets)))
+    got = edges_many(requests)
+    monkeypatch.undo()
+    # hashed requests share passes of at most BATCH_POINTS points, and one of
+    # them mixes sign degrees
+    assert len(passes) > 1 and max(size for _, size in passes) <= BATCH_POINTS
+    assert any(len(set(degrees)) > 1 for degrees, _ in passes)
+    assert sum(size for _, size in passes) == sum(rows.size * op.graph.ell
+                                                  for op, rows in requests[2:8])
+    assert got[0][0] is tabled.graph._table and got[0][1] is tabled._sign_table
+    scalar = {}  # (op, row) -> the row's scalar neighbors and signs
+    for (op, rows), (buckets, edge) in zip(requests, got):
+        graph = getattr(op, "graph", op)
+        assert buckets.dtype == np.int64 and buckets.shape == (rows.size, graph.ell)
+        assert (edge is None) == (graph is op)
+        for at, i in enumerate(rows.tolist()):
+            if (id(op), i) not in scalar:
+                row = graph.neighbors(i)
+                scalar[id(op), i] = row, None if edge is None else [op.signs.sign(i, j)
+                                                                    for j in row]
+            row, row_signs = scalar[id(op), i]
+            assert buckets[at].tolist() == row
+            assert edge is None or edge[at].tolist() == row_signs
+    for (op, rows), (buckets, edge) in zip(requests[1:], got[1:]):
+        if edge is not None:  # gathered or hashed: never the tables themselves
+            assert not np.shares_memory(edge, tabled._sign_table)
 
 
 def test_sign_table_never_filled_above_materialize_limit():
@@ -460,7 +528,7 @@ def test_dense_matrix_agrees_with_sign_table():
     nbrs = op.graph.neighbors_of(np.arange(n))
     np.add.at(dense, (nbrs.ravel(), np.repeat(np.arange(n), ell)),
               op._sign_table.ravel())
-    assert np.array_equal(dense, op.dense_matrix())
+    assert np.array_equal(dense, _dense_matrix(op))
 
 
 def test_adjacency_dump_format():

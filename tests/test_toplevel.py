@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sparserec import expander, hashing, toplevel
+from sparserec import expander, hashing, toplevel, weak
 from sparserec.errors import UsageError
 from sparserec.expander import BipartiteGraph, SignedSketchOperator
-from sparserec.hashing import SignFamily
+from sparserec.recursive import RecursionTree
 from sparserec.toplevel import (
     StageSchedule,
     TopLevelConfig,
@@ -101,6 +101,10 @@ def test_every_encoded_operator_is_read(monkeypatch, n, engine, tree):
         return readings(op, sketch, indices)
 
     monkeypatch.setattr(SignedSketchOperator, "readings", record)
+    # identification reads all its copies through one readings_many call
+    many = weak.readings_many
+    monkeypatch.setattr(weak, "readings_many",
+                        lambda requests: read.extend(req[0] for req in requests) or many(requests))
     trace = []
     system.decode(sketch, trace=trace)
     assert len(trace) == len(system.stages)
@@ -370,10 +374,11 @@ def test_repeated_dense_encode_and_decode_reuse_sign_tables(monkeypatch):
     sketch = system.encode(x)
     x_hat = system.decode(sketch)
 
-    def refuse(self, i, j):
+    def refuse(families, sizes, vertices, buckets):
         raise AssertionError("edge signs must come from the sign tables")
 
-    monkeypatch.setattr(SignFamily, "sign_vec", refuse)
+    # the edge kernel's one hashing entry
+    monkeypatch.setattr(expander, "edge_signs", refuse)
     assert np.array_equal(system.encode(x), sketch)
     assert np.array_equal(system.decode(sketch), x_hat)
 
@@ -509,6 +514,51 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
     assert sorted(passes) == ["GF(2147483647)", "GF(2305843009213693951)", "GF(2^14)"]
     assert len(streams) == 1
     assert len(bincounts) == 1
+
+
+def test_warm_tree_decode_identifies_with_one_sign_pass_per_field_per_depth(monkeypatch):
+    # criterion 8's split tree at 2^16, and its signal
+    tree = dict(_BENCH_TREE, code_kind="split", arity=2)
+    system = TopLevelSystem(TopLevelConfig(n=1 << 16, k=8, epsilon=0.5, engine="recursive",
+                                           ell=9, sign_independence=16, tree=tree), seed=2)
+    rng = np.random.default_rng(8080)
+    x = np.zeros(system.n)
+    x[rng.choice(system.n, 8, replace=False)] = rng.choice([-1.0, 1.0], 8) * (1 + rng.random(8))
+    sketch = system.encode(x)
+    trace = []
+    system.decode(sketch, trace=trace)  # fills the leaves' tables
+    passes, identifying = [], []
+    horner, identify = hashing._horner_vec, RecursionTree.identify
+
+    def counted(f, coefficients, xs):
+        if identifying and f.kind == "prime":  # a sign pass, not a fingerprint's
+            passes.append((repr(f), xs.size))
+        return horner(f, coefficients, xs)
+
+    def tree_identify(tree, sketches):
+        identifying.append(tree)
+        try:
+            return identify(tree, sketches)
+        finally:
+            identifying.pop()
+
+    monkeypatch.setattr(hashing, "_horner_vec", counted)
+    monkeypatch.setattr(RecursionTree, "identify", tree_identify)
+    again = []
+    system.decode(sketch, trace=again)
+    assert again == trace
+    # only stage 1 identifies this exact signal; its leaves read their
+    # tables, its two depth-1 nodes hash their candidates in one M31 pass,
+    # and its root in one M61 pass
+    [records] = [stage["nodes"] for stage in trace if stage["nodes"]]
+    stage_tree = system.stages[0].tree
+    assert stage_tree.height == 2 and all(
+        len(node.layer.ident_ops) == 1 and node.layer.params.ell == 8 for node in stage_tree.nodes)
+    candidates = {depth: sum(r["candidates"] for r in records if r["depth"] == depth)
+                  for depth in (0, 1)}
+    assert [r["candidates"] for r in records if r["depth"] == 1] == [576, 576]
+    assert passes == [("GF(2147483647)", 8 * candidates[1]),
+                      ("GF(2305843009213693951)", 8 * candidates[0])]
 
 
 def _hashed_sketch(system, x):

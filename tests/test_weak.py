@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sparserec import expander
 from sparserec.errors import UsageError
 from sparserec.expander import BipartiteGraph, SignedSketchOperator
+from sparserec.hashing import SignFamily
 from sparserec.weak import (
     WeakLayer,
     WeakParams,
@@ -25,6 +27,31 @@ def test_lower_median_convention():
     assert lower_median(np.array([[5.0, 1.0]])) == 1.0
     assert lower_median(np.array([[3.0]])) == 3.0
     assert lower_median(np.array([[-1.0, -2.0]])) == -2.0
+
+
+def test_median_estimates_pick_lower_medians_signed_zeros_included():
+    # three heads in roomy buckets: most readings are +0.0, or -0.0 where
+    # an empty bucket meets a -1 sign, and the chosen zero's sign shows
+    op = _operator(400, 7, 512, seed=21)
+    x = np.zeros(400)
+    x[[5, 77, 301]] = [1.5, -2.0, 0.75]
+    u = op.apply(x)
+    full, some = np.arange(400), np.array([301, 5, 5, 0, 399])
+    tables = None
+    for indices in (full, some, full):  # the first full-domain call fills the tables
+        readings = op.readings(u, indices)
+        kept = readings.copy()
+        want = lower_median(readings)
+        assert np.array_equal(readings.view(np.int64), kept.view(np.int64))  # a copy
+        got = median_estimates(op, u, indices)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        if tables is None:
+            tables = [t.copy() for t in (op.graph._table, op._sign_table)]
+    zeros = np.signbit(median_estimates(op, u, full)[lower_median(op.readings(u, full)) == 0])
+    assert zeros.any() and not zeros.all()
+    # the full-domain readings read the tables in place and are partitioned
+    # in place: the tables are untouched
+    assert all(np.array_equal(a, b) for a, b in zip(tables, (op.graph._table, op._sign_table)))
 
 
 def test_single_spike_estimated_exactly():
@@ -76,7 +103,7 @@ def test_weak_identify_empty_candidates():
     assert weak_identify(op, u, [], params).size == 0
 
 
-def test_weak_identify_permutation_equivariant():
+def test_weak_identify_permutation_equivariant(monkeypatch):
     n, ell, m = 96, 6, 192
     params = WeakParams(k=3, gamma=0.2, eta=0.25, ell=ell)
     base = _operator(n, ell, m, seed=9)
@@ -94,17 +121,25 @@ def test_weak_identify_permutation_equivariant():
     inv = np.argsort(perm)
     table = base.graph.neighbors_of(np.arange(n))
 
-    class _RelabeledSigns:
-        n_left, n_buckets = n, m
-
-        def sign_vec(self, i, j):
-            return base.signs.sign_vec(inv[np.asarray(i)], j)
+    class _RelabeledSigns(SignFamily):
+        """base's signs with vertex p read as inv[p]; the edge kernel's one
+        hashing entry, `edge_signs`, relabels this family's vertices."""
 
         def sign(self, i, j):
-            return base.signs.sign(int(inv[i]), j)
+            return super().sign(int(inv[i]), j)
 
+    edge_signs = expander.edge_signs
+
+    def relabeled(families, sizes, vertices, buckets):
+        if isinstance(families[0], _RelabeledSigns):
+            assert len(families) == 1
+            vertices = inv[np.asarray(vertices)]
+        return edge_signs(families, sizes, vertices, buckets)
+
+    monkeypatch.setattr(expander, "edge_signs", relabeled)
     pg = BipartiteGraph.from_neighbors(table[inv], m)
-    pop = SignedSketchOperator(pg, _RelabeledSigns())
+    pop = SignedSketchOperator(pg, _RelabeledSigns(base.signs.seed, base.signs.independence,
+                                                   n, m))
     xp = np.zeros(n)
     xp[perm] = x
     up = pop.apply(xp)
