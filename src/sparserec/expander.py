@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 
@@ -264,30 +263,30 @@ def edges_many(requests) -> list[tuple]:
     [0, N) raises UsageError."""
     requests = [(op, np.asarray(rows, dtype=np.int64)) for op, rows in requests]
     _fill_tables(requests)
-    out, rest = [None] * len(requests), []
+    out, hashed = [None] * len(requests), []
     for t, (op, rows) in enumerate(requests):
         graph, family, signs = ((op, None, None) if isinstance(op, BipartiteGraph)
                                 else (op.graph, op.signs, op._sign_table))
         if (signs is not None and rows.shape == signs.shape[:1] and rows[0] == 0
                 and rows[-1] == rows.size - 1 and np.all(rows[1:] > rows[:-1])):
             out[t] = graph._table, signs
-        else:
-            rest.append((t, graph, family, signs, rows))
-    if rest:
-        rows = np.concatenate([rows for *_, rows in rest]).astype(np.uint64)
-        limits = np.repeat(np.array([graph.n_left for _, graph, *_ in rest], dtype=np.uint64),
-                           [rows.size for *_, rows in rest])
-        if np.any(rows >= limits):  # a negative row wraps above every N
-            raise UsageError("row outside [0, N)")
-    for t, graph, family, signs, rows in rest:
-        if graph._table is not None:  # with no sign table, signs hashed on their own
+        elif graph._table is None:
+            hashed.append((t, graph, family, rows))
+        else:  # gathered; with no sign table, signs hashed on their own
+            _check_rows(rows, graph.n_left)
             buckets = graph._table[rows]
             out[t] = buckets, (None if family is None else signs[rows] if signs is not None
                                else edge_signs([family], None, rows[:, None], buckets))
-    hashed = [(t, graph, family, rows) for t, graph, family, _, rows in rest if out[t] is None]
     for (t, *_), edges in zip(hashed, _hashed_edges([request[1:] for request in hashed])):
         out[t] = edges
     return out
+
+
+def _check_rows(rows: np.ndarray, n_left) -> None:
+    """UsageError for a row outside [0, N), N a scalar or one per row: a
+    negative int64 row read as uint64 lies above every N."""
+    if np.any(rows.view(np.uint64) >= n_left):
+        raise UsageError("row outside [0, N)")
 
 
 def _fill_tables(requests) -> None:
@@ -305,7 +304,7 @@ def _fill_tables(requests) -> None:
 
 def _hashed_edges(requests) -> list[tuple]:
     """`edges_many` of (graph, sign family or None, rows) requests on graphs
-    without tables, with rows in [0, N).  Slot s of row i takes bucket
+    without tables; a row outside [0, N) raises UsageError.  Slot s of row i takes bucket
     counter_stream(seed, i * ell + s) mod M and the sign of (i, bucket).
     The requests, each sign field's together, are cut into `batches` of at
     most BATCH_POINTS edges.  A batch of several lays its edges out flat,
@@ -321,7 +320,8 @@ def _hashed_edges(requests) -> list[tuple]:
         graphs, families, rows = zip(*(requests[t] for t in run))
         sizes = [r.size * graph.ell for r, graph in zip(rows, graphs)]
         starts = list(accumulate(sizes, initial=0))
-        params = np.array([(g.seed, g.ell, g.n_buckets) for g in graphs], dtype=np.uint64)
+        params = np.array([(g.seed, g.ell, g.n_buckets, g.n_left) for g in graphs],
+                          dtype=np.uint64)
         if len(run) == 1:  # scalar parameters
             vertices = rows[0].astype(np.uint64)[:, None]
             slots, params = np.arange(graphs[0].ell, dtype=np.uint64), params[0]
@@ -331,7 +331,8 @@ def _hashed_edges(requests) -> list[tuple]:
             slots = (np.arange(vertices.size)
                      - np.repeat(np.cumsum(row_ell) - row_ell, row_ell)).astype(np.uint64)
             params = np.repeat(params.T, sizes, axis=1)
-        seed, ell, n_buckets = params
+        seed, ell, n_buckets, n_left = params
+        _check_rows(vertices, n_left)
         buckets = counter_stream(seed, vertices * ell + slots) % n_buckets
         if len(run) == 1:
             out[run[0]] = buckets.view(np.int64), (
@@ -393,7 +394,9 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
         weights = np.concatenate([edge for _, edge in edges], axis=None, dtype=np.float64)
         weights *= np.repeat(np.concatenate([jobs[t][2] for t in small]),
                              np.repeat(ells, counts))
-        sums = np.bincount(ids, weights=weights, minlength=offsets[-1])
+        # an empty bincount would count in int64
+        sums = (np.bincount(ids, weights=weights, minlength=offsets[-1]) if ids.size
+                else np.zeros(offsets[-1]))
         for t, start, stop in zip(small, offsets, offsets[1:]):
             out[t] = sums[start:stop]
     alone = [t for t in range(len(jobs)) if out[t] is None]
@@ -409,21 +412,12 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
 
 
 def _sketch_alone(op, indices, values) -> np.ndarray:
-    """One job's sketch from its own `edges_many` call and one bincount.
-    Hashed signs are scaled in place; a sign table's int8 rows are cast
-    into the thread's float64 weights buffer first, so a dense encode
-    allocates no N * ell array."""
-    nb, weights = edges_many([(op, indices)])[0]
-    if weights.dtype == np.int8:
-        if getattr(_BUFFER, "weights", np.zeros(0)).size < weights.size:
-            _BUFFER.weights = np.empty(weights.size)
-        signs, weights = weights, _BUFFER.weights[:weights.size].reshape(weights.shape)
-        np.copyto(weights, signs)
+    """One job's sketch from its own `edges_many` call: the edge signs cast
+    to float64 and scaled in place, summed by one bincount."""
+    nb, edge = edges_many([(op, indices)])[0]
+    weights = edge.astype(np.float64, copy=False)
     weights *= values[:, None]
     return np.bincount(nb.ravel(), weights=weights.ravel(), minlength=op.n_buckets)
-
-
-_BUFFER = threading.local()  # per thread: the float64 weights of table-backed jobs
 
 
 def _sketch_on_all_cpus(jobs) -> list[np.ndarray]:

@@ -33,7 +33,7 @@ from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash, eval_many
 from sparserec.seeds import derive_seed
-from sparserec.weak import WeakLayer, WeakParams, identify_many
+from sparserec.weak import WeakLayer, WeakParams
 
 
 def tree_shape(n_root: int, leaf_target: int, arity: int) -> tuple[int, int]:
@@ -388,52 +388,49 @@ class RecursionTree:
         """Candidate signal indices, leaves first, and info["nodes"]: one
         record of plain ints and lists per node, with its list-recovery
         output before truncation ("recovered", None at leaves) and its
-        output list ("found").  Each depth, from the leaves up, reads every
-        identification copy of all its nodes in one `identify_many` call."""
+        output list ("found")."""
         lists: dict[int, np.ndarray] = {}
         records = []
-        for depth in range(self.height, -1, -1):
-            level, cands = [node for node in self.nodes if node.depth == depth], []
-            for node in level:
-                recovered, truncated = None, 0
-                if node.children:
-                    child_sets = []
-                    for child_id in node.children:
-                        child = self.nodes[child_id]
-                        vals = lists[child_id]
-                        det, rnd = child.unpack(vals)
-                        ok = (det < (1 << child.det_in)) & (rnd < (1 << child.rnd_in))
-                        child_sets.append(
-                            set(zip(det[ok].tolist(), rnd[ok].tolist()))
-                        )
-                    pairs = node.code.list_recover_pairs(
-                        child_sets, errors=self.params.lw_errors,
-                        rho=self.params.rho if self.code_kind == "rs" else 0.0)
-                    pairs = _rows(pairs, 2)
-                    cand = np.unique(node.pack(pairs[:, 0], pairs[:, 1]))
-                    recovered = cand.tolist()
-                    cap = self.params.cap or self._default_cap()
-                    if cand.size > cap:
-                        truncated = cand.size - cap
-                        cand = cand[:cap]
-                        warnings.warn(
-                            f"node {node.node_id}: list recovery returned "
-                            f"{cand.size + truncated} candidates, truncated to {cap} "
-                            f"(counts as identification loss)",
-                            stacklevel=2,
-                        )
-                else:
-                    cand = np.arange(node.domain, dtype=np.int64)
-                cands.append(cand)
-                records.append({"node": node.node_id, "depth": node.depth,
-                                "candidates": int(cand.size), "truncated": truncated,
-                                "recovered": recovered, "found": None})
-            found = identify_many([(node.layer.params,
-                                    zip(node.layer.ident_ops, sketches[node.node_id]), cand)
-                                   for node, cand in zip(level, cands)])
-            for node, record, node_found in zip(level, records[-len(level):], found):
-                lists[node.node_id] = node_found
-                record["found"] = node_found.tolist()
+        for node in sorted(self.nodes, key=lambda v: -v.depth):
+            recovered, truncated = None, 0
+            if node.children:
+                child_sets = []
+                for child_id in node.children:
+                    child = self.nodes[child_id]
+                    vals = lists[child_id]
+                    det, rnd = child.unpack(vals)
+                    ok = (det < (1 << child.det_in)) & (rnd < (1 << child.rnd_in))
+                    child_sets.append(
+                        set(zip(det[ok].tolist(), rnd[ok].tolist()))
+                    )
+                pairs = node.code.list_recover_pairs(
+                    child_sets, errors=self.params.lw_errors,
+                    rho=self.params.rho if self.code_kind == "rs" else 0.0)
+                pairs = _rows(pairs, 2)
+                cand = np.unique(node.pack(pairs[:, 0], pairs[:, 1]))
+                recovered = cand.tolist()
+                cap = self.params.cap or self._default_cap()
+                if cand.size > cap:
+                    truncated = cand.size - cap
+                    cand = cand[:cap]
+                    warnings.warn(
+                        f"node {node.node_id}: list recovery returned "
+                        f"{cand.size + truncated} candidates, truncated to {cap} "
+                        f"(counts as identification loss)",
+                        stacklevel=2,
+                    )
+            else:
+                cand = np.arange(node.domain, dtype=np.int64)
+            found = node.layer.identify(sketches[node.node_id], cand)
+            lists[node.node_id] = found
+            records.append({
+                "node": node.node_id,
+                "depth": node.depth,
+                "candidates": int(cand.size),
+                "truncated": truncated,
+                "recovered": recovered,
+                "found": found.tolist(),
+            })
         det, rnd = self.nodes[0].unpack(lists[0])
         if self.mapper is None:
             out = np.unique(det[det < self.n_signal])

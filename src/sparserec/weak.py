@@ -94,20 +94,18 @@ def _candidate_set(candidates) -> np.ndarray:
 def weak_identify(op: SignedSketchOperator, sketch: np.ndarray,
                   candidates: np.ndarray, params: WeakParams) -> np.ndarray:
     """Candidate indices with the top k + ceil(k/eta) median estimates."""
-    return identify_many([(params, [(op, sketch)], candidates)])[0]
+    return _identify(params, [(op, sketch)], candidates)
 
 
-def identify_many(jobs) -> list[np.ndarray]:
-    """For each (params, copies, candidates) job, the candidates in more than
-    half of its (op, sketch) copies' top k + ceil(k/eta) median estimates;
-    one `readings_many` call reads every copy of every job."""
-    jobs = [(params, list(copies), _candidate_set(candidates))
-            for params, copies, candidates in jobs]
-    readings = readings_many([(op, u, cand) for _, copies, cand in jobs if cand.size
-                              for op, u in copies])
-    return [majority_amplify([cand[head_indices(_medians(next(readings)), params.ident_count)]
-                              if cand.size else cand for _ in copies])
-            for params, copies, cand in jobs]
+def _identify(params: WeakParams, copies, candidates) -> np.ndarray:
+    """The candidates in more than half of the (op, sketch) copies' top
+    k + ceil(k/eta) median estimates; one `readings_many` call reads every copy."""
+    cand = _candidate_set(candidates)
+    if cand.size == 0:
+        return cand
+    readings = readings_many([(op, u, cand) for op, u in copies])
+    return majority_amplify([cand[head_indices(_medians(r), params.ident_count)]
+                             for r in readings])
 
 
 @dataclass
@@ -196,7 +194,7 @@ class WeakLayer:
 
     def identify(self, sketches: list[np.ndarray],
                  candidates: np.ndarray) -> np.ndarray:
-        return identify_many([(self.params, zip(self.ident_ops, sketches), candidates)])[0]
+        return _identify(self.params, zip(self.ident_ops, sketches), candidates)
 
     def estimate(self, sketches: list[np.ndarray],
                  candidates: np.ndarray) -> WeakDecomposition:

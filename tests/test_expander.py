@@ -193,6 +193,10 @@ def _operator(n, ell, m, seed=1, indep=16):
 def test_apply_zero_is_zero():
     op = _operator(32, 4, 64)
     assert np.array_equal(op.apply(np.zeros(32)), np.zeros(64))
+    # no edge to sum: the sketches are float64 zeros all the same
+    for u in (op.apply(np.zeros(32)), op.apply_sparse([], []),
+              *apply_sparse_many([(op, [], []), (_operator(16, 3, 8), [], [])])):
+        assert u.dtype == np.float64
 
 
 def test_apply_single_column_with_multiedges():

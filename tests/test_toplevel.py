@@ -128,7 +128,7 @@ def test_stage_measurements_non_increasing():
 def test_zero_signal_decodes_to_zero():
     system = build_toplevel(256, 4, 0.5, seed=5, engine="scan", ell=7)
     flat = system.encode(np.zeros(256))
-    assert np.array_equal(flat, np.zeros_like(flat))
+    assert flat.dtype == np.float64 and np.array_equal(flat, np.zeros_like(flat))
     assert np.array_equal(system.decode(flat), np.zeros(256))
 
 
@@ -516,7 +516,7 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
     assert len(bincounts) == 1
 
 
-def test_warm_tree_decode_identifies_with_one_sign_pass_per_field_per_depth(monkeypatch):
+def test_warm_tree_decode_identifies_each_node_in_one_sign_pass(monkeypatch):
     # criterion 8's split tree at 2^16, and its signal
     tree = dict(_BENCH_TREE, code_kind="split", arity=2)
     system = TopLevelSystem(TopLevelConfig(n=1 << 16, k=8, epsilon=0.5, engine="recursive",
@@ -548,17 +548,16 @@ def test_warm_tree_decode_identifies_with_one_sign_pass_per_field_per_depth(monk
     system.decode(sketch, trace=again)
     assert again == trace
     # only stage 1 identifies this exact signal; its leaves read their
-    # tables, its two depth-1 nodes hash their candidates in one M31 pass,
-    # and its root in one M61 pass
+    # tables, and each of its two depth-1 nodes and its root hashes its
+    # candidates in one pass: M31 at depth 1, M61 at the root
     [records] = [stage["nodes"] for stage in trace if stage["nodes"]]
     stage_tree = system.stages[0].tree
     assert stage_tree.height == 2 and all(
         len(node.layer.ident_ops) == 1 and node.layer.params.ell == 8 for node in stage_tree.nodes)
-    candidates = {depth: sum(r["candidates"] for r in records if r["depth"] == depth)
-                  for depth in (0, 1)}
-    assert [r["candidates"] for r in records if r["depth"] == 1] == [576, 576]
-    assert passes == [("GF(2147483647)", 8 * candidates[1]),
-                      ("GF(2305843009213693951)", 8 * candidates[0])]
+    inner = [(r["depth"], r["candidates"]) for r in records if r["depth"] < 2]
+    assert inner[:2] == [(1, 576), (1, 576)] and inner[2][0] == 0
+    assert passes == [("GF(2147483647)", 8 * 576), ("GF(2147483647)", 8 * 576),
+                      ("GF(2305843009213693951)", 8 * inner[2][1])]
 
 
 def _hashed_sketch(system, x):

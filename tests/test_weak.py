@@ -244,6 +244,26 @@ def test_weak_layer_amplified_pipeline_recovers_planted():
     assert np.max(np.abs(dec.to_dense() - x)) < 1e-12
 
 
+def test_weak_layer_identify_reads_its_copies_in_one_sign_pass(monkeypatch):
+    params = WeakParams(k=4, gamma=0.25, eta=0.25, ell=6, s=3)
+    layer = WeakLayer(params=params, domain=4096, n_buckets=96, seed=17)
+    rng = np.random.default_rng(17)
+    supp = rng.choice(4096, 4, replace=False)
+    x = np.zeros(4096)
+    x[supp] = 1.0 + rng.random(4)
+    sketches = layer.encode(x)
+    cand = np.concatenate([rng.choice(4096, 300), supp])
+    want = majority_amplify([weak_identify(op, u, cand, params)
+                             for op, u in zip(layer.ident_ops, sketches)])
+    passes, edge_signs = [], expander.edge_signs
+    monkeypatch.setattr(expander, "edge_signs", lambda families, *rest: (
+        passes.append(len(families)) or edge_signs(families, *rest)))
+    found = layer.identify(sketches, cand)
+    # the three copies' candidate rows hash together, tables unbuilt
+    assert passes == [3] and not any(op.graph.materialized for op in layer.ident_ops)
+    assert np.array_equal(found, want) and set(supp.tolist()) <= set(found.tolist())
+
+
 def _planted_trial(seed, n, k, ell, m, s, head=1.0, sigma=None):
     """Returns (missed_s1, missed_amplified) for one planted instance."""
     params = WeakParams(k=k, gamma=0.25, eta=0.25, ell=ell, s=s)
