@@ -5,10 +5,13 @@ replacement from a counter-based stream, so neighbor lists regenerate in
 O(1) from (seed, N, ell, M) alone.  That matters because the recursion
 works over implicit domains (up to 2^61) that can never be materialized.
 
-The signed sketch operator multiplies each edge by a +-1 value from a
-limited-independence sign family; applying it to a vector x produces the
-bucket sums u_j = sum over edges (i -> j) of sign(i, j) * x_i, with
-duplicate edges contributing twice.
+The signed sketch operator multiplies each edge (vertex i, slot s) by a
++-1 sign from a limited-independence family that hashes each vertex once
+and gives slot s bit s of the value (`hashing.SignFamily`); applying it
+to a vector x produces the bucket sums u_j = sum over the edges (i, s)
+landing in bucket j of sign(i, s) * x_i.  A vertex's duplicate edges
+(two slots on one bucket) carry their own slots' signs, so they add
+2 * x_i or cancel.
 
 Every edge on every path comes from one kernel, `edges_many`, which maps
 (operator, rows) requests to (buckets, signs) arrays of shape (rows,
@@ -21,14 +24,18 @@ scans few operators never builds the others'.  A request on exactly the
 rows 0..N-1 reads both tables in place, other requests on tabled
 operators gather rows, and the rest of a call shares one counter-stream
 pass for its bucket ids and one `hashing.edge_signs` Horner pass per
-sign field.  Rows outside [0, N) raise UsageError.  Readings and
-sketches are new arrays, and `BipartiteGraph.neighbors_of` returns a copy.
+sign field, which hashes each row once for all its slots.  Rows outside
+[0, N) raise UsageError.  Readings and sketches are new arrays, and
+`BipartiteGraph.neighbors_of` returns a copy.
 
-`apply_sparse_many` (the encode) and `readings_many` (the decode) make
-one kernel call for many operators.  The dense jobs of one
-`apply_sparse_many` call whose operators hold both tables run on one
-thread per CPU the process may run on: the calling thread and a pool of
-workers, started on first use and dropped in a forked child.
+`apply_sparse_many` (the encode) makes one kernel call for many
+operators, as the weak layer's reads do.  The dense jobs of one call
+whose operators hold both tables run on one thread per CPU the process
+may run on: the calling thread and a pool of workers, started on first
+use and dropped in a forked child.  A job that runs alone, and the weak
+layer's medians, pass over their edges in `row_blocks`, so a warm dense
+encode or full-domain read allocates no N * ell-sized array, whose fresh
+pages would fault on every call.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from sparserec.hashing import BATCH_POINTS, SignFamily, batches, edge_signs
 from sparserec.seeds import counter_stream
 
 _MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
+BLOCK_EDGES = 1 << 15  # edges per block of a dense pass: 256 KiB of float64
 
 
 class BipartiteGraph:
@@ -57,6 +65,9 @@ class BipartiteGraph:
             raise UsageError("need at least one left vertex")
         if not 1 <= ell <= n_buckets:
             raise UsageError("left degree must satisfy 1 <= ell <= M")
+        if neighbors is None and n_left * ell > 1 << 64:
+            # beyond this, two edges' stream indices i * ell + s would coincide
+            raise InfeasibleError("bucket stream index i * ell + s exceeds 64 bits")
         self.n_left = n_left
         self.ell = ell
         self.n_buckets = n_buckets
@@ -194,7 +205,7 @@ class SignedSketchOperator:
     """Implicit measurement matrix: expander adjacency with +-1 edge signs."""
 
     def __init__(self, graph: BipartiteGraph, signs: SignFamily):
-        if signs.n_left < graph.n_left or signs.n_buckets < graph.n_buckets:
+        if signs.n_left < graph.n_left or signs.ell < graph.ell:
             raise UsageError("sign family domain smaller than the graph")
         self.graph = graph
         self.signs = signs
@@ -212,8 +223,7 @@ class SignedSketchOperator:
     def build(n_left: int, ell: int, n_buckets: int, seed: int,
               sign_independence: int) -> "SignedSketchOperator":
         graph = BipartiteGraph(n_left, ell, n_buckets, seed)
-        fam = SignFamily(seed=seed, independence=sign_independence,
-                         n_left=n_left, n_buckets=n_buckets)
+        fam = SignFamily(seed=seed, independence=sign_independence, n_left=n_left, ell=ell)
         return SignedSketchOperator(graph, fam)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -231,8 +241,9 @@ class SignedSketchOperator:
 
     def readings(self, sketch: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """(len(indices), ell) sign-corrected bucket readings for each index,
-        as a new array (`readings_many`)."""
-        return next(readings_many([(self, sketch, indices)]))
+        as a new array."""
+        nbrs, signs = edges_many([(self, indices)])[0]
+        return signs * sketch[nbrs]
 
     def to_params(self) -> dict:
         return {
@@ -246,7 +257,7 @@ class SignedSketchOperator:
         graph = BipartiteGraph.from_params(params["graph"])
         fam = SignFamily(seed=params["sign_seed"],
                          independence=params["sign_independence"],
-                         n_left=graph.n_left, n_buckets=graph.n_buckets)
+                         n_left=graph.n_left, ell=graph.ell)
         return SignedSketchOperator(graph, fam)
 
     def to_json(self) -> str:
@@ -276,7 +287,8 @@ def edges_many(requests) -> list[tuple]:
             _check_rows(rows, graph.n_left)
             buckets = graph._table[rows]
             out[t] = buckets, (None if family is None else signs[rows] if signs is not None
-                               else edge_signs([family], None, rows[:, None], buckets))
+                               else edge_signs([family], None, rows[:, None],
+                                               np.arange(graph.ell)))
     for (t, *_), edges in zip(hashed, _hashed_edges([request[1:] for request in hashed])):
         out[t] = edges
     return out
@@ -297,68 +309,66 @@ def _fill_tables(requests) -> None:
         graph = op if isinstance(op, BipartiteGraph) else op.graph
         if (rows.size >= graph.n_left and graph.n_left * graph.ell <= _MATERIALIZE_LIMIT
                 and graph.table() is not None and graph is not op and op._sign_table is None):
-            signs = edge_signs([op.signs], None, np.arange(graph.n_left)[:, None], graph._table)
+            signs = edge_signs([op.signs], None, np.arange(graph.n_left)[:, None],
+                               np.arange(graph.ell))
             op._sign_table = signs.astype(np.int8)
             op._sign_table.flags.writeable = False
 
 
 def _hashed_edges(requests) -> list[tuple]:
     """`edges_many` of (graph, sign family or None, rows) requests on graphs
-    without tables; a row outside [0, N) raises UsageError.  Slot s of row i takes bucket
-    counter_stream(seed, i * ell + s) mod M and the sign of (i, bucket).
+    without tables; a row outside [0, N) raises UsageError.  Slot s of row
+    i takes bucket counter_stream(seed, i * ell + s) mod M and sign(i, s).
     The requests, each sign field's together, are cut into `batches` of at
     most BATCH_POINTS edges.  A batch of several lays its edges out flat,
     each edge carrying its graph's seed, ell and M into one counter-stream
-    pass and its family's coefficients into one `edge_signs` pass per
-    field.  A request alone in its batch (a table build, a dense job
-    without tables) keeps them scalar, its (rows, 1) vertices broadcast
-    against its ell slots: no per-edge columns."""
+    pass, and hashes its rows, each carrying its family's coefficients, in
+    one `edge_signs` pass per field.  A request alone in its batch (a table
+    build, a dense job without tables) keeps them scalar, its (rows, 1)
+    vertices broadcast against its ell slots: no per-edge columns."""
     out = [None] * len(requests)
     fields = [0 if family is None else family.hash.field.q for _, family, _ in requests]
     for run in batches(sorted(range(len(requests)), key=fields.__getitem__),
                        lambda t: requests[t][2].size * requests[t][0].ell):
         graphs, families, rows = zip(*(requests[t] for t in run))
-        sizes = [r.size * graph.ell for r, graph in zip(rows, graphs)]
-        starts = list(accumulate(sizes, initial=0))
+        counts = [r.size for r in rows]
+        sizes = [count * graph.ell for count, graph in zip(counts, graphs)]
         params = np.array([(g.seed, g.ell, g.n_buckets, g.n_left) for g in graphs],
                           dtype=np.uint64)
         if len(run) == 1:  # scalar parameters
-            vertices = rows[0].astype(np.uint64)[:, None]
-            slots, params = np.arange(graphs[0].ell, dtype=np.uint64), params[0]
+            vertices = edge_vertices = rows[0][:, None]
+            slots, params = np.arange(graphs[0].ell), params[0]
         else:
-            row_ell = np.repeat([graph.ell for graph in graphs], [r.size for r in rows])
-            vertices = np.repeat(np.concatenate(rows).astype(np.uint64), row_ell)
-            slots = (np.arange(vertices.size)
-                     - np.repeat(np.cumsum(row_ell) - row_ell, row_ell)).astype(np.uint64)
+            vertices = np.concatenate(rows)
+            row_ell = np.repeat([graph.ell for graph in graphs], counts)
+            edge_vertices = np.repeat(vertices, row_ell)
+            slots = np.arange(edge_vertices.size) - np.repeat(np.cumsum(row_ell) - row_ell,
+                                                              row_ell)
             params = np.repeat(params.T, sizes, axis=1)
         seed, ell, n_buckets, n_left = params
-        _check_rows(vertices, n_left)
-        buckets = counter_stream(seed, vertices * ell + slots) % n_buckets
+        _check_rows(edge_vertices, n_left)
+        buckets = counter_stream(seed, edge_vertices.view(np.uint64) * ell
+                                 + slots.view(np.uint64)) % n_buckets
         if len(run) == 1:
             out[run[0]] = buckets.view(np.int64), (
-                None if families[0] is None else edge_signs(families, None, vertices, buckets))
+                None if families[0] is None else edge_signs(families, None, vertices, slots))
             continue
         signs = np.empty(buckets.size)
+        row_starts = list(accumulate(counts, initial=0))
+        starts = list(accumulate(sizes, initial=0))
         for _, group in groupby(range(len(run)), key=lambda u: fields[run[u]]):
             group = list(group)
-            cut = slice(starts[group[0]], starts[group[-1] + 1])
             if families[group[0]] is not None:
-                signs[cut] = edge_signs([families[u] for u in group], [sizes[u] for u in group],
-                                        vertices[cut], buckets[cut])
+                rows_cut = slice(row_starts[group[0]], row_starts[group[-1] + 1])
+                cut = slice(starts[group[0]], starts[group[-1] + 1])
+                signs[cut] = edge_signs([families[u] for u in group], [counts[u] for u in group],
+                                        vertices[rows_cut], slots[cut], row_ell[rows_cut])
         ids = buckets.view(np.int64)
         for t, graph, family, r, start, stop in zip(run, graphs, families, rows,
                                                     starts, starts[1:]):
             out[t] = (ids[start:stop].reshape(r.size, graph.ell),
                       None if family is None else signs[start:stop].reshape(r.size, graph.ell))
     return out
-
-
-def readings_many(requests):
-    """`op.readings(sketch, rows)` of each (op, sketch, rows) request, from
-    one `edges_many` call made before it returns, as an iterator that
-    computes each when reached: a caller reducing each holds one at a time."""
-    edges = edges_many([(op, rows) for op, _, rows in requests])
-    return (signs * sketch[nbrs] for (_, sketch, _), (nbrs, signs) in zip(requests, edges))
 
 
 def apply_sparse_many(jobs) -> list[np.ndarray]:
@@ -373,7 +383,7 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
     of those on at least N rows, in job order.  Two or more with both
     tables run on one thread per CPU in the affinity mask, the calling
     thread taking every CPU-th and the pool's workers the others, as numpy
-    releases the GIL in their gathers, products and bincounts.  The others
+    releases the GIL in their products (not in the sums).  The others
     (on graphs without tables) then run in the calling thread.  Rows
     outside [0, N), and value arrays shaped unlike the rows, raise
     UsageError.  The sketches are new arrays or disjoint views of one.
@@ -412,12 +422,23 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
 
 
 def _sketch_alone(op, indices, values) -> np.ndarray:
-    """One job's sketch from its own `edges_many` call: the edge signs cast
-    to float64 and scaled in place, summed by one bincount."""
+    """One job's sketch from its own `edges_many` call, one `row_blocks`
+    block at a time: each block's weights (sign times value) are added
+    into float64 zeros by `np.add.at`, in (row, slot) order, as one
+    bincount adds them."""
     nb, edge = edges_many([(op, indices)])[0]
-    weights = edge.astype(np.float64, copy=False)
-    weights *= values[:, None]
-    return np.bincount(nb.ravel(), weights=weights.ravel(), minlength=op.n_buckets)
+    out = np.zeros(op.n_buckets)
+    for rows in row_blocks(*nb.shape):
+        np.add.at(out, nb[rows].ravel(), (edge[rows] * values[rows, None]).ravel())
+    return out
+
+
+def row_blocks(rows: int, ell: int) -> list[slice]:
+    """Slices cutting range(rows) into blocks of at most BLOCK_EDGES
+    edges (one row at least), for a pass over a whole (rows, ell) edge
+    array whose per-block temporaries stay small."""
+    step = max(1, BLOCK_EDGES // ell)
+    return [slice(at, at + step) for at in range(0, rows, step)]
 
 
 def _sketch_on_all_cpus(jobs) -> list[np.ndarray]:

@@ -2,19 +2,24 @@
 
 A uniformly random degree-d polynomial over a field, evaluated at
 distinct points, is (d+1)-wise independent.  PolyHash stores one such
-polynomial; SignFamily turns a PolyHash into reproducible +-1 values on
-(left vertex, bucket) pairs by keeping one output bit.
+polynomial; SignFamily turns a PolyHash into reproducible +-1 signs on
+the edges (vertex i, slot s) of an ell-regular graph: it hashes each
+vertex once and gives slot s bit s of the value.
 
 Sign evaluation sits on the hot path of every sketch, so SignFamily
-uses a Mersenne-prime backing field (2^31-1, or 2^61-1 for large
-pair domains) where Horner's rule vectorizes over numpy integer arrays.
-The one kept bit of a uniform field element carries bias < 2^-31, far
-below anything the estimators can see.  `edge_signs`, the one function
-that hashes (vertex, bucket) pairs, serves the expander's edge kernel:
-numpy's per-call cost dominates a call on a few rows of many families,
-so one Horner pass (`_horner_many`) takes the points of several families
-over one field, each point carrying its own family's coefficients.
-eval_many evaluates the recursion trees' fingerprints the same way.
+uses a Mersenne-prime backing field, 2^31-1 while the vertex domain and
+ell fit its 31 bits and 2^61-1 beyond, where Horner's rule vectorizes
+over numpy integer arrays.  Any t distinct vertices get independent
+ell-bit sign vectors, each within total variation 2^-w of uniform
+(w = 31 or 61): a uniform value in [0, 2^w - 1) misses only the
+all-ones w-bit string.  Signs belong to (vertex, slot), not to buckets,
+so a vertex's two slots on one bucket carry their own two signs.
+`edge_signs`, the one function that evaluates sign polynomials, serves
+the expander's edge kernel: numpy's per-call cost dominates a call on a
+few rows of many families, so one Horner pass (`_horner_many`) takes
+the vertices of several families over one field, each point carrying
+its own family's coefficients.  eval_many evaluates the recursion
+trees' fingerprints the same way.
 
 Over binary fields PolyHash evaluates vectors by log/exp tables up to
 GF(2^16), by carry-less products up to GF(2^CLMUL_WIDTH), and point by
@@ -23,6 +28,7 @@ point beyond.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -100,6 +106,14 @@ class PolyHash:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
+    @cached_property
+    def coefficient_array(self) -> np.ndarray:
+        """The coefficients as a read-only int64 array, built on first use
+        (Horner passes over several polynomials stack them)."""
+        out = np.array(self.coefficients, dtype=np.int64)
+        out.flags.writeable = False
+        return out
+
     @staticmethod
     def from_seed(field: FieldSpec, degree: int, domain_size: int, seed: int) -> "PolyHash":
         idx = np.arange(degree + 1, dtype=np.uint64)
@@ -174,37 +188,42 @@ def _horner_vec(f: FieldSpec, coefficients, xs: np.ndarray) -> np.ndarray:
 
 
 class SignFamily:
-    """Reproducible +-1 values on (left vertex, bucket) index pairs.
+    """Reproducible +-1 signs on the edges (vertex i, slot s) of a graph
+    with N left vertices and ell slots per vertex: bit s of h(i).
 
-    independence is the target wise-independence t; the backing
-    polynomial has degree t-1 over a Mersenne-prime field large enough
-    to embed the pair domain injectively.
+    h is a degree t-1 polynomial (t = independence) over M31 = 2^31-1 when
+    N <= 2^31-1 and ell <= 31, else over M61 = 2^61-1 when N <= 2^61-1
+    and ell <= 61; a larger domain raises InfeasibleError.  Any t distinct
+    vertices get independent ell-bit sign vectors, each within total
+    variation 2^-w of uniform (w = 31 or 61), because h(i) is uniform on
+    [0, 2^w - 1), which misses only the all-ones w-bit string.
     """
 
-    def __init__(self, seed: int, independence: int, n_left: int, n_buckets: int):
+    NAME = "vertex-bits"  # recorded in system descriptors
+
+    def __init__(self, seed: int, independence: int, n_left: int, ell: int):
         if independence < 1:
             raise UsageError("independence degree must be >= 1")
         self.seed = int(seed)
         self.independence = independence
         self.n_left = n_left
-        self.n_buckets = n_buckets
-        pairs = n_left * n_buckets
-        if pairs <= _M31:
+        self.ell = ell
+        if n_left <= _M31 and ell <= 31:
             field = _F31
-        elif pairs <= _M61:
+        elif n_left <= _M61 and ell <= 61:
             field = _F61
         else:
-            raise InfeasibleError("pair domain exceeds 2^61-1")
-        self.hash = PolyHash.from_seed(field, independence - 1, pairs, derive_seed(seed, "signs"))
+            raise InfeasibleError("sign domain exceeds 2^61-1 vertices or 61 slots")
+        self.hash = PolyHash.from_seed(field, independence - 1, n_left, derive_seed(seed, "signs"))
 
-    def sign(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n_left and 0 <= j < self.n_buckets):
-            raise UsageError("pair outside the declared index domain")
-        return 1 - 2 * (self.hash.eval(i * self.n_buckets + j) & 1)
+    def sign(self, i: int, s: int) -> int:
+        if not (0 <= i < self.n_left and 0 <= s < self.ell):
+            raise UsageError("edge outside the declared (vertex, slot) domain")
+        return 1 - 2 * ((self.hash.eval(i) >> s) & 1)
 
-    def sign_vec(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Vectorized signs as float64 (+1.0 / -1.0) of the pairs (i, j)."""
-        return edge_signs([self], None, i, j)
+    def sign_vec(self, i: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Vectorized signs as float64 (+1.0 / -1.0) of the edges (i, s)."""
+        return edge_signs([self], None, i, s)
 
 
 BATCH_POINTS = 1 << 16  # points per shared Horner pass; its coefficient
@@ -233,10 +252,11 @@ def _horner_many(polys, sizes, xs: np.ndarray) -> np.ndarray:
     leading coefficient; one keeps its coefficients scalar."""
     if len(polys) == 1:
         return _horner_vec(polys[0].field, polys[0].coefficients, xs)
-    width = max(len(poly.coefficients) for poly in polys)
-    coefficients = np.array([poly.coefficients + (0,) * (width - len(poly.coefficients))
-                             for poly in polys], dtype=np.int64)
-    return _horner_vec(polys[0].field, np.repeat(coefficients.T, sizes, axis=1), xs)
+    rows = [poly.coefficient_array for poly in polys]
+    coefficients = np.zeros((max(row.size for row in rows), len(rows)), dtype=np.int64)
+    for u, row in enumerate(rows):
+        coefficients[: row.size, u] = row
+    return _horner_vec(polys[0].field, np.repeat(coefficients, sizes, axis=1), xs)
 
 
 def eval_many(requests) -> list[np.ndarray]:
@@ -265,15 +285,16 @@ def eval_many(requests) -> list[np.ndarray]:
     return out
 
 
-def edge_signs(families, sizes, vertices, buckets) -> np.ndarray:
-    """+-1.0 signs of (vertex, bucket) pairs of sign families over one field
-    in one `_horner_many` pass: a family with M buckets hashes (i, j) at
-    i * M + j and keeps 1 - 2 * the value's low bit.  One family takes
-    arrays of any broadcastable shapes (no sizes); several take flat
-    arrays, the first sizes[0] pairs families[0]'s, and so on."""
-    scale = (np.uint64(families[0].n_buckets) if len(families) == 1 else
-             np.repeat(np.array([f.n_buckets for f in families], dtype=np.uint64), sizes))
-    points = (np.asarray(vertices).astype(np.uint64, copy=False) * scale
-              + np.asarray(buckets).astype(np.uint64, copy=False))
-    values = _horner_many([f.hash for f in families], sizes, points)
-    return 1.0 - 2.0 * (values & 1)
+def edge_signs(families, sizes, vertices, slots, repeats=None) -> np.ndarray:
+    """+-1.0 signs of the edges (vertex i, slot s) of sign families over one
+    field: one `_horner_many` pass hashes each vertex once, and edge (i, s)
+    keeps 1 - 2 * bit s of h(i).  One family takes vertices and slots of
+    any broadcastable shapes, such as (rows, 1) and (ell,) (no sizes).
+    Several take flat arrays: the first sizes[0] vertices families[0]'s,
+    and so on, vertex r repeated repeats[r] times against flat slots."""
+    values = _horner_many([f.hash for f in families], sizes, np.asarray(vertices))
+    if repeats is not None:
+        values = np.repeat(values, repeats)
+    bits = values >> np.asarray(slots, dtype=np.int64)
+    bits &= 1
+    return 1.0 - 2.0 * bits

@@ -27,6 +27,7 @@ import numpy as np
 
 from sparserec.errors import UsageError
 from sparserec.expander import apply_sparse_many
+from sparserec.hashing import SignFamily
 from sparserec.recursive import (RecursionTree, RecursiveParams, check_tree_code,
                                  node_images_many)
 from sparserec.seeds import derive_seed
@@ -249,13 +250,18 @@ class TopLevelSystem:
 
     def to_json(self) -> str:
         blob = {"config": asdict(self.config), "seed": self.seed,
-                "measurements": self.measurement_count}
+                "measurements": self.measurement_count, "sign_family": SignFamily.NAME}
         return json.dumps(blob, sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "TopLevelSystem":
         blob = json.loads(text)
         config = dict(blob["config"])
+        if blob.get("sign_family") != SignFamily.NAME:
+            # an older family gives sketches of the same length with other signs
+            raise UsageError(f"descriptor records sign family {blob.get('sign_family')!r}, "
+                             f"but sketches here use {SignFamily.NAME!r}; rebuild the "
+                             "system and re-encode its signals")
         config.pop("d_exp", None)  # older descriptors store this unused exponent
         system = TopLevelSystem(TopLevelConfig(**config), blob["seed"])
         stored = blob.get("measurements", system.measurement_count)

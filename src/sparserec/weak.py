@@ -27,7 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from sparserec.errors import UsageError
-from sparserec.expander import SignedSketchOperator, apply_sparse_many, readings_many
+from sparserec.expander import (SignedSketchOperator, apply_sparse_many, edges_many,
+                                row_blocks)
 from sparserec.seeds import derive_seed
 from sparserec.vectors import head_indices
 
@@ -76,10 +77,20 @@ def _medians(readings: np.ndarray) -> np.ndarray:
 
 def median_estimates(op: SignedSketchOperator, sketch: np.ndarray,
                      indices: np.ndarray) -> np.ndarray:
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return np.zeros(0)
-    return _medians(op.readings(sketch, indices))
+    return _median_readings([(op, sketch, indices)])[0]
+
+
+def _median_readings(requests) -> list[np.ndarray]:
+    """`_medians(op.readings(sketch, rows))` of each (op, sketch, rows)
+    request, from one `edges_many` call, one `row_blocks` block at a time."""
+    edges = edges_many([(op, rows) for op, _, rows in requests])
+    out = []
+    for (_, sketch, _), (nbrs, signs) in zip(requests, edges):
+        medians = np.empty(len(nbrs))
+        for rows in row_blocks(*nbrs.shape):
+            medians[rows] = _medians(signs[rows] * sketch[nbrs[rows]])
+        out.append(medians)
+    return out
 
 
 def _candidate_set(candidates) -> np.ndarray:
@@ -99,13 +110,13 @@ def weak_identify(op: SignedSketchOperator, sketch: np.ndarray,
 
 def _identify(params: WeakParams, copies, candidates) -> np.ndarray:
     """The candidates in more than half of the (op, sketch) copies' top
-    k + ceil(k/eta) median estimates; one `readings_many` call reads every copy."""
+    k + ceil(k/eta) median estimates; one `_median_readings` call reads
+    every copy."""
     cand = _candidate_set(candidates)
     if cand.size == 0:
         return cand
-    readings = readings_many([(op, u, cand) for op, u in copies])
-    return majority_amplify([cand[head_indices(_medians(r), params.ident_count)]
-                             for r in readings])
+    medians = _median_readings([(op, u, cand) for op, u in copies])
+    return majority_amplify([cand[head_indices(m, params.ident_count)] for m in medians])
 
 
 @dataclass

@@ -18,7 +18,6 @@ from sparserec.expander import (
     SignedSketchOperator,
     apply_sparse_many,
     edges_many,
-    readings_many,
     unique_neighbor_count,
     verify_expansion,
 )
@@ -202,12 +201,13 @@ def test_apply_zero_is_zero():
 def test_apply_single_column_with_multiedges():
     table = np.array([[2, 2, 5], [1, 3, 4]])
     g = BipartiteGraph.from_neighbors(table, 8)
-    fam = SignFamily(seed=7, independence=4, n_left=2, n_buckets=8)
+    fam = SignFamily(seed=7, independence=4, n_left=2, ell=3)
     op = SignedSketchOperator(g, fam)
     u = op.apply(np.array([1.0, 0.0]))
     expected = np.zeros(8)
-    expected[2] = 2 * fam.sign(0, 2)
-    expected[5] = fam.sign(0, 5)
+    # vertex 0's slots 0 and 1 both land in bucket 2, each with its own sign
+    expected[2] = fam.sign(0, 0) + fam.sign(0, 1)
+    expected[5] = fam.sign(0, 2)
     assert np.array_equal(u, expected)
 
 
@@ -216,8 +216,8 @@ def _dense_matrix(op):
     `graph.neighbors` and `signs.sign`: the sketches' oracle."""
     out = np.zeros((op.n_buckets, op.n_left))
     for i in range(op.n_left):
-        for j in op.graph.neighbors(i):
-            out[j, i] += op.signs.sign(i, j)
+        for s, j in enumerate(op.graph.neighbors(i)):
+            out[j, i] += op.signs.sign(i, s)
     return out
 
 
@@ -299,7 +299,8 @@ def _hashed_apply(op, indices, values):
     """One bincount of hashed edge signs over the (row, slot) order."""
     indices = np.asarray(indices, dtype=np.int64)
     nbrs = op.graph.neighbors_of(indices)
-    signs = op.signs.sign_vec(np.repeat(indices, op.graph.ell), nbrs.ravel())
+    signs = op.signs.sign_vec(np.repeat(indices, op.graph.ell),
+                              np.tile(np.arange(op.graph.ell), indices.size))
     return np.bincount(nbrs.ravel(), weights=signs * np.repeat(values, op.graph.ell),
                        minlength=op.n_buckets)
 
@@ -308,7 +309,7 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply(monkeypatch):
     rng = np.random.default_rng(23)
     hashed = _operator(400, 5, 96, seed=31)
     other_degree = _operator(400, 5, 96, seed=32, indep=4)
-    wide = _operator(1 << 16, 5, 1 << 16, seed=33)  # pair domain above 2^31: M61
+    wide = _operator(1 << 32, 5, 1 << 16, seed=33)  # vertex domain above 2^31: M61
     filled = _operator(300, 5, 64, seed=34)
     filled.apply(np.ones(300))
     dense = _operator(200, 4, 32, seed=35)
@@ -316,7 +317,7 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply(monkeypatch):
     tree_ell, stage_ell = _operator(500, 8, 128, seed=37), _operator(500, 9, 128, seed=38)
     explicit = SignedSketchOperator(  # rows gathered from its table, signs hashed
         BipartiteGraph.from_neighbors(rng.integers(0, 40, size=(60, 4)), 40),
-        SignFamily(seed=39, independence=8, n_left=60, n_buckets=40))
+        SignFamily(seed=39, independence=8, n_left=60, ell=4))
     big = _operator(1 << 16, 5, 1024, seed=40)  # two jobs: more edges than one pass
     assert filled._sign_table is not None and wide.signs.hash.field.q == (1 << 61) - 1
     assert explicit._sign_table is None
@@ -341,15 +342,19 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply(monkeypatch):
     ]
     assert sum(job[1].size * job[0].graph.ell for job in jobs[4::7]) > BATCH_POINTS
     want = [_hashed_apply(*job).view(np.int64) for job in jobs]
-    points, bincounts = [], []
-    horner, bincount = hashing._horner_vec, np.bincount
+    points, bincounts, alone = [], [], []
+    horner, bincount, sketch_alone = hashing._horner_vec, np.bincount, expander._sketch_alone
     monkeypatch.setattr(hashing, "_horner_vec",
                         lambda f, c, xs: points.append(xs.size) or horner(f, c, xs))
     monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
+    monkeypatch.setattr(expander, "_sketch_alone",
+                        lambda op, *rest: alone.append(op) or sketch_alone(op, *rest))
     got = apply_sparse_many(jobs)
     monkeypatch.undo()
     assert max(points) <= BATCH_POINTS and len(points) > 2  # the edges took several passes
-    assert len(bincounts) == 3  # the small jobs' one, and one per job on at least N rows
+    # the small jobs' one bincount, and each job on at least N rows alone
+    assert len(bincounts) == 1
+    assert len(alone) == 2 and {id(op) for op in alone} == {id(dense), id(tiny)}
     for job, g, w in zip(jobs, got, want):
         assert g.shape == (job[0].n_buckets,)
         assert np.array_equal(g.view(np.int64), w)
@@ -447,7 +452,7 @@ def test_rows_outside_the_domain_are_refused():
             with pytest.raises(UsageError):
                 target.readings(u, np.array([0] + rows))
             with pytest.raises(UsageError):  # a bad request refuses the whole call
-                readings_many([(target, u, np.arange(64)), (target, u, np.array(rows))])
+                edges_many([(target, np.arange(64)), (target, np.array(rows))])
             with pytest.raises(UsageError):
                 target.graph.neighbors_of(np.array(rows))
     with pytest.raises(UsageError):
@@ -462,9 +467,9 @@ def test_edges_many_matches_scalar_neighbors_and_signs(monkeypatch):
     tabled.apply(np.ones(300))  # fills both tables
     explicit = SignedSketchOperator(  # rows from its table, signs hashed
         BipartiteGraph.from_neighbors(rng.integers(0, 40, size=(60, 4)), 40),
-        SignFamily(seed=52, independence=8, n_left=60, n_buckets=40))
+        SignFamily(seed=52, independence=8, n_left=60, ell=4))
     low_degree, high_degree = _operator(400, 5, 96, seed=53, indep=4), _operator(500, 8, 128, 54)
-    wide = _operator(1 << 16, 5, 1 << 16, seed=55)  # pair domain above 2^31: M61
+    wide = _operator(1 << 32, 5, 1 << 16, seed=55)  # vertex domain above 2^31: M61
     big = _operator(1 << 12, 9, 256, seed=56)
     assert wide.signs.hash.field.q == (1 << 61) - 1 and big.signs.hash.field.q == (1 << 31) - 1
     requests = [
@@ -472,7 +477,7 @@ def test_edges_many_matches_scalar_neighbors_and_signs(monkeypatch):
         (tabled, np.array([7, 7, 299, 0])),  # gathered from the tables
         (explicit, np.array([59, 0, 3, 3])),
         (low_degree, rng.choice(400, 30)),
-        (wide, rng.choice(1 << 16, 12)),
+        (wide, rng.integers(0, 1 << 32, 12)),
         (high_degree, rng.choice(500, 20)),
         (big, rng.integers(0, 512, 4000)),  # the two big requests together
         (big, rng.integers(0, 512, 4000)),  # exceed one pass
@@ -480,17 +485,16 @@ def test_edges_many_matches_scalar_neighbors_and_signs(monkeypatch):
     ]
     assert sum(rows.size * op.graph.ell for op, rows in requests[6:8]) > BATCH_POINTS
     passes, edge_signs = [], expander.edge_signs
-    monkeypatch.setattr(expander, "edge_signs", lambda families, sizes, vertices, buckets: (
-        passes.append(([f.independence for f in families], np.size(buckets)))
-        or edge_signs(families, sizes, vertices, buckets)))
+    monkeypatch.setattr(expander, "edge_signs", lambda families, sizes, vertices, *rest: (
+        passes.append(([f.independence for f in families], np.size(vertices)))
+        or edge_signs(families, sizes, vertices, *rest)))
     got = edges_many(requests)
     monkeypatch.undo()
-    # hashed requests share passes of at most BATCH_POINTS points, and one of
-    # them mixes sign degrees
+    # hashed requests share passes of at most BATCH_POINTS points, one of
+    # them mixes sign degrees, and each pass hashes a row once for all its slots
     assert len(passes) > 1 and max(size for _, size in passes) <= BATCH_POINTS
     assert any(len(set(degrees)) > 1 for degrees, _ in passes)
-    assert sum(size for _, size in passes) == sum(rows.size * op.graph.ell
-                                                  for op, rows in requests[2:8])
+    assert sum(size for _, size in passes) == sum(rows.size for _, rows in requests[2:8])
     assert got[0][0] is tabled.graph._table and got[0][1] is tabled._sign_table
     scalar = {}  # (op, row) -> the row's scalar neighbors and signs
     for (op, rows), (buckets, edge) in zip(requests, got):
@@ -500,8 +504,8 @@ def test_edges_many_matches_scalar_neighbors_and_signs(monkeypatch):
         for at, i in enumerate(rows.tolist()):
             if (id(op), i) not in scalar:
                 row = graph.neighbors(i)
-                scalar[id(op), i] = row, None if edge is None else [op.signs.sign(i, j)
-                                                                    for j in row]
+                scalar[id(op), i] = row, None if edge is None else [op.signs.sign(i, s)
+                                                                    for s in range(len(row))]
             row, row_signs = scalar[id(op), i]
             assert buckets[at].tolist() == row
             assert edge is None or edge[at].tolist() == row_signs
@@ -516,12 +520,36 @@ def test_sign_table_never_filled_above_materialize_limit():
     assert not lazy.graph.materialized
     explicit = SignedSketchOperator(
         BipartiteGraph.from_neighbors(np.zeros((n, ell), dtype=np.int64), m),
-        SignFamily(seed=5, independence=4, n_left=n, n_buckets=m))
+        SignFamily(seed=5, independence=4, n_left=n, ell=ell))
     assert explicit.graph.materialized
     for op in (lazy, explicit):
         op.readings(np.ones(m), np.arange(n))
         op.apply_sparse(np.arange(n), np.ones(n))
         assert op._sign_table is None
+
+
+def test_generated_graph_beyond_64_bit_stream_indices_is_infeasible():
+    # edge (i, s) takes bucket counter_stream(seed, i * ell + s): past 2^64
+    # indices two edges would share one
+    assert BipartiteGraph(1 << 61, 8, 64, seed=1).neighbors(0)
+    with pytest.raises(InfeasibleError):
+        BipartiteGraph((1 << 61) - 1, 9, 64, seed=1)
+    with pytest.raises(InfeasibleError):
+        SignedSketchOperator.build((1 << 61) - 1, 9, 64, 1, 4)
+
+
+def test_more_slots_than_m31_bits_hash_in_m61():
+    # a vertex's ell signs are ell bits of one field element: more than 31
+    # take M61, more than 61 fit no field
+    wide = _operator(64, 40, 128, seed=12)
+    assert wide.signs.hash.field.q == (1 << 61) - 1
+    x = np.random.default_rng(6).choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=64)
+    dense = _dense_matrix(wide)
+    assert np.max(np.abs(_lazy_twin(wide).apply(x) - dense @ x)) == 0.0
+    assert np.max(np.abs(wide.apply(x) - dense @ x)) == 0.0  # from the sign table
+    assert wide._sign_table is not None
+    with pytest.raises(InfeasibleError):
+        _operator(64, 62, 128)
 
 
 def test_dense_matrix_agrees_with_sign_table():

@@ -276,6 +276,21 @@ def test_cli_decode_refuses_a_descriptor_with_another_measurement_count(tmp_path
     assert not (tmp_path / "xh.bin").exists()
 
 
+def test_cli_decode_refuses_a_descriptor_without_the_sign_family(tmp_path, capsys):
+    from sparserec.toplevel import TopLevelConfig, TopLevelSystem
+
+    system = TopLevelSystem(TopLevelConfig(n=1024, k=4, engine="scan", ell=7), seed=43)
+    blob = json.loads(system.to_json())
+    del blob["sign_family"]  # as written before signs were hashed per vertex
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(json.dumps(blob))
+    binio.write_vector(tmp_path / "u.bin", np.zeros(system.measurement_count))
+    assert main(["decode", "--system", str(sys_path), "--sketch", str(tmp_path / "u.bin"),
+                 "--out", str(tmp_path / "xh.bin")]) == 1
+    assert "sign family None" in capsys.readouterr().err
+    assert not (tmp_path / "xh.bin").exists()
+
+
 @pytest.mark.parametrize("engine", ["scan", "recursive"])
 def test_cli_decode_trace_replays_to_the_output(tmp_path, engine):
     from sparserec.toplevel import TopLevelConfig, TopLevelSystem
@@ -286,7 +301,7 @@ def test_cli_decode_trace_replays_to_the_output(tmp_path, engine):
     sys_path = tmp_path / "sys.json"
     sys_path.write_text(system.to_json())
     rng = np.random.default_rng(9)
-    x = rng.normal(size=1024) * 0.05  # a tail, so several stages add entries
+    x = rng.normal(size=1024) * 0.08  # a tail, so several stages add entries
     x[rng.choice(1024, 4, replace=False)] += [3.0, -2.0, 1.5, 2.5]
     binio.write_vector(tmp_path / "u.bin", system.encode(x))
     assert main(["decode", "--system", str(sys_path), "--sketch", str(tmp_path / "u.bin"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparserec import fields, hashing
-from sparserec.errors import UsageError
+from sparserec.errors import InfeasibleError, UsageError
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash, SignFamily
 
@@ -105,10 +105,8 @@ def test_eval_vec_matches_scalar(field):
 
 def test_sign_families_share_their_mersenne_fields(monkeypatch):
     monkeypatch.setattr(fields, "_is_prime", None)  # no primality test per family
-    small = [SignFamily(seed=s, independence=8, n_left=1 << 10, n_buckets=64)
-             for s in (1, 2)]
-    wide = [SignFamily(seed=s, independence=8, n_left=1 << 33, n_buckets=1 << 10)
-            for s in (1, 2)]
+    small = [SignFamily(seed=s, independence=8, n_left=1 << 10, ell=9) for s in (1, 2)]
+    wide = [SignFamily(seed=s, independence=8, n_left=1 << 33, ell=9) for s in (1, 2)]
     assert small[0].hash.field is small[1].hash.field
     assert small[0].hash.field.q == (1 << 31) - 1
     assert wide[0].hash.field is wide[1].hash.field
@@ -116,52 +114,84 @@ def test_sign_families_share_their_mersenne_fields(monkeypatch):
 
 
 def test_sign_family_deterministic_and_binary():
-    fam = SignFamily(seed=42, independence=8, n_left=500, n_buckets=64)
-    fam2 = SignFamily(seed=42, independence=8, n_left=500, n_buckets=64)
+    fam = SignFamily(seed=42, independence=8, n_left=500, ell=9)
+    fam2 = SignFamily(seed=42, independence=8, n_left=500, ell=9)
     vals = set()
     for i in range(0, 500, 7):
-        for j in range(0, 64, 5):
-            s = fam.sign(i, j)
-            assert s == fam2.sign(i, j)
-            vals.add(s)
-    assert vals <= {-1, 1}
+        for s in range(9):
+            sign = fam.sign(i, s)
+            assert sign == fam2.sign(i, s)
+            vals.add(sign)
+    assert vals == {-1, 1}
+
+
+def test_sign_is_one_bit_of_one_hash_per_vertex():
+    fam = SignFamily(seed=8, independence=5, n_left=1 << 12, ell=31)
+    for i in (0, 1, 77, (1 << 12) - 1):
+        word = fam.hash.eval(i)
+        assert [fam.sign(i, s) for s in range(31)] == [1 - 2 * (word >> s & 1)
+                                                       for s in range(31)]
 
 
 def test_sign_vec_matches_scalar():
-    fam = SignFamily(seed=3, independence=6, n_left=128, n_buckets=32)
+    fam = SignFamily(seed=3, independence=6, n_left=128, ell=7)
     rng = np.random.default_rng(0)
     i = rng.integers(0, 128, size=300)
-    j = rng.integers(0, 32, size=300)
-    got = fam.sign_vec(i, j)
-    want = np.array([fam.sign(int(a), int(b)) for a, b in zip(i, j)], dtype=float)
+    s = rng.integers(0, 7, size=300)
+    got = fam.sign_vec(i, s)
+    want = np.array([fam.sign(int(a), int(b)) for a, b in zip(i, s)], dtype=float)
     assert np.array_equal(got, want)
+    # vertices broadcast against slots, as the edge kernel hashes a row
+    table = fam.sign_vec(i[:, None], np.arange(7))
+    assert table.shape == (300, 7)
+    assert table.tolist() == [[fam.sign(int(a), b) for b in range(7)] for a in i]
 
 
 def test_sign_family_empirical_mean_unbiased():
     n = 100_000
-    fam = SignFamily(seed=17, independence=16, n_left=n, n_buckets=1)
+    fam = SignFamily(seed=17, independence=16, n_left=n, ell=1)
     i = np.arange(n)
-    j = np.zeros(n, dtype=np.int64)
-    mean = fam.sign_vec(i, j).mean()
+    s = np.zeros(n, dtype=np.int64)
+    mean = fam.sign_vec(i, s).mean()
     sigma = 1.0 / np.sqrt(n)
     assert abs(mean) <= 3 * sigma
 
 
 def test_sign_family_large_domain_uses_wide_field():
-    fam = SignFamily(seed=1, independence=4, n_left=1 << 33, n_buckets=1 << 10)
+    fam = SignFamily(seed=1, independence=4, n_left=1 << 33, ell=9)
     assert fam.hash.field.q == M61
     assert fam.sign(1 << 32, 5) in (-1, 1)
 
 
+@pytest.mark.parametrize("n_left,ell,q", [
+    (1 << 10, 31, (1 << 31) - 1),
+    ((1 << 31) - 1, 9, (1 << 31) - 1),
+    (1 << 31, 9, M61),  # the vertex domain alone picks the field
+    (1 << 10, 32, M61),  # more slots than M31's bits
+    (M61, 61, M61),
+])
+def test_sign_field_holds_the_vertices_and_the_slots(n_left, ell, q):
+    fam = SignFamily(seed=2, independence=4, n_left=n_left, ell=ell)
+    assert fam.hash.field.q == q
+    assert fam.sign(n_left - 1, ell - 1) in (-1, 1)
+
+
+@pytest.mark.parametrize("n_left,ell", [(M61 + 1, 9), (1 << 10, 62)])
+def test_sign_domain_beyond_m61_is_infeasible(n_left, ell):
+    with pytest.raises(InfeasibleError):
+        SignFamily(seed=2, independence=4, n_left=n_left, ell=ell)
+
+
 @pytest.mark.parametrize("t", [2, 3])
 def test_sign_family_joint_distribution_chi_square(t):
-    # joint law of t fixed pairs over many seeds should be uniform on {-1,1}^t
+    # joint law of t edges of distinct vertices over many seeds should be
+    # uniform on {-1,1}^t
     n_seeds = 10_000
-    pairs = [(11 * a + 3, 7 * a + 1) for a in range(t)]
+    edges = [(11 * a + 3, (7 * a + 1) % 9) for a in range(t)]
     counts = {}
     for s in range(n_seeds):
-        fam = SignFamily(seed=s, independence=t, n_left=256, n_buckets=64)
-        key = tuple(fam.sign(i, j) for i, j in pairs)
+        fam = SignFamily(seed=s, independence=t, n_left=256, ell=9)
+        key = tuple(fam.sign(i, slot) for i, slot in edges)
         counts[key] = counts.get(key, 0) + 1
     cells = 2**t
     expected = n_seeds / cells
@@ -172,7 +202,21 @@ def test_sign_family_joint_distribution_chi_square(t):
     assert stat < crit
 
 
+def test_one_vertex_slot_bits_chi_square():
+    # one vertex's ell slot signs over many seeds should be uniform on
+    # {-1,1}^ell: its ell bits come from one hash value
+    n_seeds, ell = 10_000, 5
+    counts = np.zeros(1 << ell, dtype=np.int64)
+    for s in range(n_seeds):
+        fam = SignFamily(seed=s, independence=4, n_left=256, ell=ell)
+        counts[sum((fam.sign(123, slot) < 0) << slot for slot in range(ell))] += 1
+    expected = n_seeds / (1 << ell)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat < 61.10  # chi-square critical value at alpha=0.001, 31 dof
+
+
 def test_sign_out_of_domain_errors():
-    fam = SignFamily(seed=0, independence=2, n_left=10, n_buckets=10)
-    with pytest.raises(UsageError):
-        fam.sign(10, 0)
+    fam = SignFamily(seed=0, independence=2, n_left=10, ell=10)
+    for i, s in ((10, 0), (0, 10), (-1, 0)):
+        with pytest.raises(UsageError):
+            fam.sign(i, s)

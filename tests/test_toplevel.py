@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sparserec import expander, hashing, toplevel, weak
-from sparserec.errors import UsageError
+from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import BipartiteGraph, SignedSketchOperator
 from sparserec.recursive import RecursionTree
 from sparserec.toplevel import (
@@ -94,17 +94,12 @@ def test_every_encoded_operator_is_read(monkeypatch, n, engine, tree):
                         lambda jobs: encoded.extend(job[0] for job in jobs) or apply_many(jobs))
     sketch = system.encode(x)
     monkeypatch.setattr(toplevel, "apply_sparse_many", apply_many)
-    readings = SignedSketchOperator.readings
-
-    def record(op, sketch, indices):
-        read.append(op)
-        return readings(op, sketch, indices)
-
-    monkeypatch.setattr(SignedSketchOperator, "readings", record)
-    # identification reads all its copies through one readings_many call
-    many = weak.readings_many
-    monkeypatch.setattr(weak, "readings_many",
-                        lambda requests: read.extend(req[0] for req in requests) or many(requests))
+    # identification reads all its copies through one _median_readings
+    # call, and estimation its one operator
+    medians = weak._median_readings
+    monkeypatch.setattr(weak, "_median_readings",
+                        lambda requests: read.extend(req[0] for req in requests)
+                        or medians(requests))
     trace = []
     system.decode(sketch, trace=trace)
     assert len(trace) == len(system.stages)
@@ -282,6 +277,20 @@ def test_descriptor_with_another_measurement_count_is_refused():
     assert TopLevelSystem.from_json(json.dumps(blob)).measurement_count == 4712
 
 
+def test_descriptor_without_the_sign_family_is_refused():
+    system = build_toplevel(1024, 4, 0.5, seed=43, engine="scan", ell=7)
+    blob = json.loads(system.to_json())
+    assert blob["sign_family"] == hashing.SignFamily.NAME
+    # a descriptor written before signs were hashed per vertex: same
+    # measurement count, other signs
+    del blob["sign_family"]
+    with pytest.raises(UsageError, match="sign family None"):
+        TopLevelSystem.from_json(json.dumps(blob))
+    blob["sign_family"] = "pairs"
+    with pytest.raises(UsageError, match="sign family 'pairs'"):
+        TopLevelSystem.from_json(json.dumps(blob))
+
+
 def test_split_descriptor_decodes_like_lw2():
     tree = dict(code_kind="lw", arity=2, leaf_target=64, scheme="scheme2")
     lw = build_toplevel(4096, 4, 0.5, seed=41, engine="recursive", ell=7, tree=tree)
@@ -374,7 +383,7 @@ def test_repeated_dense_encode_and_decode_reuse_sign_tables(monkeypatch):
     sketch = system.encode(x)
     x_hat = system.decode(sketch)
 
-    def refuse(families, sizes, vertices, buckets):
+    def refuse(*args):
         raise AssertionError("edge signs must come from the sign tables")
 
     # the edge kernel's one hashing entry
@@ -443,12 +452,17 @@ def _check_batched_encodes(system, rng, dense=False):
 _BENCH_TREE = dict(leaf_target=256, scheme="scheme2", ell=8, gamma=0.1, s=1)
 
 
-@pytest.mark.parametrize("n,tree,dense", [
-    (1 << 16, dict(_BENCH_TREE, code_kind="split", arity=2), False),
-    (1 << 14, dict(_BENCH_TREE, code_kind="rs", arity=4, rs_b=2, rho=0.2), True),
-    (1 << 12, dict(code_kind="lw", arity=3, leaf_target=128, scheme="scheme2"), False),
+# the sign fields of the operators without tables: only the split tree's
+# 2^32-value root needs M61
+@pytest.mark.parametrize("n,tree,dense,unfilled_fields", [
+    (1 << 16, dict(_BENCH_TREE, code_kind="split", arity=2), False,
+     {(1 << 61) - 1, (1 << 31) - 1}),
+    (1 << 14, dict(_BENCH_TREE, code_kind="rs", arity=4, rs_b=2, rho=0.2), True,
+     {(1 << 31) - 1}),
+    (1 << 12, dict(code_kind="lw", arity=3, leaf_target=128, scheme="scheme2"), False,
+     {(1 << 31) - 1}),
 ], ids=["split-n16", "rs42-n14", "lw3-n12"])
-def test_batched_tree_encode_matches_per_operator_apply(n, tree, dense):
+def test_batched_tree_encode_matches_per_operator_apply(n, tree, dense, unfilled_fields):
     system = TopLevelSystem(TopLevelConfig(n=n, k=8, epsilon=0.5, engine="recursive",
                                            ell=9, sign_independence=16, tree=tree),
                             seed=2)
@@ -471,7 +485,7 @@ def test_batched_tree_encode_matches_per_operator_apply(n, tree, dense):
     filled = [op._sign_table is not None for op in ops]
     assert filled == _tables_built(system)
     fields = {op.signs.hash.field.q for op, f in zip(ops, filled) if not f}
-    assert fields == {(1 << 61) - 1, (1 << 31) - 1}
+    assert fields == unfilled_fields
     _check_batched_encodes(system, rng, dense)
 
 
@@ -484,7 +498,7 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
     horner, stream = hashing._horner_vec, expander.counter_stream
 
     def counted(f, coefficients, xs):
-        passes.append(repr(f))
+        passes.append((repr(f), xs.size))
         return horner(f, coefficients, xs)
 
     def counted_stream(seed, index):
@@ -499,21 +513,50 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
     x = np.zeros(system.n)
     x[rng.choice(system.n, 8, replace=False)] = 1.0 + rng.random(8)
     system.encode(x)
-    # every stage's tree nodes and weak layer hash their rows together, the
-    # four stage trees share one fingerprint pass, every operator's
-    # neighbor rows come from one counter-stream pass, and one bincount
-    # sums every sketch
-    assert sorted(passes) == ["GF(2147483647)", "GF(2305843009213693951)", "GF(2^14)"]
-    assert streams == [sum(8 * op.graph.ell for op in _operators(system))]
+    # every stage's tree nodes and weak layer hash their rows together, one
+    # point per (operator, row) and all in M31 (the stage trees' 2^28-value
+    # roots included), the four stage trees share one fingerprint pass,
+    # every operator's neighbor rows come from one counter-stream pass, and
+    # one bincount sums every sketch
+    ops = _operators(system)
+    assert 8 * len(ops) == 192
+    assert [name for name, _ in sorted(passes)] == ["GF(2147483647)", "GF(2^14)"]
+    assert ("GF(2147483647)", 192) in passes
+    assert streams == [sum(8 * op.graph.ell for op in ops)]
     assert len(bincounts) == 1
     assert not any(_tables_built(system))
     passes.clear()
     streams.clear()
     bincounts.clear()
     _encode_stages(system.stages[1:], np.flatnonzero(x), x[np.flatnonzero(x)])
-    assert sorted(passes) == ["GF(2147483647)", "GF(2305843009213693951)", "GF(2^14)"]
+    assert [name for name, _ in sorted(passes)] == ["GF(2147483647)", "GF(2^14)"]
+    assert ("GF(2147483647)", 8 * sum(len(_stage_operators(stage))
+                                      for stage in system.stages[1:])) in passes
     assert len(streams) == 1
     assert len(bincounts) == 1
+
+
+def test_split_tree_builds_at_2_26_and_refuses_roots_beyond_m61():
+    def split_system(bits):
+        tree = dict(_BENCH_TREE, code_kind="split", arity=2)
+        return TopLevelSystem(TopLevelConfig(n=1 << bits, k=8, epsilon=0.5, engine="recursive",
+                                             ell=9, sign_independence=16, tree=tree), seed=2)
+
+    at24, at26 = split_system(24), split_system(26)
+    assert at26.measurement_count == at24.measurement_count == 15_480
+    # the stage trees' roots hold 2^52 values: their signs hash in M61
+    roots = [stage.tree.nodes[0].layer.ident_ops[0] for stage in at26.stages]
+    assert {(op.n_left, op.signs.hash.field.q) for op in roots} == {(1 << 52, (1 << 61) - 1)}
+    rng = np.random.default_rng(26)
+    idx = np.sort(rng.choice(1 << 26, 8, replace=False))
+    vals = rng.choice([-1.0, 1.0], 8) * (1 + rng.random(8))
+    staged = np.concatenate(_encode_stages(at26.stages, idx, vals))
+    assert staged.size == 15_480
+    assert np.array_equal(staged.view(np.int64),
+                          _per_operator_sketch(at26, idx, vals).view(np.int64))
+    # 2^64-value roots: past both M61 and the bucket stream's 64-bit index
+    with pytest.raises(InfeasibleError, match="2\\^61-1|64 bits"):
+        split_system(32)
 
 
 def test_warm_tree_decode_identifies_each_node_in_one_sign_pass(monkeypatch):
@@ -549,15 +592,16 @@ def test_warm_tree_decode_identifies_each_node_in_one_sign_pass(monkeypatch):
     assert again == trace
     # only stage 1 identifies this exact signal; its leaves read their
     # tables, and each of its two depth-1 nodes and its root hashes its
-    # candidates in one pass: M31 at depth 1, M61 at the root
+    # candidates in one pass, one point per candidate: M31 at depth 1, M61
+    # at the root, whose domain holds 2^32 values
     [records] = [stage["nodes"] for stage in trace if stage["nodes"]]
     stage_tree = system.stages[0].tree
     assert stage_tree.height == 2 and all(
         len(node.layer.ident_ops) == 1 and node.layer.params.ell == 8 for node in stage_tree.nodes)
     inner = [(r["depth"], r["candidates"]) for r in records if r["depth"] < 2]
     assert inner[:2] == [(1, 576), (1, 576)] and inner[2][0] == 0
-    assert passes == [("GF(2147483647)", 8 * 576), ("GF(2147483647)", 8 * 576),
-                      ("GF(2305843009213693951)", 8 * inner[2][1])]
+    assert passes == [("GF(2147483647)", 576), ("GF(2147483647)", 576),
+                      ("GF(2305843009213693951)", inner[2][1])]
 
 
 def _hashed_sketch(system, x):

@@ -107,15 +107,18 @@ def test_weak_identify_permutation_equivariant(monkeypatch):
     n, ell, m = 96, 6, 192
     params = WeakParams(k=3, gamma=0.2, eta=0.25, ell=ell)
     base = _operator(n, ell, m, seed=9)
-    rng = np.random.default_rng(4)
+    rng = np.random.default_rng(6)
     # dense generic signal with dyadic values: bucket sums are exact in
-    # any summation order and |estimate| ties are generically absent,
-    # so the smaller-index tie rule cannot interfere with equivariance
+    # any summation order.  Two indices whose medians read one bucket tie
+    # in |estimate|, and a tie across the identification cut would let
+    # the smaller-index tie rule break equivariance, so the fixture has none
     x = rng.integers(-(1 << 20), 1 << 20, size=n).astype(float) / (1 << 20)
     supp = rng.choice(n, size=3, replace=False)
     x[supp] += 4.0
     u = base.apply(x)
     found = weak_identify(base, u, np.arange(n), params)
+    ranked = np.sort(np.abs(median_estimates(base, u, np.arange(n))))[::-1]
+    assert ranked[params.ident_count - 1] > ranked[params.ident_count]
 
     perm = rng.permutation(n)  # new label of each old index
     inv = np.argsort(perm)
@@ -125,21 +128,21 @@ def test_weak_identify_permutation_equivariant(monkeypatch):
         """base's signs with vertex p read as inv[p]; the edge kernel's one
         hashing entry, `edge_signs`, relabels this family's vertices."""
 
-        def sign(self, i, j):
-            return super().sign(int(inv[i]), j)
+        def sign(self, i, s):
+            return super().sign(int(inv[i]), s)
 
     edge_signs = expander.edge_signs
 
-    def relabeled(families, sizes, vertices, buckets):
+    def relabeled(families, sizes, vertices, *rest):
         if isinstance(families[0], _RelabeledSigns):
             assert len(families) == 1
             vertices = inv[np.asarray(vertices)]
-        return edge_signs(families, sizes, vertices, buckets)
+        return edge_signs(families, sizes, vertices, *rest)
 
     monkeypatch.setattr(expander, "edge_signs", relabeled)
     pg = BipartiteGraph.from_neighbors(table[inv], m)
     pop = SignedSketchOperator(pg, _RelabeledSigns(base.signs.seed, base.signs.independence,
-                                                   n, m))
+                                                   n, ell))
     xp = np.zeros(n)
     xp[perm] = x
     up = pop.apply(xp)
