@@ -140,29 +140,24 @@ def lw_join(projections, errors: int = 0) -> list[tuple[int, ...]]:
     if not 0 <= errors <= d - 2:
         raise UsageError("error budget must satisfy 0 <= e <= d-2")
     ks = [len(s) for s in sets]
-    if d == 2:
-        # the two projections share no coordinate: the join is their product
-        out = sorted((a, b) for (b,) in sets[0] for (a,) in sets[1])
-        bound = float(ks[0] * ks[1])
-    else:
-        found: set[tuple[int, ...]] = set()
-        bound = 0.0
-        for e in range(errors + 1):
-            for bad in itertools.combinations(range(d), e):
-                keep = [i for i in range(d) if i not in bad]
-                prod = float(np.prod([float(ks[i]) for i in keep]))
-                bound += (d - e - 1) * prod ** (1.0 / (d - e - 1))
-                if any(ks[i] == 0 for i in keep):
-                    continue
-                cap = prod ** (1.0 / (d - e - 1))
-                deter = _join_over_leaves(keep, dict(enumerate(sets)), d, cap)
-                for v in deter:
-                    if all(v[:i] + v[i + 1 :] in sets[i] for i in keep):
-                        found.add(v)
-        out = sorted(
-            v for v in found
-            if sum(v[:i] + v[i + 1 :] in sets[i] for i in range(d)) >= d - errors
-        )
+    found: set[tuple[int, ...]] = set()
+    bound = 0.0
+    for e in range(errors + 1):
+        for bad in itertools.combinations(range(d), e):
+            keep = [i for i in range(d) if i not in bad]
+            prod = float(np.prod([float(ks[i]) for i in keep]))
+            bound += (d - e - 1) * prod ** (1.0 / (d - e - 1))
+            if any(ks[i] == 0 for i in keep):
+                continue
+            cap = prod ** (1.0 / (d - e - 1))
+            deter = _join_over_leaves(keep, dict(enumerate(sets)), d, cap)
+            for v in deter:
+                if all(v[:i] + v[i + 1 :] in sets[i] for i in keep):
+                    found.add(v)
+    out = sorted(
+        v for v in found
+        if sum(v[:i] + v[i + 1 :] in sets[i] for i in range(d)) >= d - errors
+    )
     if len(out) > math.ceil(bound):
         raise NumericalError("join output exceeded its provable size bound")
     return out

@@ -40,7 +40,6 @@ pages would fault on every call.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -120,11 +119,6 @@ class BipartiteGraph:
     def to_params(self) -> dict:
         return {"n_left": self.n_left, "ell": self.ell,
                 "n_buckets": self.n_buckets, "seed": self.seed}
-
-    @staticmethod
-    def from_params(params: dict) -> "BipartiteGraph":
-        return BipartiteGraph(params["n_left"], params["ell"],
-                              params["n_buckets"], params["seed"])
 
     def dump_adjacency(self) -> str:
         """Debug listing, one line per vertex: 'i: j1 j2 ... jell'."""
@@ -244,24 +238,6 @@ class SignedSketchOperator:
         as a new array."""
         nbrs, signs = edges_many([(self, indices)])[0]
         return signs * sketch[nbrs]
-
-    def to_params(self) -> dict:
-        return {
-            "graph": self.graph.to_params(),
-            "sign_seed": self.signs.seed,
-            "sign_independence": self.signs.independence,
-        }
-
-    @staticmethod
-    def from_params(params: dict) -> "SignedSketchOperator":
-        graph = BipartiteGraph.from_params(params["graph"])
-        fam = SignFamily(seed=params["sign_seed"],
-                         independence=params["sign_independence"],
-                         n_left=graph.n_left, ell=graph.ell)
-        return SignedSketchOperator(graph, fam)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_params(), sort_keys=True)
 
 
 def edges_many(requests) -> list[tuple]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from sparserec.vectors import tail_norm
 
 SCHEMA_VERSION = 1
 
-_SYSTEM_KEYS = {
-    "type", "n", "k", "epsilon", "alpha", "c_exp", "d_exp", "engine", "ell",
-    "bucket_factor", "min_buckets", "sign_independence", "tree", "copies",
-}
+# a system block is a TopLevelConfig plus what only the experiment reads;
+# older configs may also carry d_exp, an exponent no stage reads
+_EXPERIMENT_KEYS = {"type", "copies", "d_exp"}
+_SYSTEM_KEYS = {f.name for f in fields(TopLevelConfig)} | _EXPERIMENT_KEYS
 _SIGNAL_KEYS = {
     "n", "k", "support_model", "value_model", "tail_model", "tail_sigma",
     "tail_mass", "tail_count", "tail_level",
@@ -54,10 +54,8 @@ def _reject_unknown(mapping: dict, allowed: set, where: str):
 
 
 def _toplevel_config(system: dict) -> TopLevelConfig:
-    """The system block as a TopLevelConfig.  Older configs may carry
-    d_exp, an exponent no stage reads; it is accepted and dropped."""
-    return TopLevelConfig(**{k: v for k, v in system.items()
-                             if k not in ("type", "copies", "d_exp")})
+    """The system block as a TopLevelConfig."""
+    return TopLevelConfig(**{k: v for k, v in system.items() if k not in _EXPERIMENT_KEYS})
 
 
 def validate_config(config: dict) -> dict:

@@ -55,6 +55,9 @@ def tree_shape(n_root: int, leaf_target: int, arity: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+SCHEME2_ALPHA = 0.5  # t = ceil(1/alpha) = 2: as many random bits as signal bits
+
+
 class Scheme2Map:
     """f(i) = (i, g(i)) with g a degree-d polynomial over GF(2^w),
     w = signal_bits * (t - 1), t = ceil(1/alpha)."""
@@ -147,11 +150,11 @@ class NodeCode:
 
 @dataclass
 class RecursiveParams:
-    """Knobs for every node's weak layer and the list-recovery caps."""
+    """Knobs for every node's weak layer (k, eta, ell, s, buckets), the
+    list-recovery caps and the leaf-domain guard."""
 
     k: int
     eta: float = 0.25
-    gamma: float = 0.1
     ell: int = 8
     buckets_per_node: int = 0      # 0 -> 8 * k * ell
     s: int = 1                     # identification copies per node
@@ -166,8 +169,7 @@ class RecursiveParams:
     max_leaf_domain: int = 1 << 20
 
     def weak(self) -> WeakParams:
-        return WeakParams(k=self.k, gamma=self.gamma, eta=self.eta,
-                          ell=self.ell, s=self.s)
+        return WeakParams(k=self.k, eta=self.eta, ell=self.ell, s=self.s)
 
     def buckets(self) -> int:
         return self.buckets_per_node or 8 * self.k * self.ell
@@ -258,13 +260,15 @@ def check_tree_code(code_kind: str, arity: int, rs_b: int, rho: float,
 
 
 class RecursionTree:
-    """Complete r-ary identification tree over a shuffled signal domain."""
+    """Complete r-ary identification tree over a shuffled signal domain.
+
+    Scheme 2 shuffles with Scheme2Map(alpha=SCHEME2_ALPHA, degree=2k + 3),
+    k from params; the tree takes no other fingerprint options.
+    """
 
     def __init__(self, n_signal: int, leaf_target: int, code_kind: str,
                  params: RecursiveParams, seed: int,
-                 arity: int = 2, rs_b: int = 2,
-                 scheme: str = "scheme2", alpha: float = 0.5,
-                 fingerprint_degree: int = 0):
+                 arity: int = 2, rs_b: int = 2, scheme: str = "scheme2"):
         if n_signal < 2 or n_signal & (n_signal - 1):
             raise UsageError("signal length must be a power of two")
         code_kind, arity = check_tree_code(code_kind, arity, rs_b, params.rho, scheme)
@@ -276,12 +280,10 @@ class RecursionTree:
         self.params = params
         self.seed = int(seed)
         self.scheme = scheme
-        self.alpha = alpha
-        self.fingerprint_degree = fingerprint_degree or (2 * params.k + 3)
 
         if scheme == "scheme2":
-            self.mapper = Scheme2Map(self.signal_bits, alpha,
-                                     self.fingerprint_degree, self.seed)
+            self.mapper = Scheme2Map(self.signal_bits, SCHEME2_ALPHA,
+                                     2 * params.k + 3, self.seed)
             rnd_in = self.mapper.rnd_bits
         else:
             self.mapper, rnd_in = None, 0
@@ -463,27 +465,3 @@ class RecursionTree:
             return ell_in**self.arity
         d = self.arity
         return math.ceil((d - 1) * ell_in ** (d / (d - 1)))
-
-    def to_params(self) -> dict:
-        return {
-            "n_signal": self.n_signal,
-            "leaf_target": self.leaf_target,
-            "code_kind": self.code_kind,
-            "arity": self.arity,
-            "rs_b": self.rs_b,
-            "scheme": self.scheme,
-            "alpha": self.alpha,
-            "fingerprint_degree": self.fingerprint_degree,
-            "seed": self.seed,
-            "params": self.params.__dict__.copy(),
-        }
-
-    @staticmethod
-    def from_params(blob: dict) -> "RecursionTree":
-        params = RecursiveParams(**blob["params"])
-        return RecursionTree(
-            n_signal=blob["n_signal"], leaf_target=blob["leaf_target"],
-            code_kind=blob["code_kind"], params=params, seed=blob["seed"],
-            arity=blob["arity"], rs_b=blob["rs_b"], scheme=blob["scheme"],
-            alpha=blob["alpha"], fingerprint_degree=blob["fingerprint_degree"],
-        )

@@ -38,7 +38,6 @@ from sparserec.weak import WeakLayer, WeakParams, lower_median
 class StageSpec:
     index: int          # 1-based stage number
     k: int              # sparsity target floor(k / 2^(index-1))
-    loss_fraction: float
     precision: float    # eta for this stage: eps / index^(1+alpha)
     copies: int         # identification copies s_i
 
@@ -63,8 +62,7 @@ class StageSchedule:
                 break
             precision = min(0.9, epsilon / i ** (1 + alpha))
             copies = max(1, round(2**i / i ** ((1 + alpha) * c_exp + 2 + alpha)))
-            stages.append(StageSpec(index=i, k=ki, loss_fraction=0.5,
-                                    precision=precision, copies=copies))
+            stages.append(StageSpec(index=i, k=ki, precision=precision, copies=copies))
             if ki == 1:
                 break
             i += 1
@@ -106,6 +104,10 @@ class TopLevelConfig:
             raise UsageError(f"unknown stage engine {self.engine!r}")
         if self.n < 2 or self.k < 1 or self.k > self.n:
             raise UsageError("need 2 <= n and 1 <= k <= n")
+        if "gamma" in self.tree:
+            # older configs and descriptors carry a tree loss fraction no
+            # layer read; it is accepted and dropped
+            self.tree = {key: v for key, v in self.tree.items() if key != "gamma"}
         unknown = sorted(set(self.tree) - _TREE_KEYS)
         if unknown:
             raise UsageError(f"unknown tree options: {unknown}")
@@ -121,8 +123,7 @@ class _Stage:
         self.spec = spec
         buckets = max(config.min_buckets,
                       int(config.bucket_factor * spec.k * config.ell))
-        params = WeakParams(k=spec.k, gamma=spec.loss_fraction,
-                            eta=spec.precision, ell=config.ell, s=spec.copies)
+        params = WeakParams(k=spec.k, eta=spec.precision, ell=config.ell, s=spec.copies)
         self.layer = WeakLayer(params=params, domain=config.n,
                                n_buckets=buckets, seed=derive_seed(seed, "layer"),
                                sign_independence=config.sign_independence)

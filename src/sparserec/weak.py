@@ -35,13 +35,12 @@ from sparserec.vectors import head_indices
 
 @dataclass(frozen=True)
 class WeakParams:
-    """One (k, gamma, eta) layer configuration.
+    """One (k, eta) layer configuration.
 
     s counts independent identification copies for majority amplification.
     """
 
     k: int
-    gamma: float
     eta: float
     ell: int
     s: int = 1
@@ -49,8 +48,8 @@ class WeakParams:
     def __post_init__(self):
         if self.k < 1 or self.s < 1:
             raise UsageError("k and s must be positive")
-        if not (0 < self.gamma < 1 and 0 < self.eta < 1):
-            raise UsageError("gamma and eta must lie in (0, 1)")
+        if not 0 < self.eta < 1:
+            raise UsageError("eta must lie in (0, 1)")
 
     @property
     def ident_count(self) -> int:

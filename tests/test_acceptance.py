@@ -192,7 +192,7 @@ def test_criterion_6_adversarial_dichotomy():
 def test_criterion_7_weak_system_estimation():
     n, k, eta, ell, gamma = 2048, 16, 0.25, 16, 0.1
     buckets = 1024
-    params = WeakParams(k=k, gamma=gamma, eta=eta, ell=ell)
+    params = WeakParams(k=k, eta=eta, ell=ell)
     cert = verify_expansion(
         SignedSketchOperator.build(n, ell, buckets, seed=derive_seed(707, "g"),
                                    sign_independence=64).graph,

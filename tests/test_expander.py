@@ -245,13 +245,6 @@ def test_apply_dimension_mismatch_errors():
         op.apply(np.zeros(33))
 
 
-def test_operator_serialization_roundtrip():
-    op = _operator(40, 4, 80, seed=21)
-    clone = SignedSketchOperator.from_params(op.to_params())
-    x = np.random.default_rng(3).normal(size=40)
-    assert np.array_equal(op.apply(x), clone.apply(x))
-
-
 def _lazy_twin(op):
     """The same design over a graph without a materialized neighbor
     table, so it hashes its edge signs on every call."""

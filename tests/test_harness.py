@@ -189,6 +189,30 @@ def test_config_d_exp_is_accepted_and_ignored():
             == records_to_csv(run_experiment(_base_config())[0]))
 
 
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+def test_config_tree_gamma_is_accepted_and_ignored(engine):
+    tree = {"code_kind": "lw", "arity": 3, "leaf_target": 64}
+    plain, cfg = _base_config(), _base_config()
+    plain["system"].update(engine=engine, tree=tree)
+    cfg["system"].update(engine=engine, tree=dict(tree, gamma=0.1))
+    validate_config(cfg)
+    records, summary = run_experiment(cfg)
+    plain_records, plain_summary = run_experiment(plain)
+    assert summary["measurements"] == plain_summary["measurements"]
+    assert records_to_csv(records) == records_to_csv(plain_records)
+
+
+def test_config_system_block_accepts_every_config_field():
+    from dataclasses import asdict
+
+    from sparserec.toplevel import TopLevelConfig
+
+    cfg = _base_config()
+    cfg["system"] = {"type": "toplevel", "copies": 1,
+                     **asdict(TopLevelConfig(n=128, k=2, ell=7))}
+    validate_config(cfg)
+
+
 def test_amplification_sweep_failure_non_increasing():
     rates = {}
     for copies in (1, 3, 5):
@@ -429,6 +453,23 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert main(["decode", "--system", str(tmp_path / "sys.json"), "--sketch",
                  str(tmp_path / "u.bin"), "--out", str(tmp_path / "xh.bin")]) == 1
     assert "scheme1" in capsys.readouterr().err
+    assert not (tmp_path / "xh.bin").exists()
+
+
+@pytest.mark.parametrize("key,value", [("alpha", 0.5), ("fingerprint_degree", 0)])
+def test_cli_decode_refuses_a_removed_tree_option(tmp_path, capsys, key, value):
+    from sparserec.toplevel import TopLevelConfig, TopLevelSystem
+
+    system = TopLevelSystem(TopLevelConfig(n=256, k=2, engine="recursive", ell=7,
+                                           tree=dict(leaf_target=64)), seed=3)
+    blob = json.loads(system.to_json())
+    blob["config"]["tree"][key] = value
+    (tmp_path / "sys.json").write_text(json.dumps(blob))
+    binio.write_vector(tmp_path / "u.bin", system.encode(np.zeros(256)))
+    capsys.readouterr()
+    assert main(["decode", "--system", str(tmp_path / "sys.json"), "--sketch",
+                 str(tmp_path / "u.bin"), "--out", str(tmp_path / "xh.bin")]) == 1
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "xh.bin").exists()
 
 

@@ -265,6 +265,36 @@ def test_descriptor_with_d_exp_loads_identically(engine):
     assert np.array_equal(old.decode(sketch), plain.decode(sketch))
 
 
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+def test_tree_gamma_is_accepted_and_dropped(engine):
+    # a tree loss fraction no layer read: configs and descriptors that
+    # carry it build the same system as ones without it
+    tree = dict(_TREE, gamma=0.1)
+    plain = build_toplevel(1024, 4, 0.5, seed=31, engine=engine, ell=7, tree=_TREE)
+    direct = build_toplevel(1024, 4, 0.5, seed=31, engine=engine, ell=7, tree=tree)
+    assert "gamma" in tree and direct.config == plain.config
+    blob = json.loads(plain.to_json())
+    blob["config"]["tree"]["gamma"] = 0.1
+    loaded = TopLevelSystem.from_json(json.dumps(blob))
+    x = _sparse_signal(1024, 4, seed=7)
+    sketch = plain.encode(x)
+    for system in (direct, loaded):
+        assert system.measurement_count == plain.measurement_count
+        assert system.encode(x).tobytes() == sketch.tobytes()
+        assert system.decode(sketch).tobytes() == plain.decode(sketch).tobytes()
+
+
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+@pytest.mark.parametrize("key,value", [("alpha", 0.5), ("fingerprint_degree", 0)])
+def test_descriptor_naming_a_removed_tree_option_is_refused(engine, key, value):
+    # the tree fixes its fingerprint; even the old defaults are refused
+    system = build_toplevel(1024, 4, 0.5, seed=31, engine=engine, ell=7, tree=_TREE)
+    blob = json.loads(system.to_json())
+    blob["config"]["tree"][key] = value
+    with pytest.raises(UsageError, match=key):
+        TopLevelSystem.from_json(json.dumps(blob))
+
+
 def test_descriptor_with_another_measurement_count_is_refused():
     tree = dict(code_kind="split", leaf_target=64, scheme="scheme2")
     system = build_toplevel(1024, 4, 0.5, seed=43, engine="recursive", ell=7, tree=tree)

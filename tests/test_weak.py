@@ -84,7 +84,7 @@ def test_estimate_depends_only_on_own_buckets():
 
 
 def test_weak_identify_recovers_exact_sparse_support():
-    params = WeakParams(k=4, gamma=0.2, eta=0.25, ell=8)
+    params = WeakParams(k=4, eta=0.25, ell=8)
     op = _operator(256, 8, 256, seed=5)
     rng = np.random.default_rng(2)
     supp = rng.choice(256, size=4, replace=False)
@@ -97,7 +97,7 @@ def test_weak_identify_recovers_exact_sparse_support():
 
 
 def test_weak_identify_empty_candidates():
-    params = WeakParams(k=4, gamma=0.2, eta=0.25, ell=8)
+    params = WeakParams(k=4, eta=0.25, ell=8)
     op = _operator(64, 8, 64)
     u = op.apply(np.zeros(64))
     assert weak_identify(op, u, [], params).size == 0
@@ -105,7 +105,7 @@ def test_weak_identify_empty_candidates():
 
 def test_weak_identify_permutation_equivariant(monkeypatch):
     n, ell, m = 96, 6, 192
-    params = WeakParams(k=3, gamma=0.2, eta=0.25, ell=ell)
+    params = WeakParams(k=3, eta=0.25, ell=ell)
     base = _operator(n, ell, m, seed=9)
     rng = np.random.default_rng(6)
     # dense generic signal with dyadic values: bucket sums are exact in
@@ -152,7 +152,7 @@ def test_weak_identify_permutation_equivariant(monkeypatch):
 
 
 def test_weak_estimate_exact_on_sparse_signal():
-    params = WeakParams(k=4, gamma=0.2, eta=0.25, ell=8)
+    params = WeakParams(k=4, eta=0.25, ell=8)
     op = _operator(256, 8, 512, seed=6)
     rng = np.random.default_rng(3)
     supp = rng.choice(256, size=4, replace=False)
@@ -165,14 +165,14 @@ def test_weak_estimate_exact_on_sparse_signal():
 
 
 def test_weak_estimate_zero_signal():
-    params = WeakParams(k=4, gamma=0.2, eta=0.25, ell=8)
+    params = WeakParams(k=4, eta=0.25, ell=8)
     op = _operator(64, 8, 64)
     dec = weak_estimate(op, op.apply(np.zeros(64)), np.arange(64), params)
     assert np.array_equal(dec.to_dense(), np.zeros(64))
 
 
 def test_weak_layer_accepts_unsorted_duplicated_candidates():
-    params = WeakParams(k=3, gamma=0.2, eta=0.25, ell=6)
+    params = WeakParams(k=3, eta=0.25, ell=6)
     op = _operator(200, 6, 96, seed=12)
     rng = np.random.default_rng(5)
     x = rng.normal(size=200) * 0.05
@@ -197,10 +197,12 @@ def test_weak_layer_accepts_unsorted_duplicated_candidates():
 
 def test_weak_params_validation():
     with pytest.raises(UsageError):
-        WeakParams(k=0, gamma=0.2, eta=0.25, ell=4)
+        WeakParams(k=0, eta=0.25, ell=4)
     with pytest.raises(UsageError):
-        WeakParams(k=2, gamma=1.5, eta=0.25, ell=4)
-    p = WeakParams(k=8, gamma=0.1, eta=0.25, ell=4)
+        WeakParams(k=2, eta=0.0, ell=4)
+    with pytest.raises(UsageError):
+        WeakParams(k=2, eta=1.0, ell=4)
+    p = WeakParams(k=8, eta=0.25, ell=4)
     assert p.ident_count == 8 + 32
     assert p.est_count == 8 + 16
 
@@ -226,7 +228,7 @@ def test_majority_amplify_output_size_bound():
 
 
 def test_weak_layer_measurement_accounting():
-    params = WeakParams(k=4, gamma=0.2, eta=0.25, ell=6, s=3)
+    params = WeakParams(k=4, eta=0.25, ell=6, s=3)
     layer = WeakLayer(params=params, domain=128, n_buckets=64, seed=1)
     sketches = layer.encode(np.zeros(128))
     assert len(layer.operators) == len(sketches) == 3 + 1
@@ -234,7 +236,7 @@ def test_weak_layer_measurement_accounting():
 
 
 def test_weak_layer_amplified_pipeline_recovers_planted():
-    params = WeakParams(k=4, gamma=0.25, eta=0.25, ell=8, s=3)
+    params = WeakParams(k=4, eta=0.25, ell=8, s=3)
     layer = WeakLayer(params=params, domain=256, n_buckets=256, seed=2)
     rng = np.random.default_rng(5)
     x = np.zeros(256)
@@ -248,7 +250,7 @@ def test_weak_layer_amplified_pipeline_recovers_planted():
 
 
 def test_weak_layer_identify_reads_its_copies_in_one_sign_pass(monkeypatch):
-    params = WeakParams(k=4, gamma=0.25, eta=0.25, ell=6, s=3)
+    params = WeakParams(k=4, eta=0.25, ell=6, s=3)
     layer = WeakLayer(params=params, domain=4096, n_buckets=96, seed=17)
     rng = np.random.default_rng(17)
     supp = rng.choice(4096, 4, replace=False)
@@ -269,7 +271,7 @@ def test_weak_layer_identify_reads_its_copies_in_one_sign_pass(monkeypatch):
 
 def _planted_trial(seed, n, k, ell, m, s, head=1.0, sigma=None):
     """Returns (missed_s1, missed_amplified) for one planted instance."""
-    params = WeakParams(k=k, gamma=0.25, eta=0.25, ell=ell, s=s)
+    params = WeakParams(k=k, eta=0.25, ell=ell, s=s)
     layer = WeakLayer(params=params, domain=n, n_buckets=m, seed=seed)
     rng = np.random.default_rng(seed ^ 0xABCDEF)
     supp = rng.choice(n, size=k, replace=False)
@@ -284,7 +286,7 @@ def _planted_trial(seed, n, k, ell, m, s, head=1.0, sigma=None):
 
 
 def test_amplification_failure_rate_not_worse():
-    # paired trials; failure = missing more than gamma*k planted heads
+    # paired trials; failure = missing more than k/4 planted heads
     n, k, trials = 256, 4, 500
     allowed = 0.25 * k
     fail1 = fail5 = 0
@@ -321,8 +323,8 @@ def test_weak_decomposition_oracle_bounds():
     # rebuild y-hat per the estimator's case analysis and check the
     # residual inflation (1 + 22*sqrt(eta)) on the squared norm
     n, k, ell, m = 512, 8, 12, 1024
-    eta, gamma = 0.25, 0.25
-    params = WeakParams(k=k, gamma=gamma, eta=eta, ell=ell)
+    eta = 0.25
+    params = WeakParams(k=k, eta=eta, ell=ell)
     op = _operator(n, ell, m, seed=11)
     rng = np.random.default_rng(9)
     supp = rng.choice(n, size=k, replace=False)
