@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -381,17 +382,33 @@ class RSCode(_Code):
         coefficients at point u.  An array of positions broadcasts against
         xs."""
         xs = np.asarray(xs, dtype=np.int64)
-        beta = np.asarray(self.points, dtype=np.int64)[u]
-        acc = np.zeros(np.broadcast_shapes(xs.shape, np.shape(beta)), dtype=np.int64)
+        beta = self._point_array[u]
+        acc = 0  # the first product is zeros shaped like beta, broadcast by the sum
         for s in range(self.b - 1, -1, -1):
             digit = (xs // self.q**s) % self.q
             acc = self.field.add_vec(self.field.mul_vec(acc, beta), digit)
         return acc
 
+    @cached_property
+    def _point_array(self) -> np.ndarray:
+        return np.array(self.points, dtype=np.int64)
+
+    @cached_property
+    def _lagrange_bases(self) -> dict:
+        return {}
+
     def lagrange_basis(self, coords) -> list[list[int]]:
         """Coefficients of the Lagrange basis polynomials L_t for the
         points self.points[c] of the given b coordinates (L_t is 1 at
-        coordinate t and 0 at the others)."""
+        coordinate t and 0 at the others).  A design constant: each
+        coordinate tuple's basis is computed once, on first use, and the
+        same lists are returned after."""
+        coords = tuple(coords)
+        if coords not in self._lagrange_bases:
+            self._lagrange_bases[coords] = self._lagrange_basis(coords)
+        return self._lagrange_bases[coords]
+
+    def _lagrange_basis(self, coords) -> list[list[int]]:
         f = self.field
         xs = [self.points[c] for c in coords]
         out = []

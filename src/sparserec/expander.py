@@ -13,29 +13,36 @@ landing in bucket j of sign(i, s) * x_i.  A vertex's duplicate edges
 (two slots on one bucket) carry their own slots' signs, so they add
 2 * x_i or cancel.
 
-Every edge on every path comes from one kernel, `edges_many`, which maps
-(operator, rows) requests to (buckets, signs) arrays of shape (rows,
-ell) in (row, slot) order, with the design tables as its cache.  A
-graph's neighbor table and an operator's int8 sign table belong to the
-design, not to the signal: the first request on at least N rows (a dense
-encode, a full-domain identification) builds them, where N * ell <=
+Every edge's bucket comes from one formula (`_bucket_ids`) and its sign
+from one function (`hashing.edge_signs`, which hashes each row once for
+all its slots), with the design tables as their cache.  A graph's
+neighbor table and an operator's int8 sign table belong to the design,
+not to the signal: the first request on at least N rows (a dense encode,
+a full-domain identification) builds them, where N * ell <=
 _MATERIALIZE_LIMIT (then at most 1 MiB and 8 MiB), so a decoder that
-scans few operators never builds the others'.  A request on exactly the
-rows 0..N-1 reads both tables in place, other requests on tabled
-operators gather rows, and the rest of a call shares one counter-stream
-pass for its bucket ids and one `hashing.edge_signs` Horner pass per
-sign field, which hashes each row once for all its slots.  Rows outside
-[0, N) raise UsageError.  Readings and sketches are new arrays, and
+scans few operators never builds the others'.  Rows outside [0, N)
+raise UsageError.  Readings and sketches are new arrays, and
 `BipartiteGraph.neighbors_of` returns a copy.
 
-`apply_sparse_many` (the encode) makes one kernel call for many
-operators, as the weak layer's reads do.  The dense jobs of one call
-whose operators hold both tables run on one thread per CPU the process
-may run on: the calling thread and a pool of workers, started on first
-use and dropped in a forked child.  A job that runs alone, and the weak
-layer's medians, pass over their edges in `row_blocks`, so a warm dense
-encode or full-domain read allocates no N * ell-sized array, whose fresh
-pages would fault on every call.
+Readings, table builds and jobs that run alone take their edges from
+`edges_many`, which maps (operator, rows) requests to (buckets, signs)
+arrays of shape (rows, ell) in (row, slot) order: a request on exactly
+the rows 0..N-1 reads both tables in place, other requests on tabled
+operators gather rows, and the rest of a call shares one counter-stream
+pass for its bucket ids and one Horner pass per sign field.
+
+`apply_sparse_many` (the encode) sums the small jobs of many operators
+from flat arrays: a sparse encode of a system, or a decode's residual
+re-encode, is a fixed set of numpy passes (one row gather, one
+counter-stream pass, one Horner pass per sign field, one bincount) over
+per-job columns cached on first use (`_JobColumns`), plus one gather per
+job on a tabled operator.  The dense jobs of one call whose operators
+hold both tables run on one thread per CPU the process may run on: the
+calling thread and a pool of workers, started on first use and dropped
+in a forked child.  A job that runs alone, and the weak layer's
+medians, pass over their edges in `row_blocks`, so a warm dense encode
+or full-domain read allocates no N * ell-sized array, whose fresh pages
+would fault on every call.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
-from sparserec.hashing import BATCH_POINTS, SignFamily, batches, edge_signs
+from sparserec.hashing import BATCH_POINTS, SignFamily, batches, coefficient_columns, edge_signs
 from sparserec.seeds import counter_stream
 
 _MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
@@ -291,6 +298,13 @@ def _fill_tables(requests) -> None:
             op._sign_table.flags.writeable = False
 
 
+def _bucket_ids(seed, ell, n_buckets, vertices: np.ndarray, slots) -> np.ndarray:
+    """uint64 bucket of each edge (vertex i, slot s): counter_stream(seed,
+    i * ell + s) mod M.  Arguments broadcast; seed, ell and M are uint64,
+    the vertices and slots int64 arrays, the vertices in [0, N)."""
+    return counter_stream(seed, vertices.view(np.uint64) * ell + slots.view(np.uint64)) % n_buckets
+
+
 def _hashed_edges(requests) -> list[tuple]:
     """`edges_many` of (graph, sign family or None, rows) requests on graphs
     without tables; a row outside [0, N) raises UsageError.  Slot s of row
@@ -317,14 +331,14 @@ def _hashed_edges(requests) -> list[tuple]:
         else:
             vertices = np.concatenate(rows)
             row_ell = np.repeat([graph.ell for graph in graphs], counts)
-            edge_vertices = np.repeat(vertices, row_ell)
+            edge_rows = np.repeat(np.arange(vertices.size), row_ell)
+            edge_vertices = vertices[edge_rows]
             slots = np.arange(edge_vertices.size) - np.repeat(np.cumsum(row_ell) - row_ell,
                                                               row_ell)
             params = np.repeat(params.T, sizes, axis=1)
         seed, ell, n_buckets, n_left = params
         _check_rows(edge_vertices, n_left)
-        buckets = counter_stream(seed, edge_vertices.view(np.uint64) * ell
-                                 + slots.view(np.uint64)) % n_buckets
+        buckets = _bucket_ids(seed, ell, n_buckets, edge_vertices, slots)
         if len(run) == 1:
             out[run[0]] = buckets.view(np.int64), (
                 None if families[0] is None else edge_signs(families, None, vertices, slots))
@@ -337,8 +351,11 @@ def _hashed_edges(requests) -> list[tuple]:
             if families[group[0]] is not None:
                 rows_cut = slice(row_starts[group[0]], row_starts[group[-1] + 1])
                 cut = slice(starts[group[0]], starts[group[-1] + 1])
-                signs[cut] = edge_signs([families[u] for u in group], [counts[u] for u in group],
-                                        vertices[rows_cut], slots[cut], row_ell[rows_cut])
+                members = [families[u] for u in group]
+                columns = np.repeat(coefficient_columns([f.hash for f in members]),
+                                    [counts[u] for u in group], axis=1)
+                signs[cut] = edge_signs(members, columns, vertices[rows_cut], slots[cut],
+                                        edge_rows[cut] - rows_cut.start)
         ids = buckets.view(np.int64)
         for t, graph, family, r, start, stop in zip(run, graphs, families, rows,
                                                     starts, starts[1:]):
@@ -350,11 +367,14 @@ def _hashed_edges(requests) -> list[tuple]:
 def apply_sparse_many(jobs) -> list[np.ndarray]:
     """`op.apply_sparse(indices, values)` of each (op, indices, values) job.
 
-    Small jobs (fewer than N rows, at most BATCH_POINTS edges) take their
-    edges from one `edges_many` call and their sums from one bincount over
-    offset bucket ids.  Each job's weights (sign times value) stay
-    contiguous and in (row, slot) order, so every bucket takes the same
-    additions from +0.0 as in a bincount of its own.  Every other job runs
+    Small jobs (fewer than N rows, at most BATCH_POINTS edges) are cut
+    into runs of jobs on one number of rows with at most BATCH_POINTS
+    edges in all; a system's sparse encode is one run of every job.  Each
+    run's edges come from the cached `_JobColumns` of its operators, and
+    one bincount over their flat bucket ids, offset per job, and weights
+    (sign times value) sums them all.  Each job's edges stay in (row,
+    slot) order, so every bucket takes the same additions from +0.0 as in
+    a bincount of its own.  Every other job runs
     alone (`_sketch_alone`), after the calling thread has built the tables
     of those on at least N rows, in job order.  Two or more with both
     tables run on one thread per CPU in the affinity mask, the calling
@@ -368,23 +388,37 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
             for op, indices, values in jobs]
     if any(indices.shape != values.shape for _, indices, values in jobs):
         raise UsageError("need one value per row")
-    small = [t for t, (op, indices, _) in enumerate(jobs)
-             if indices.size < op.n_left and indices.size * op.graph.ell <= BATCH_POINTS]
     out = [None] * len(jobs)
-    if small:
-        edges = edges_many([jobs[t][:2] for t in small])
-        offsets = list(accumulate((jobs[t][0].n_buckets for t in small), initial=0))
-        counts, ells = zip(*((jobs[t][1].size, jobs[t][0].graph.ell) for t in small))
-        ids = np.concatenate([nb for nb, _ in edges], axis=None)
-        ids += np.repeat(offsets[:-1], np.multiply(counts, ells))
-        weights = np.concatenate([edge for _, edge in edges], axis=None, dtype=np.float64)
-        weights *= np.repeat(np.concatenate([jobs[t][2] for t in small]),
-                             np.repeat(ells, counts))
-        # an empty bincount would count in int64
-        sums = (np.bincount(ids, weights=weights, minlength=offsets[-1]) if ids.size
-                else np.zeros(offsets[-1]))
-        for t, start, stop in zip(small, offsets, offsets[1:]):
-            out[t] = sums[start:stop]
+    if not jobs:
+        return out
+    ops, rows, values = zip(*jobs)
+    columns = _job_columns(ops)
+    counts = np.array([indices.size for indices in rows])
+    small = counts <= columns.small_rows
+    uniform = np.all(counts == counts[0])
+    if uniform and small.all() and counts[0] * columns.row_edges <= BATCH_POINTS:
+        runs = [range(len(jobs))]
+    else:
+        runs = [run for count in sorted(set(counts[small].tolist()))
+                for run in batches(np.flatnonzero(small & (counts == count)).tolist(),
+                                   lambda t: counts[t] * columns.job_ells[t])]
+    ids, weights, spans, total = [], [], [], 0
+    for run in runs:
+        whole, shape = len(run) == len(jobs), (len(run), counts[run[0]])
+        part = columns if whole else _job_columns([ops[t] for t in run])
+        part_ids, part_weights = part.edges(
+            np.array(rows if whole else [rows[t] for t in run]).reshape(shape),
+            np.array(values if whole else [values[t] for t in run]).reshape(shape))
+        ids += [block + total for block in part_ids] if total else part_ids
+        weights += part_weights
+        spans += zip(run, part.starts[:-1], part.starts[1:], [total] * len(run))
+        total += part.starts[-1]
+    if spans:
+        sums = (np.bincount(np.concatenate(ids, axis=None),
+                            weights=np.concatenate(weights, axis=None, dtype=np.float64),
+                            minlength=total) if ids else np.zeros(total))
+        for t, start, stop, base in spans:
+            out[t] = sums[base + start:base + stop]
     alone = [t for t in range(len(jobs)) if out[t] is None]
     _fill_tables([jobs[t][:2] for t in alone])  # here, so no worker builds one
     tabled = [t for t in alone if jobs[t][0]._sign_table is not None]
@@ -395,6 +429,107 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
         if out[t] is None:
             out[t] = _sketch_alone(*jobs[t])
     return out
+
+
+class _JobColumns:
+    """The static columns of sketch jobs on a fixed sequence of operators,
+    each job on the same number of rows: `apply_sparse_many`'s small
+    jobs.  Built on first use by `_job_columns`, never with an operator.
+
+    Jobs on graphs with a neighbor table ("tabled") gather their rows.
+    The others ("hashed") are laid out as columns, one per (job, slot),
+    grouped by sign field: each column's job, slot, graph seed, ell, M
+    and bucket offset (the job's start in the sums), and per field the
+    families' `coefficient_columns`.  A call on r rows per job makes an
+    (r, columns) edge array with one gather of the rows, one
+    counter-stream pass and one `edge_signs` pass per field, and its C
+    order keeps each job's edges in (row, slot) order.
+    """
+
+    def __init__(self, ops):
+        graphs = [op.graph for op in ops]
+        self.job_ells = [graph.ell for graph in graphs]
+        self.row_edges = sum(self.job_ells)  # edges of one row in every job
+        self.n_left = np.array([graph.n_left for graph in graphs], dtype=np.uint64)
+        # a small job has fewer than N rows and at most BATCH_POINTS edges
+        self.small_rows = np.array([min(graph.n_left - 1, BATCH_POINTS // graph.ell)
+                                    for graph in graphs])
+        self.starts = list(accumulate((graph.n_buckets for graph in graphs), initial=0))
+        self.tabled = [(t, graph._table, op._sign_table, op.signs)
+                       for t, (op, graph) in enumerate(zip(ops, graphs))
+                       if graph._table is not None]
+        field = [op.signs.hash.field.q for op in ops]
+        hashed = sorted((t for t, graph in enumerate(graphs) if graph._table is None),
+                        key=field.__getitem__)
+        # what a table build would change: a hashed job's graph, or a
+        # tabled job's operator that still hashes its signs
+        self._untabled = ([graphs[t] for t in hashed],
+                          [ops[t] for t, _, sign_table, _ in self.tabled if sign_table is None])
+        ells = [graphs[t].ell for t in hashed]
+        # per column: its job, slot, graph seed, ell, M and bucket offset
+        self.job = np.repeat(np.array(hashed, dtype=np.int64), ells)
+        self.slot = np.array([s for ell in ells for s in range(ell)], dtype=np.int64)
+        params = np.array([(graphs[t].seed, graphs[t].ell, graphs[t].n_buckets, self.starts[t])
+                           for t in hashed], dtype=np.uint64).reshape(-1, 4)
+        self.seed, self.ell, self.n_buckets, self.offset = np.repeat(params, ells, axis=0).T
+        self.signs = []  # (families, their coefficient columns, jobs, spread, columns)
+        first = 0
+        for _, group in groupby(hashed, key=field.__getitem__):
+            group = list(group)
+            families = [ops[t].signs for t in group]
+            spread = np.repeat(np.arange(len(group)), [graphs[t].ell for t in group])
+            self.signs.append((families, coefficient_columns([f.hash for f in families]),
+                               np.array(group), spread, slice(first, first + spread.size)))
+            first += spread.size
+
+    def edges(self, rows: np.ndarray, values: np.ndarray) -> tuple[list, list]:
+        """Flat int64 bucket ids, offset by each job's start, and float64
+        weights of the jobs' edges, as lists of parts: rows and values are
+        (jobs, r) arrays, row i of job t carrying values[t, i].  A row
+        outside [0, N) raises UsageError."""
+        _check_rows(rows, self.n_left[:, None])
+        ids, weights = [], []
+        if not rows.size:
+            return ids, weights
+        r = rows.shape[1]
+        if self.job.size:
+            # edge (i, column c) reads flat entry job[c] * r + i of a (jobs, r) array
+            at = self.job * r + np.arange(r)[:, None]
+            buckets = _bucket_ids(self.seed, self.ell, self.n_buckets, rows.ravel()[at], self.slot)
+            buckets += self.offset
+            signs = np.empty(at.shape)
+            for families, columns, group, spread, cut in self.signs:
+                # one point per (job, row), each under its job's coefficients
+                signs[:, cut] = edge_signs(families, np.repeat(columns, r, axis=1),
+                                           rows[group].ravel(), self.slot[cut],
+                                           spread * r + np.arange(r)[:, None])
+            signs *= values.ravel()[at]
+            ids.append(buckets.view(np.int64))
+            weights.append(signs)
+        for t, table, sign_table, family in self.tabled:
+            edge = (sign_table[rows[t]] if sign_table is not None else
+                    edge_signs([family], None, rows[t][:, None], np.arange(table.shape[1])))
+            ids.append(table[rows[t]] + self.starts[t])
+            weights.append(edge * values[t][:, None])
+        return ids, weights
+
+    def stale(self) -> bool:
+        """Whether one of the jobs' tables has been built since."""
+        graphs, ops = self._untabled
+        return (any(graph._table is not None for graph in graphs)
+                or any(op._sign_table is not None for op in ops))
+
+
+def _job_columns(ops) -> _JobColumns:
+    """The `_JobColumns` of an operator sequence, cached on its first
+    operator on first use, and rebuilt once a table of one of its jobs has
+    been built (the job's tabled or hashed status changed)."""
+    cache = vars(ops[0]).setdefault("_job_columns", {})
+    key = tuple(ops)
+    columns = cache.get(key)
+    if columns is None or columns.stale():
+        columns = cache[key] = _JobColumns(key)
+    return columns
 
 
 def _sketch_alone(op, indices, values) -> np.ndarray:

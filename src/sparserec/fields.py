@@ -3,10 +3,14 @@
 Binary fields use one fixed irreducible polynomial per width, taken from
 the standard low-weight table (trinomials / pentanomials), so element
 representations are bit-exact across runs.  Widths up to 16 get log/exp
-tables, built with numpy from a primitive element; widths up to
-CLMUL_WIDTH multiply numpy int64 arrays by shift-and-xor carry-less
-products reduced mod the field polynomial (`clmul`); only scalar
-arithmetic, and vectors over wider fields, use Python ints.
+tables, built with numpy from a primitive element.  Vector products over
+them read a zero-absorbing pair derived from those tables once per width,
+on first use (`zero_absorbing_tables`): log(0) points into a zero-filled
+extension of exp, so a product is two gathers and an addition, with no
+test for zero.  Widths up to CLMUL_WIDTH multiply numpy int64 arrays by
+shift-and-xor carry-less products reduced mod the field polynomial
+(`clmul`); only scalar arithmetic, and vectors over wider fields, use
+Python ints.
 """
 
 from __future__ import annotations
@@ -220,6 +224,30 @@ def _tables_for_width(width: int, poly: int):
     return exp, log
 
 
+_ZERO_ABSORBING: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def zero_absorbing_tables(width: int, poly: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (log, exp) for GF(2^width), width <= 16, in which
+    exp[log[a] + log[b]] is a * b for all a, b, zero included.
+
+    They are `_tables_for_width`'s pair with log[0] set to n = 2(q-1),
+    the length of its exp, and exp extended by n + 1 zeros: two nonzero
+    logarithms sum below n, a zero and a nonzero one land in n..3n/2 - 1,
+    and two zeros at 2n, the last entry.  Derived once per width, on
+    first use, so building a field or its tables costs nothing more.
+    """
+    if width not in _ZERO_ABSORBING:
+        exp, log = _tables_for_width(width, poly)
+        n = exp.size
+        log = log.copy()
+        log[0] = n
+        exp = np.concatenate([exp, np.zeros(n + 1, dtype=np.int64)])
+        log.flags.writeable = exp.flags.writeable = False
+        _ZERO_ABSORBING[width] = log, exp
+    return _ZERO_ABSORBING[width]
+
+
 class FieldSpec:
     """A finite field: kind 'prime' (modulus q) or 'binary' (GF(2^w)).
 
@@ -332,8 +360,8 @@ class FieldSpec:
                 a, b = b, a  # loop over the bits of a scalar operand in Python
             return clmul(b if np.ndim(b) else int(b), a, self.width, self.poly)
         if self._log is not None:
-            # log[0] is 0, so the exp lookup is in range wherever an operand is 0
-            return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])
+            log, exp = zero_absorbing_tables(self.width, self.poly)
+            return exp[log[a] + log[b]]
         av, bv = np.broadcast_arrays(np.asarray(a), np.asarray(b))
         flat = [self.mul(x, y) for x, y in zip(av.ravel().tolist(), bv.ravel().tolist())]
         return np.array(flat, dtype=np.int64).reshape(av.shape)

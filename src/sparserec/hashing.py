@@ -16,13 +16,14 @@ all-ones w-bit string.  Signs belong to (vertex, slot), not to buckets,
 so a vertex's two slots on one bucket carry their own two signs.
 `edge_signs`, the one function that evaluates sign polynomials, serves
 the expander's edge kernel: numpy's per-call cost dominates a call on a
-few rows of many families, so one Horner pass (`_horner_many`) takes
-the vertices of several families over one field, each point carrying
-its own family's coefficients.  eval_many evaluates the recursion
+few rows of many families, so one Horner pass takes the vertices of
+several families over one field, each point under its own family's
+column of `coefficient_columns`.  eval_many evaluates the recursion
 trees' fingerprints the same way.
 
-Over binary fields PolyHash evaluates vectors by log/exp tables up to
-GF(2^16), by carry-less products up to GF(2^CLMUL_WIDTH), and point by
+Over binary fields PolyHash evaluates vectors by the zero-absorbing
+log/exp tables up to GF(2^16) (two gathers per Horner step, no test for
+zero), by carry-less products up to GF(2^CLMUL_WIDTH), and point by
 point beyond.
 """
 
@@ -34,7 +35,7 @@ from itertools import accumulate
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
-from sparserec.fields import CLMUL_WIDTH, FieldSpec, clmul
+from sparserec.fields import CLMUL_WIDTH, FieldSpec, clmul, zero_absorbing_tables
 from sparserec.seeds import counter_stream, derive_seed
 
 _M31 = (1 << 31) - 1
@@ -173,11 +174,13 @@ def _horner_vec(f: FieldSpec, coefficients, xs: np.ndarray) -> np.ndarray:
             acc += c
             acc -= acc // f.q * f.q
     elif f._log is not None:
-        # f.mul_vec(acc, x) ^ c, with the logarithms of x looked up once
-        log, exp = f._log, f._exp
-        log_x, zero_x = log[x], x == 0
+        # f.mul_vec(acc, x) ^ c from the zero-absorbing tables, with the
+        # logarithms of x looked up once
+        log, exp = zero_absorbing_tables(f.width, f.poly)
+        log_x = log[x]
         for c in reversed(coefficients[:-1]):
-            acc = np.where(zero_x | (acc == 0), 0, exp[log[acc] + log_x]) ^ c
+            acc = exp[log[acc] + log_x]
+            acc ^= c
     else:
         # carry-less products, looping over the bits of the points: no more
         # than the domain's bit length
@@ -244,27 +247,26 @@ def batches(items, size) -> list[list]:
     return runs
 
 
-def _horner_many(polys, sizes, xs: np.ndarray) -> np.ndarray:
-    """Values of the points xs in one Horner pass over a vectorized field,
-    the first sizes[0] under polys[0], and so on.  Several polynomials take
-    per-point coefficient columns, lower degrees padded with leading zeros,
-    which keep Horner's accumulator at 0 until the polynomial's own
-    leading coefficient; one keeps its coefficients scalar."""
-    if len(polys) == 1:
-        return _horner_vec(polys[0].field, polys[0].coefficients, xs)
+def coefficient_columns(polys) -> np.ndarray:
+    """(t, len(polys)) int64 array whose column u holds polys[u]'s
+    coefficients, lowest degree first; lower degrees are padded with
+    leading zeros, which keep Horner's accumulator at 0 until the
+    polynomial's own leading coefficient.  Repeated or gathered along its
+    columns it gives points of several polynomials over one field their
+    own coefficients in one Horner pass."""
     rows = [poly.coefficient_array for poly in polys]
-    coefficients = np.zeros((max(row.size for row in rows), len(rows)), dtype=np.int64)
+    out = np.zeros((max(row.size for row in rows), len(rows)), dtype=np.int64)
     for u, row in enumerate(rows):
-        coefficients[: row.size, u] = row
-    return _horner_vec(polys[0].field, np.repeat(coefficients, sizes, axis=1), xs)
+        out[: row.size, u] = row
+    return out
 
 
 def eval_many(requests) -> list[np.ndarray]:
     """`poly.eval_vec(xs)` of each (PolyHash, xs) request: requests over the
-    same vectorized field share `_horner_many` passes of up to
-    BATCH_POINTS points.  A request alone in its pass, or over a field
-    that Horner's rule does not vectorize on, goes through its own
-    eval_vec."""
+    same vectorized field share Horner passes of up to BATCH_POINTS
+    points, each point under its own polynomial's `coefficient_columns`.
+    A request alone in its pass, or over a field that Horner's rule does
+    not vectorize on, goes through its own eval_vec."""
     out: list = [None] * len(requests)
     groups: dict = {}
     for t, (poly, _) in enumerate(requests):
@@ -279,22 +281,29 @@ def eval_many(requests) -> list[np.ndarray]:
             for poly, xs in zip(polys, points):
                 poly.check_points(xs)
             sizes = [xs.size for xs in points]
-            values = _horner_many(polys, sizes, np.concatenate([xs.ravel() for xs in points]))
+            values = _horner_vec(polys[0].field,
+                                 np.repeat(coefficient_columns(polys), sizes, axis=1),
+                                 np.concatenate([xs.ravel() for xs in points]))
             for t, xs, start in zip(batch, points, accumulate(sizes, initial=0)):
                 out[t] = values[start : start + xs.size].reshape(xs.shape)
     return out
 
 
-def edge_signs(families, sizes, vertices, slots, repeats=None) -> np.ndarray:
+def edge_signs(families, columns, vertices, slots, spread=None) -> np.ndarray:
     """+-1.0 signs of the edges (vertex i, slot s) of sign families over one
-    field: one `_horner_many` pass hashes each vertex once, and edge (i, s)
-    keeps 1 - 2 * bit s of h(i).  One family takes vertices and slots of
-    any broadcastable shapes, such as (rows, 1) and (ell,) (no sizes).
-    Several take flat arrays: the first sizes[0] vertices families[0]'s,
-    and so on, vertex r repeated repeats[r] times against flat slots."""
-    values = _horner_many([f.hash for f in families], sizes, np.asarray(vertices))
-    if repeats is not None:
-        values = np.repeat(values, repeats)
+    field: one Horner pass hashes each vertex once, and edge (i, s) keeps
+    1 - 2 * bit s of h(i).  One family (columns None) takes its
+    coefficients as scalars, and vertices and slots of any broadcastable
+    shapes, such as (rows, 1) and (ell,).  Several take the families'
+    `coefficient_columns` laid out to broadcast against the vertices, each
+    vertex its own family's.  spread, if given, picks each edge's vertex
+    value along the last axis (vertex r once per slot) against slots of
+    the picked shape."""
+    poly = families[0].hash
+    values = _horner_vec(poly.field, poly.coefficients if columns is None else columns,
+                         np.asarray(vertices))
+    if spread is not None:
+        values = values[..., spread]
     bits = values >> np.asarray(slots, dtype=np.int64)
     bits &= 1
     return 1.0 - 2.0 * bits

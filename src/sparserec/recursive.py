@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -201,41 +202,61 @@ class _Node:
         return packed >> self.rnd_bits, packed & ((1 << self.rnd_bits) - 1)
 
 
-def node_images_many(trees, indices: np.ndarray) -> list[dict[int, np.ndarray]]:
-    """`tree.node_images(indices)` of each tree: the packed phi_v image of the
-    signal indices at every node.
+def node_images_many(trees, indices: np.ndarray) -> list[np.ndarray]:
+    """`tree.node_images(indices)` of each tree: a (nodes, len(indices))
+    int64 array whose row v is the packed phi_v image of the signal
+    indices at node v.
 
     The trees' fingerprints are one `hashing.eval_many` call.  Depth by
     depth, the internal nodes of all trees with the same code (the same
-    kind, arity and widths) and the same child widths stack their messages,
-    and the code runs once for all of them and all of their children.
+    kind, arity and widths) stack their messages (`_image_groups`, cached
+    per tree sequence), and the code runs once for all of them and all of
+    their children.  Each tree then packs all its nodes' (det, rnd) rows
+    at once.
     """
     idx = np.asarray(indices, dtype=np.int64)
     fingerprints = iter(eval_many([(tree.mapper.g, idx) for tree in trees
                                    if tree.mapper is not None]))
-    parts = [{0: (idx, np.zeros_like(idx) if tree.mapper is None else next(fingerprints))}
-             for tree in trees]
-    out = [{0: tree.nodes[0].pack(*part[0])} for tree, part in zip(trees, parts)]
-    for depth in range(max((tree.height for tree in trees), default=0)):
+    pairs = []  # per tree: (det, rnd) rows of every node, filled depth by depth
+    for tree in trees:
+        det, rnd = np.empty((2, len(tree.nodes), idx.size), dtype=np.int64)
+        det[0] = idx
+        rnd[0] = 0 if tree.mapper is None else next(fingerprints)
+        pairs.append((det, rnd))
+    for code, positions, members in _image_groups(trees):
+        det, rnd = (np.concatenate([pairs[at][c][node_id] for at, node_id, _ in members])
+                    for c in (0, 1))
+        cd, cr = code.encode_part_vec(det, rnd, positions)
+        for block, (at, _, children) in enumerate(members):
+            cols = slice(block * idx.size, (block + 1) * idx.size)
+            pairs[at][0][children] = cd[:, cols]
+            pairs[at][1][children] = cr[:, cols]
+    return [(det << tree.rnd_bits[:, None]) | rnd for tree, (det, rnd) in zip(trees, pairs)]
+
+
+def _image_groups(trees) -> list[tuple]:
+    """(code, symbol positions as a column, members) of each group of
+    internal nodes that `node_images_many` encodes together, in depth
+    order; a member is (tree position, node id, the slice of its
+    children's ids, consecutive as `_build` numbers nodes breadth first).
+    Cached on the first tree per tree sequence, on first use."""
+    if not trees:
+        return []
+    cache = vars(trees[0]).setdefault("_image_groups", {})
+    key = tuple(trees)
+    if key not in cache:
         groups: dict = {}
         for at, tree in enumerate(trees):
             for node in tree.nodes:
-                if node.depth == depth and node.children:
-                    key = (tree.code_kind, tree.arity, tree.rs_b, node.det_bits,
-                           node.rnd_bits, tree.nodes[node.children[0]].rnd_bits)
-                    groups.setdefault(key, []).append((at, node))
-        for members in groups.values():
-            det, rnd = (np.concatenate([parts[at][node.node_id][c] for at, node in members])
-                        for c in (0, 1))
-            at, node = members[0]
-            cd, cr = node.code.encode_part_vec(det, rnd, np.arange(len(node.children))[:, None])
-            packed = trees[at].nodes[node.children[0]].pack(cd, cr)
-            for block, (at, node) in enumerate(members):
-                cols = slice(block * idx.size, (block + 1) * idx.size)
-                for u, child_id in enumerate(node.children):
-                    parts[at][child_id] = (cd[u, cols], cr[u, cols])
-                    out[at][child_id] = packed[u, cols]
-    return out
+                if node.children:
+                    groups.setdefault((node.depth, tree.code_kind, tree.arity, tree.rs_b,
+                                       node.det_bits, node.rnd_bits), []).append(
+                        (at, node.node_id, slice(node.children[0], node.children[-1] + 1)))
+        cache[key] = [(trees[members[0][0]].nodes[members[0][1]].code,
+                       np.arange(arity)[:, None], members)
+                      for (_, _, arity, *_), members in sorted(groups.items(),
+                                                               key=lambda item: item[0][0])]
+    return cache[key]
 
 
 def check_tree_code(code_kind: str, arity: int, rs_b: int, rho: float,
@@ -356,8 +377,14 @@ class RecursionTree:
 
     # -- coordinate maps --
 
-    def node_images(self, indices: np.ndarray) -> dict[int, np.ndarray]:
-        """Packed phi_v image of the given signal indices at every node."""
+    @cached_property
+    def rnd_bits(self) -> np.ndarray:
+        """Each node's random-half width, the shift of its packed values."""
+        return np.array([node.rnd_bits for node in self.nodes])
+
+    def node_images(self, indices: np.ndarray) -> np.ndarray:
+        """Packed phi_v image of the given signal indices at every node v,
+        as row v of a (nodes, len(indices)) array."""
         return node_images_many([self], indices)[0]
 
     # -- encoding --
@@ -366,7 +393,7 @@ class RecursionTree:
     def measurement_count(self) -> int:
         return sum(len(node.layer.ident_ops) * node.layer.n_buckets for node in self.nodes)
 
-    def sketch_jobs(self, images: dict[int, np.ndarray], values: np.ndarray) -> list[tuple]:
+    def sketch_jobs(self, images: np.ndarray, values: np.ndarray) -> list[tuple]:
         """`apply_sparse_many` jobs of a sparse encode, in sketch order, from
         the `node_images` of its indices."""
         return [(op, images[node.node_id], values)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparserec.errors import UsageError
+from sparserec.hashing import PolyHash, eval_many
 from sparserec.fields import (
     CLMUL_WIDTH,
     FieldSpec,
@@ -172,3 +173,34 @@ def test_gf2_14_tables_pinned():
         "661aa37bcc5b11f44be85b58c4ebd105ace68ce37249903a4f002081013b4978")
     assert hashlib.sha256(f._log.tobytes()).hexdigest() == (
         "3f29b4307cab48e08e5adc1d6152976aeb7590dc5ecb977b3e33f32072391466")
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_table_fields_multiply_through_zero(width):
+    # the zero-absorbing tables give every product with a zero operand, and
+    # Horner's accumulator passing through 0, with no test for zero
+    f = FieldSpec.binary(width)
+    q, top = f.q, f.q - 1
+    rng = np.random.default_rng(width)
+    points = np.unique(np.r_[0, 1, top, rng.integers(0, q, 20)])
+    for p in (1, top):
+        # Horner at p: top, then top * p ^ top * p = 0, then 0 * p ^ 0 = 0
+        # (a zero coefficient), then 0 * p ^ c0 = c0
+        c0 = 3 % q
+        through = PolyHash(f, [c0, 0, f.mul(top, p), top], q)
+        # from a zero leading coefficient: 0, top, then 0 twice
+        leading = PolyHash(f, [0, f.mul(top, p), top, 0], q)
+        assert (through.eval(p), leading.eval(p)) == (c0, 0)
+        for poly in (through, leading):
+            assert poly.eval_vec(points).tolist() == [poly.eval(int(v)) for v in points]
+        # the two in one pass, each point under its own polynomial's coefficients
+        for poly, got in zip((through, leading), eval_many([(through, points),
+                                                            (leading, points)])):
+            assert got.tolist() == [poly.eval(int(v)) for v in points]
+    zeros = np.zeros(3, dtype=np.int64)
+    for got in (f.mul_vec(points, 0), f.mul_vec(0, points), f.mul_vec(points, zeros[:1]),
+                f.mul_vec(zeros[:1, None], points[None, :])):
+        assert got.dtype == np.int64 and got.size == points.size and not got.any()
+    assert f.mul_vec(zeros, zeros).tolist() == [0, 0, 0]
+    grid = f.mul_vec(points[:, None], points[None, :])
+    assert grid.tolist() == [[f.mul(int(a), int(b)) for b in points] for a in points]

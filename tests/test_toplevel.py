@@ -564,6 +564,48 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
                                       for stage in system.stages[1:])) in passes
     assert len(streams) == 1
     assert len(bincounts) == 1
+    # the warm state a stream of signals runs in: a decode has filled the
+    # stage-1 leaves' tables, whose jobs now gather their rows, while the
+    # other jobs still share one counter-stream pass and one pass per field
+    cold = system.encode(x)
+    monkeypatch.undo()
+    trace = []
+    assert np.allclose(system.decode(cold, trace=trace), x)
+    tabled = [op.graph.materialized for op in ops]
+    assert any(tabled) and not all(tabled)
+    assert tabled == [op._sign_table is not None for op in ops]
+    monkeypatch.setattr(hashing, "_horner_vec", counted)
+    monkeypatch.setattr(expander, "counter_stream", counted_stream)
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
+    y = np.zeros(system.n)
+    y[rng.choice(system.n, 8, replace=False)] = rng.choice([-1.0, 1.0], 8) * (1 + rng.random(8))
+    for signal in (x, y):
+        for stages in (system.stages, system.stages[1:]):
+            passes.clear()
+            streams.clear()
+            bincounts.clear()
+            indices = np.flatnonzero(signal)
+            sketches = _encode_stages(stages, indices, signal[indices])
+            hashed = [op for stage in stages for _, op in _stage_operators(stage)
+                      if not op.graph.materialized]
+            assert [name for name, _ in sorted(passes)] == ["GF(2147483647)", "GF(2^14)"]
+            assert ("GF(2147483647)", 8 * len(hashed)) in passes
+            assert streams == [sum(8 * op.graph.ell for op in hashed)]
+            assert len(bincounts) == 1
+            want = _per_operator_sketch(system, indices, signal[indices])
+            assert np.array_equal(np.concatenate(sketches).view(np.int64),
+                                  want[want.size - sum(map(len, sketches)):].view(np.int64))
+    assert [op._sign_table is not None for op in ops] == tabled == _tables_built(system)
+    assert np.array_equal(system.encode(x).view(np.int64), cold.view(np.int64))
+    # a row outside [0, N) in any one job of a call of small jobs, tabled
+    # or hashed, refuses the whole call
+    jobs = [(op, rng.choice(op.n_left, 8, replace=False), rng.normal(size=8)) for op in ops]
+    for t in (tabled.index(True), tabled.index(False)):
+        for bad in (-1, ops[t].n_left):
+            rows = jobs[t][1].copy()
+            rows[3] = bad
+            with pytest.raises(UsageError):
+                expander.apply_sparse_many(jobs[:t] + [(ops[t], rows, jobs[t][2])] + jobs[t + 1:])
 
 
 def test_split_tree_builds_at_2_26_and_refuses_roots_beyond_m61():
