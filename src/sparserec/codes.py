@@ -7,9 +7,12 @@ message is uniform over the alphabet), which downstream layers rely on.
 Each code also encodes vectorized, one symbol position at a time
 (`encode_vec`), and its list recovery runs on tuple symbols: a product of
 m same-kind codes maps a message tuple (x_1, ..., x_m) to the r symbols
-(c_1(x_1)_i, ..., c_m(x_m)_i).  A code's own `list_recover` is the case
-m = 1; the recursion tree's node codes are products of two codes, one on
-the deterministic and one on the random half of a packed domain.
+(c_1(x_1)_i, ..., c_m(x_m)_i).  `lw_recover` and `rs_recover` take each
+coordinate's distinct tuple symbols as the rows of an (k_i, m) int64
+array and return the message tuples as rows of one.  A code's own
+`list_recover` is the case m = 1; the recursion tree's node codes are
+products of two codes, one on the deterministic and one on the random
+half of a packed domain.
 
 List recovery:
   * LW(d)      - reconstruct a set in Sigma^d from its d coordinate-
@@ -39,6 +42,7 @@ import numpy as np
 
 from sparserec.errors import InfeasibleError, NumericalError, UsageError
 from sparserec.fields import FieldSpec
+from sparserec.vectors import distinct
 
 _KEY_LIMIT = 1 << 63  # RS messages and tuple symbols are packed into int64 keys
 
@@ -169,8 +173,10 @@ def lw_join(projections, errors: int = 0) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _singletons(sets) -> list[set[tuple[int]]]:
-    return [{(int(v),) for v in s} for s in sets]
+def _singletons(sets) -> list[np.ndarray]:
+    """Each set of int symbols as the (k, 1) rows of its distinct values."""
+    return [np.array(sorted({int(v) for v in s}), dtype=np.int64).reshape(-1, 1)
+            for s in sets]
 
 
 def _rows(tuples, width) -> np.ndarray:
@@ -180,15 +186,15 @@ def _rows(tuples, width) -> np.ndarray:
 
 def _pack(columns, radices) -> np.ndarray:
     """Mixed-radix keys of the given digit arrays, first most significant."""
-    key = np.zeros_like(columns[0])
-    for col, radix in zip(columns, radices):
+    key = columns[0]
+    for col, radix in zip(columns[1:], radices[1:]):
         key = key * radix + col
     return key
 
 
-def lw_recover(codes, sets, errors: int = 0) -> list[tuple[int, ...]]:
+def lw_recover(codes, syms, errors: int = 0) -> np.ndarray:
     """Messages of a product of LW(d) codes agreeing with at least
-    d - errors of the tuple-symbol sets.
+    d - errors of the tuple-symbol row arrays.
 
     Position t of every component's sub-digits combines into one
     mixed-radix digit (first component most significant), so the product
@@ -197,32 +203,34 @@ def lw_recover(codes, sets, errors: int = 0) -> list[tuple[int, ...]]:
     """
     bases = [c.base for c in codes]
     d = codes[0].d
+    powers = [base ** np.arange(d - 2, -1, -1) for base in bases]
 
-    def merge(s) -> np.ndarray:
-        syms = _rows(s, len(codes))
-        sub_digits = [syms[:, i:i + 1] // base ** np.arange(d - 2, -1, -1) % base
-                      for i, base in enumerate(bases)]
-        return _pack(sub_digits, bases)
+    def merge(rows) -> np.ndarray:
+        return _pack([rows[:, i:i + 1] // power % base
+                      for i, (base, power) in enumerate(zip(bases, powers))], bases)
 
-    projections = [merge(s) for s in sets]
+    projections = [merge(s) for s in syms]
     if d == 2 and not errors:
-        first, second = np.unique(projections[1]), np.unique(projections[0])
-        mixed = np.stack([np.repeat(first, second.size),
-                          np.tile(second, first.size)], axis=1)
-    else:
-        mixed = _rows(lw_join([set(map(tuple, p.tolist())) for p in projections],
-                              errors), d)
+        # component c of the message joining first[i] and second[j] has
+        # c's digit of first[i], then c's digit of second[j]
+        first, second = distinct(projections[1]), distinct(projections[0])
+        msgs = []
+        for base in reversed(bases):
+            (first, high), (second, low) = np.divmod(first, base), np.divmod(second, base)
+            msgs.append(np.add.outer(high * base, low).ravel())
+        return np.stack(msgs[::-1], axis=1)
+    mixed = _rows(lw_join([set(map(tuple, p.tolist())) for p in projections], errors), d)
     msgs = []
     for base in reversed(bases):
         mixed, digits = np.divmod(mixed, base)
-        msgs.append(_pack(digits.T, [base] * d).tolist())
-    return list(zip(*msgs[::-1]))
+        msgs.append(_pack(digits.T, [base] * d))
+    return np.stack(msgs[::-1], axis=1)
 
 
-def rs_recover(codes, sets, rho: float) -> list[tuple[int, ...]]:
+def rs_recover(codes, syms, rho: float) -> np.ndarray:
     """Messages of a product of RS codes (sharing b, r and the evaluation
-    points) whose codewords agree with the tuple-symbol sets on at least
-    need = r - floor(rho * r) coordinates.
+    points) whose codewords agree with the tuple-symbol row arrays on at
+    least need = r - floor(rho * r) coordinates.
 
     Such a message misses at most |occupied| - need occupied coordinates,
     so by pigeonhole it agrees on b of the first |occupied| - need + b of
@@ -236,13 +244,12 @@ def rs_recover(codes, sets, rho: float) -> list[tuple[int, ...]]:
         raise InfeasibleError(f"message space {math.prod(ns)} reaches 2^63: "
                               f"RS recovery packs it into int64 keys")
     need = first.r - first.max_disagreements(rho)
-    occupied = [i for i in range(first.r) if sets[i]]
+    occupied = [i for i in range(first.r) if len(syms[i])]
+    out = [np.zeros((0, len(codes)), dtype=np.int64)]
     if len(occupied) < need:
-        return []
-    syms = [_rows(sorted(s), len(codes)) for s in sets]
+        return out[0]
     keys = [_pack(s.T, qs) for s in syms]
     seen = np.zeros(0, dtype=np.int64)
-    out = []
     for coords in itertools.combinations(occupied[:len(occupied) - need + first.b], first.b):
         grid = np.indices([len(syms[c]) for c in coords]).reshape(len(coords), -1)
         values = [syms[c][g] for c, g in zip(coords, grid)]
@@ -261,8 +268,8 @@ def rs_recover(codes, sets, rho: float) -> list[tuple[int, ...]]:
         agree = sum(np.isin(_pack([c.encode_vec(x, u) for c, x in zip(codes, msgs)], qs),
                             keys[u]) for u in occupied)
         keep = agree >= need
-        out.extend(zip(*[x[keep].tolist() for x in msgs]))
-    return out
+        out.append(np.stack([x[keep] for x in msgs], axis=1))
+    return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +341,7 @@ class LWCode(_Code):
     def list_recover(self, sets, rho: float = 0.0, errors: int = 0) -> list[int]:
         if rho != 0.0:
             raise UsageError("LW recovery corrects via an error budget, not rho")
-        return [x for (x,) in lw_recover((self,), _singletons(sets), errors)]
+        return lw_recover((self,), _singletons(sets), errors)[:, 0].tolist()
 
 
 class RSCode(_Code):
@@ -440,7 +447,7 @@ class RSCode(_Code):
         for s in sets:
             if s and not 0 <= min(s) <= max(s) < self.q:
                 raise UsageError("candidate symbols must lie in [0, q)")
-        return sorted(x for (x,) in rs_recover((self,), _singletons(sets), rho))
+        return sorted(rs_recover((self,), _singletons(sets), rho)[:, 0].tolist())
 
 
 @dataclass

@@ -34,6 +34,7 @@ from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash, eval_many
 from sparserec.seeds import derive_seed
+from sparserec.vectors import distinct
 from sparserec.weak import WeakLayer, WeakParams
 
 
@@ -86,7 +87,7 @@ class Scheme2Map:
         if not np.any(keep):
             return np.zeros(0, dtype=np.int64)
         good = self.fingerprint(det[keep]) == np.asarray(rnd, dtype=np.int64)[keep]
-        return np.unique(det[keep][good])
+        return distinct(det[keep][good])
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +131,24 @@ class NodeCode:
     def list_recover_pairs(self, child_sets: list[set[tuple[int, int]]],
                            errors: int = 0, rho: float = 0.0) -> list[tuple[int, int]]:
         """Parent (det, rnd) messages consistent with the child symbol sets."""
+        rows = [_rows(sorted(s), 2) for s in child_sets]
+        return list(map(tuple, self.list_recover_rows(rows, errors, rho).tolist()))
+
+    def list_recover_rows(self, child_rows: list[np.ndarray], errors: int = 0,
+                          rho: float = 0.0) -> np.ndarray:
+        """`list_recover_pairs` of each child's distinct (det, rnd) symbols
+        as the rows of a (k, 2) int64 array, as the rows of one."""
         if self.rnd_code is None:
             codes = (self.det_code,)
-            child_sets = [{(det,) for det, _ in s} for s in child_sets]
+            child_rows = [distinct(rows[:, 0])[:, None] for rows in child_rows]
         else:
             codes = (self.det_code, self.rnd_code)
         if self.det_code.kind == "lw":
-            found = lw_recover(codes, child_sets, errors)
+            found = lw_recover(codes, child_rows, errors)
         else:
-            found = rs_recover(codes, child_sets, rho)
+            found = rs_recover(codes, child_rows, rho)
         if self.rnd_code is None:
-            return [(det, 0) for (det,) in found]
+            return np.concatenate([found, np.zeros_like(found)], axis=1)
         return found
 
 
@@ -408,7 +416,7 @@ class RecursionTree:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_signal,):
             raise UsageError(f"expected signal of length {self.n_signal}")
-        nz = np.flatnonzero(x)
+        nz = np.flatnonzero(x != 0)
         return self.encode_sparse(nz, x[nz])
 
     # -- identification --
@@ -423,20 +431,16 @@ class RecursionTree:
         for node in sorted(self.nodes, key=lambda v: -v.depth):
             recovered, truncated = None, 0
             if node.children:
-                child_sets = []
+                child_rows = []
                 for child_id in node.children:
                     child = self.nodes[child_id]
-                    vals = lists[child_id]
-                    det, rnd = child.unpack(vals)
+                    det, rnd = child.unpack(lists[child_id])
                     ok = (det < (1 << child.det_in)) & (rnd < (1 << child.rnd_in))
-                    child_sets.append(
-                        set(zip(det[ok].tolist(), rnd[ok].tolist()))
-                    )
-                pairs = node.code.list_recover_pairs(
-                    child_sets, errors=self.params.lw_errors,
+                    child_rows.append(np.stack([det[ok], rnd[ok]], axis=1))
+                pairs = node.code.list_recover_rows(
+                    child_rows, errors=self.params.lw_errors,
                     rho=self.params.rho if self.code_kind == "rs" else 0.0)
-                pairs = _rows(pairs, 2)
-                cand = np.unique(node.pack(pairs[:, 0], pairs[:, 1]))
+                cand = distinct(node.pack(pairs[:, 0], pairs[:, 1]))
                 recovered = cand.tolist()
                 cap = self.params.cap or self._default_cap()
                 if cand.size > cap:
@@ -462,7 +466,7 @@ class RecursionTree:
             })
         det, rnd = self.nodes[0].unpack(lists[0])
         if self.mapper is None:
-            out = np.unique(det[det < self.n_signal])
+            out = distinct(det[det < self.n_signal])
         else:
             out = self.mapper.invert(det, rnd, self.n_signal)
         return out, {"nodes": records}

@@ -31,6 +31,7 @@ from sparserec.hashing import SignFamily
 from sparserec.recursive import (RecursionTree, RecursiveParams, check_tree_code,
                                  node_images_many)
 from sparserec.seeds import derive_seed
+from sparserec.vectors import distinct
 from sparserec.weak import WeakLayer, WeakParams, lower_median
 
 
@@ -289,7 +290,7 @@ def _accumulate(indices, values, add_indices, add_values):
     """Sorted sparse sum of two sparse vectors with sorted, distinct indices,
     exact zeros dropped: the nonzeros of a dense `acc[add_indices] +=
     add_values`, bit for bit (each entry takes the same one addition)."""
-    union = np.union1d(indices, add_indices)
+    union = distinct(np.concatenate([indices, add_indices]))
     out = np.zeros(union.size)
     out[np.searchsorted(union, indices)] = values
     out[np.searchsorted(union, add_indices)] += add_values

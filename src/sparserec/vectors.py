@@ -32,6 +32,14 @@ def head_indices(x: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.concatenate([above, ties[: k - above.size]]))
 
 
+def distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique(x): the distinct values in increasing order, by a sort
+    that drops repeats, several times faster than np.unique's hash table
+    on the short index arrays of a decode."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if x.size else x
+
+
 def best_k_term(x: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros_like(np.asarray(x, dtype=np.float64))
     idx = head_indices(x, k)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sparserec.vectors import head_indices
+from sparserec.vectors import distinct, head_indices
 
 
 def _lexsort_head(x, k):
@@ -43,3 +43,11 @@ def test_head_indices_random_ties_nan_and_zeros():
         x[rng.random(n) < 0.15] = -0.0
         for k in (0, 1, int(rng.integers(0, n + 1)), n - 1, n, n + 5):
             assert np.array_equal(head_indices(x, k), _lexsort_head(x, k))
+
+
+def test_distinct_is_np_unique():
+    rng = np.random.default_rng(3)
+    for x in (np.zeros(0, dtype=np.int64), np.array([7]), rng.integers(0, 20, 200),
+              rng.integers(-(1 << 62), 1 << 62, 50), rng.integers(0, 5, (6, 7))):
+        got = distinct(x)
+        assert got.dtype == x.dtype and np.array_equal(got, np.unique(x))

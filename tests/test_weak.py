@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparserec import expander
+from sparserec import expander, weak
 from sparserec.errors import UsageError
 from sparserec.expander import BipartiteGraph, SignedSketchOperator
 from sparserec.hashing import SignFamily
@@ -31,7 +31,7 @@ def test_lower_median_convention():
 
 def test_median_estimates_pick_lower_medians_signed_zeros_included():
     # three heads in roomy buckets: most readings are +0.0, or -0.0 where
-    # an empty bucket meets a -1 sign, and the chosen zero's sign shows
+    # an empty bucket meets a -1 sign, and every zero median is +0.0
     op = _operator(400, 7, 512, seed=21)
     x = np.zeros(400)
     x[[5, 77, 301]] = [1.5, -2.0, 0.75]
@@ -48,9 +48,9 @@ def test_median_estimates_pick_lower_medians_signed_zeros_included():
         if tables is None:
             tables = [t.copy() for t in (op.graph._table, op._sign_table)]
     zeros = np.signbit(median_estimates(op, u, full)[lower_median(op.readings(u, full)) == 0])
-    assert zeros.any() and not zeros.all()
-    # the full-domain readings read the tables in place and are partitioned
-    # in place: the tables are untouched
+    assert not zeros.any()
+    # the full-domain readings read the tables in place: the tables are
+    # untouched
     assert all(np.array_equal(a, b) for a, b in zip(tables, (op.graph._table, op._sign_table)))
 
 
@@ -358,3 +358,87 @@ def test_weak_decomposition_oracle_bounds():
     assert np.linalg.norm(z_hat) ** 2 <= (1 + 22 * math.sqrt(eta)) * z_norm**2
     fitted_c = (np.linalg.norm(z_hat) / z_norm - 1) / eta
     assert fitted_c <= 25
+
+
+def _partition_median(readings):
+    """The NaN-last lower median np.partition picks, with +0.0 for a zero."""
+    idx = (readings.shape[-1] - 1) // 2
+    return np.partition(readings, idx, axis=-1)[..., idx] + 0.0
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("ell", range(1, 17))
+def test_median_network_is_a_lower_median_selector_by_the_zero_one_principle(ell):
+    # a comparator network selects an order statistic of every input if it
+    # does of every 0/1 input: all 2^ell of them at once
+    bits = ((np.arange(1 << ell)[:, None] >> np.arange(ell)) & 1).astype(np.float64)
+    want = np.sort(bits, axis=1)[:, (ell - 1) // 2]
+    assert _same_bits(lower_median(bits), want)
+    assert _same_bits(weak._medians(bits.copy(), False), want)
+
+
+def test_lower_median_matches_partition_on_ties_up_to_ell_61():
+    rng = np.random.default_rng(61)
+    for ell in range(1, 62):
+        readings = rng.integers(-3, 4, size=(300, ell)).astype(np.float64)
+        zeros = readings == 0
+        readings[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+        kept = readings.copy()
+        assert _same_bits(lower_median(readings), _partition_median(readings))
+        assert _same_bits(readings, kept)  # the input is not touched
+    stacked = rng.integers(-2, 3, size=(4, 5, 9)).astype(np.float64)
+    assert _same_bits(lower_median(stacked), _partition_median(stacked))
+
+
+def test_infinite_readings_give_partition_medians():
+    rng = np.random.default_rng(5)
+    readings = rng.choice([-np.inf, -1.0, -0.0, 0.0, 2.0, np.inf], size=(500, 9))
+    assert _same_bits(lower_median(readings), _partition_median(readings))
+    assert lower_median(np.full((1, 8), np.inf))[0] == np.inf
+
+
+def test_nan_readings_take_the_partition_fallback():
+    # the network would carry a NaN to the median; partition ranks it last
+    readings = np.array([[np.nan, 1.0, 2.0, 3.0, -0.0], [np.nan, np.nan, np.nan, 4.0, 0.0]])
+    assert np.array_equal(lower_median(readings), [2.0, np.nan], equal_nan=True)
+    op = _operator(300, 9, 64, seed=4)
+    x = np.zeros(300)
+    x[[3, 150]] = [1.0, -2.0]
+    u = op.apply(x)
+    u[op.graph.neighbors(3)[0]] = np.nan
+    for rows in (np.arange(300), np.array([150, 3, 7])):
+        want = _partition_median(op.readings(u, rows))
+        assert np.array_equal(median_estimates(op, u, rows), want, equal_nan=True)
+        assert np.isnan(want).sum() < rows.size
+    est = median_estimates(op, u, np.arange(300))
+    assert not np.signbit(est[est == 0]).any()
+
+
+def test_every_zero_median_is_positive_zero():
+    assert _same_bits(lower_median(np.full((3, 4), -0.0)), np.zeros(3))
+    assert _same_bits(lower_median(np.array([[-0.0, 0.0, -0.0]])), np.zeros(1))
+    op = _operator(400, 8, 512, seed=21)
+    x = np.zeros(400)
+    x[[5, 77, 301]] = [1.5, -2.0, 0.75]
+    u = op.apply(x)
+    readings = op.readings(u, np.arange(400))
+    assert np.signbit(readings[readings == 0]).any()  # -0.0 readings do occur
+    for ests in (median_estimates(op, u, np.arange(400)), lower_median(readings)):
+        assert (ests == 0).any() and not np.signbit(ests[ests == 0]).any()
+
+
+def test_median_estimates_over_filled_tables_equal_the_hashed_twin():
+    op, twin = _operator(2048, 9, 96, seed=8), _operator(2048, 9, 96, seed=8)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=2048) * 1e-3
+    x[rng.choice(2048, 6, replace=False)] += 1.0 + rng.random(6)
+    u = op.apply(x)
+    full, some = np.arange(2048), np.sort(rng.choice(2048, 300, replace=False))
+    median_estimates(op, u, full)  # fills the tables
+    assert op._sign_table is not None and twin._sign_table is None
+    for rows in (some, some[::-1], full):  # the twin hashes all but the last
+        assert twin._sign_table is None
+        assert _same_bits(median_estimates(op, u, rows), median_estimates(twin, u, rows))
