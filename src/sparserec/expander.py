@@ -18,9 +18,10 @@ from one function (`hashing.edge_signs`, which hashes each row once for
 all its slots), with the design tables as their cache.  A graph's
 neighbor table and an operator's int8 sign table belong to the design,
 not to the signal: the first request on at least N rows (a dense encode,
-a full-domain identification) builds them, where N * ell <=
-_MATERIALIZE_LIMIT (then at most 1 MiB and 8 MiB), so a decoder that
-scans few operators never builds the others'.  Rows outside [0, N)
+a full-domain identification) or the first identification read of any
+rows (`fill_tables`) builds them, where N * ell <= _MATERIALIZE_LIMIT
+(then at most 1 MiB and 8 MiB); an estimation read of a few candidates
+builds none.  Rows outside [0, N)
 raise UsageError.  Readings and sketches are new arrays, and
 `BipartiteGraph.neighbors_of` returns a copy.
 
@@ -250,13 +251,13 @@ class SignedSketchOperator:
 def edges_many(requests) -> list[tuple]:
     """(buckets, signs) of each (op, rows) request, an operator's or a
     graph's (signs None): int64 bucket ids and +-1 signs, each (len(rows),
-    ell) in (row, slot) order.  After `_fill_tables`, tables are read in
+    ell) in (row, slot) order.  After `fill_tables`, tables are read in
     place (read-only) by a request on exactly the rows 0..N-1 of an
     operator holding both (one O(N) check once the count and both ends
     match), else gathered; `_hashed_edges` makes the rest.  A row outside
     [0, N) raises UsageError."""
     requests = [(op, np.asarray(rows, dtype=np.int64)) for op, rows in requests]
-    _fill_tables(requests)
+    fill_tables([op for op, rows in requests if rows.size >= op.n_left])
     out, hashed = [None] * len(requests), []
     for t, (op, rows) in enumerate(requests):
         graph, family, signs = ((op, None, None) if isinstance(op, BipartiteGraph)
@@ -284,14 +285,15 @@ def _check_rows(rows: np.ndarray, n_left) -> None:
         raise UsageError("row outside [0, N)")
 
 
-def _fill_tables(requests) -> None:
-    """Build, in order, the neighbor table of each (op, rows) request on at
-    least N rows and, for an operator, its read-only int8 (N, ell) sign
-    table, where N * ell <= _MATERIALIZE_LIMIT."""
-    for op, rows in requests:
+def fill_tables(ops) -> None:
+    """Build, in order, the neighbor table of each operator or graph and,
+    for an operator, its read-only int8 (N, ell) sign table, where N * ell
+    <= _MATERIALIZE_LIMIT: the graphs and operators of requests on at least
+    N rows, and those an identification reads."""
+    for op in ops:
         graph = op if isinstance(op, BipartiteGraph) else op.graph
-        if (rows.size >= graph.n_left and graph.n_left * graph.ell <= _MATERIALIZE_LIMIT
-                and graph.table() is not None and graph is not op and op._sign_table is None):
+        if (graph.n_left * graph.ell <= _MATERIALIZE_LIMIT and graph.table() is not None
+                and graph is not op and op._sign_table is None):
             signs = edge_signs([op.signs], None, np.arange(graph.n_left)[:, None],
                                np.arange(graph.ell))
             op._sign_table = signs.astype(np.int8)
@@ -423,7 +425,8 @@ def apply_sparse_many(jobs) -> list[np.ndarray]:
         for t, start, stop, base in spans:
             out[t] = sums[base + start:base + stop]
     alone = [t for t in range(len(jobs)) if out[t] is None]
-    _fill_tables([jobs[t][:2] for t in alone])  # here, so no worker builds one
+    # here, so no worker builds one
+    fill_tables([op for op, rows, _ in (jobs[t] for t in alone) if rows.size >= op.n_left])
     tabled = [t for t in alone if jobs[t][0]._sign_table is not None]
     if len(tabled) > 1:
         for t, sketch in zip(tabled, _sketch_on_all_cpus([jobs[t] for t in tabled])):

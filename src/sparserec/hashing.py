@@ -9,10 +9,11 @@ vertex once and gives slot s bit s of the value.
 Sign evaluation sits on the hot path of every sketch, so SignFamily
 uses a Mersenne-prime backing field, 2^31-1 while the vertex domain and
 ell fit its 31 bits and 2^61-1 beyond, where Horner's rule vectorizes
-over numpy integer arrays.  Any t distinct vertices get independent
-ell-bit sign vectors, each within total variation 2^-w of uniform
-(w = 31 or 61): a uniform value in [0, 2^w - 1) misses only the
-all-ones w-bit string.  Signs belong to (vertex, slot), not to buckets,
+over numpy integer arrays; below 2^31 each step takes two coefficients
+(acc * x^2 + x * c_{j+1} + c_j), halving the steps.  Any t distinct
+vertices get independent ell-bit sign vectors, each within total
+variation 2^-w of uniform (w = 31 or 61): a uniform value in
+[0, 2^w - 1) misses only the all-ones w-bit string.  Signs belong to (vertex, slot), not to buckets,
 so a vertex's two slots on one bucket carry their own two signs.
 `edge_signs`, the one function that evaluates sign polynomials, serves
 the expander's edge kernel: numpy's per-call cost dominates a call on a
@@ -165,15 +166,23 @@ def _horner_vec(f: FieldSpec, coefficients, xs: np.ndarray) -> np.ndarray:
     if f.kind == "prime" and f.q == _M61:
         return _horner_m61(coefficients, xs)
     x = xs.astype(np.int64)
-    acc = np.full(x.shape, coefficients[-1], dtype=np.int64)
     if f.kind == "prime":
-        # acc * x + c < 2^62 + 2^31 fits int64, and numpy's floor division
-        # by a scalar is several times faster than its remainder
-        for c in reversed(coefficients[:-1]):
-            acc *= x
-            acc += c
+        # two coefficients a step, from the top of an even count: with q <
+        # 2^31, acc * x^2 + x * c[j + 1] + c[j] < 2^63 fits int64, and
+        # numpy's floor division by a scalar is several times faster than
+        # its remainder
+        c = [*coefficients, *[0] * (len(coefficients) % 2)]
+        x2 = x * x
+        x2 -= x2 // f.q * f.q
+        acc = np.zeros_like(x)
+        for j in range(len(c) - 2, -1, -2):
+            acc *= x2
+            acc += x * c[j + 1]
+            acc += c[j]
             acc -= acc // f.q * f.q
-    elif f._log is not None:
+        return acc
+    acc = np.full(x.shape, coefficients[-1], dtype=np.int64)
+    if f._log is not None:
         # f.mul_vec(acc, x) ^ c from the zero-absorbing tables, with the
         # logarithms of x looked up once
         log, exp = zero_absorbing_tables(f.width, f.poly)

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from sparserec.codes import LWCode, RSCode, _rows, lw_recover, rs_recover
+from sparserec.codes import LWCode, RSCode, lw_recover, rs_recover
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
@@ -128,16 +128,11 @@ class NodeCode:
             return out_d, np.zeros_like(out_d)
         return out_d, self.rnd_code.encode_vec(rnd, u)
 
-    def list_recover_pairs(self, child_sets: list[set[tuple[int, int]]],
-                           errors: int = 0, rho: float = 0.0) -> list[tuple[int, int]]:
-        """Parent (det, rnd) messages consistent with the child symbol sets."""
-        rows = [_rows(sorted(s), 2) for s in child_sets]
-        return list(map(tuple, self.list_recover_rows(rows, errors, rho).tolist()))
-
-    def list_recover_rows(self, child_rows: list[np.ndarray], errors: int = 0,
-                          rho: float = 0.0) -> np.ndarray:
-        """`list_recover_pairs` of each child's distinct (det, rnd) symbols
-        as the rows of a (k, 2) int64 array, as the rows of one."""
+    def list_recover_pairs(self, child_rows: list[np.ndarray], errors: int = 0,
+                           rho: float = 0.0) -> np.ndarray:
+        """Parent (det, rnd) messages consistent with the children's symbols,
+        as the rows of a (k, 2) int64 array; child u's distinct (det, rnd)
+        symbols are the rows of child_rows[u]."""
         if self.rnd_code is None:
             codes = (self.det_code,)
             child_rows = [distinct(rows[:, 0])[:, None] for rows in child_rows]
@@ -437,7 +432,7 @@ class RecursionTree:
                     det, rnd = child.unpack(lists[child_id])
                     ok = (det < (1 << child.det_in)) & (rnd < (1 << child.rnd_in))
                     child_rows.append(np.stack([det[ok], rnd[ok]], axis=1))
-                pairs = node.code.list_recover_rows(
+                pairs = node.code.list_recover_pairs(
                     child_rows, errors=self.params.lw_errors,
                     rho=self.params.rho if self.code_kind == "rs" else 0.0)
                 cand = distinct(node.pack(pairs[:, 0], pairs[:, 1]))

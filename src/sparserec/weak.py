@@ -40,7 +40,7 @@ import numpy as np
 
 from sparserec.errors import UsageError
 from sparserec.expander import (SignedSketchOperator, apply_sparse_many, edges_many,
-                                row_blocks)
+                                fill_tables, row_blocks)
 from sparserec.seeds import derive_seed
 from sparserec.vectors import distinct, head_indices
 
@@ -172,10 +172,11 @@ def weak_identify(op: SignedSketchOperator, sketch: np.ndarray,
 def _identify(params: WeakParams, copies, candidates) -> np.ndarray:
     """The candidates in more than half of the (op, sketch) copies' top
     k + ceil(k/eta) median estimates; one `_median_readings` call reads
-    every copy."""
+    every copy, after `fill_tables` of the copies' operators."""
     cand = _candidate_set(candidates)
     if cand.size == 0:
         return cand
+    fill_tables([op for op, _ in copies])
     medians = _median_readings([(op, u, cand) for op, u in copies])
     return majority_amplify([cand[head_indices(m, params.ident_count)] for m in medians])
 
@@ -266,7 +267,7 @@ class WeakLayer:
 
     def identify(self, sketches: list[np.ndarray],
                  candidates: np.ndarray) -> np.ndarray:
-        return _identify(self.params, zip(self.ident_ops, sketches), candidates)
+        return _identify(self.params, [*zip(self.ident_ops, sketches)], candidates)
 
     def estimate(self, sketches: list[np.ndarray],
                  candidates: np.ndarray) -> WeakDecomposition:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparserec.codes import RSCode
+from sparserec.codes import RSCode, _rows
 from sparserec.errors import UsageError
 from sparserec.fields import FieldSpec
 from sparserec.recursive import (
@@ -222,10 +222,12 @@ def test_node_list_recovery_matches_oracle(case):
         expect = {(int(det_all[m]), int(rnd_all[m]))
                   for m in np.flatnonzero(hits >= need)}
         assert set(planted.tolist()) <= set(np.flatnonzero(hits >= need).tolist())
-        got = code.list_recover_pairs(child_sets, errors=params.lw_errors,
+        got = code.list_recover_pairs([_rows(sorted(s), 2) for s in child_sets],
+                                      errors=params.lw_errors,
                                       rho=params.rho if rs else 0.0)
+        got = list(map(tuple, got.tolist()))
         assert len(got) == len(set(got))
-        assert {(int(d), int(c)) for d, c in got} == expect
+        assert set(got) == expect
 
 
 # --- identification ---

@@ -507,11 +507,14 @@ def test_batched_tree_encode_matches_per_operator_apply(n, tree, dense, unfilled
                           _eager_twin(system).encode(x).view(np.int64))
     trace = []
     assert np.allclose(system.decode(sketch, trace=trace), x)
-    # a decode builds the tables of the leaves it scans, and only those
-    scanned = {id(op) for stage, record in zip(system.stages, trace) if record["nodes"]
-               for node in stage.tree.nodes if not node.children
-               for op in node.layer.ident_ops}
-    assert scanned and _tables_built(system) == [id(op) in scanned for op in ops]
+    # a decode builds the tables of the identification operators it reads
+    # (every leaf it scans; the split tree's 2^16-value depth-1 nodes) where
+    # N * ell <= _MATERIALIZE_LIMIT, and only those
+    read = {id(op) for stage, record in zip(system.stages, trace) if record["nodes"]
+            for node in record["nodes"] if node["candidates"]
+            for op in stage.tree.nodes[node["node"]].layer.ident_ops
+            if op.n_left * op.graph.ell <= expander._MATERIALIZE_LIMIT}
+    assert read and _tables_built(system) == [id(op) in read for op in ops]
     filled = [op._sign_table is not None for op in ops]
     assert filled == _tables_built(system)
     fields = {op.signs.hash.field.q for op, f in zip(ops, filled) if not f}
@@ -641,7 +644,7 @@ def test_warm_tree_decode_identifies_each_node_in_one_sign_pass(monkeypatch):
     x[rng.choice(system.n, 8, replace=False)] = rng.choice([-1.0, 1.0], 8) * (1 + rng.random(8))
     sketch = system.encode(x)
     trace = []
-    system.decode(sketch, trace=trace)  # fills the leaves' tables
+    system.decode(sketch, trace=trace)  # fills the leaves' and depth-1 nodes' tables
     passes, identifying = [], []
     horner, identify = hashing._horner_vec, RecursionTree.identify
 
@@ -662,18 +665,17 @@ def test_warm_tree_decode_identifies_each_node_in_one_sign_pass(monkeypatch):
     again = []
     system.decode(sketch, trace=again)
     assert again == trace
-    # only stage 1 identifies this exact signal; its leaves read their
-    # tables, and each of its two depth-1 nodes and its root hashes its
-    # candidates in one pass, one point per candidate: M31 at depth 1, M61
-    # at the root, whose domain holds 2^32 values
+    # only stage 1 identifies this exact signal; its leaves and its two
+    # 2^16-value depth-1 nodes read their tables, and its root, whose domain
+    # holds 2^32 values, hashes its candidates in one M61 pass, one point
+    # per candidate
     [records] = [stage["nodes"] for stage in trace if stage["nodes"]]
     stage_tree = system.stages[0].tree
     assert stage_tree.height == 2 and all(
         len(node.layer.ident_ops) == 1 and node.layer.params.ell == 8 for node in stage_tree.nodes)
     inner = [(r["depth"], r["candidates"]) for r in records if r["depth"] < 2]
     assert inner[:2] == [(1, 576), (1, 576)] and inner[2][0] == 0
-    assert passes == [("GF(2147483647)", 576), ("GF(2147483647)", 576),
-                      ("GF(2305843009213693951)", inner[2][1])]
+    assert passes == [("GF(2305843009213693951)", inner[2][1])]
 
 
 def _hashed_sketch(system, x):

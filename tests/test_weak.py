@@ -7,6 +7,7 @@ from sparserec import expander, weak
 from sparserec.errors import UsageError
 from sparserec.expander import BipartiteGraph, SignedSketchOperator
 from sparserec.hashing import SignFamily
+from sparserec.vectors import head_indices
 from sparserec.weak import (
     WeakLayer,
     WeakParams,
@@ -250,14 +251,15 @@ def test_weak_layer_amplified_pipeline_recovers_planted():
 
 
 def test_weak_layer_identify_reads_its_copies_in_one_sign_pass(monkeypatch):
+    # a domain too large for tables: N * ell > _MATERIALIZE_LIMIT
     params = WeakParams(k=4, eta=0.25, ell=6, s=3)
-    layer = WeakLayer(params=params, domain=4096, n_buckets=96, seed=17)
+    layer = WeakLayer(params=params, domain=1 << 18, n_buckets=96, seed=17)
     rng = np.random.default_rng(17)
-    supp = rng.choice(4096, 4, replace=False)
-    x = np.zeros(4096)
+    supp = rng.choice(1 << 18, 4, replace=False)
+    x = np.zeros(1 << 18)
     x[supp] = 1.0 + rng.random(4)
     sketches = layer.encode(x)
-    cand = np.concatenate([rng.choice(4096, 300), supp])
+    cand = np.concatenate([rng.choice(1 << 18, 300), supp])
     want = majority_amplify([weak_identify(op, u, cand, params)
                              for op, u in zip(layer.ident_ops, sketches)])
     passes, edge_signs = [], expander.edge_signs
@@ -442,3 +444,25 @@ def test_median_estimates_over_filled_tables_equal_the_hashed_twin():
     for rows in (some, some[::-1], full):  # the twin hashes all but the last
         assert twin._sign_table is None
         assert _same_bits(median_estimates(op, u, rows), median_estimates(twin, u, rows))
+
+
+def test_identification_fills_small_operators_tables_and_estimation_does_not():
+    params = WeakParams(k=4, eta=0.25, ell=6, s=3)
+    layer, twin = (WeakLayer(params=params, domain=4096, n_buckets=96, seed=19)
+                   for _ in range(2))
+    rng = np.random.default_rng(19)
+    x = np.zeros(4096)
+    x[rng.choice(4096, 4, replace=False)] = 1.0 + rng.random(4)
+    sketches = layer.encode(x)
+    cand = np.sort(rng.choice(4096, 300, replace=False))
+    layer.estimate(sketches, cand)
+    assert not layer.est_op.graph.materialized and layer.est_op._sign_table is None
+    found = layer.identify(sketches, cand)  # 300 of 4,096 rows
+    assert all(op.graph.materialized and op._sign_table is not None
+               for op in layer.ident_ops)
+    # the twin's readings (fewer than N rows, no identification) hash them
+    want = majority_amplify([cand[head_indices(lower_median(op.readings(u, cand)),
+                                               params.ident_count)]
+                             for op, u in zip(twin.ident_ops, sketches)])
+    assert not any(op.graph.materialized for op in twin.ident_ops)
+    assert np.array_equal(found, want)
