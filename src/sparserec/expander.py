@@ -27,10 +27,11 @@ raise UsageError.  Readings and sketches are new arrays, and
 
 Readings, table builds and jobs that run alone take their edges from
 `edges_many`, which maps (operator, rows) requests to (buckets, signs)
-arrays of shape (rows, ell) in (row, slot) order: a request on exactly
-the rows 0..N-1 reads both tables in place, other requests on tabled
-operators gather rows, and the rest of a call shares one counter-stream
-pass for its bucket ids and one Horner pass per sign field.
+arrays of shape (rows, ell) in (row, slot) order, one request at a time:
+a request on exactly the rows 0..N-1 reads both tables in place, other
+requests on tabled operators gather rows, and each of the rest makes
+one counter-stream pass for its bucket ids and one Horner pass for its
+signs (`_hashed_edges`).
 
 `apply_sparse_many` (the encode) sums the small jobs of many operators
 from flat arrays: a sparse encode of a system, or a decode's residual
@@ -103,7 +104,7 @@ class BipartiteGraph:
         """The read-only (N, ell) neighbor table, built by the first call if
         N * ell <= _MATERIALIZE_LIMIT; None for a larger graph without one."""
         if self._table is None and self.n_left * self.ell <= _MATERIALIZE_LIMIT:
-            self._table = _hashed_edges([(self, None, np.arange(self.n_left))])[0][0]
+            self._table = _hashed_edges(self, None, np.arange(self.n_left))[0]
             self._table.flags.writeable = False
         return self._table
 
@@ -254,27 +255,24 @@ def edges_many(requests) -> list[tuple]:
     ell) in (row, slot) order.  After `fill_tables`, tables are read in
     place (read-only) by a request on exactly the rows 0..N-1 of an
     operator holding both (one O(N) check once the count and both ends
-    match), else gathered; `_hashed_edges` makes the rest.  A row outside
-    [0, N) raises UsageError."""
+    match), else gathered; `_hashed_edges` makes the rest, each request
+    on its own.  A row outside [0, N) raises UsageError."""
     requests = [(op, np.asarray(rows, dtype=np.int64)) for op, rows in requests]
     fill_tables([op for op, rows in requests if rows.size >= op.n_left])
-    out, hashed = [None] * len(requests), []
-    for t, (op, rows) in enumerate(requests):
+    out = []
+    for op, rows in requests:
         graph, family, signs = ((op, None, None) if isinstance(op, BipartiteGraph)
                                 else (op.graph, op.signs, op._sign_table))
         if (signs is not None and rows.shape == signs.shape[:1] and rows[0] == 0
                 and rows[-1] == rows.size - 1 and np.all(rows[1:] > rows[:-1])):
-            out[t] = graph._table, signs
+            out.append((graph._table, signs))
         elif graph._table is None:
-            hashed.append((t, graph, family, rows))
+            out.append(_hashed_edges(graph, family, rows))
         else:  # gathered; with no sign table, signs hashed on their own
             _check_rows(rows, graph.n_left)
-            buckets = graph._table[rows]
-            out[t] = buckets, (None if family is None else signs[rows] if signs is not None
-                               else edge_signs([family], None, rows[:, None],
-                                               np.arange(graph.ell)))
-    for (t, *_), edges in zip(hashed, _hashed_edges([request[1:] for request in hashed])):
-        out[t] = edges
+            out.append((graph._table[rows],
+                        None if family is None else signs[rows] if signs is not None
+                        else edge_signs([family], None, rows[:, None], np.arange(graph.ell))))
     return out
 
 
@@ -310,63 +308,19 @@ def _bucket_ids(seed, ell, n_buckets, vertices: np.ndarray, slots) -> np.ndarray
     return z - z // n_buckets * n_buckets
 
 
-def _hashed_edges(requests) -> list[tuple]:
-    """`edges_many` of (graph, sign family or None, rows) requests on graphs
-    without tables; a row outside [0, N) raises UsageError.  Slot s of row
-    i takes bucket counter_stream(seed, i * ell + s) mod M and sign(i, s).
-    The requests, each sign field's together, are cut into `batches` of at
-    most BATCH_POINTS edges.  A batch of several lays its edges out flat,
-    each edge carrying its graph's seed, ell and M into one counter-stream
-    pass, and hashes its rows, each carrying its family's coefficients, in
-    one `edge_signs` pass per field.  A request alone in its batch (a table
-    build, a dense job without tables) keeps them scalar, its (rows, 1)
-    vertices broadcast against its ell slots: no per-edge columns."""
-    out = [None] * len(requests)
-    fields = [0 if family is None else family.hash.field.q for _, family, _ in requests]
-    for run in batches(sorted(range(len(requests)), key=fields.__getitem__),
-                       lambda t: requests[t][2].size * requests[t][0].ell):
-        graphs, families, rows = zip(*(requests[t] for t in run))
-        counts = [r.size for r in rows]
-        sizes = [count * graph.ell for count, graph in zip(counts, graphs)]
-        params = np.array([(g.seed, g.ell, g.n_buckets, g.n_left) for g in graphs],
-                          dtype=np.uint64)
-        if len(run) == 1:  # scalar parameters
-            vertices = edge_vertices = rows[0][:, None]
-            slots, params = np.arange(graphs[0].ell), params[0]
-        else:
-            vertices = np.concatenate(rows)
-            row_ell = np.repeat([graph.ell for graph in graphs], counts)
-            edge_rows = np.repeat(np.arange(vertices.size), row_ell)
-            edge_vertices = vertices[edge_rows]
-            slots = np.arange(edge_vertices.size) - np.repeat(np.cumsum(row_ell) - row_ell,
-                                                              row_ell)
-            params = np.repeat(params.T, sizes, axis=1)
-        seed, ell, n_buckets, n_left = params
-        _check_rows(edge_vertices, n_left)
-        buckets = _bucket_ids(seed, ell, n_buckets, edge_vertices, slots)
-        if len(run) == 1:
-            out[run[0]] = buckets.view(np.int64), (
-                None if families[0] is None else edge_signs(families, None, vertices, slots))
-            continue
-        signs = np.empty(buckets.size)
-        row_starts = list(accumulate(counts, initial=0))
-        starts = list(accumulate(sizes, initial=0))
-        for _, group in groupby(range(len(run)), key=lambda u: fields[run[u]]):
-            group = list(group)
-            if families[group[0]] is not None:
-                rows_cut = slice(row_starts[group[0]], row_starts[group[-1] + 1])
-                cut = slice(starts[group[0]], starts[group[-1] + 1])
-                members = [families[u] for u in group]
-                columns = np.repeat(coefficient_columns([f.hash for f in members]),
-                                    [counts[u] for u in group], axis=1)
-                signs[cut] = edge_signs(members, columns, vertices[rows_cut], slots[cut],
-                                        edge_rows[cut] - rows_cut.start)
-        ids = buckets.view(np.int64)
-        for t, graph, family, r, start, stop in zip(run, graphs, families, rows,
-                                                    starts, starts[1:]):
-            out[t] = (ids[start:stop].reshape(r.size, graph.ell),
-                      None if family is None else signs[start:stop].reshape(r.size, graph.ell))
-    return out
+def _hashed_edges(graph: BipartiteGraph, family: SignFamily | None, rows: np.ndarray) -> tuple:
+    """`edges_many` of one request on a graph without a table; a row
+    outside [0, N) raises UsageError.  Slot s of row i takes bucket
+    counter_stream(seed, i * ell + s) mod M and sign(i, s): one
+    counter-stream pass and one `edge_signs` pass, with the graph's seed,
+    ell and M scalar and the (rows, 1) vertices broadcast against the ell
+    slots."""
+    seed, ell, n_buckets, n_left = np.array(
+        (graph.seed, graph.ell, graph.n_buckets, graph.n_left), dtype=np.uint64)
+    _check_rows(rows, n_left)
+    vertices, slots = rows[:, None], np.arange(graph.ell)
+    buckets = _bucket_ids(seed, ell, n_buckets, vertices, slots).view(np.int64)
+    return buckets, None if family is None else edge_signs([family], None, vertices, slots)
 
 
 def apply_sparse_many(jobs) -> list[np.ndarray]:

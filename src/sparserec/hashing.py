@@ -15,12 +15,14 @@ vertices get independent ell-bit sign vectors, each within total
 variation 2^-w of uniform (w = 31 or 61): a uniform value in
 [0, 2^w - 1) misses only the all-ones w-bit string.  Signs belong to (vertex, slot), not to buckets,
 so a vertex's two slots on one bucket carry their own two signs.
-`edge_signs`, the one function that evaluates sign polynomials, serves
-the expander's edge kernel: numpy's per-call cost dominates a call on a
-few rows of many families, so one Horner pass takes the vertices of
-several families over one field, each point under its own family's
-column of `coefficient_columns`.  eval_many evaluates the recursion
-trees' fingerprints the same way.
+`edge_signs`, the one function that evaluates sign polynomials, hashes
+one family's vertices under scalar coefficients, or several families'
+vertices over one field in one Horner pass, each point under its own
+family's column of `coefficient_columns`.  numpy's per-call cost
+dominates a call on a few rows of many families, so the sparse encode's
+jobs share passes that way (`expander._JobColumns`), and eval_many
+evaluates the recursion trees' fingerprints the same way; the expander's
+other requests hash one family at a time.
 
 Over binary fields PolyHash evaluates vectors by the zero-absorbing
 log/exp tables up to GF(2^16) (two gathers per Horner step, no test for

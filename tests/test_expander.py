@@ -472,21 +472,19 @@ def test_edges_many_matches_scalar_neighbors_and_signs(monkeypatch):
         (low_degree, rng.choice(400, 30)),
         (wide, rng.integers(0, 1 << 32, 12)),
         (high_degree, rng.choice(500, 20)),
-        (big, rng.integers(0, 512, 4000)),  # the two big requests together
-        (big, rng.integers(0, 512, 4000)),  # exceed one pass
+        (big, rng.integers(0, 512, 4000)),  # two requests on one operator
+        (big, rng.integers(0, 512, 4000)),
         (wide.graph, np.array([3, 1, 3])),  # a graph's request: buckets alone
     ]
-    assert sum(rows.size * op.graph.ell for op, rows in requests[6:8]) > BATCH_POINTS
     passes, edge_signs = [], expander.edge_signs
     monkeypatch.setattr(expander, "edge_signs", lambda families, sizes, vertices, *rest: (
         passes.append(([f.independence for f in families], np.size(vertices)))
         or edge_signs(families, sizes, vertices, *rest)))
     got = edges_many(requests)
     monkeypatch.undo()
-    # hashed requests share passes of at most BATCH_POINTS points, one of
-    # them mixes sign degrees, and each pass hashes a row once for all its slots
-    assert len(passes) > 1 and max(size for _, size in passes) <= BATCH_POINTS
-    assert any(len(set(degrees)) > 1 for degrees, _ in passes)
+    # each request that hashes signs makes one single-family pass, in
+    # request order, which hashes a row once for all its slots
+    assert passes == [([op.signs.independence], rows.size) for op, rows in requests[2:8]]
     assert sum(size for _, size in passes) == sum(rows.size for _, rows in requests[2:8])
     assert got[0][0] is tabled.graph._table and got[0][1] is tabled._sign_table
     scalar = {}  # (op, row) -> the row's scalar neighbors and signs

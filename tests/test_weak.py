@@ -250,7 +250,7 @@ def test_weak_layer_amplified_pipeline_recovers_planted():
     assert np.max(np.abs(dec.to_dense() - x)) < 1e-12
 
 
-def test_weak_layer_identify_reads_its_copies_in_one_sign_pass(monkeypatch):
+def test_weak_layer_identify_reads_its_copies_in_one_sign_pass_per_copy(monkeypatch):
     # a domain too large for tables: N * ell > _MATERIALIZE_LIMIT
     params = WeakParams(k=4, eta=0.25, ell=6, s=3)
     layer = WeakLayer(params=params, domain=1 << 18, n_buckets=96, seed=17)
@@ -266,8 +266,8 @@ def test_weak_layer_identify_reads_its_copies_in_one_sign_pass(monkeypatch):
     monkeypatch.setattr(expander, "edge_signs", lambda families, *rest: (
         passes.append(len(families)) or edge_signs(families, *rest)))
     found = layer.identify(sketches, cand)
-    # the three copies' candidate rows hash together, tables unbuilt
-    assert passes == [3] and not any(op.graph.materialized for op in layer.ident_ops)
+    # each copy's candidate rows hash in one single-family pass, tables unbuilt
+    assert passes == [1, 1, 1] and not any(op.graph.materialized for op in layer.ident_ops)
     assert np.array_equal(found, want) and set(supp.tolist()) <= set(found.tolist())
 
 
