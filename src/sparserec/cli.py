@@ -106,7 +106,11 @@ def _cmd_lw_join(args) -> int:
     blob = _load_json(args.input)
     if "projections" not in blob:
         raise UsageError("expected a JSON object with a 'projections' key")
-    sets = [{tuple(v) for v in s} for s in blob["projections"]]
+    projections = blob["projections"]
+    if not (isinstance(projections, list) and all(
+            isinstance(s, list) and all(isinstance(v, list) for v in s) for s in projections)):
+        raise UsageError("projections must be a list of sets of symbol vectors, each a list")
+    sets = [{tuple(v) for v in s} for s in projections]
     vectors = lw_join(sets, errors=args.tolerant)
     _write_text(args.out, json.dumps({"vectors": [list(v) for v in vectors]}) + "\n")
     return 0

@@ -37,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -366,6 +367,8 @@ class RSCode(_Code):
         points = [int(p) for p in points]
         if len(points) != r or len(set(points)) != r:
             raise UsageError("evaluation points must be r distinct elements")
+        if not all(0 <= p < field.q for p in points):
+            raise UsageError("evaluation points must lie in [0, q)")
         self.points = points
 
     def coefficients(self, x: int) -> list[int]:
@@ -443,6 +446,10 @@ class RSCode(_Code):
             raise UsageError(
                 "rho outside the unique-decoding regime rho < (1/2)(1 - b/r)"
             )
+        if len(sets) != self.r:
+            raise UsageError(f"need one candidate set per coordinate: {len(sets)} for r = {self.r}")
+        if any(isinstance(v, bool) or not isinstance(v, Integral) for s in sets for v in s):
+            raise UsageError("candidate symbols must be integers")
         sets = [sorted({int(v) for v in s}) for s in sets]
         for s in sets:
             if s and not 0 <= min(s) <= max(s) < self.q:

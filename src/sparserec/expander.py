@@ -42,9 +42,12 @@ job on a tabled operator.  The dense jobs of one call whose operators
 hold both tables run on one thread per CPU the process may run on: the
 calling thread and a pool of workers, started on first use and dropped
 in a forked child.  A job that runs alone, and the weak layer's
-medians, pass over their edges in `row_blocks`, so a warm dense encode
-or full-domain read allocates no N * ell-sized array, whose fresh pages
-would fault on every call.
+medians, pass over their edges in `row_blocks`, so on an operator with
+tables a warm dense encode or full-domain read allocates no N *
+ell-sized array, whose fresh pages would fault on every call.  On an
+operator without them (N * ell > _MATERIALIZE_LIMIT), `edges_many`
+hashes the whole request at once: such an encode or read holds (N, ell)
+bucket ids and signs, and the hash passes' temporaries of that size.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ import numpy as np
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.hashing import BATCH_POINTS, SignFamily, batches, coefficient_columns, edge_signs
 from sparserec.seeds import counter_stream
+from sparserec.vectors import nonzeros
 
 _MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
 BLOCK_EDGES = 1 << 15  # edges per block of a dense pass: 256 KiB of float64
@@ -230,13 +234,7 @@ class SignedSketchOperator:
         return SignedSketchOperator(graph, fam)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.graph.n_left,):
-            raise UsageError(
-                f"expected vector of length {self.graph.n_left}, got {x.shape}"
-            )
-        nz = np.flatnonzero(x != 0)
-        return self.apply_sparse(nz, x[nz])
+        return self.apply_sparse(*nonzeros(x, self.graph.n_left))
 
     def apply_sparse(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sketch of the vector with the given nonzero entries."""

@@ -12,6 +12,7 @@ import io
 import math
 import time
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -58,6 +59,13 @@ def _toplevel_config(system: dict) -> TopLevelConfig:
     return TopLevelConfig(**{k: v for k, v in system.items() if k not in _EXPERIMENT_KEYS})
 
 
+def _check_int(value, what: str, low: int, high: float = math.inf):
+    """UsageError unless value is an int (not a bool) in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        raise UsageError(f"{what} must be an integer {bound}, got {value!r}")
+
+
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise UsageError("config must be a JSON object")
@@ -67,14 +75,18 @@ def validate_config(config: dict) -> dict:
             raise UsageError(f"config missing required key {key!r}")
     if config["schema_version"] != SCHEMA_VERSION:
         raise UsageError(f"unsupported schema version {config['schema_version']}")
-    if not isinstance(config["trials"], int) or config["trials"] < 0:
-        raise UsageError("trials must be a non-negative integer")
+    _check_int(config["seed"], "seed", 0, 1 << 64)  # derive_seed keys on 8 bytes
+    _check_int(config["trials"], "trials", 0)
     system = config["system"]
     _reject_unknown(system, _SYSTEM_KEYS, "config.system")
     if system.get("type", "toplevel") not in ("toplevel", "oracle"):
         raise UsageError(f"unknown system type {system.get('type')!r}")
+    _check_int(system.get("copies", 1), "copies", 1)
     _reject_unknown(config["signal"], _SIGNAL_KEYS, "config.signal")
     _reject_unknown(config.get("success", {}), _SUCCESS_KEYS, "config.success")
+    for key, value in config.get("success", {}).items():
+        if isinstance(value, bool) or not isinstance(value, Real) or value != value:
+            raise UsageError(f"success.{key} must be a real number, got {value!r}")
     SignalSpec(seed=0, **config["signal"])  # field validation
     if system.get("type", "toplevel") == "toplevel":
         _toplevel_config(system)

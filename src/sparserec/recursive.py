@@ -34,7 +34,7 @@ from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash, eval_many
 from sparserec.seeds import derive_seed
-from sparserec.vectors import distinct
+from sparserec.vectors import distinct, nonzeros
 from sparserec.weak import WeakLayer, WeakParams
 
 
@@ -408,11 +408,7 @@ class RecursionTree:
         return [[next(sketches) for _ in node.layer.ident_ops] for node in self.nodes]
 
     def encode(self, x: np.ndarray) -> list[list[np.ndarray]]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n_signal,):
-            raise UsageError(f"expected signal of length {self.n_signal}")
-        nz = np.flatnonzero(x != 0)
-        return self.encode_sparse(nz, x[nz])
+        return self.encode_sparse(*nonzeros(x, self.n_signal))
 
     # -- identification --
 

@@ -31,7 +31,7 @@ from sparserec.hashing import SignFamily
 from sparserec.recursive import (RecursionTree, RecursiveParams, check_tree_code,
                                  node_images_many)
 from sparserec.seeds import derive_seed
-from sparserec.vectors import distinct
+from sparserec.vectors import distinct, nonzeros
 from sparserec.weak import WeakLayer, WeakParams, lower_median
 
 
@@ -193,11 +193,7 @@ class TopLevelSystem:
         return sum(stage.measurement_count for stage in self.stages)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise UsageError(f"expected signal of length {self.n}")
-        nz = np.flatnonzero(x != 0)  # a float array's own nonzero() is several times slower
-        flat = np.concatenate(_encode_stages(self.stages, nz, x[nz]))
+        flat = np.concatenate(_encode_stages(self.stages, *nonzeros(x, self.n)))
         assert flat.size == self.measurement_count
         return flat
 

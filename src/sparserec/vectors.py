@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from sparserec.errors import UsageError
+
 
 def head_indices(x: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest-magnitude entries, sorted ascending.
@@ -30,6 +32,16 @@ def head_indices(x: np.ndarray, k: int) -> np.ndarray:
     else:
         above, ties = np.flatnonzero(key < kth), np.flatnonzero(key == kth)
     return np.sort(np.concatenate([above, ties[: k - above.size]]))
+
+
+def nonzeros(x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of the nonzero entries of a length-n float
+    vector; UsageError for any other shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (n,):
+        raise UsageError(f"expected a vector of length {n}, got shape {x.shape}")
+    nz = np.flatnonzero(x != 0)  # a float array's own nonzero() is several times slower
+    return nz, x[nz]
 
 
 def distinct(x: np.ndarray) -> np.ndarray:

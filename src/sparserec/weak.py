@@ -17,11 +17,11 @@ where an empty bucket meets a -1 sign).  One kernel computes every
 median (`_medians`): a lower-median selection network, generated per ell
 on first use from Batcher's odd-even merge sort and pruned to the
 comparators the median needs (24 of 28 at ell = 9, 17 of 19 at ell = 8),
-runs np.minimum/np.maximum over the ell readings of a block laid out as
-contiguous columns.  min and max return one of their inputs, so every
-nonzero median is the element np.partition would pick, bit for bit.
-Readings that may hold a NaN (a sketch or `lower_median` input with one)
-take np.partition instead, which ranks NaN last.
+runs np.fmin/np.maximum over the ell readings of a block laid out as
+contiguous columns.  Each comparator's low side skips a NaN and its high
+side keeps one, so NaN ranks above every number, as in np.partition.
+Both return one of their inputs, so every non-NaN median is the element
+np.partition would pick, bit for bit.
 
 Candidate sets are index arrays.  Every caller in the package passes them
 sorted and distinct (an `arange` scan, list-recovery output, a majority
@@ -42,7 +42,7 @@ from sparserec.errors import UsageError
 from sparserec.expander import (SignedSketchOperator, apply_sparse_many, edges_many,
                                 fill_tables, row_blocks)
 from sparserec.seeds import derive_seed
-from sparserec.vectors import distinct, head_indices
+from sparserec.vectors import distinct, head_indices, nonzeros
 
 
 @dataclass(frozen=True)
@@ -75,21 +75,15 @@ class WeakParams:
 
 
 def lower_median(readings: np.ndarray) -> np.ndarray:
-    """Lower median (order statistic ceil(n/2) of n) along the last axis of
-    float readings, as a new array; a zero median is +0.0."""
-    readings = np.array(readings, dtype=np.float64)
-    rows = readings.reshape(-1, readings.shape[-1])
-    return _medians(rows, bool(np.isnan(rows).any())).reshape(readings.shape[:-1])
+    """Lower median (order statistic ceil(n/2) of n, NaN ranked last) along
+    the last axis of float readings, as a new array; a zero median is +0.0."""
+    readings = np.asarray(readings, dtype=np.float64)
+    return _medians(readings.reshape(-1, readings.shape[-1])).reshape(readings.shape[:-1])
 
 
-def _medians(readings: np.ndarray, nan: bool) -> np.ndarray:
-    """`lower_median` of (rows, ell) readings the caller owns: the median
-    network over a transposed copy, or, if the readings may hold a NaN,
-    np.partition in place (NaN last)."""
-    if nan:
-        idx = (readings.shape[-1] - 1) // 2
-        readings.partition(idx, axis=-1)
-        return readings[:, idx] + 0.0
+def _medians(readings: np.ndarray) -> np.ndarray:
+    """`lower_median` of (rows, ell) readings: the median network over a
+    transposed copy."""
     steps, median = _median_network(readings.shape[-1])
     columns = np.empty((readings.shape[-1] + 1, readings.shape[0]))  # the last is scratch
     columns[:-1] = readings.T
@@ -102,15 +96,16 @@ def _medians(readings: np.ndarray, nan: bool) -> np.ndarray:
 @cache
 def _median_network(ell: int) -> tuple[tuple, int]:
     """The lower-median selection network on ell columns plus one scratch
-    column, built on first use at each ell: (np.minimum or np.maximum, in,
+    column, built on first use at each ell: (np.fmin or np.maximum, in,
     in, out) column steps and the column that ends holding the median.
 
     It is Batcher's odd-even merge sort on the next power of two, without
-    the comparators that touch a pad (pads are +inf, so those are no-ops),
-    pruned backwards to the comparators the median depends on.  A
-    comparator whose outputs are both read writes its min to the scratch
-    column, which then takes the place of its lower input; one with a
-    single read output computes only that side in place."""
+    the comparators that touch a pad (a pad ranks above every input, NaN
+    included, so those are no-ops), pruned backwards to the comparators
+    the median depends on.  A comparator whose outputs are both read
+    writes its min to the scratch column, which then takes the place of
+    its lower input; one with a single read output computes only that
+    side in place."""
     size, comparators = 1 << (ell - 1).bit_length(), []
     for p in (1 << e for e in range(size.bit_length() - 1)):
         for k in (p >> e for e in range(p.bit_length())):
@@ -127,7 +122,7 @@ def _median_network(ell: int) -> tuple[tuple, int]:
     for lo, hi, min_read, max_read in reversed(kept):
         a, b = column[lo], column[hi]
         if min_read:
-            steps.append((np.minimum, a, b, scratch if max_read else a))
+            steps.append((np.fmin, a, b, scratch if max_read else a))
         if max_read:
             steps.append((np.maximum, a, b, b))
         if min_read and max_read:
@@ -142,15 +137,13 @@ def median_estimates(op: SignedSketchOperator, sketch: np.ndarray,
 
 def _median_readings(requests) -> list[np.ndarray]:
     """`lower_median(op.readings(sketch, rows))` of each (op, sketch, rows)
-    request, from one `edges_many` call, one `row_blocks` block at a time;
-    a request whose sketch holds a NaN takes np.partition."""
+    request, from one `edges_many` call, one `row_blocks` block at a time."""
     edges = edges_many([(op, rows) for op, _, rows in requests])
     out = []
     for (_, sketch, _), (nbrs, signs) in zip(requests, edges):
-        nan = bool(np.isnan(sketch).any())
         medians = np.empty(len(nbrs))
         for rows in row_blocks(*nbrs.shape):
-            medians[rows] = _medians(signs[rows] * sketch[nbrs[rows]], nan)
+            medians[rows] = _medians(signs[rows] * sketch[nbrs[rows]])
         out.append(medians)
     return out
 
@@ -261,9 +254,7 @@ class WeakLayer:
         return apply_sparse_many([(op, indices, values) for op in self.operators])
 
     def encode(self, x: np.ndarray) -> list[np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        nz = np.flatnonzero(x != 0)
-        return self.encode_sparse(nz, x[nz])
+        return self.encode_sparse(*nonzeros(x, self.domain))
 
     def identify(self, sketches: list[np.ndarray],
                  candidates: np.ndarray) -> np.ndarray:

@@ -241,6 +241,34 @@ def test_rs_rho_regime_validation():
         rs_list_recover(code, inst)
 
 
+def test_rs_code_refuses_evaluation_points_outside_the_field():
+    with pytest.raises(UsageError, match=r"\[0, q\)"):
+        RSCode(FieldSpec.binary(4), b=2, r=4, points=[0, 1, 2, 99])
+    with pytest.raises(UsageError, match=r"\[0, q\)"):
+        RSCode(FieldSpec.binary(4), b=2, r=4, points=[-1, 1, 2, 3])
+    assert RSCode(FieldSpec.binary(4), b=2, r=4, points=[12, 13, 14, 15]).points == [12, 13, 14, 15]
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_rs_list_recover_needs_one_set_per_coordinate(count):
+    code = RSCode(FieldSpec.binary(4), b=2, r=4)
+    sets = [{c} for c in code.encode(200)]
+    sets = (sets + sets)[:count]
+    with pytest.raises(UsageError, match="one candidate set per coordinate"):
+        rs_list_recover(code, ListRecoveryInstance(sets=sets, rho=0.0))
+
+
+@pytest.mark.parametrize("bad", ["a", 1.5, True, None])
+def test_rs_list_recover_refuses_non_integer_symbols(bad):
+    code = RSCode(FieldSpec.binary(4), b=2, r=4)
+    sets = [{c} for c in code.encode(200)]
+    sets[1] = {sets[1].pop(), bad}
+    with pytest.raises(UsageError, match="integers"):
+        rs_list_recover(code, ListRecoveryInstance(sets=sets, rho=0.0))
+    sets[1] = {np.int64(c) for c in sets[0]}  # numpy integers are integers
+    rs_list_recover(code, ListRecoveryInstance(sets=sets, rho=0.0))
+
+
 def test_rs_matches_oracle_small_sweep():
     rng = np.random.default_rng(7)
     configs = [

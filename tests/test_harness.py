@@ -365,6 +365,35 @@ def test_cli_experiment_rejects_unknown_tree_option(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where,key,value", [
+    (None, "seed", "abc"), (None, "seed", -5), (None, "seed", 1 << 64), (None, "seed", True),
+    ("system", "copies", "two"), ("system", "copies", 2.7), ("system", "copies", 0),
+    ("system", "copies", True), ("success", "ratio_threshold", "x"),
+    ("success", "exact_rel_tol", None), ("success", "ratio_threshold", False),
+])
+def test_cli_experiment_refuses_bad_seed_copies_and_thresholds(tmp_path, capsys, where, key,
+                                                               value):
+    cfg = _base_config(trials=1)
+    (cfg if where is None else cfg[where])[key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and key in err
+    assert not out.exists()
+
+
+def test_cli_experiment_refuses_a_negative_seed_override(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_base_config(trials=1)))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--seed", "-5",
+                 "--out", str(out)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_lw_join(tmp_path):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({
@@ -391,6 +420,40 @@ def test_cli_rs_recover(tmp_path):
     out = tmp_path / "out.json"
     assert main(["rs-recover", "--in", str(inst), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["messages"] == [200]
+
+
+@pytest.mark.parametrize("change", [
+    dict(sets=3), dict(sets=5), dict(symbol="a"), dict(symbol=1.5),
+    dict(points=[0, 1, 2, 99]),
+])
+def test_cli_rs_recover_refuses_malformed_input(tmp_path, capsys, change):
+    from sparserec.codes import RSCode
+    from sparserec.fields import FieldSpec
+
+    sets = [[c] for c in RSCode(FieldSpec.of_size(16), b=2, r=4).encode(200)]
+    sets = (sets + sets)[:change.get("sets", 4)]
+    if "symbol" in change:
+        sets[2].append(change["symbol"])
+    blob = {"q": 16, "b": 2, "r": 4, "rho": 0.0, "sets": sets}
+    if "points" in change:
+        blob["points"] = change["points"]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(blob))
+    out = tmp_path / "out.json"
+    assert main(["rs-recover", "--in", str(inst), "--out", str(out)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("projections", [[[0, 1], [0, 2]], [[[0], 1], [[0], [2]]], [5, 6]])
+def test_cli_lw_join_refuses_projection_vectors_that_are_not_lists(tmp_path, capsys,
+                                                                   projections):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"projections": projections}))
+    out = tmp_path / "out.json"
+    assert main(["lw-join", "--in", str(inst), "--out", str(out)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rs_recover_large_fields(tmp_path, capsys):

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from sparserec.errors import UsageError
+from sparserec.expander import SignedSketchOperator
+from sparserec.recursive import RecursionTree, RecursiveParams
+from sparserec.toplevel import TopLevelConfig, TopLevelSystem
 from sparserec.vectors import distinct, head_indices
+from sparserec.weak import WeakLayer, WeakParams
 
 
 def _lexsort_head(x, k):
@@ -51,3 +56,24 @@ def test_distinct_is_np_unique():
               rng.integers(-(1 << 62), 1 << 62, 50), rng.integers(0, 5, (6, 7))):
         got = distinct(x)
         assert got.dtype == x.dtype and np.array_equal(got, np.unique(x))
+
+
+_DENSE_ENTRY_POINTS = {
+    "operator": lambda: SignedSketchOperator.build(256, 5, 64, seed=3, sign_independence=8).apply,
+    "weak-layer": lambda: WeakLayer(WeakParams(k=2, eta=0.5, ell=5), domain=256,
+                                    n_buckets=64, seed=3).encode,
+    "tree": lambda: RecursionTree(n_signal=256, leaf_target=64, code_kind="split",
+                                  params=RecursiveParams(k=2), seed=3).encode,
+    "system": lambda: TopLevelSystem(TopLevelConfig(n=256, k=2), seed=3).encode,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DENSE_ENTRY_POINTS))
+def test_every_dense_entry_point_refuses_a_vector_of_the_wrong_shape(entry):
+    encode = _DENSE_ENTRY_POINTS[entry]()
+    x = np.zeros(256)
+    x[[3, 200]] = [1.0, -2.0]
+    encode(x)
+    for bad in (x[:100], np.zeros(300), x.reshape(16, 16), x[None, :]):
+        with pytest.raises(UsageError, match="length 256"):
+            encode(bad)

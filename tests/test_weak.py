@@ -379,7 +379,7 @@ def test_median_network_is_a_lower_median_selector_by_the_zero_one_principle(ell
     bits = ((np.arange(1 << ell)[:, None] >> np.arange(ell)) & 1).astype(np.float64)
     want = np.sort(bits, axis=1)[:, (ell - 1) // 2]
     assert _same_bits(lower_median(bits), want)
-    assert _same_bits(weak._medians(bits.copy(), False), want)
+    assert _same_bits(weak._medians(bits), want)
 
 
 def test_lower_median_matches_partition_on_ties_up_to_ell_61():
@@ -402,8 +402,9 @@ def test_infinite_readings_give_partition_medians():
     assert lower_median(np.full((1, 8), np.inf))[0] == np.inf
 
 
-def test_nan_readings_take_the_partition_fallback():
-    # the network would carry a NaN to the median; partition ranks it last
+def test_median_network_ranks_nan_last():
+    # fmin skips a NaN on each comparator's low side, maximum keeps it on
+    # the high side, so NaN ranks above every number, as in np.partition
     readings = np.array([[np.nan, 1.0, 2.0, 3.0, -0.0], [np.nan, np.nan, np.nan, 4.0, 0.0]])
     assert np.array_equal(lower_median(readings), [2.0, np.nan], equal_nan=True)
     op = _operator(300, 9, 64, seed=4)
@@ -417,6 +418,18 @@ def test_nan_readings_take_the_partition_fallback():
         assert np.isnan(want).sum() < rows.size
     est = median_estimates(op, u, np.arange(300))
     assert not np.signbit(est[est == 0]).any()
+
+
+def test_lower_median_matches_partition_on_nan_inf_and_signed_zeros_up_to_ell_61():
+    rng = np.random.default_rng(1961)
+    pool = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.5])
+    for ell in range(1, 62):
+        for _ in range(40):
+            readings = rng.choice(pool[: rng.integers(1, pool.size + 1)], size=(12, ell))
+            want = _partition_median(readings)
+            got = lower_median(readings)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert not np.signbit(got[got == 0]).any()
 
 
 def test_every_zero_median_is_positive_zero():
