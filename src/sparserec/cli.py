@@ -121,6 +121,10 @@ def _cmd_rs_recover(args) -> int:
     for key in ("q", "b", "r", "rho", "sets"):
         if key not in blob:
             raise UsageError(f"rs-recover input missing key {key!r}")
+    if not (isinstance(blob["sets"], list) and all(isinstance(s, list) for s in blob["sets"])):
+        raise UsageError("sets must be a list of candidate symbol lists")
+    if not isinstance(blob.get("points", []), (list, type(None))):
+        raise UsageError("points must be a list of evaluation points")
     code = RSCode(FieldSpec.of_size(blob["q"]), b=blob["b"], r=blob["r"],
                   points=blob.get("points"))
     inst = ListRecoveryInstance(sets=[set(s) for s in blob["sets"]],

@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -172,6 +172,11 @@ def lw_join(projections, errors: int = 0) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # list recovery of products of same-kind codes
 # ---------------------------------------------------------------------------
+
+
+def _is_int(v) -> bool:
+    """Whether v is an integer (a bool is not)."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def _singletons(sets) -> list[np.ndarray]:
@@ -353,6 +358,8 @@ class RSCode(_Code):
     kind = "rs"
 
     def __init__(self, field: FieldSpec, b: int, r: int, points=None):
+        if not (_is_int(b) and _is_int(r)):
+            raise UsageError(f"b and r must be integers, got {b!r} and {r!r}")
         if b < 1:
             raise UsageError("need b >= 1")
         if r > field.q:
@@ -364,6 +371,8 @@ class RSCode(_Code):
         self.n = field.q**b
         if points is None:
             points = list(range(r))
+        if not all(map(_is_int, points)):
+            raise UsageError("evaluation points must be integers")
         points = [int(p) for p in points]
         if len(points) != r or len(set(points)) != r:
             raise UsageError("evaluation points must be r distinct elements")
@@ -442,13 +451,15 @@ class RSCode(_Code):
         return int(math.floor(rho * self.r + 1e-9))
 
     def list_recover(self, sets, rho: float) -> list[int]:
+        if isinstance(rho, bool) or not isinstance(rho, Real):
+            raise UsageError(f"rho must be a real number, got {rho!r}")
         if not rho < 0.5 * (1 - self.b / self.r) - 1e-12:
             raise UsageError(
                 "rho outside the unique-decoding regime rho < (1/2)(1 - b/r)"
             )
         if len(sets) != self.r:
             raise UsageError(f"need one candidate set per coordinate: {len(sets)} for r = {self.r}")
-        if any(isinstance(v, bool) or not isinstance(v, Integral) for s in sets for v in s):
+        if not all(_is_int(v) for s in sets for v in s):
             raise UsageError("candidate symbols must be integers")
         sets = [sorted({int(v) for v in s}) for s in sets]
         for s in sets:

@@ -33,21 +33,23 @@ requests on tabled operators gather rows, and each of the rest makes
 one counter-stream pass for its bucket ids and one Horner pass for its
 signs (`_hashed_edges`).
 
-`apply_sparse_many` (the encode) sums the small jobs of many operators
-from flat arrays: a sparse encode of a system, or a decode's residual
-re-encode, is a fixed set of numpy passes (one row gather, one
-counter-stream pass, one Horner pass per sign field, one bincount) over
-per-job columns cached on first use (`_JobColumns`), plus one gather per
-job on a tabled operator.  The dense jobs of one call whose operators
-hold both tables run on one thread per CPU the process may run on: the
-calling thread and a pool of workers, started on first use and dropped
-in a forked child.  A job that runs alone, and the weak layer's
-medians, pass over their edges in `row_blocks`, so on an operator with
-tables a warm dense encode or full-domain read allocates no N *
-ell-sized array, whose fresh pages would fault on every call.  On an
-operator without them (N * ell > _MATERIALIZE_LIMIT), `edges_many`
-hashes the whole request at once: such an encode or read holds (N, ell)
-bucket ids and signs, and the hash passes' temporaries of that size.
+`apply_sparse_many` (the encode) sketches one signal's values with many
+operators, each at its own rows: a system's encode, or a decode's
+residual re-encode.  Its small jobs share one fixed set of numpy passes
+(one row gather, one counter-stream pass, one Horner pass per sign
+field, one bincount) over per-job columns cached on first use
+(`_JobColumns`), plus one gather per job on a tabled operator, when
+their edges fit in one pass; every other job runs alone.  The dense jobs
+of one call whose operators hold both tables run on one thread per CPU
+the process may run on: the calling thread and a pool of workers,
+started on first use and dropped in a forked child.  A job that runs
+alone, and the weak layer's medians, pass over their edges in
+`row_blocks`, so on an operator with tables a warm dense encode or
+full-domain read allocates no N * ell-sized array, whose fresh pages
+would fault on every call.  On an operator without them (N * ell >
+_MATERIALIZE_LIMIT), `edges_many` hashes the whole request at once: such
+an encode or read holds (N, ell) bucket ids and signs, and the hash
+passes' temporaries of that size.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from itertools import accumulate, groupby
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
-from sparserec.hashing import BATCH_POINTS, SignFamily, batches, coefficient_columns, edge_signs
+from sparserec.hashing import BATCH_POINTS, SignFamily, coefficient_columns, edge_signs
 from sparserec.seeds import counter_stream
 from sparserec.vectors import nonzeros
 
@@ -238,7 +240,7 @@ class SignedSketchOperator:
 
     def apply_sparse(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Sketch of the vector with the given nonzero entries."""
-        return apply_sparse_many([(self, indices, values)])[0]
+        return apply_sparse_many([self], [indices], values)[0]
 
     def readings(self, sketch: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """(len(indices), ell) sign-corrected bucket readings for each index,
@@ -321,78 +323,65 @@ def _hashed_edges(graph: BipartiteGraph, family: SignFamily | None, rows: np.nda
     return buckets, None if family is None else edge_signs([family], None, vertices, slots)
 
 
-def apply_sparse_many(jobs) -> list[np.ndarray]:
-    """`op.apply_sparse(indices, values)` of each (op, indices, values) job.
+def apply_sparse_many(ops, rows, values) -> list[np.ndarray]:
+    """`ops[t].apply_sparse(rows[t], values)` for each t: one signal's
+    nonzero values sketched by each operator at its own rows (the signal's
+    indices, or a tree node's images of them; jobs may share one array).
 
-    Small jobs (fewer than N rows, at most BATCH_POINTS edges) are cut
-    into runs of jobs on one number of rows with at most BATCH_POINTS
-    edges in all; a system's sparse encode is one run of every job.  Each
-    run's edges come from the cached `_JobColumns` of its operators, and
-    one bincount over their flat bucket ids, offset per job, and weights
-    (sign times value) sums them all.  Each job's edges stay in (row,
-    slot) order, so every bucket takes the same additions from +0.0 as in
-    a bincount of its own.  Every other job runs
-    alone (`_sketch_alone`), after the calling thread has built the tables
-    of those on at least N rows, in job order.  Two or more with both
-    tables run on one thread per CPU in the affinity mask, the calling
-    thread taking every CPU-th and the pool's workers the others, as numpy
-    releases the GIL in their products (not in the sums).  The others
-    (on graphs without tables) then run in the calling thread.  Rows
-    outside [0, N), and value arrays shaped unlike the rows, raise
+    The small jobs (fewer than N rows, at most BATCH_POINTS edges) share
+    one pass when their edges fit in BATCH_POINTS together: the cached
+    `_JobColumns` of their operators give their edges, and one bincount
+    over their flat bucket ids, offset per job, and weights (sign times
+    value) sums them all.  Each job's edges stay in (row, slot) order, so
+    every bucket takes the same additions from +0.0 as in a bincount of
+    its own.  Every other job runs alone (`_sketch_alone`), after the
+    calling thread has built the tables of those on at least N rows, in
+    job order.  Two or more with both tables run on one thread per CPU in
+    the affinity mask, the calling thread taking every CPU-th and the
+    pool's workers the others, as numpy releases the GIL in their products
+    (not in the sums); the others then run in the calling thread.  Rows
+    outside [0, N), values that are not 1-d, and a row count other than
+    the operator count or row arrays shaped unlike the values raise
     UsageError.  The sketches are new arrays or disjoint views of one.
     """
-    jobs = [(op, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=np.float64))
-            for op, indices, values in jobs]
-    if any(indices.shape != values.shape for _, indices, values in jobs):
-        raise UsageError("need one value per row")
-    out = [None] * len(jobs)
-    if not jobs:
+    values = np.asarray(values, dtype=np.float64)
+    if (values.ndim != 1 or len(rows) != len(ops)
+            or any(np.shape(part) != values.shape for part in rows)):
+        raise UsageError("need one row array per operator, each as long as the 1-d values")
+    out = [None] * len(ops)
+    if not ops:
         return out
-    ops, rows, values = zip(*jobs)
     columns = _job_columns(ops)
-    counts = np.array([indices.size for indices in rows])
-    small = counts <= columns.small_rows
-    uniform = np.all(counts == counts[0])
-    if uniform and small.all() and counts[0] * columns.row_edges <= BATCH_POINTS:
-        runs = [range(len(jobs))]
-    else:
-        runs = [run for count in sorted(set(counts[small].tolist()))
-                for run in batches(np.flatnonzero(small & (counts == count)).tolist(),
-                                   lambda t: counts[t] * columns.job_ells[t])]
-    ids, weights, spans, total = [], [], [], 0
-    for run in runs:
-        whole, shape = len(run) == len(jobs), (len(run), counts[run[0]])
-        part = columns if whole else _job_columns([ops[t] for t in run])
-        part_ids, part_weights = part.edges(
-            np.array(rows if whole else [rows[t] for t in run]).reshape(shape),
-            np.array(values if whole else [values[t] for t in run]).reshape(shape))
-        ids += [block + total for block in part_ids] if total else part_ids
-        weights += part_weights
-        spans += zip(run, part.starts[:-1], part.starts[1:], [total] * len(run))
-        total += part.starts[-1]
-    if spans:
+    small = np.flatnonzero(values.size <= columns.small_rows)
+    if small.size < len(ops):
+        columns = _job_columns([ops[t] for t in small]) if small.size else None
+    if columns is not None and values.size <= columns.pass_rows:
+        shared = rows if small.size == len(ops) else [rows[t] for t in small]
+        ids, weights = columns.edges(np.array(shared, dtype=np.int64), values)
+        total = columns.starts[-1]
         sums = (np.bincount(np.concatenate(ids, axis=None),
                             weights=np.concatenate(weights, axis=None, dtype=np.float64),
                             minlength=total) if ids else np.zeros(total))
-        for t, start, stop, base in spans:
-            out[t] = sums[base + start:base + stop]
-    alone = [t for t in range(len(jobs)) if out[t] is None]
+        for t, start, stop in zip(small, columns.starts[:-1], columns.starts[1:]):
+            out[t] = sums[start:stop]
+    alone = [t for t in range(len(ops)) if out[t] is None]
     # here, so no worker builds one
-    fill_tables([op for op, rows, _ in (jobs[t] for t in alone) if rows.size >= op.n_left])
-    tabled = [t for t in alone if jobs[t][0]._sign_table is not None]
+    fill_tables([ops[t] for t in alone if values.size >= ops[t].n_left])
+    tabled = [t for t in alone if ops[t]._sign_table is not None]
     if len(tabled) > 1:
-        for t, sketch in zip(tabled, _sketch_on_all_cpus([jobs[t] for t in tabled])):
+        jobs = [(ops[t], rows[t], values) for t in tabled]
+        for t, sketch in zip(tabled, _sketch_on_all_cpus(jobs)):
             out[t] = sketch
     for t in alone:
         if out[t] is None:
-            out[t] = _sketch_alone(*jobs[t])
+            out[t] = _sketch_alone(ops[t], rows[t], values)
     return out
 
 
 class _JobColumns:
     """The static columns of sketch jobs on a fixed sequence of operators,
-    each job on the same number of rows: `apply_sparse_many`'s small
-    jobs.  Built on first use by `_job_columns`, never with an operator.
+    each job on the same number of rows and values: `apply_sparse_many`'s
+    small jobs.  Built on first use by `_job_columns`, never with an operator.
 
     Jobs on graphs with a neighbor table ("tabled") gather their rows.
     The others ("hashed") are laid out as columns, one per (job, slot),
@@ -406,8 +395,8 @@ class _JobColumns:
 
     def __init__(self, ops):
         graphs = [op.graph for op in ops]
-        self.job_ells = [graph.ell for graph in graphs]
-        self.row_edges = sum(self.job_ells)  # edges of one row in every job
+        # the most rows per job whose edges fit in one pass
+        self.pass_rows = BATCH_POINTS // sum(graph.ell for graph in graphs)
         self.n_left = np.array([graph.n_left for graph in graphs], dtype=np.uint64)
         # a small job has fewer than N rows and at most BATCH_POINTS edges
         self.small_rows = np.array([min(graph.n_left - 1, BATCH_POINTS // graph.ell)
@@ -442,9 +431,9 @@ class _JobColumns:
 
     def edges(self, rows: np.ndarray, values: np.ndarray) -> tuple[list, list]:
         """Flat int64 bucket ids, offset by each job's start, and float64
-        weights of the jobs' edges, as lists of parts: rows and values are
-        (jobs, r) arrays, row i of job t carrying values[t, i].  A row
-        outside [0, N) raises UsageError."""
+        weights of the jobs' edges, as lists of parts: rows is a (jobs, r)
+        array and values the r values every job shares, row i of each job
+        carrying values[i].  A row outside [0, N) raises UsageError."""
         _check_rows(rows, self.n_left[:, None])
         ids, weights = [], []
         if not rows.size:
@@ -461,14 +450,14 @@ class _JobColumns:
                 signs[:, cut] = edge_signs(families, np.repeat(columns, r, axis=1),
                                            rows[group].ravel(), self.slot[cut],
                                            spread * r + np.arange(r)[:, None])
-            signs *= values.ravel()[at]
+            signs *= values[:, None]
             ids.append(buckets.view(np.int64))
             weights.append(signs)
         for t, table, sign_table, family in self.tabled:
             edge = (sign_table[rows[t]] if sign_table is not None else
                     edge_signs([family], None, rows[t][:, None], np.arange(table.shape[1])))
             ids.append(table[rows[t]] + self.starts[t])
-            weights.append(edge * values[t][:, None])
+            weights.append(edge * values[:, None])
         return ids, weights
 
     def stale(self) -> bool:

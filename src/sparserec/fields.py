@@ -15,6 +15,8 @@ Python ints.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from sparserec.errors import InfeasibleError, UsageError
@@ -282,6 +284,9 @@ class FieldSpec:
     @staticmethod
     def of_size(q: int) -> "FieldSpec":
         """Field of size q: prime q, or 2^w for q a power of two."""
+        if isinstance(q, bool) or not isinstance(q, Integral):
+            raise UsageError(f"field size must be an integer, got {q!r}")
+        q = int(q)
         if q >= 2 and q & (q - 1) == 0:
             return FieldSpec.binary(q.bit_length() - 1)
         return FieldSpec.prime(q)

@@ -20,9 +20,9 @@ one family's vertices under scalar coefficients, or several families'
 vertices over one field in one Horner pass, each point under its own
 family's column of `coefficient_columns`.  numpy's per-call cost
 dominates a call on a few rows of many families, so the sparse encode's
-jobs share passes that way (`expander._JobColumns`), and eval_many
-evaluates the recursion trees' fingerprints the same way; the expander's
-other requests hash one family at a time.
+small jobs share one pass that way (`expander._JobColumns`), and
+eval_many evaluates the recursion trees' fingerprints the same way; the
+expander's other requests hash one family at a time.
 
 Over binary fields PolyHash evaluates vectors by the zero-absorbing
 log/exp tables up to GF(2^16) (two gathers per Horner step, no test for

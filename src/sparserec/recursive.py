@@ -396,15 +396,15 @@ class RecursionTree:
     def measurement_count(self) -> int:
         return sum(len(node.layer.ident_ops) * node.layer.n_buckets for node in self.nodes)
 
-    def sketch_jobs(self, images: np.ndarray, values: np.ndarray) -> list[tuple]:
-        """`apply_sparse_many` jobs of a sparse encode, in sketch order, from
-        the `node_images` of its indices."""
-        return [(op, images[node.node_id], values)
-                for node in self.nodes for op in node.layer.ident_ops]
+    def sketch_rows(self, images: np.ndarray) -> list[np.ndarray]:
+        """Each node's row of `node_images`, once per identification copy:
+        the rows of a sparse encode's operators, in sketch order."""
+        return [row for row, node in zip(images, self.nodes) for _ in node.layer.ident_ops]
 
     def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[list[np.ndarray]]:
-        jobs = self.sketch_jobs(self.node_images(indices), values)
-        sketches = iter(apply_sparse_many(jobs))
+        ops = [op for node in self.nodes for op in node.layer.ident_ops]
+        rows = self.sketch_rows(self.node_images(indices))
+        sketches = iter(apply_sparse_many(ops, rows, values))
         return [[next(sketches) for _ in node.layer.ident_ops] for node in self.nodes]
 
     def encode(self, x: np.ndarray) -> list[list[np.ndarray]]:

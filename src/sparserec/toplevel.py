@@ -8,7 +8,7 @@ recovered so far, and the estimates accumulate.  Residual sketches are
 recomputed exactly from the accumulated estimate; no approximate
 updates.  A system encode and the decode's residual re-encode share one
 path: all stage trees' node images come from one `node_images_many`
-call, and all stages' sketch jobs go through one `apply_sparse_many` call.
+call, and all stages' operators sketch through one `apply_sparse_many` call.
 A decode can append one record per stage to a trace list: what the stage
 identified and added to the estimate, and the tree's per-node records.
 
@@ -143,21 +143,13 @@ class _Stage:
                                       seed=derive_seed(seed, "tree"), **opts)
             self.read_ops = ([node.layer.ident_ops for node in self.tree.nodes]
                              + [[self.layer.est_op]])
-        self.measurement_count = sum(op.n_buckets for group in self.read_ops
-                                     for op in group)
-
-    def sketch_jobs(self, indices: np.ndarray, values: np.ndarray,
-                    images: np.ndarray | None) -> list[tuple]:
-        """`apply_sparse_many` jobs of a sparse encode, in sketch order; images
-        are the tree's `node_images` of the indices (None on the scan engine)."""
-        jobs = [] if self.tree is None else self.tree.sketch_jobs(images, values)
-        return jobs + [(op, indices, values) for op in self.read_ops[-1]]
+        self.ops = [op for group in self.read_ops for op in group]  # in sketch order
+        self.measurement_count = sum(op.n_buckets for op in self.ops)
 
     def split(self, flat: np.ndarray) -> list[list[np.ndarray]]:
         """The stage's sketch arrays, as views of its flat slice, grouped
         like `read_ops`."""
-        sizes = [op.n_buckets for group in self.read_ops for op in group]
-        parts = iter(np.split(flat, np.cumsum(sizes)[:-1]))
+        parts = iter(np.split(flat, np.cumsum([op.n_buckets for op in self.ops])[:-1]))
         return [[next(parts) for _ in group] for group in self.read_ops]
 
     def identify(self, sketches: list[list[np.ndarray]]) -> tuple[np.ndarray, list | None]:
@@ -207,12 +199,15 @@ class TopLevelSystem:
         The estimate is kept sparse, as sorted indices with nonzero values,
         and made dense only on return.  Its residual re-encode covers every
         remaining stage in one batch, which the later stages use as long as
-        no stage in between changes the estimate."""
+        no stage in between changes the estimate.  A sketch of the wrong
+        length, or holding a NaN or infinite entry, raises UsageError."""
         flat = np.asarray(flat_sketch, dtype=np.float64)
         if flat.size != self.measurement_count:
             raise UsageError(
                 f"sketch has {flat.size} entries, expected {self.measurement_count}"
             )
+        if not np.isfinite(flat).all():
+            raise UsageError("sketch holds a NaN or infinite entry")
         indices, values = np.zeros(0, dtype=np.int64), np.zeros(0)
         encoded: dict = {}  # stage position -> flat sketch of the estimate
         pos = 0
@@ -276,10 +271,12 @@ def _encode_stages(stages, indices, values) -> list[np.ndarray]:
     bucket sums: a system encode and the decode's residual re-encode."""
     trees = [stage.tree for stage in stages if stage.tree is not None]
     images = iter(node_images_many(trees, indices))
-    jobs = [stage.sketch_jobs(indices, values, None if stage.tree is None else next(images))
-            for stage in stages]
-    sketches = iter(apply_sparse_many([job for part in jobs for job in part]))
-    return [np.concatenate([next(sketches) for _ in part]) for part in jobs]
+    # per stage: its tree nodes' rows of the images, then the indices
+    rows = [row for stage in stages
+            for row in ([] if stage.tree is None else stage.tree.sketch_rows(next(images)))
+            + [indices] * len(stage.read_ops[-1])]
+    sketches = iter(apply_sparse_many([op for stage in stages for op in stage.ops], rows, values))
+    return [np.concatenate([next(sketches) for _ in stage.ops]) for stage in stages]
 
 
 def _accumulate(indices, values, add_indices, add_values):

@@ -251,7 +251,7 @@ class WeakLayer:
         return [*self.ident_ops, self.est_op]
 
     def encode_sparse(self, indices: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
-        return apply_sparse_many([(op, indices, values) for op in self.operators])
+        return apply_sparse_many(self.operators, [indices] * (self.params.s + 1), values)
 
     def encode(self, x: np.ndarray) -> list[np.ndarray]:
         return self.encode_sparse(*nonzeros(x, self.domain))

@@ -249,6 +249,25 @@ def test_rs_code_refuses_evaluation_points_outside_the_field():
     assert RSCode(FieldSpec.binary(4), b=2, r=4, points=[12, 13, 14, 15]).points == [12, 13, 14, 15]
 
 
+def test_rs_code_refuses_parameters_of_the_wrong_type():
+    for q in ("16", 16.0, True):
+        with pytest.raises(UsageError, match="field size must be an integer"):
+            FieldSpec.of_size(q)
+    for b, r in (("2", 4), (2, 4.0), (True, 4), (2, np.float64(4))):
+        with pytest.raises(UsageError, match="b and r must be integers"):
+            RSCode(FieldSpec.binary(4), b=b, r=r)
+    for points in (["a", 1, 2, 3], [0.0, 1.5, 2, 3], [0, 1, 2, False]):
+        with pytest.raises(UsageError, match="evaluation points must be integers"):
+            RSCode(FieldSpec.binary(4), b=2, r=4, points=points)
+    # numpy integers are integers
+    code = RSCode(FieldSpec.of_size(np.int64(16)), b=2, r=4, points=np.arange(4))
+    sets = [{c} for c in code.encode(200)]
+    for rho in ("x", None, True):
+        with pytest.raises(UsageError, match="rho must be a real number"):
+            code.list_recover(sets, rho)
+    assert code.list_recover(sets, np.float64(0.0)) == [200]
+
+
 @pytest.mark.parametrize("count", [3, 5])
 def test_rs_list_recover_needs_one_set_per_coordinate(count):
     code = RSCode(FieldSpec.binary(4), b=2, r=4)

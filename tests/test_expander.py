@@ -194,7 +194,7 @@ def test_apply_zero_is_zero():
     assert np.array_equal(op.apply(np.zeros(32)), np.zeros(64))
     # no edge to sum: the sketches are float64 zeros all the same
     for u in (op.apply(np.zeros(32)), op.apply_sparse([], []),
-              *apply_sparse_many([(op, [], []), (_operator(16, 3, 8), [], [])])):
+              *apply_sparse_many([op, _operator(16, 3, 8)], [[], []], [])):
         assert u.dtype == np.float64
 
 
@@ -305,103 +305,121 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply(monkeypatch):
     wide = _operator(1 << 32, 5, 1 << 16, seed=33)  # vertex domain above 2^31: M61
     filled = _operator(300, 5, 64, seed=34)
     filled.apply(np.ones(300))
-    dense = _operator(200, 4, 32, seed=35)
+    dense = _operator(10, 4, 32, seed=35)
     tiny = _operator(8, 3, 16, seed=36)
     tree_ell, stage_ell = _operator(500, 8, 128, seed=37), _operator(500, 9, 128, seed=38)
     explicit = SignedSketchOperator(  # rows gathered from its table, signs hashed
         BipartiteGraph.from_neighbors(rng.integers(0, 40, size=(60, 4)), 40),
         SignFamily(seed=39, independence=8, n_left=60, ell=4))
-    big = _operator(1 << 16, 5, 1024, seed=40)  # two jobs: more edges than one pass
     assert filled._sign_table is not None and wide.signs.hash.field.q == (1 << 61) - 1
     assert explicit._sign_table is None
 
     def sparse(op, size):
-        return np.sort(rng.choice(op.n_left, size, replace=False)), rng.normal(size=size)
+        return np.sort(rng.choice(op.n_left, size, replace=False))
 
-    jobs = [
-        (hashed, np.zeros(0, dtype=np.int64), np.zeros(0)),
-        (hashed, np.array([5, 5, 17, 5]), np.array([1.0, -2.5, -0.0, 3.0])),
-        (filled, *sparse(filled, 20)),
-        (wide, *sparse(wide, 8)),
-        (big, *sparse(big, 7000)),
-        (other_degree, *sparse(other_degree, 12)),
-        (tree_ell, *sparse(tree_ell, 8)),
-        (dense, np.arange(200), rng.normal(size=200)),
-        (stage_ell, *sparse(stage_ell, 8)),
-        (tiny, np.array([0, 3, 3, 7, 1, 0, 2, 6, 5, 4]), rng.normal(size=10)),
-        (explicit, *sparse(explicit, 9)),
-        (big, *sparse(big, 7000)),
-        (hashed, *sparse(hashed, 30)),
-    ]
-    assert sum(job[1].size * job[0].graph.ell for job in jobs[4::7]) > BATCH_POINTS
-    want = [_hashed_apply(*job).view(np.int64) for job in jobs]
-    points, bincounts, alone = [], [], []
-    horner, bincount, sketch_alone = hashing._horner_vec, np.bincount, expander._sketch_alone
-    monkeypatch.setattr(hashing, "_horner_vec",
-                        lambda f, c, xs: points.append(xs.size) or horner(f, c, xs))
-    monkeypatch.setattr(np, "bincount", lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
-    monkeypatch.setattr(expander, "_sketch_alone",
-                        lambda op, *rest: alone.append(op) or sketch_alone(op, *rest))
-    got = apply_sparse_many(jobs)
-    monkeypatch.undo()
-    assert max(points) <= BATCH_POINTS and len(points) > 2  # the edges took several passes
+    def counted(ops, rows, values):
+        points, bincounts, alone = [], [], []
+        horner, bincount, sketch_alone = hashing._horner_vec, np.bincount, expander._sketch_alone
+        monkeypatch.setattr(hashing, "_horner_vec",
+                            lambda f, c, xs: points.append(xs.size) or horner(f, c, xs))
+        monkeypatch.setattr(np, "bincount",
+                            lambda *a, **k: bincounts.append(1) or bincount(*a, **k))
+        monkeypatch.setattr(expander, "_sketch_alone",
+                            lambda op, *rest: alone.append(op) or sketch_alone(op, *rest))
+        got = apply_sparse_many(ops, rows, values)
+        monkeypatch.undo()
+        assert max(points) <= BATCH_POINTS
+        for op, indices, g in zip(ops, rows, got):
+            want = _hashed_apply(op, indices, values).view(np.int64)
+            assert g.shape == (op.n_buckets,)
+            assert np.array_equal(g.view(np.int64), want)
+            assert np.array_equal(op.apply_sparse(indices, values).view(np.int64), want)
+        return got, len(bincounts), alone
+
+    ops = [hashed, filled, wide, other_degree, tree_ell, dense, stage_ell, tiny, explicit, hashed]
+    rows = [np.array([5, 5, 17, 5, 0, 399, 17, 5, 3, 5]), *map(sparse, ops[1:5], [10] * 4),
+            np.arange(10), sparse(stage_ell, 10), np.array([0, 3, 3, 7, 1, 0, 2, 6, 5, 4]),
+            sparse(explicit, 10), sparse(hashed, 10)]
+    values = rng.normal(size=10)
+    values[2] = -0.0
+    got, bincounts, alone = counted(ops, rows, values)
     # the small jobs' one bincount, and each job on at least N rows alone
-    assert len(bincounts) == 1
+    assert bincounts == 1
     assert len(alone) == 2 and {id(op) for op in alone} == {id(dense), id(tiny)}
-    for job, g, w in zip(jobs, got, want):
-        assert g.shape == (job[0].n_buckets,)
-        assert np.array_equal(g.view(np.int64), w)
-        assert np.array_equal(job[0].apply_sparse(job[1], job[2]).view(np.int64), w)
+    want = [g.view(np.int64).copy() for g in got]
     for t in range(len(got)):
         got[t][:] = np.nan
         for g, w in zip(got[t + 1:], want[t + 1:]):
             assert np.array_equal(g.view(np.int64), w)
-    # a bad job anywhere in a call refuses the whole call
-    for op, indices, values in [(hashed, [3, -1], [1.0, 2.0]), (hashed, [400], [1.0]),
-                                (filled, [-2], [1.0]), (explicit, [60], [1.0]),
-                                (dense, np.r_[1:200, 200], np.ones(200)),
-                                (hashed, [1, 2], [1.0]), (dense, np.arange(200), np.ones(199))]:
+    # small jobs share one pass up to BATCH_POINTS edges in all; one row
+    # more, and each runs alone
+    big = _operator(1 << 16, 5, 1024, seed=40)
+    fit = BATCH_POINTS // (big.graph.ell + wide.graph.ell)
+    for r, shared in ((fit, True), (fit + 1, False)):
+        _, bincounts, alone = counted([big, wide], [sparse(big, r), sparse(wide, r)],
+                                      rng.normal(size=r))
+        assert (bincounts, len(alone)) == ((1, 0) if shared else (0, 2))
+    # a bad row in any job, small or alone, refuses the whole call
+    for t, bad in [(0, -1), (0, 400), (1, -2), (8, 60), (5, 10), (7, 8)]:
+        rows_t = rows[t].copy()
+        rows_t[3] = bad
         with pytest.raises(UsageError):
-            apply_sparse_many(jobs[:3] + [(op, indices, values)] + jobs[3:])
+            apply_sparse_many(ops, rows[:t] + [rows_t] + rows[t + 1:], values)
+
+
+def test_apply_sparse_many_refuses_rows_unlike_ops_or_values():
+    small, dense = _operator(400, 5, 96, seed=31), _operator(10, 4, 32, seed=35)
+    ops, rows, values = [small, dense], [np.array([3, 7, 9]), np.array([0, 1, 2])], np.ones(3)
+    assert [u.shape for u in apply_sparse_many(ops, rows, values)] == [(96,), (32,)]
+    for bad_rows, bad_values in [(rows[:1], values), (rows + rows[:1], values),
+                                 ([rows[0], rows[1][:2]], values), ([rows[0][:2], rows[1]], values),
+                                 ([rows[0][:2], rows[1][:2]], values), (rows, np.ones(4)),
+                                 ([rows[0], np.zeros((3, 1), dtype=np.int64)], values)]:
+        with pytest.raises(UsageError, match="one row array per operator"):
+            apply_sparse_many(ops, bad_rows, bad_values)
 
 
 def test_dense_jobs_fan_out_match_single_job_calls(monkeypatch):
     rng = np.random.default_rng(29)
-    shared, reversed_rows = _operator(4096, 5, 256, seed=41), _operator(3000, 4, 128, seed=42)
-    above = _operator(_MATERIALIZE_LIMIT // 4 + 1, 4, 64, seed=43, indep=4)  # no tables
-    small = _operator(500, 5, 64, seed=44)
-    jobs = [
-        (shared, np.arange(4096), rng.normal(size=4096)),
-        (small, np.array([3, 499, 3]), rng.normal(size=3)),
-        (reversed_rows, np.arange(2999, -1, -1), rng.normal(size=3000)),
-        (above, np.arange(above.n_left), rng.normal(size=above.n_left)),
-        (shared, np.arange(4096), rng.normal(size=4096)),  # the same operator again
-        (shared, np.array([17, 5]), rng.normal(size=2)),
-    ]
+    r = 4096
+    shared, reversed_rows = _operator(r, 5, 256, seed=41), _operator(3000, 4, 128, seed=42)
+    # no tables (N * ell above the limit), and more edges than one pass
+    above = _operator(_MATERIALIZE_LIMIT // 17 + 1, 17, 64, seed=43, indep=4)
+    small = _operator(5000, 5, 64, seed=44)
+    assert r * 17 > BATCH_POINTS
+    index = np.arange(r)
+    ops = [shared, small, reversed_rows, above, shared]  # the same operator again
+    # the dense jobs share one row array
+    rows = [index, rng.choice(5000, r), np.arange(r - 1, -1, -1) % 3000,
+            np.sort(rng.choice(above.n_left, r, replace=False)), index]
+    values = rng.normal(size=r)
     ran = []  # (thread, op, rows) of every job sketched alone
     alone = expander._sketch_alone
     monkeypatch.setattr(expander, "_sketch_alone", lambda op, indices, values: ran.append(
-        (threading.current_thread(), op, indices.size)) or alone(op, indices, values))
-    got = apply_sparse_many(jobs)
+        (threading.current_thread(), op, indices)) or alone(op, indices, values))
+    got = apply_sparse_many(ops, rows, values)
     tables = [(op.graph._table, op._sign_table) for op in (shared, reversed_rows)]
     assert all(t is not None for pair in tables for t in pair)
     for op in (above, small):
         assert op._sign_table is None and not op.graph.materialized
-    again = apply_sparse_many(jobs)  # reuses the tables the first call built
+    again = apply_sparse_many(ops, rows, values)  # reuses the tables the first call built
     assert all(a is b for pair, op in zip(tables, (shared, reversed_rows))
                for a, b in zip(pair, (op.graph._table, op._sign_table)))
     workers = {t for t, _, _ in ran if t is not threading.main_thread()}
     assert len(ran) == 8 and bool(workers) == (expander._pool()[0] > 1)
     assert all(t is threading.main_thread() for t, op, _ in ran if op is above)
-    for job, g, h in zip(jobs, got, again):
-        want = apply_sparse_many([job])[0].view(np.int64)
+    assert all(indices is index for _, op, indices in ran if op is shared)
+    for op, indices, g, h in zip(ops, rows, got, again):
+        want = apply_sparse_many([op], [indices], values)[0].view(np.int64)
         assert np.array_equal(g.view(np.int64), want)
         assert np.array_equal(h.view(np.int64), want)
     # a worker's UsageError reaches the caller: the bad job is the second
     # table-backed job, which the calling thread leaves to the pool
     ran.clear()
+    bad = rows[2].copy()
+    bad[-1] = 3000
     with pytest.raises(UsageError):
-        apply_sparse_many([jobs[0], (reversed_rows, np.r_[1:3000, 3000], np.ones(3000))])
+        apply_sparse_many([shared, reversed_rows], [index, bad], values)
     assert [t is threading.main_thread() for t, op, _ in ran if op is reversed_rows] == [
         expander._pool()[0] == 1]
 

@@ -445,6 +445,39 @@ def test_cli_rs_recover_refuses_malformed_input(tmp_path, capsys, change):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("change", [
+    dict(sets=[1, 2, 3, 4]), dict(points=["a", 1, 2, 3]), dict(points=[0.0, 1.5, 2, 3]),
+    dict(points=5), dict(rho="x"), dict(q="x"), dict(b="2"), dict(r=4.0), dict(q=True),
+    dict(b=True),
+], ids=["bare-int-sets", "text-point", "float-points", "bare-int-points", "text-rho", "text-q",
+        "text-b", "float-r", "bool-q", "bool-b"])
+def test_cli_rs_recover_refuses_values_of_the_wrong_type(tmp_path, capsys, change):
+    blob = {"q": 16, "b": 2, "r": 4, "rho": 0.0, "sets": [[1], [2], [3], [4]], **change}
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(blob))
+    out = tmp_path / "out.json"
+    assert main(["rs-recover", "--in", str(inst), "--out", str(out)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_decode_refuses_a_sketch_with_nan(tmp_path, capsys):
+    from sparserec.toplevel import TopLevelConfig, TopLevelSystem
+
+    system = TopLevelSystem(TopLevelConfig(n=128, k=2, engine="scan", ell=7), seed=5)
+    sys_path = tmp_path / "sys.json"
+    sys_path.write_text(system.to_json())
+    x = np.zeros(128)
+    x[[3, 77]] = [2.0, -1.0]
+    sketch = system.encode(x)
+    sketch[5] = np.nan
+    binio.write_vector(tmp_path / "u.bin", sketch)
+    assert main(["decode", "--system", str(sys_path), "--sketch",
+                 str(tmp_path / "u.bin"), "--out", str(tmp_path / "xh.bin")]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "xh.bin").exists()
+
+
 @pytest.mark.parametrize("projections", [[[0, 1], [0, 2]], [[[0], 1], [[0], [2]]], [5, 6]])
 def test_cli_lw_join_refuses_projection_vectors_that_are_not_lists(tmp_path, capsys,
                                                                    projections):

@@ -91,7 +91,8 @@ def test_every_encoded_operator_is_read(monkeypatch, n, engine, tree):
     encoded, read = [], []
     apply_many = toplevel.apply_sparse_many
     monkeypatch.setattr(toplevel, "apply_sparse_many",
-                        lambda jobs: encoded.extend(job[0] for job in jobs) or apply_many(jobs))
+                        lambda ops, rows, values: encoded.extend(ops)
+                        or apply_many(ops, rows, values))
     sketch = system.encode(x)
     monkeypatch.setattr(toplevel, "apply_sparse_many", apply_many)
     # identification reads all its copies through one _median_readings
@@ -364,6 +365,17 @@ def test_decode_trace_replays_to_the_estimate(engine):
                         == list(range(stage.tree.node_count)))
 
 
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+def test_decode_refuses_a_sketch_with_nan_or_inf(engine):
+    system = build_toplevel(1024, 4, 0.5, seed=43, engine=engine, ell=7, tree=_TREE)
+    sketch = system.encode(_sparse_signal(1024, 4, seed=10))
+    for at, bad in ((0, np.nan), (sketch.size // 2, np.inf), (sketch.size - 1, -np.inf)):
+        held = sketch.copy()
+        held[at] = bad
+        with pytest.raises(UsageError, match="NaN or infinite"):
+            system.decode(held)
+
+
 def test_unknown_tree_option_is_a_usage_error():
     with pytest.raises(UsageError, match="leaf_targte"):
         TopLevelConfig(n=1024, k=4, engine="recursive", tree={"leaf_targte": 64})
@@ -602,13 +614,13 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
     assert np.array_equal(system.encode(x).view(np.int64), cold.view(np.int64))
     # a row outside [0, N) in any one job of a call of small jobs, tabled
     # or hashed, refuses the whole call
-    jobs = [(op, rng.choice(op.n_left, 8, replace=False), rng.normal(size=8)) for op in ops]
+    rows, values = [rng.choice(op.n_left, 8, replace=False) for op in ops], rng.normal(size=8)
     for t in (tabled.index(True), tabled.index(False)):
         for bad in (-1, ops[t].n_left):
-            rows = jobs[t][1].copy()
-            rows[3] = bad
+            rows_t = rows[t].copy()
+            rows_t[3] = bad
             with pytest.raises(UsageError):
-                expander.apply_sparse_many(jobs[:t] + [(ops[t], rows, jobs[t][2])] + jobs[t + 1:])
+                expander.apply_sparse_many(ops, rows[:t] + [rows_t] + rows[t + 1:], values)
 
 
 def test_split_tree_builds_at_2_26_and_refuses_roots_beyond_m61():

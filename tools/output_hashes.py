@@ -8,8 +8,8 @@ set of designs and signals.  Run it on two checkouts and compare the
 objects: a refactor that keeps every output bit for bit prints the same
 object on both.
 
-Per design, four signals (zero, exact 8-sparse, 300-sparse and dense
-noisy; rng 4242) are encoded and decoded twice on one system, cold then
+Per design, five signals (zero, exact 8-sparse, 300-sparse, dense noisy
+and 1,000-sparse; rng 4242) are encoded and decoded twice on one system, cold then
 warm.  Each pass hashes the sketches (int64 views), the estimates (int64
 views), ``repr`` of the decode trace and the truncation warnings.  The
 designs are the two gated benchmark workloads (``bench/workloads.py``),
@@ -18,7 +18,10 @@ and RS 2^14 with default tree copies (s = 2).  Beside them: a LW(3) 2^12
 tree with list-recovery cap 8 at s = 1 and s = 3 (sketches, identify
 output and info, truncation warnings), the experiment CSV on both engines
 with 1 and 3 system copies, and decodes of sketches holding NaNs, hashed
-by value (every NaN one NaN, -0.0 as +0.0).
+by value (every NaN one NaN, -0.0 as +0.0), or the refusal's text where
+the decode refuses them.  The 1,000-sparse signal gives a sparse encode
+more small-job edges than one 2^16-edge pass (81,000 on the scan 2^16
+design), so its small jobs run alone.
 """
 
 from __future__ import annotations
@@ -82,7 +85,10 @@ def signals(n: int) -> list[np.ndarray]:
     many[rng.choice(n, 300, replace=False)] = rng.normal(size=300)
     noisy = rng.normal(size=n) * 1e-3
     noisy[rng.choice(n, 8, replace=False)] += rng.choice([-1.0, 1.0], 8) * 2.0
-    return [zero, exact, many, noisy]
+    # more small-job edges than one 2^16-edge pass on every design
+    thousand = np.zeros(n)
+    thousand[rng.choice(n, 1000, replace=False)] = rng.normal(size=1000)
+    return [zero, exact, many, noisy, thousand]
 
 
 def caught(call):
@@ -115,17 +121,22 @@ def design_hashes(sparserec, config: dict, seed: int) -> dict:
 
 
 def nan_hashes(sparserec, config: dict, seed: int) -> dict:
-    """Decodes of sketches holding NaNs, hashed by value."""
+    """Decodes of sketches holding NaNs, hashed by value, or the text of
+    the UsageError that refuses them."""
     system = sparserec.TopLevelSystem(sparserec.TopLevelConfig(**config), seed)
     rng = np.random.default_rng(77)
     out = {}
-    for name, x in zip(("zero", "exact", "many", "noisy"), signals(config["n"])):
+    for name, x in zip(("zero", "exact", "many", "noisy", "thousand"), signals(config["n"])):
         sketch = system.encode(x)
         for count in (1, 40, 400, 1500):
             held = sketch.copy()
             held[rng.choice(held.size, count, replace=False)] = np.nan
             trace = []
-            x_hat, seen = caught(lambda: system.decode(held, trace=trace))
+            try:
+                x_hat, seen = caught(lambda: system.decode(held, trace=trace))
+            except sparserec.UsageError as err:
+                out[f"{name}-{count}"] = f"refused: {err}"
+                continue
             stages = [(r["candidates"], r["indices"], by_value(np.array(r["values"])))
                       for r in trace]
             out[f"{name}-{count}"] = digest(by_value(x_hat), stages, *seen)
