@@ -28,7 +28,7 @@ List recovery:
                  of the first |occupied| - need + b occupied coordinates
                  (exact by pigeonhole: such a polynomial misses at most
                  |occupied| - need of them; unique decoding for
-                 rho < (1/2)(1 - b/r); message spaces below 2^63).
+                 0 <= rho < (1/2)(1 - b/r); message spaces below 2^63).
 """
 
 from __future__ import annotations
@@ -231,6 +231,16 @@ def lw_recover(codes, syms, errors: int = 0) -> np.ndarray:
         mixed, digits = np.divmod(mixed, base)
         msgs.append(_pack(digits.T, [base] * d))
     return np.stack(msgs[::-1], axis=1)
+
+
+def check_rs_rho(rho, b: int, r: int) -> None:
+    """UsageError for an RS disagreement tolerance rho that is not a real
+    number or lies outside the unique-decoding regime 0 <= rho < (1/2)(1 -
+    b/r): a negative rho would ask for more than r agreeing coordinates."""
+    if isinstance(rho, bool) or not isinstance(rho, Real):
+        raise UsageError(f"rho must be a real number, got {rho!r}")
+    if not 0 <= rho < 0.5 * (1 - b / r) - 1e-12:
+        raise UsageError("rho outside the rs unique-decoding regime 0 <= rho < (1/2)(1 - b/r)")
 
 
 def rs_recover(codes, syms, rho: float) -> np.ndarray:
@@ -451,12 +461,7 @@ class RSCode(_Code):
         return int(math.floor(rho * self.r + 1e-9))
 
     def list_recover(self, sets, rho: float) -> list[int]:
-        if isinstance(rho, bool) or not isinstance(rho, Real):
-            raise UsageError(f"rho must be a real number, got {rho!r}")
-        if not rho < 0.5 * (1 - self.b / self.r) - 1e-12:
-            raise UsageError(
-                "rho outside the unique-decoding regime rho < (1/2)(1 - b/r)"
-            )
+        check_rs_rho(rho, self.b, self.r)
         if len(sets) != self.r:
             raise UsageError(f"need one candidate set per coordinate: {len(sets)} for r = {self.r}")
         if not all(_is_int(v) for s in sets for v in s):

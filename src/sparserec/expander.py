@@ -268,12 +268,22 @@ def edges_many(requests) -> list[tuple]:
             out.append((graph._table, signs))
         elif graph._table is None:
             out.append(_hashed_edges(graph, family, rows))
-        else:  # gathered; with no sign table, signs hashed on their own
+        else:
             _check_rows(rows, graph.n_left)
-            out.append((graph._table[rows],
-                        None if family is None else signs[rows] if signs is not None
-                        else edge_signs([family], None, rows[:, None], np.arange(graph.ell))))
+            out.append(_gathered(op, rows))
     return out
+
+
+def _gathered(op, rows: np.ndarray) -> tuple:
+    """`edges_many` of rows in [0, N) on an operator or graph (signs None)
+    whose graph holds its neighbor table: buckets gathered from it, and
+    signs from the operator's sign table, or from one `edge_signs` pass
+    when it has none."""
+    if isinstance(op, BipartiteGraph):
+        return op._table[rows], None
+    signs = op._sign_table
+    return op.graph._table[rows], (signs[rows] if signs is not None else edge_signs(
+        [op.signs], None, rows[:, None], np.arange(op.graph.ell)))
 
 
 def _check_rows(rows: np.ndarray, n_left) -> None:
@@ -383,7 +393,8 @@ class _JobColumns:
     each job on the same number of rows and values: `apply_sparse_many`'s
     small jobs.  Built on first use by `_job_columns`, never with an operator.
 
-    Jobs on graphs with a neighbor table ("tabled") gather their rows.
+    Jobs on graphs with a neighbor table ("tabled") gather their rows
+    (`_gathered`).
     The others ("hashed") are laid out as columns, one per (job, slot),
     grouped by sign field: each column's job, slot, graph seed, ell, M
     and bucket offset (the job's start in the sums), and per field the
@@ -402,16 +413,14 @@ class _JobColumns:
         self.small_rows = np.array([min(graph.n_left - 1, BATCH_POINTS // graph.ell)
                                     for graph in graphs])
         self.starts = list(accumulate((graph.n_buckets for graph in graphs), initial=0))
-        self.tabled = [(t, graph._table, op._sign_table, op.signs)
-                       for t, (op, graph) in enumerate(zip(ops, graphs))
-                       if graph._table is not None]
+        self.tabled = [(t, op) for t, op in enumerate(ops) if op.graph._table is not None]
         field = [op.signs.hash.field.q for op in ops]
         hashed = sorted((t for t, graph in enumerate(graphs) if graph._table is None),
                         key=field.__getitem__)
         # what a table build would change: a hashed job's graph, or a
         # tabled job's operator that still hashes its signs
         self._untabled = ([graphs[t] for t in hashed],
-                          [ops[t] for t, _, sign_table, _ in self.tabled if sign_table is None])
+                          [op for _, op in self.tabled if op._sign_table is None])
         ells = [graphs[t].ell for t in hashed]
         # per column: its job, slot, graph seed, ell, M and bucket offset
         self.job = np.repeat(np.array(hashed, dtype=np.int64), ells)
@@ -453,10 +462,9 @@ class _JobColumns:
             signs *= values[:, None]
             ids.append(buckets.view(np.int64))
             weights.append(signs)
-        for t, table, sign_table, family in self.tabled:
-            edge = (sign_table[rows[t]] if sign_table is not None else
-                    edge_signs([family], None, rows[t][:, None], np.arange(table.shape[1])))
-            ids.append(table[rows[t]] + self.starts[t])
+        for t, op in self.tabled:
+            buckets, edge = _gathered(op, rows[t])
+            ids.append(buckets + self.starts[t])
             weights.append(edge * values[:, None])
         return ids, weights
 

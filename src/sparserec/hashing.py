@@ -20,9 +20,12 @@ one family's vertices under scalar coefficients, or several families'
 vertices over one field in one Horner pass, each point under its own
 family's column of `coefficient_columns`.  numpy's per-call cost
 dominates a call on a few rows of many families, so the sparse encode's
-small jobs share one pass that way (`expander._JobColumns`), and
-eval_many evaluates the recursion trees' fingerprints the same way; the
-expander's other requests hash one family at a time.
+small jobs share one pass that way (`expander._JobColumns`); the
+expander's other requests hash one family at a time.  eval_many
+evaluates several polynomials at one point set, the recursion trees'
+fingerprints of one signal's indices: in one Horner pass when all of
+them share a vectorized field and their points fit in BATCH_POINTS,
+else one polynomial at a time.
 
 Over binary fields PolyHash evaluates vectors by the zero-absorbing
 log/exp tables up to GF(2^16) (two gathers per Horner step, no test for
@@ -33,7 +36,6 @@ point beyond.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -105,10 +107,6 @@ class PolyHash:
         if not self.coefficients:
             raise UsageError("need at least one coefficient")
         self.domain_size = domain_size
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     @cached_property
     def coefficient_array(self) -> np.ndarray:
@@ -244,20 +242,6 @@ BATCH_POINTS = 1 << 16  # points per shared Horner pass; its coefficient
                         # columns take 8 bytes per point and coefficient
 
 
-def batches(items, size) -> list[list]:
-    """The items cut, in order, into runs of at most BATCH_POINTS points,
-    `size(item)` being an item's count; a larger item runs alone."""
-    runs, filled = [], 0
-    for item in items:
-        count = size(item)
-        if not runs or filled + count > BATCH_POINTS:
-            runs.append([])
-            filled = 0
-        runs[-1].append(item)
-        filled += count
-    return runs
-
-
 def coefficient_columns(polys) -> np.ndarray:
     """(t, len(polys)) int64 array whose column u holds polys[u]'s
     coefficients, lowest degree first; lower degrees are padded with
@@ -272,32 +256,23 @@ def coefficient_columns(polys) -> np.ndarray:
     return out
 
 
-def eval_many(requests) -> list[np.ndarray]:
-    """`poly.eval_vec(xs)` of each (PolyHash, xs) request: requests over the
-    same vectorized field share Horner passes of up to BATCH_POINTS
-    points, each point under its own polynomial's `coefficient_columns`.
-    A request alone in its pass, or over a field that Horner's rule does
-    not vectorize on, goes through its own eval_vec."""
-    out: list = [None] * len(requests)
-    groups: dict = {}
-    for t, (poly, _) in enumerate(requests):
-        f = poly.field
-        groups.setdefault((f.kind, f.q, f.poly) if _vectorized(f) else t, []).append(t)
-    for members in groups.values():
-        for batch in batches(members, lambda t: np.size(requests[t][1])):
-            polys, points = zip(*((requests[t][0], np.asarray(requests[t][1])) for t in batch))
-            if len(batch) == 1:
-                out[batch[0]] = polys[0].eval_vec(points[0])
-                continue
-            for poly, xs in zip(polys, points):
-                poly.check_points(xs)
-            sizes = [xs.size for xs in points]
-            values = _horner_vec(polys[0].field,
-                                 np.repeat(coefficient_columns(polys), sizes, axis=1),
-                                 np.concatenate([xs.ravel() for xs in points]))
-            for t, xs, start in zip(batch, points, accumulate(sizes, initial=0)):
-                out[t] = values[start : start + xs.size].reshape(xs.shape)
-    return out
+def eval_many(polys, xs: np.ndarray) -> np.ndarray:
+    """(len(polys), xs.size) int64 array whose row u is `polys[u].eval_vec(xs)`
+    at the 1-d points xs: one Horner pass, each point under its own
+    polynomial's column of `coefficient_columns`, when two or more
+    polynomials share a field that Horner's rule vectorizes on and
+    len(polys) * xs.size <= BATCH_POINTS; otherwise each polynomial's own
+    eval_vec."""
+    xs = np.asarray(xs, dtype=np.int64)
+    fields = {(poly.field.kind, poly.field.q, poly.field.poly) for poly in polys}
+    if (len(polys) < 2 or len(fields) > 1 or not _vectorized(polys[0].field)
+            or len(polys) * xs.size > BATCH_POINTS):
+        return np.array([poly.eval_vec(xs) for poly in polys], dtype=np.int64).reshape(
+            len(polys), xs.size)
+    for poly in polys:
+        poly.check_points(xs)
+    return _horner_vec(polys[0].field, np.repeat(coefficient_columns(polys), xs.size, axis=1),
+                       np.tile(xs, len(polys))).reshape(len(polys), xs.size)
 
 
 def edge_signs(families, columns, vertices, slots, spread=None) -> np.ndarray:

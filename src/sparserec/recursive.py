@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from sparserec.codes import LWCode, RSCode, lw_recover, rs_recover
+from sparserec.codes import LWCode, RSCode, check_rs_rho, lw_recover, rs_recover
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
@@ -210,7 +210,9 @@ def node_images_many(trees, indices: np.ndarray) -> list[np.ndarray]:
     int64 array whose row v is the packed phi_v image of the signal
     indices at node v.
 
-    The trees' fingerprints are one `hashing.eval_many` call.  Depth by
+    The trees' fingerprints of the indices are one `hashing.eval_many`
+    call: one Horner pass when the trees share a fingerprint field and
+    all their points fit in one pass, else one pass per tree.  Depth by
     depth, the internal nodes of all trees with the same code (the same
     kind, arity and widths) stack their messages (`_image_groups`, cached
     per tree sequence), and the code runs once for all of them and all of
@@ -218,8 +220,8 @@ def node_images_many(trees, indices: np.ndarray) -> list[np.ndarray]:
     at once.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    fingerprints = iter(eval_many([(tree.mapper.g, idx) for tree in trees
-                                   if tree.mapper is not None]))
+    fingerprints = iter(eval_many([tree.mapper.g for tree in trees if tree.mapper is not None],
+                                  idx))
     pairs = []  # per tree: (det, rnd) rows of every node, filled depth by depth
     for tree in trees:
         det, rnd = np.empty((2, len(tree.nodes), idx.size), dtype=np.int64)
@@ -266,7 +268,7 @@ def check_tree_code(code_kind: str, arity: int, rs_b: int, rho: float,
                     scheme: str) -> tuple[str, int]:
     """The tree's (code kind, arity), "split" read as LW(2); UsageError for
     an unknown code kind or scheme, an arity the code cannot take, or an
-    RS rho outside the unique-decoding regime."""
+    RS rho `codes.check_rs_rho` refuses."""
     if code_kind == "split":  # LW(2) with its two coordinates swapped
         code_kind, arity = "lw", 2
     if code_kind not in ("lw", "rs"):
@@ -276,8 +278,7 @@ def check_tree_code(code_kind: str, arity: int, rs_b: int, rho: float,
     if code_kind == "rs":
         if arity < rs_b + 1:
             raise UsageError("rs code needs r > b")
-        if not rho < 0.5 * (1 - rs_b / arity) - 1e-12:
-            raise UsageError("rho outside the rs unique-decoding regime")
+        check_rs_rho(rho, rs_b, arity)
     if scheme not in ("scheme2", "none"):
         raise UsageError(f"unknown scheme {scheme!r}")
     return code_kind, arity

@@ -241,6 +241,18 @@ def test_rs_rho_regime_validation():
         rs_list_recover(code, inst)
 
 
+def test_rs_list_recover_refuses_a_negative_rho():
+    # a negative rho would need agreement on more than r coordinates, so no
+    # message could be returned
+    code = RSCode(FieldSpec.binary(4), b=2, r=4)
+    sets = [{c} for c in code.encode(200)]
+    for rho in (-1.0, -0.5, -1e-9, -1):
+        with pytest.raises(UsageError, match="unique-decoding regime"):
+            code.list_recover(sets, rho)
+    for rho in (0, 0.0, -0.0, 0.2, 0.25 - 1e-11):
+        assert code.list_recover(sets, rho) == [200]
+
+
 def test_rs_code_refuses_evaluation_points_outside_the_field():
     with pytest.raises(UsageError, match=r"\[0, q\)"):
         RSCode(FieldSpec.binary(4), b=2, r=4, points=[0, 1, 2, 99])

@@ -194,8 +194,7 @@ def test_table_fields_multiply_through_zero(width):
         for poly in (through, leading):
             assert poly.eval_vec(points).tolist() == [poly.eval(int(v)) for v in points]
         # the two in one pass, each point under its own polynomial's coefficients
-        for poly, got in zip((through, leading), eval_many([(through, points),
-                                                            (leading, points)])):
+        for poly, got in zip((through, leading), eval_many([through, leading], points)):
             assert got.tolist() == [poly.eval(int(v)) for v in points]
     zeros = np.zeros(3, dtype=np.int64)
     for got in (f.mul_vec(points, 0), f.mul_vec(0, points), f.mul_vec(points, zeros[:1]),

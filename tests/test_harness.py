@@ -461,6 +461,16 @@ def test_cli_rs_recover_refuses_values_of_the_wrong_type(tmp_path, capsys, chang
     assert not out.exists()
 
 
+def test_cli_rs_recover_refuses_a_negative_rho(tmp_path, capsys):
+    # it printed {"messages": []}: no message agrees on more than r coordinates
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    inst.write_text(json.dumps({"q": 16, "b": 2, "r": 4, "rho": -1.0,
+                                "sets": [[1], [2], [3], [4]]}))
+    assert main(["rs-recover", "--in", str(inst), "--out", str(out)]) == 1
+    assert "usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_decode_refuses_a_sketch_with_nan(tmp_path, capsys):
     from sparserec.toplevel import TopLevelConfig, TopLevelSystem
 

@@ -220,3 +220,35 @@ def test_sign_out_of_domain_errors():
     for i, s in ((10, 0), (0, 10), (-1, 0)):
         with pytest.raises(UsageError):
             fam.sign(i, s)
+
+
+def test_eval_many_shares_one_pass_only_when_every_point_fits(monkeypatch):
+    # eval_many evaluates several polynomials at one point set: one Horner
+    # pass when they share a vectorized field and len(polys) * points fits
+    # in BATCH_POINTS, else one pass per polynomial
+    passes = []
+    horner = hashing._horner_vec
+    monkeypatch.setattr(hashing, "_horner_vec",
+                        lambda *args: passes.append(args) or horner(*args))
+    gf20, gf16 = FieldSpec.binary(20), FieldSpec.binary(16)
+    polys = [PolyHash.from_seed(gf20, degree, 1 << 20, seed)
+             for degree, seed in ((19, 1), (19, 2), (5, 3))]
+    other = PolyHash.from_seed(gf16, 7, 1 << 16, 4)
+    rng = np.random.default_rng(26)
+
+    def check(members, xs, count):
+        passes.clear()
+        got = hashing.eval_many(members, xs)
+        assert len(passes) == count
+        assert got.shape == (len(members), xs.size) and got.dtype == np.int64
+        for poly, row in zip(members, got):
+            assert row.tolist() == poly.eval_vec(xs).tolist()
+
+    few = rng.integers(0, 1 << 16, 5_000)
+    check(polys[:2], few, 1)  # two over one field, 10,000 points: one pass
+    check(polys, rng.integers(0, 1 << 20, 30_000), 3)  # 90,000 points: one apiece
+    check([polys[0], other], few, 2)  # two fields never share a pass
+    check(polys, np.zeros(0, dtype=np.int64), 1)
+    assert hashing.BATCH_POINTS == 1 << 16
+    check(polys[:2], rng.integers(0, 1 << 20, hashing.BATCH_POINTS // 2), 1)
+    check(polys[:2], rng.integers(0, 1 << 20, hashing.BATCH_POINTS // 2 + 1), 2)

@@ -452,3 +452,13 @@ def test_measurement_count_is_sum_over_nodes():
     sketches = tree.encode(np.zeros(1024))
     total = sum(len(u) for node_sk in sketches for u in node_sk)
     assert total == expect
+
+
+def test_rs_tree_refuses_a_negative_rho():
+    for rho in (-0.5, -1e-9):
+        with pytest.raises(UsageError, match="unique-decoding regime"):
+            RecursionTree(n_signal=2**10, leaf_target=64, code_kind="rs",
+                          params=_params(rho=rho), seed=5, arity=4, rs_b=2)
+    # an lw tree reads no rho
+    RecursionTree(n_signal=2**10, leaf_target=64, code_kind="lw",
+                  params=_params(rho=-0.5), seed=5, arity=3)

@@ -402,6 +402,20 @@ def test_bad_tree_option_values_are_refused_on_both_engines(engine, tree, match)
             TopLevelSystem.from_json(json.dumps(blob))
 
 
+def test_negative_rho_is_refused_and_a_valid_one_recovers():
+    # with rho -0.5 the tree asked every parent message to agree with more
+    # than r children, so this signal decoded to zeros without a warning
+    tree = dict(code_kind="rs", arity=4, rs_b=2, leaf_target=64, ell=8, s=1)
+    config = dict(n=2**10, k=4, ell=9, sign_independence=16, engine="recursive")
+    for rho in (-0.5, -1e-9):
+        with pytest.raises(UsageError, match="unique-decoding regime"):
+            TopLevelConfig(**config, tree=dict(tree, rho=rho))
+    x = np.zeros(2**10)
+    x[[3, 200, 511, 1000]] = [1, -2, 1.5, 3]
+    system = TopLevelSystem(TopLevelConfig(**config, tree=dict(tree, rho=0.2)), seed=5)
+    np.testing.assert_array_equal(system.decode(system.encode(x)), x)
+
+
 @pytest.mark.parametrize("engine", ["scan", "recursive"])
 def test_loaded_system_decodes_without_encoding(engine, monkeypatch):
     system = build_toplevel(1024, 4, 0.5, seed=37, engine=engine, ell=7, tree=_TREE)

@@ -21,7 +21,10 @@ with 1 and 3 system copies, and decodes of sketches holding NaNs, hashed
 by value (every NaN one NaN, -0.0 as +0.0), or the refusal's text where
 the decode refuses them.  The 1,000-sparse signal gives a sparse encode
 more small-job edges than one 2^16-edge pass (81,000 on the scan 2^16
-design), so its small jobs run alone.
+design), so its small jobs run alone.  On designs with N >= 2^16 a sixth
+signal, 20,000-sparse and drawn after the other five, gives the recursive
+designs' four stage trees 80,000 fingerprint points, more than one
+2^16-point Horner pass holds.
 """
 
 from __future__ import annotations
@@ -88,7 +91,12 @@ def signals(n: int) -> list[np.ndarray]:
     # more small-job edges than one 2^16-edge pass on every design
     thousand = np.zeros(n)
     thousand[rng.choice(n, 1000, replace=False)] = rng.normal(size=1000)
-    return [zero, exact, many, noisy, thousand]
+    if n < 1 << 16:
+        return [zero, exact, many, noisy, thousand]
+    # the stage trees' fingerprints of its indices take more than one 2^16-point pass
+    wide = np.zeros(n)
+    wide[rng.choice(n, 20_000, replace=False)] = rng.normal(size=20_000)
+    return [zero, exact, many, noisy, thousand, wide]
 
 
 def caught(call):
