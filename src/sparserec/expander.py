@@ -20,18 +20,24 @@ neighbor table and an operator's int8 sign table belong to the design,
 not to the signal: the first request on at least N rows (a dense encode,
 a full-domain identification) or the first identification read of any
 rows (`fill_tables`) builds them, where N * ell <= _MATERIALIZE_LIMIT
-(then at most 1 MiB and 8 MiB); an estimation read of a few candidates
-builds none.  Rows outside [0, N)
-raise UsageError.  Readings and sketches are new arrays, and
+(then at most 8 MiB and 1 MiB); an estimation read of a few candidates
+builds none.  The third design table, an operator's int32 fold table
+(`_fold_table`), lists each bucket's edges as signed vertex ids, padded
+to the largest bucket load L: about 4 bytes per edge (21.5 MiB over the
+9 operators of a scan design at N = 2^16, ell = 9).  A dense encode
+builds it, in the calling thread, for each of its jobs whose operator
+held both tables before the call; the call that fills the tables builds
+none, so a one-shot encode pays nothing.  Rows outside [0, N) raise
+UsageError.  Readings and sketches are new arrays, and
 `BipartiteGraph.neighbors_of` returns a copy.
 
 Readings, table builds and jobs that run alone take their edges from
 `edges_many`, which maps (operator, rows) requests to (buckets, signs)
 arrays of shape (rows, ell) in (row, slot) order, one request at a time:
-a request on exactly the rows 0..N-1 reads both tables in place, other
-requests on tabled operators gather rows, and each of the rest makes
-one counter-stream pass for its bucket ids and one Horner pass for its
-signs (`_hashed_edges`).
+a request on exactly the rows 0..N-1 (`_all_rows`, a dense job) reads
+both tables in place, other requests on tabled operators gather rows,
+and each of the rest makes one counter-stream pass for its bucket ids
+and one Horner pass for its signs (`_hashed_edges`).
 
 `apply_sparse_many` (the encode) sketches one signal's values with many
 operators, each at its own rows: a system's encode, or a decode's
@@ -39,17 +45,21 @@ residual re-encode.  Its small jobs share one fixed set of numpy passes
 (one row gather, one counter-stream pass, one Horner pass per sign
 field, one bincount) over per-job columns cached on first use
 (`_JobColumns`), plus one gather per job on a tabled operator, when
-their edges fit in one pass; every other job runs alone.  The dense jobs
-of one call whose operators hold both tables run on one thread per CPU
-the process may run on: the calling thread and a pool of workers,
-started on first use and dropped in a forked child.  A job that runs
-alone, and the weak layer's medians, pass over their edges in
-`row_blocks`, so on an operator with tables a warm dense encode or
-full-domain read allocates no N * ell-sized array, whose fresh pages
-would fault on every call.  On an operator without them (N * ell >
-_MATERIALIZE_LIMIT), `edges_many` hashes the whole request at once: such
-an encode or read holds (N, ell) bucket ids and signs, and the hash
-passes' temporaries of that size.
+their edges fit in one pass; every other job runs alone.  A dense job
+on an operator with a fold table is a gather and a fold (`_folded`):
+np.take of the signed values [x, x * -1.0, +0.0] through blocks of the
+table, and np.add.reduce down its columns, both of which release the
+GIL, with each bucket taking the same additions in the same order from
++0.0 as np.add.at would.  The jobs of one call whose operators hold
+both tables run on one thread per CPU the process may run on: the
+calling thread and a pool of workers, started on first use and dropped
+in a forked child.  Every other job that runs alone, and the weak
+layer's medians, pass over their edges in `row_blocks` (`edge_blocks`),
+so on an operator with tables a full-domain read allocates no N *
+ell-sized array, whose fresh pages would fault on every call, and an
+operator without them (N * ell > _MATERIALIZE_LIMIT) hashes one block
+of rows at a time, never holding a request's (rows, ell) edges or the
+hash passes' temporaries of that size.
 """
 
 from __future__ import annotations
@@ -219,6 +229,7 @@ class SignedSketchOperator:
         self.graph = graph
         self.signs = signs
         self._sign_table = None  # int8 (n_left, ell), filled on demand
+        self._fold_table = None  # int32 (largest bucket load, n_buckets), see `_fold_table`
 
     @property
     def n_left(self) -> int:
@@ -253,18 +264,17 @@ def edges_many(requests) -> list[tuple]:
     """(buckets, signs) of each (op, rows) request, an operator's or a
     graph's (signs None): int64 bucket ids and +-1 signs, each (len(rows),
     ell) in (row, slot) order.  After `fill_tables`, tables are read in
-    place (read-only) by a request on exactly the rows 0..N-1 of an
-    operator holding both (one O(N) check once the count and both ends
-    match), else gathered; `_hashed_edges` makes the rest, each request
-    on its own.  A row outside [0, N) raises UsageError."""
+    place (read-only) by a request on exactly the rows 0..N-1 (`_all_rows`)
+    of an operator holding both, else gathered; `_hashed_edges` makes the
+    rest, each request on its own.  A row outside [0, N) raises
+    UsageError."""
     requests = [(op, np.asarray(rows, dtype=np.int64)) for op, rows in requests]
     fill_tables([op for op, rows in requests if rows.size >= op.n_left])
     out = []
     for op, rows in requests:
         graph, family, signs = ((op, None, None) if isinstance(op, BipartiteGraph)
                                 else (op.graph, op.signs, op._sign_table))
-        if (signs is not None and rows.shape == signs.shape[:1] and rows[0] == 0
-                and rows[-1] == rows.size - 1 and np.all(rows[1:] > rows[:-1])):
+        if signs is not None and _all_rows(rows, graph.n_left):
             out.append((graph._table, signs))
         elif graph._table is None:
             out.append(_hashed_edges(graph, family, rows))
@@ -272,6 +282,29 @@ def edges_many(requests) -> list[tuple]:
             _check_rows(rows, graph.n_left)
             out.append(_gathered(op, rows))
     return out
+
+
+def _all_rows(rows: np.ndarray, n_left: int) -> bool:
+    """Whether int64 rows are exactly 0..N-1 in order (a dense job): one
+    O(N) check once the count and both ends match."""
+    return (rows.shape == (n_left,) and rows[0] == 0 and rows[-1] == n_left - 1
+            and bool(np.all(rows[1:] > rows[:-1])))
+
+
+def edge_blocks(op: "SignedSketchOperator", rows):
+    """Yield (block, buckets, signs) of one (op, rows) request per
+    `row_blocks` block of its rows, after `fill_tables` if it is on at
+    least N rows: an operator holding its sign table slices one
+    `edges_many` request, any other makes one request per block, so it
+    never holds the request's (rows, ell) edges, or the hash passes'
+    temporaries of that size, at once."""
+    rows = np.asarray(rows, dtype=np.int64)
+    fill_tables([op] if rows.size >= op.n_left else [])
+    whole = None if op._sign_table is None else edges_many([(op, rows)])[0]
+    for block in row_blocks(rows.size, op.graph.ell):
+        buckets, signs = (edges_many([(op, rows[block])])[0] if whole is None
+                          else (whole[0][block], whole[1][block]))
+        yield block, buckets, signs
 
 
 def _gathered(op, rows: np.ndarray) -> tuple:
@@ -306,6 +339,39 @@ def fill_tables(ops) -> None:
                                np.arange(graph.ell))
             op._sign_table = signs.astype(np.int8)
             op._sign_table.flags.writeable = False
+
+
+def _fold_table(op: "SignedSketchOperator") -> np.ndarray | None:
+    """The read-only int32 (L, M) fold table of an operator holding both
+    tables, L its largest bucket load: column j lists bucket j's edges in
+    (row, slot) order as signed vertex ids, i for sign +1 and N + i for
+    -1, then 2N (padding) up to L.  None where L * M exceeds 2 * N * ell,
+    so that it never takes more memory than the neighbor table: only
+    uneven bucket loads (an explicit graph's, or a graph's with a few
+    edges per bucket) make that.  Built one `row_blocks` block at a
+    time: a stable sort of the block's bucket ids (uint16 keys, a radix
+    sort, where M <= 2^16) ranks each of its edges in its bucket after
+    those of earlier blocks."""
+    table, signs = op.graph._table, op._sign_table
+    n_left, n_buckets = op.n_left, op.n_buckets
+    loads = np.bincount(table.ravel(), minlength=n_buckets)
+    if loads.max() * n_buckets > 2 * table.size:
+        return None
+    fold = np.full((loads.max(), n_buckets), 2 * n_left, dtype=np.int32)
+    filled = np.zeros(n_buckets, dtype=np.int64)  # edges placed per bucket
+    key = np.uint16 if n_buckets <= 1 << 16 else np.int64
+    rows = np.arange(n_left)
+    for block in row_blocks(n_left, op.graph.ell):
+        buckets = table[block].astype(key).ravel()
+        order = np.argsort(buckets, kind="stable")
+        buckets = buckets[order]
+        count = np.bincount(buckets, minlength=n_buckets)
+        # sorted edge e is edge e - first[b] of its bucket b in this block
+        rank = np.arange(buckets.size) + (filled + count - np.cumsum(count))[buckets]
+        fold[rank, buckets] = (rows[block, None] + n_left * (signs[block] < 0)).ravel()[order]
+        filled += count
+    fold.flags.writeable = False
+    return fold
 
 
 def _bucket_ids(seed, ell, n_buckets, vertices: np.ndarray, slots) -> np.ndarray:
@@ -346,10 +412,14 @@ def apply_sparse_many(ops, rows, values) -> list[np.ndarray]:
     every bucket takes the same additions from +0.0 as in a bincount of
     its own.  Every other job runs alone (`_sketch_alone`), after the
     calling thread has built the tables of those on at least N rows, in
-    job order.  Two or more with both tables run on one thread per CPU in
-    the affinity mask, the calling thread taking every CPU-th and the
-    pool's workers the others, as numpy releases the GIL in their products
-    (not in the sums); the others then run in the calling thread.  Rows
+    job order, and then the fold tables of the dense jobs (on exactly the
+    rows 0..N-1) whose operators held both tables before the call; those
+    jobs are folded from the signed values [x, x * -1.0, +0.0], formed
+    once.  Two or more with both tables run on one thread per CPU in the
+    affinity mask, the calling thread taking every CPU-th and the pool's
+    workers the others, as numpy releases the GIL in their gathers and
+    folds and in the others' products (not in np.add.at); the others then
+    run in the calling thread.  Rows
     outside [0, N), values that are not 1-d, and a row count other than
     the operator count or row arrays shaped unlike the values raise
     UsageError.  The sketches are new arrays or disjoint views of one.
@@ -375,16 +445,32 @@ def apply_sparse_many(ops, rows, values) -> list[np.ndarray]:
         for t, start, stop in zip(small, columns.starts[:-1], columns.starts[1:]):
             out[t] = sums[start:stop]
     alone = [t for t in range(len(ops)) if out[t] is None]
+    # the dense jobs on operators that held both tables before this call,
+    # one check per row array and N
+    folds, dense = [], {}
+    for t in alone:
+        if ops[t]._sign_table is not None:
+            key = id(rows[t]), ops[t].n_left
+            if key not in dense:
+                dense[key] = _all_rows(np.asarray(rows[t], dtype=np.int64), ops[t].n_left)
+            if dense[key]:
+                folds.append(t)
     # here, so no worker builds one
     fill_tables([ops[t] for t in alone if values.size >= ops[t].n_left])
+    for t in folds:
+        if ops[t]._fold_table is None:
+            ops[t]._fold_table = _fold_table(ops[t])
+    folds = [t for t in folds if ops[t]._fold_table is not None]
+    signed = (dict.fromkeys(folds, np.concatenate((values, values * -1.0, [0.0])))
+              if folds else {})
     tabled = [t for t in alone if ops[t]._sign_table is not None]
     if len(tabled) > 1:
-        jobs = [(ops[t], rows[t], values) for t in tabled]
+        jobs = [(ops[t], rows[t], signed.get(t, values)) for t in tabled]
         for t, sketch in zip(tabled, _sketch_on_all_cpus(jobs)):
             out[t] = sketch
     for t in alone:
         if out[t] is None:
-            out[t] = _sketch_alone(ops[t], rows[t], values)
+            out[t] = _sketch_alone(ops[t], rows[t], signed.get(t, values))
     return out
 
 
@@ -488,14 +574,41 @@ def _job_columns(ops) -> _JobColumns:
 
 
 def _sketch_alone(op, indices, values) -> np.ndarray:
-    """One job's sketch from its own `edges_many` call, one `row_blocks`
-    block at a time: each block's weights (sign times value) are added
-    into float64 zeros by `np.add.at`, in (row, slot) order, as one
-    bincount adds them."""
-    nb, edge = edges_many([(op, indices)])[0]
+    """One job's sketch.  A dense job on an operator with a fold table
+    comes with the call's signed values [x, x * -1.0, +0.0] (2N + 1 of
+    them, not one per row) and is folded (`_folded`).  Any other takes
+    its edges from `edge_blocks`, and each block's weights (sign times
+    value) are added into float64 zeros by `np.add.at`, in (row, slot)
+    order, as one bincount adds them."""
+    if values.size != len(indices):
+        return _folded(op._fold_table, values)
     out = np.zeros(op.n_buckets)
-    for rows in row_blocks(*nb.shape):
-        np.add.at(out, nb[rows].ravel(), (edge[rows] * values[rows, None]).ravel())
+    for rows, nb, edge in edge_blocks(op, indices):
+        np.add.at(out, nb.ravel(), (edge * values[rows, None]).ravel())
+    return out
+
+
+def _folded(fold: np.ndarray, signed: np.ndarray) -> np.ndarray:
+    """The bucket sums of a dense job from its operator's fold table and
+    the signed values [x, x * -1.0, +0.0]: blocks of about BLOCK_EDGES
+    table entries are cast to intp and gathered (np.take) into the rows
+    below a running-sum row that starts at +0.0, and np.add.reduce folds
+    each block down its columns, one row after another.  So every bucket
+    takes the edges' weights in (row, slot) order from +0.0, as np.add.at
+    adds them; a padding entry adds +0.0, which leaves every such sum as
+    it is (none is -0.0).  Both numpy calls release the GIL."""
+    loads, n_buckets = fold.shape
+    step = min(loads, max(1, BLOCK_EDGES // n_buckets))
+    ids = np.empty((step, n_buckets), dtype=np.intp)
+    terms = np.empty((step + 1, n_buckets))
+    terms[0] = 0.0
+    out = np.empty(n_buckets)
+    for at in range(0, loads, step):
+        size = min(step, loads - at)
+        ids[:size] = fold[at:at + size]
+        np.take(signed, ids[:size], out=terms[1:size + 1], mode="clip")
+        np.add.reduce(terms[:size + 1], axis=0, out=out)
+        terms[0] = out
     return out
 
 

@@ -39,8 +39,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from sparserec.errors import UsageError
-from sparserec.expander import (SignedSketchOperator, apply_sparse_many, edges_many,
-                                fill_tables, row_blocks)
+from sparserec.expander import (SignedSketchOperator, apply_sparse_many, edge_blocks,
+                                fill_tables)
 from sparserec.seeds import derive_seed
 from sparserec.vectors import distinct, head_indices, nonzeros
 
@@ -137,13 +137,12 @@ def median_estimates(op: SignedSketchOperator, sketch: np.ndarray,
 
 def _median_readings(requests) -> list[np.ndarray]:
     """`lower_median(op.readings(sketch, rows))` of each (op, sketch, rows)
-    request, from one `edges_many` call, one `row_blocks` block at a time."""
-    edges = edges_many([(op, rows) for op, _, rows in requests])
+    request, one `edge_blocks` block at a time."""
     out = []
-    for (_, sketch, _), (nbrs, signs) in zip(requests, edges):
-        medians = np.empty(len(nbrs))
-        for rows in row_blocks(*nbrs.shape):
-            medians[rows] = _medians(signs[rows] * sketch[nbrs[rows]])
+    for op, sketch, rows in requests:
+        medians = np.empty(len(rows))
+        for block, nbrs, signs in edge_blocks(op, rows):
+            medians[block] = _medians(signs * sketch[nbrs])
         out.append(medians)
     return out
 

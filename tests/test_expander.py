@@ -578,3 +578,175 @@ def test_adjacency_dump_format():
     assert len(lines) == 3
     assert lines[0].startswith("0: ")
     assert len(lines[0].split()) == 3
+
+
+def _add_at_sketch(op, rows, values):
+    """The bucket sums of a job from the operator's tables: np.add.at of
+    sign times value into +0.0, in (row, slot) order."""
+    out = np.zeros(op.n_buckets)
+    weights = op._sign_table[rows] * np.asarray(values)[:, None]
+    np.add.at(out, op.graph._table[rows].ravel(), weights.ravel())
+    return out
+
+
+def _awkward_values(n, rng):
+    """Dense values whose bucket sums depend on the order of the additions
+    (O(1) values among +-1e16), with +-0.0, subnormals, +-inf and NaNs of
+    both sign bits."""
+    x = rng.normal(size=n)
+    big = rng.choice(n, n // 64, replace=False)
+    x[big] = rng.choice([-1e16, 1e16], big.size)
+    x[rng.choice(n, 12, replace=False)] = [0.0, -0.0, 0.0, -0.0, 5e-324, -5e-324, 2.2e-310,
+                                           np.inf, -np.inf, np.nan, -np.nan, -0.0]
+    return x
+
+
+def _fold_counter(monkeypatch):
+    built, fold_table = [], expander._fold_table
+    monkeypatch.setattr(expander, "_fold_table",
+                        lambda op: built.append(op) or fold_table(op))
+    return built
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fold_table_sums_match_add_at_on_the_scan_design(monkeypatch):
+    # every operator of the scan-noisy-n16 design (bench/workloads.py)
+    system = sparserec.TopLevelSystem(sparserec.TopLevelConfig(
+        n=1 << 16, k=8, epsilon=0.5, ell=9, sign_independence=16, engine="scan"), 13046232)
+    ops = [op for stage in system.stages for op in stage.layer.operators]
+    assert sorted({op.n_buckets for op in ops}) == [72, 144, 288, 576]
+    x = _awkward_values(1 << 16, np.random.default_rng(71))
+    rows = np.arange(1 << 16)
+    built = _fold_counter(monkeypatch)
+    fill = apply_sparse_many(ops, [rows] * len(ops), x)
+    assert not built and all(op._fold_table is None for op in ops)
+    want = [_add_at_sketch(op, rows, x).view(np.int64) for op in ops]
+    build = apply_sparse_many(ops, [rows] * len(ops), x)
+    assert [id(op) for op in built] == [id(op) for op in ops]
+    reuse = apply_sparse_many(ops, [rows] * len(ops), x)
+    assert len(built) == len(ops)
+    for op, w, *got in zip(ops, want, fill, build, reuse):
+        for g in got:
+            assert np.array_equal(g.view(np.int64), w)
+        fold = op._fold_table
+        load = np.bincount(op.graph._table.ravel(), minlength=op.n_buckets)
+        assert fold.dtype == np.int32 and fold.shape == (load.max(), op.n_buckets)
+        assert not fold.flags.writeable
+        # column j: bucket j's signed vertex ids in (row, slot) order, then padding
+        for j in (0, op.n_buckets - 1):
+            vertex, slot = np.nonzero(op.graph._table == j)
+            ids = vertex + (1 << 16) * (op._sign_table[vertex, slot] < 0)
+            assert np.array_equal(fold[:load[j], j], ids)
+            assert np.all(fold[load[j]:, j] == 2 << 16)
+    # the sums depend on their order: one pairwise sum per bucket reads other bits
+    signed = np.concatenate((x, x * -1.0, [0.0]))
+    pairwise = np.array([np.sum(signed[col]) for col in ops[0]._fold_table.T])
+    assert not np.array_equal(pairwise.view(np.int64), want[0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fold_table_with_an_empty_bucket_and_zero_sums():
+    # one edge in each of buckets 0..127 and none in bucket 128: every
+    # bucket's sum is one weight added to +0.0, or none
+    n, ell, m = 64, 2, 129
+    op = SignedSketchOperator(BipartiteGraph.from_neighbors(np.arange(n * ell).reshape(n, ell), m),
+                              SignFamily(seed=72, independence=4, n_left=n, ell=ell))
+    rng = np.random.default_rng(73)
+    rows = np.arange(n)
+    # -0.0 values: a +1 edge's weight is -0.0, which +0.0 absorbs
+    for x in (np.full(n, -0.0), _awkward_values(n, rng), np.zeros(n)):
+        first = op.apply_sparse(rows, x)  # the first fills the tables
+        want = _add_at_sketch(op, rows, x).view(np.int64)
+        assert np.array_equal(first.view(np.int64), want)
+        assert np.array_equal(op.apply_sparse(rows, x).view(np.int64), want)
+        assert op._fold_table.shape == (1, m) and op._fold_table[0, m - 1] == 2 * n
+        assert want[m - 1] == 0  # the empty bucket: +0.0
+    assert np.any(op._sign_table == 1) and np.any(op._sign_table == -1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_fold_table_lifecycle(monkeypatch):
+    built = _fold_counter(monkeypatch)
+    n, ell, m = 4096, 9, 256
+    op = _operator(n, ell, m, seed=74)
+    rng = np.random.default_rng(75)
+    x = _awkward_values(n, rng)
+    rows = np.arange(n)
+    first = op.apply_sparse(rows, x)  # fills the tables: no fold table
+    assert op._sign_table is not None and op._fold_table is None and not built
+    want = _add_at_sketch(op, rows, x).view(np.int64)
+    assert np.array_equal(first.view(np.int64), want)
+    assert np.array_equal(op.apply_sparse(rows, x).view(np.int64), want)
+    fold = op._fold_table
+    assert built == [op] and fold is not None
+    assert np.array_equal(op.apply_sparse(rows, x).view(np.int64), want)
+    assert op._fold_table is fold and built == [op]
+    # a full-size row set other than 0..N-1 sums with np.add.at
+    reversed_rows, repeated = rows[::-1].copy(), rows.copy()
+    repeated[7] = 6
+    other = _operator(n, ell, m, seed=74)
+    other.apply(np.ones(n))
+    for r in (reversed_rows, repeated):
+        for target in (op, other):
+            got = target.apply_sparse(r, x[r])
+            assert np.array_equal(got.view(np.int64), _add_at_sketch(target, r, x[r]).view(np.int64))
+    assert other._fold_table is None and built == [op]
+    # readings and a decode build none, nor does a sparse or recursive encode
+    assert np.array_equal(op.readings(first, rows).view(np.int64),
+                          _lazy_twin(op).readings(first, rows).view(np.int64))
+    scan = sparserec.TopLevelSystem(sparserec.TopLevelConfig(
+        n=n, k=8, epsilon=0.5, ell=9, sign_independence=16, engine="scan"), 76)
+    scan.decode(scan.encode(rng.normal(size=n)))  # fills the tables
+    tree_rs = sparserec.TopLevelSystem(sparserec.TopLevelConfig(
+        n=1 << 14, k=8, epsilon=0.5, ell=9, sign_independence=16, engine="recursive",
+        tree=dict(code_kind="rs", arity=4, rs_b=2, rho=0.2, leaf_target=256,
+                  scheme="scheme2", ell=8, s=1)), 13046232)
+    exact = np.zeros(1 << 14)
+    exact[rng.choice(1 << 14, 8, replace=False)] = rng.choice([-1.0, 1.0], 8)
+    for _ in range(3):
+        tree_rs.decode(tree_rs.encode(exact))
+    assert built == [op]
+    # uneven loads, every edge in one bucket: a fold table would outgrow
+    # the neighbor table, so dense jobs keep np.add.at
+    skewed = SignedSketchOperator(BipartiteGraph.from_neighbors(np.zeros((300, 3), np.int64), 64),
+                                  SignFamily(seed=80, independence=4, n_left=300, ell=3))
+    y = rng.normal(size=300)
+    for _ in range(3):
+        assert np.array_equal(skewed.apply(y).view(np.int64),
+                              _add_at_sketch(skewed, np.arange(300), y).view(np.int64))
+    assert skewed._sign_table is not None and skewed._fold_table is None
+
+
+def test_untabled_operators_hash_one_block_at_a_time(monkeypatch):
+    from sparserec import weak
+
+    n, ell, m = 20_000, 5, 256
+    tabled = _operator(n, ell, m, seed=77)
+    lazy = _lazy_twin(tabled)  # never holds tables
+    above = _operator(_MATERIALIZE_LIMIT // 9 + 1, 9, 512, seed=78, indep=4)
+    rng = np.random.default_rng(79)
+    hashed, hashed_edges = [], expander._hashed_edges
+    monkeypatch.setattr(expander, "_hashed_edges", lambda graph, family, rows: (
+        hashed.append((graph, rows.size)) or hashed_edges(graph, family, rows)))
+    for op in (tabled, lazy, above):
+        rows_of = {"dense": np.arange(op.n_left),
+                   "sparse": np.sort(rng.choice(op.n_left, 15_000, replace=False))}
+        for rows in rows_of.values():
+            values = rng.normal(size=rows.size)
+            got = apply_sparse_many([op], [rows], values)[0]
+            readings = weak._median_readings([(op, got, rows)])[0]
+            buckets, signs = hashed_edges(op.graph, op.signs, rows)
+            want = np.zeros(m if op is not above else 512)
+            np.add.at(want, buckets.ravel(), (signs * values[:, None]).ravel())
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(readings.view(np.int64),
+                                  weak.lower_median(signs * want[buckets]).view(np.int64))
+    assert tabled._sign_table is not None and lazy._sign_table is None
+    assert above._sign_table is None and not above.graph.materialized
+    # the operators without tables hash one block's rows at a time; the
+    # tabled one hashed only its neighbor table, in one request
+    untabled = [(graph, size) for graph, size in hashed if graph is not tabled.graph]
+    assert {id(graph) for graph, _ in untabled} == {id(lazy.graph), id(above.graph)}
+    assert all(size <= expander.BLOCK_EDGES // graph.ell for graph, size in untabled)
+    assert max(size for graph, size in untabled if graph is lazy.graph) == expander.BLOCK_EDGES // 5
+    assert [size for graph, size in hashed if graph is tabled.graph] == [n]

@@ -24,7 +24,12 @@ more small-job edges than one 2^16-edge pass (81,000 on the scan 2^16
 design), so its small jobs run alone.  On designs with N >= 2^16 a sixth
 signal, 20,000-sparse and drawn after the other five, gives the recursive
 designs' four stage trees 80,000 fingerprint points, more than one
-2^16-point Horner pass holds.
+2^16-point Horner pass holds.  On scan-noisy-n16 a dense signal drawn
+after those six, O(1) values with one entry in 64 set to +-1e16, has
+bucket sums whose bits depend on the order of their additions; the
+sketches of three encodes of it on one fresh system are hashed: the one
+that fills the design tables, the one that builds the fold tables and
+one that reuses them.
 """
 
 from __future__ import annotations
@@ -79,8 +84,8 @@ def by_value(x: np.ndarray) -> bytes:
     return np.where(np.isnan(x), np.nan, np.asarray(x, dtype=np.float64) + 0.0).tobytes()
 
 
-def signals(n: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(4242)
+def signals(n: int, rng=None) -> list[np.ndarray]:
+    rng = np.random.default_rng(4242) if rng is None else rng
     zero = np.zeros(n)
     exact = np.zeros(n)
     exact[rng.choice(n, 8, replace=False)] = rng.choice([-1.0, 1.0], 8) * (1 + rng.random(8))
@@ -97,6 +102,17 @@ def signals(n: int) -> list[np.ndarray]:
     wide = np.zeros(n)
     wide[rng.choice(n, 20_000, replace=False)] = rng.normal(size=20_000)
     return [zero, exact, many, noisy, thousand, wide]
+
+
+def order_sensitive(n: int) -> np.ndarray:
+    """A dense signal drawn after `signals(n)`: O(1) values, one in 64
+    of them replaced by +-1e16."""
+    rng = np.random.default_rng(4242)
+    signals(n, rng)
+    x = rng.normal(size=n)
+    big = rng.choice(n, n // 64, replace=False)
+    x[big] = rng.choice([-1e16, 1e16], big.size)
+    return x
 
 
 def caught(call):
@@ -126,6 +142,14 @@ def design_hashes(sparserec, config: dict, seed: int) -> dict:
                     f"{name}_trace": digest(*traces),
                     f"{name}_warnings": digest(*texts), f"{name}_warning_count": len(texts)})
     return out
+
+
+def fold_hashes(sparserec, config: dict, seed: int) -> dict:
+    """The sketches of three encodes of `order_sensitive` on one fresh
+    system: the table fill, the fold build and the reuse."""
+    system = sparserec.TopLevelSystem(sparserec.TopLevelConfig(**config), seed)
+    x = order_sensitive(config["n"])
+    return {name: digest(*bits([system.encode(x)])) for name in ("fill", "fold", "reuse")}
 
 
 def nan_hashes(sparserec, config: dict, seed: int) -> dict:
@@ -192,6 +216,7 @@ def main(argv: list[str]) -> int:
         raise SystemExit(f"sparserec was imported from {sparserec.__file__}, not {src}")
     out = {name: design_hashes(sparserec, *design) for name, design in DESIGNS.items()}
     out.update({f"nan-{name}": nan_hashes(sparserec, *DESIGNS[name]) for name in NAN_DESIGNS})
+    out["order-sensitive-scan-noisy-n16"] = fold_hashes(sparserec, *DESIGNS["scan-noisy-n16"])
     out.update({f"capped-lw3-s{s}": capped_hashes(sparserec, s) for s in (1, 3)})
     out.update({f"experiment-{engine}-copies{c}": experiment_hash(sparserec, engine, c)
                 for engine in ("scan", "recursive") for c in (1, 3)})
