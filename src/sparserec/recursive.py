@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from sparserec.codes import LWCode, RSCode, check_rs_rho, lw_recover, rs_recover
+from sparserec.codes import LWCode, RSCode, _is_int, check_rs_rho, lw_recover, rs_recover
 from sparserec.errors import InfeasibleError, UsageError
 from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
@@ -95,10 +95,6 @@ class Scheme2Map:
 # ---------------------------------------------------------------------------
 
 
-def _pad_up(bits: int, mult: int) -> int:
-    return ((bits + mult - 1) // mult) * mult if bits else 0
-
-
 @dataclass
 class NodeCode:
     """Code of one internal node, acting on packed (det, rnd) messages.
@@ -154,8 +150,16 @@ class NodeCode:
 
 @dataclass
 class RecursiveParams:
-    """Knobs for every node's weak layer (k, eta, ell, s, buckets), the
-    list-recovery caps and the leaf-domain guard."""
+    """One record of a tree's design: its shape and code (leaf_target,
+    code_kind, arity, rs_b, scheme), every node's weak layer (k, eta, ell,
+    s, buckets), the list-recovery caps and the leaf-domain guard.
+
+    Building it is where a tree's options are checked: UsageError for an
+    integer option that is not an int (a bool is not), ell < 1, cap < 0,
+    buckets_per_node < 0 or in 1..ell-1, leaf_target < 2, an LW lw_errors
+    outside 0..arity-2, s < 1 and what `check_tree_code` refuses.  "split"
+    is read as LW(2).
+    """
 
     k: int
     eta: float = 0.25
@@ -171,6 +175,26 @@ class RecursiveParams:
     # r >= 5
     rho: float = 0.25
     max_leaf_domain: int = 1 << 20
+    leaf_target: int = 256         # A: leaves scan domains of about A values
+    code_kind: str = "lw"          # "lw" | "rs" | "split" (LW(2))
+    arity: int = 2                 # r children per internal node
+    rs_b: int = 2                  # RS message length in field symbols
+    scheme: str = "scheme2"        # "scheme2" | "none" (det-only)
+
+    def __post_init__(self):
+        for name in ("ell", "s", "cap", "buckets_per_node", "lw_errors", "leaf_target",
+                     "arity", "rs_b", "max_leaf_domain"):
+            if not _is_int(getattr(self, name)):
+                raise UsageError(f"tree option {name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
+        if self.ell < 1 or self.s < 1 or self.cap < 0 or self.leaf_target < 2:
+            raise UsageError("tree options need ell >= 1, s >= 1, cap >= 0 and leaf_target >= 2")
+        if self.buckets_per_node < 0 or 0 < self.buckets_per_node < self.ell:
+            raise UsageError("tree option buckets_per_node must be 0 or at least ell")
+        self.code_kind, self.arity = check_tree_code(self.code_kind, self.arity, self.rs_b,
+                                                     self.rho, self.scheme)
+        if self.code_kind == "lw" and not 0 <= self.lw_errors <= self.arity - 2:
+            raise UsageError("tree option lw_errors must lie in 0..arity-2 on an lw tree")
 
     def weak(self) -> WeakParams:
         return WeakParams(k=self.k, eta=self.eta, ell=self.ell, s=self.s)
@@ -252,9 +276,10 @@ def _image_groups(trees) -> list[tuple]:
     if key not in cache:
         groups: dict = {}
         for at, tree in enumerate(trees):
+            p = tree.params
             for node in tree.nodes:
                 if node.children:
-                    groups.setdefault((node.depth, tree.code_kind, tree.arity, tree.rs_b,
+                    groups.setdefault((node.depth, p.code_kind, p.arity, p.rs_b,
                                        node.det_bits, node.rnd_bits), []).append(
                         (at, node.node_id, slice(node.children[0], node.children[-1] + 1)))
         cache[key] = [(trees[members[0][0]].nodes[members[0][1]].code,
@@ -276,8 +301,8 @@ def check_tree_code(code_kind: str, arity: int, rs_b: int, rho: float,
     if code_kind == "lw" and arity < 2:
         raise UsageError("lw code needs arity d >= 2")
     if code_kind == "rs":
-        if arity < rs_b + 1:
-            raise UsageError("rs code needs r > b")
+        if not 0 < rs_b < arity:
+            raise UsageError("rs code needs r > b >= 1")
         check_rs_rho(rho, rs_b, arity)
     if scheme not in ("scheme2", "none"):
         raise UsageError(f"unknown scheme {scheme!r}")
@@ -285,64 +310,46 @@ def check_tree_code(code_kind: str, arity: int, rs_b: int, rho: float,
 
 
 class RecursionTree:
-    """Complete r-ary identification tree over a shuffled signal domain.
+    """Complete r-ary identification tree over a shuffled signal domain,
+    of the shape and code that params record.
 
     Scheme 2 shuffles with Scheme2Map(alpha=SCHEME2_ALPHA, degree=2k + 3),
     k from params; the tree takes no other fingerprint options.
     """
 
-    def __init__(self, n_signal: int, leaf_target: int, code_kind: str,
-                 params: RecursiveParams, seed: int,
-                 arity: int = 2, rs_b: int = 2, scheme: str = "scheme2"):
+    def __init__(self, n_signal: int, params: RecursiveParams, seed: int):
         if n_signal < 2 or n_signal & (n_signal - 1):
             raise UsageError("signal length must be a power of two")
-        code_kind, arity = check_tree_code(code_kind, arity, rs_b, params.rho, scheme)
         self.n_signal = n_signal
         self.signal_bits = n_signal.bit_length() - 1
-        self.code_kind = code_kind
-        self.arity = arity
-        self.rs_b = rs_b
         self.params = params
         self.seed = int(seed)
-        self.scheme = scheme
 
-        if scheme == "scheme2":
+        if params.scheme == "scheme2":
             self.mapper = Scheme2Map(self.signal_bits, SCHEME2_ALPHA,
                                      2 * params.k + 3, self.seed)
             rnd_in = self.mapper.rnd_bits
         else:
             self.mapper, rnd_in = None, 0
-        det_in = self.signal_bits
-
-        root_domain = 1 << (det_in + rnd_in)
-        self.height, self.node_count = tree_shape(root_domain, leaf_target, arity)
-        self.leaf_target = leaf_target
+        self.height, self.node_count = tree_shape(1 << (self.signal_bits + rnd_in),
+                                                  params.leaf_target, params.arity)
         self.nodes: list[_Node] = []
-        self._build(det_in, rnd_in)
+        self._build(self.signal_bits, rnd_in)
 
     # -- construction --
 
-    def _pad_for_code(self, det_in: int, rnd_in: int) -> tuple[int, int]:
-        """Padded (det, rnd) widths of an internal node's domain."""
-        d = self.arity
-        if self.code_kind == "lw":
-            return _pad_up(det_in, d), _pad_up(rnd_in, d)
-        b = self.rs_b
-        min_det = b * max(1, (self.arity - 1).bit_length())
-        det = max(_pad_up(det_in, b), min_det)
-        rnd = _pad_up(rnd_in, b)
-        if rnd and rnd // b > 0 and (1 << (rnd // b)) < self.arity:
-            rnd = b * max(1, (self.arity - 1).bit_length())
-        return det, rnd
-
     def _half_code(self, bits: int):
-        """The tree's code on a 2^bits half-domain (None when bits == 0)."""
+        """The tree's code on a half of `bits` bits (None when bits == 0),
+        its message space padded up to a width the code takes: a multiple
+        of d for LW(d), and for RS(r, b) a multiple of b whose field holds
+        r evaluation points."""
         if not bits:
             return None
-        if self.code_kind == "lw":
-            return LWCode(1 << bits, self.arity)
-        return RSCode(FieldSpec.binary(bits // self.rs_b), b=self.rs_b,
-                      r=self.arity)
+        p = self.params
+        if p.code_kind == "lw":
+            return LWCode(1 << (-(-bits // p.arity) * p.arity), p.arity)
+        return RSCode(FieldSpec.binary(max(-(-bits // p.rs_b), (p.arity - 1).bit_length())),
+                      b=p.rs_b, r=p.arity)
 
     def _build(self, root_det_in: int, root_rnd_in: int):
         pending = [(0, None, root_det_in, root_rnd_in)]
@@ -351,8 +358,9 @@ class RecursionTree:
             node_id = len(self.nodes)
             internal = depth < self.height
             if internal:
-                det_bits, rnd_bits = self._pad_for_code(det_in, rnd_in)
-                code = NodeCode(self._half_code(det_bits), self._half_code(rnd_bits))
+                code = NodeCode(self._half_code(det_in), self._half_code(rnd_in))
+                det_bits, rnd_bits = (0 if half is None else half.n.bit_length() - 1
+                                      for half in (code.det_code, code.rnd_code))
             else:
                 det_bits, rnd_bits, code = det_in, rnd_in, None
                 if 1 << (det_bits + rnd_bits) > self.params.max_leaf_domain:
@@ -374,7 +382,7 @@ class RecursionTree:
             if parent is not None:
                 self.nodes[parent].children.append(node_id)
             if internal:
-                for _ in range(self.arity):
+                for _ in range(self.params.arity):
                     pending.append((depth + 1, node_id,
                                     code.child_det_bits, code.child_rnd_bits))
         assert len(self.nodes) == self.node_count
@@ -429,9 +437,8 @@ class RecursionTree:
                     det, rnd = child.unpack(lists[child_id])
                     ok = (det < (1 << child.det_in)) & (rnd < (1 << child.rnd_in))
                     child_rows.append(np.stack([det[ok], rnd[ok]], axis=1))
-                pairs = node.code.list_recover_pairs(
-                    child_rows, errors=self.params.lw_errors,
-                    rho=self.params.rho if self.code_kind == "rs" else 0.0)
+                pairs = node.code.list_recover_pairs(child_rows, self.params.lw_errors,
+                                                     self.params.rho)
                 cand = distinct(node.pack(pairs[:, 0], pairs[:, 1]))
                 recovered = cand.tolist()
                 cap = self.params.cap or self._default_cap()
@@ -484,7 +491,7 @@ class RecursionTree:
 
     def _default_cap(self) -> int:
         ell_in = 2 * self.params.weak().ident_count
-        if self.code_kind == "rs":
-            return ell_in**self.arity
-        d = self.arity
+        d = self.params.arity
+        if self.params.code_kind == "rs":
+            return ell_in**d
         return math.ceil((d - 1) * ell_in ** (d / (d - 1)))

@@ -19,17 +19,18 @@ dense Gaussian matrices.
 
 from __future__ import annotations
 
-import inspect
 import json
+import math
 from dataclasses import asdict, dataclass, field as dc_field, fields
+from numbers import Real
 
 import numpy as np
 
+from sparserec.codes import _is_int
 from sparserec.errors import UsageError
 from sparserec.expander import apply_sparse_many
 from sparserec.hashing import SignFamily
-from sparserec.recursive import (RecursionTree, RecursiveParams, check_tree_code,
-                                 node_images_many)
+from sparserec.recursive import RecursionTree, RecursiveParams, node_images_many
 from sparserec.seeds import derive_seed
 from sparserec.vectors import distinct, nonzeros
 from sparserec.weak import WeakLayer, WeakParams, lower_median
@@ -72,16 +73,7 @@ class StageSchedule:
 
 
 # Tree options a config may set; each stage supplies the rest.
-_TREE_PARAM_KEYS = ({f.name for f in fields(RecursiveParams)}
-                    - {"k", "eta", "sign_independence"})
-_TREE_KEYS = _TREE_PARAM_KEYS | (set(inspect.signature(RecursionTree).parameters)
-                                  - {"n_signal", "params", "seed"})
-# What a stage's tree takes where the config's options are silent.
-_STAGE_TREE = {"leaf_target": 256, "code_kind": "lw"}
-_TREE_DEFAULTS = {
-    **{name: p.default for name, p in inspect.signature(RecursionTree).parameters.items()
-       if p.default is not p.empty},
-    "rho": RecursiveParams.rho, **_STAGE_TREE}
+_TREE_KEYS = {f.name for f in fields(RecursiveParams)} - {"k", "eta", "sign_independence"}
 
 
 @dataclass
@@ -103,8 +95,19 @@ class TopLevelConfig:
     def __post_init__(self):
         if self.engine not in ("scan", "recursive"):
             raise UsageError(f"unknown stage engine {self.engine!r}")
+        for name in ("n", "k", "ell", "min_buckets", "c_exp", "sign_independence"):
+            if not _is_int(getattr(self, name)):
+                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("epsilon", "alpha", "bucket_factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise UsageError(f"{name} must be a finite real number, got {value!r}")
         if self.n < 2 or self.k < 1 or self.k > self.n:
             raise UsageError("need 2 <= n and 1 <= k <= n")
+        if self.ell < 1 or self.bucket_factor <= 0:
+            raise UsageError("need ell >= 1 and bucket_factor > 0")
+        if not isinstance(self.tree, dict):
+            raise UsageError(f"tree must be a mapping of tree options, got {self.tree!r}")
         if "gamma" in self.tree:
             # older configs and descriptors carry a tree loss fraction no
             # layer read; it is accepted and dropped
@@ -114,9 +117,7 @@ class TopLevelConfig:
             raise UsageError(f"unknown tree options: {unknown}")
         # the tree's own rules, on both engines, so a scan system refuses
         # the tree options a recursive one would
-        tree = {**_TREE_DEFAULTS, **self.tree}
-        check_tree_code(tree["code_kind"], tree["arity"], tree["rs_b"], tree["rho"],
-                        tree["scheme"])
+        RecursiveParams(k=self.k, **{"ell": self.ell, **self.tree})
 
 
 class _Stage:
@@ -135,12 +136,10 @@ class _Stage:
         if config.engine == "scan":
             self.read_ops = [self.layer.operators]
         else:
-            opts = {**_STAGE_TREE, "ell": config.ell, "s": spec.copies, **config.tree}
             tree_params = RecursiveParams(
                 k=spec.k, eta=spec.precision, sign_independence=config.sign_independence,
-                **{key: opts.pop(key) for key in _TREE_PARAM_KEYS & opts.keys()})
-            self.tree = RecursionTree(n_signal=config.n, params=tree_params,
-                                      seed=derive_seed(seed, "tree"), **opts)
+                **{"ell": config.ell, "s": spec.copies, **config.tree})
+            self.tree = RecursionTree(config.n, tree_params, derive_seed(seed, "tree"))
             self.read_ops = ([node.layer.ident_ops for node in self.tree.nodes]
                              + [[self.layer.est_op]])
         self.ops = [op for group in self.read_ops for op in group]  # in sketch order

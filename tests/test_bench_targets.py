@@ -36,8 +36,8 @@ def test_every_trace_target_resolves():
 
 
 def test_tree_identify_counter_reads_identify_result():
-    tree = RecursionTree(n_signal=1 << 10, leaf_target=64, code_kind="rs",
-                         params=RecursiveParams(k=4, rho=0.2), seed=5, arity=4)
+    params = RecursiveParams(k=4, rho=0.2, leaf_target=64, code_kind="rs", arity=4)
+    tree = RecursionTree(1 << 10, params, seed=5)
     x = np.zeros(1 << 10)
     x[[3, 200, 511, 1000]] = [1.0, -2.0, 1.5, 3.0]
     sketches = tree.encode(x)

@@ -384,6 +384,24 @@ def test_cli_experiment_refuses_bad_seed_copies_and_thresholds(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("system,key", [
+    (dict(ell=2.5), "ell"), (dict(tree=dict(cap=-5)), "cap"),
+    (dict(bucket_factor=float("nan")), "bucket_factor"),
+])
+def test_cli_experiment_refuses_bad_system_values(tmp_path, capsys, system, key):
+    # on the recursive engine, cap -5 decoded nothing and ell 2.5 failed with
+    # a TypeError at the first encode
+    cfg = _base_config(trials=1)
+    cfg["system"].update(engine="recursive", **system)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and key in err
+    assert not out.exists()
+
+
 def test_cli_experiment_refuses_a_negative_seed_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(trials=1)))

@@ -40,20 +40,30 @@ def test_shape_formula_examples():
 
 
 def test_depth_one_domains_match_compression():
-    tree = RecursionTree(n_signal=2**24, leaf_target=2**8, code_kind="lw",
-                         params=_params(max_leaf_domain=1 << 16), seed=1,
-                         arity=3, scheme="none")
+    tree = RecursionTree(2**24, _params(max_leaf_domain=1 << 16, leaf_target=2**8,
+                                        arity=3, scheme="none"), seed=1)
     assert tree.height == 1 and tree.node_count == 4
     for child_id in tree.nodes[0].children:
         node = tree.nodes[child_id]
         assert node.det_bits + node.rnd_bits == 16  # (2^24)^(2/3)
 
 
+def test_rs_halves_pad_to_a_field_holding_r_points():
+    # RS(6, 3): a 4-bit half pads to a multiple of b = 3, and further to
+    # 9 bits so that its field GF(2^3) holds the 6 evaluation points
+    tree = RecursionTree(2**12, _params(leaf_target=4, code_kind="rs", arity=6, rs_b=3,
+                                        rho=0.0), seed=1)
+    assert (tree.height, tree.node_count) == (2, 43)
+    widths = [(v.depth, v.det_in, v.rnd_in, v.det_bits, v.rnd_bits) for v in tree.nodes]
+    assert widths[0] == (0, 12, 12, 12, 12)
+    assert set(widths[1:7]) == {(1, 4, 4, 9, 9)}
+    assert set(widths[7:]) == {(2, 3, 3, 3, 3)}
+
+
 # --- single node equivalence ---
 
 def test_single_node_tree_equals_weak_identify():
-    tree = RecursionTree(n_signal=256, leaf_target=512, code_kind="lw",
-                         params=_params(), seed=3, arity=3, scheme="none")
+    tree = RecursionTree(256, _params(leaf_target=512, arity=3, scheme="none"), seed=3)
     assert tree.node_count == 1
     rng = np.random.default_rng(0)
     x = np.zeros(256)
@@ -87,15 +97,13 @@ def _phi(tree, node_id, root_values):
 
 
 def test_phi_root_is_identity():
-    tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
-                         params=_params(), seed=5, arity=3, scheme="scheme2")
+    tree = RecursionTree(4096, _params(leaf_target=128, arity=3), seed=5)
     vals = np.array([0, 17, 4095], dtype=np.int64)
     assert np.array_equal(_phi(tree, 0, vals), vals)
 
 
 def test_phi_consistent_with_stepwise_encoding():
-    tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
-                         params=_params(), seed=7, arity=3, scheme="scheme2")
+    tree = RecursionTree(4096, _params(leaf_target=128, arity=3), seed=7)
     rng = np.random.default_rng(1)
     root_vals = rng.integers(0, tree.nodes[0].domain, size=1000)
     for v in tree.nodes:
@@ -109,8 +117,7 @@ def test_phi_consistent_with_stepwise_encoding():
 
 
 def test_phi_unknown_node_errors():
-    tree = RecursionTree(n_signal=256, leaf_target=512, code_kind="lw",
-                         params=_params(), seed=2, arity=3, scheme="none")
+    tree = RecursionTree(256, _params(leaf_target=512, arity=3, scheme="none"), seed=2)
     with pytest.raises(UsageError):
         _phi(tree, 99, np.array([0]))
 
@@ -118,8 +125,8 @@ def test_phi_unknown_node_errors():
 def test_split_phi_takes_bit_halves():
     # split is LW(2): child u gets the digits without digit u, so child 0
     # carries the low half of the bits and child 1 the high half
-    tree = RecursionTree(n_signal=2**10, leaf_target=2**5, code_kind="split",
-                         params=_params(), seed=4, scheme="none")
+    tree = RecursionTree(2**10, _params(leaf_target=2**5, code_kind="split", scheme="none"),
+                         seed=4)
     assert tree.height >= 1
     vals = np.arange(0, 2**10, 37, dtype=np.int64)
     lo = _phi(tree, tree.nodes[0].children[0], vals)
@@ -129,14 +136,14 @@ def test_split_phi_takes_bit_halves():
 
 
 def test_split_is_an_alias_of_lw2():
-    trees = [RecursionTree(n_signal=2**12, leaf_target=2**6, params=_params(),
-                           seed=8, **kind)
+    trees = [RecursionTree(2**12, _params(leaf_target=2**6, **kind), seed=8)
              for kind in (dict(code_kind="split"), dict(code_kind="lw", arity=2))]
     split, lw = trees
-    for name in ("n_signal", "seed", "code_kind", "arity", "rs_b", "scheme", "leaf_target",
-                 "params"):
+    for name in ("n_signal", "seed", "params"):
         assert getattr(split, name) == getattr(lw, name)
-    assert (split.code_kind, split.arity) == ("lw", 2)
+    for name in ("code_kind", "arity", "rs_b", "scheme", "leaf_target"):
+        assert getattr(split.params, name) == getattr(lw.params, name)
+    assert (split.params.code_kind, split.params.arity) == ("lw", 2)
     assert ([(v.det_bits, v.rnd_bits) for v in split.nodes]
             == [(v.det_bits, v.rnd_bits) for v in lw.nodes])
     assert split.measurement_count == lw.measurement_count
@@ -154,8 +161,7 @@ def test_split_is_an_alias_of_lw2():
 
 
 def test_node_images_matches_phi():
-    tree = RecursionTree(n_signal=1024, leaf_target=64, code_kind="lw",
-                         params=_params(), seed=9, arity=3, scheme="scheme2")
+    tree = RecursionTree(1024, _params(leaf_target=64, arity=3), seed=9)
     idx = np.array([5, 99, 1000], dtype=np.int64)
     det, rnd = idx, tree.mapper.fingerprint(idx)
     root_vals = tree.nodes[0].pack(det, rnd)
@@ -185,17 +191,18 @@ _NODE_CASES = {
 @pytest.mark.parametrize("case", sorted(_NODE_CASES))
 def test_node_list_recovery_matches_oracle(case):
     opts = dict(_NODE_CASES[case])
-    params = _params(lw_errors=opts.pop("lw_errors", 0), rho=opts.pop("rho", 0.25))
-    tree = RecursionTree(leaf_target=2**6, params=params, seed=41, **opts)
+    n_signal = opts.pop("n_signal")
+    params = _params(leaf_target=2**6, **opts)
+    tree = RecursionTree(n_signal, params, seed=41)
     root = tree.nodes[0]
     assert root.children and root.domain <= 2**12
-    assert (root.rnd_bits > 0) == (tree.scheme == "scheme2")
+    assert (root.rnd_bits > 0) == (tree.params.scheme == "scheme2")
     code, r = root.code, len(root.children)
-    rs = tree.code_kind == "rs"
+    rs = tree.params.code_kind == "rs"
     if rs:
         need = r - math.floor(params.rho * r)
     else:
-        need = r - (params.lw_errors if tree.code_kind == "lw" else 0)
+        need = r - (params.lw_errors if tree.params.code_kind == "lw" else 0)
     det_all, rnd_all = root.unpack(np.arange(root.domain, dtype=np.int64))
     width = code.child_rnd_bits
     packed = [(cd << width) | cr for cd, cr in
@@ -233,13 +240,11 @@ def test_node_list_recovery_matches_oracle(case):
 # --- identification ---
 
 def test_recursive_identification_recovers_planted_supports():
-    params = _params()
+    params = _params(leaf_target=128, arity=3)
     hits = 0
     trials = 40
     for t in range(trials):
-        tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
-                             params=params, seed=2000 + t, arity=3,
-                             scheme="scheme2")
+        tree = RecursionTree(4096, params, seed=2000 + t)
         rng = np.random.default_rng(t)
         supp = rng.choice(4096, size=4, replace=False)
         x = np.zeros(4096)
@@ -250,23 +255,21 @@ def test_recursive_identification_recovers_planted_supports():
 
 
 def test_identification_deterministic():
-    params = _params()
+    params = _params(leaf_target=128, arity=3)
     rng = np.random.default_rng(3)
     x = np.zeros(4096)
     x[rng.choice(4096, size=4, replace=False)] = 2.0
     runs = []
     for _ in range(2):
-        tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
-                             params=params, seed=77, arity=3, scheme="scheme2")
+        tree = RecursionTree(4096, params, seed=77)
         found, _ = tree.identify(tree.encode(x))
         runs.append(found)
     assert np.array_equal(runs[0], runs[1])
 
 
 def test_root_output_size_within_cap():
-    params = _params()
-    tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
-                         params=params, seed=13, arity=3, scheme="scheme2")
+    params = _params(leaf_target=128, arity=3)
+    tree = RecursionTree(4096, params, seed=13)
     rng = np.random.default_rng(8)
     x = rng.normal(size=4096)  # dense worst case
     found, _ = tree.identify(tree.encode(x))
@@ -275,12 +278,10 @@ def test_root_output_size_within_cap():
 
 def test_loss_accounting_covers_all_misses():
     # starve the nodes (tiny bucket arrays) so losses actually occur
-    params = _params(buckets_per_node=48)
+    params = _params(buckets_per_node=48, leaf_target=128, arity=3)
     lost_total = 0
     for t in range(10):
-        tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
-                             params=params, seed=3000 + t, arity=3,
-                             scheme="scheme2")
+        tree = RecursionTree(4096, params, seed=3000 + t)
         rng = np.random.default_rng(t)
         supp = rng.choice(4096, size=8, replace=False)
         x = np.zeros(4096)
@@ -310,9 +311,8 @@ def _assert_losses_explained(tree, found, info, supp) -> int:
 
 def test_truncation_warns_and_counts():
     # layers sized to find all 16 heads, but the recovery cap is tiny
-    params = _params(k=16, cap=8)
-    tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
-                         params=params, seed=17, arity=3, scheme="scheme2")
+    params = _params(k=16, cap=8, leaf_target=128, arity=3)
+    tree = RecursionTree(4096, params, seed=17)
     rng = np.random.default_rng(9)
     supp = rng.choice(4096, size=16, replace=False)
     x = np.zeros(4096)
@@ -404,8 +404,7 @@ def test_one_step_combine_loss_fraction_bounded():
 # --- structure and validation ---
 
 def test_randomness_share_preserved_per_level():
-    tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw",
-                         params=_params(), seed=31, arity=3, scheme="scheme2")
+    tree = RecursionTree(4096, _params(leaf_target=128, arity=3), seed=31)
     for v in tree.nodes:
         if v.children:
             for child_id in v.children:
@@ -417,35 +416,28 @@ def test_randomness_share_preserved_per_level():
 
 def test_build_validation_errors():
     with pytest.raises(UsageError):
-        RecursionTree(n_signal=1000, leaf_target=64, code_kind="lw",
-                      params=_params(), seed=1, arity=3)
+        RecursionTree(1000, _params(leaf_target=64, arity=3), seed=1)
     with pytest.raises(UsageError):
-        RecursionTree(n_signal=1024, leaf_target=64, code_kind="rs",
-                      params=_params(), seed=1, arity=2, rs_b=2)
+        RecursionTree(1024, _params(leaf_target=64, code_kind="rs", arity=2, rs_b=2), seed=1)
     with pytest.raises(UsageError):
-        RecursionTree(n_signal=1024, leaf_target=64, code_kind="nope",
-                      params=_params(), seed=1)
+        RecursionTree(1024, _params(leaf_target=64, code_kind="nope"), seed=1)
     with pytest.raises(UsageError, match="r > b"):
-        RecursionTree(n_signal=1024, leaf_target=64, code_kind="rs",
-                      params=_params(), seed=1)
+        RecursionTree(1024, _params(leaf_target=64, code_kind="rs"), seed=1)
     for scheme in ("wat", "scheme1"):
         with pytest.raises(UsageError, match=scheme):
-            RecursionTree(n_signal=1024, leaf_target=64, code_kind="lw",
-                          params=_params(), seed=1, arity=3, scheme=scheme)
+            RecursionTree(1024, _params(leaf_target=64, arity=3, scheme=scheme), seed=1)
 
 
 def test_leaf_domain_guard():
     from sparserec.errors import InfeasibleError
 
     with pytest.raises(InfeasibleError):
-        RecursionTree(n_signal=2**20, leaf_target=2**19, code_kind="split",
-                      params=_params(max_leaf_domain=1 << 9), seed=1,
-                      scheme="none")
+        RecursionTree(2**20, _params(max_leaf_domain=1 << 9, leaf_target=2**19,
+                                     code_kind="split", scheme="none"), seed=1)
 
 
 def test_measurement_count_is_sum_over_nodes():
-    tree = RecursionTree(n_signal=1024, leaf_target=64, code_kind="lw",
-                         params=_params(s=2), seed=60, arity=3, scheme="scheme2")
+    tree = RecursionTree(1024, _params(s=2, leaf_target=64, arity=3), seed=60)
     # a node sketches only its s = 2 identification copies
     expect = sum(2 * v.layer.n_buckets for v in tree.nodes)
     assert tree.measurement_count == expect
@@ -457,8 +449,7 @@ def test_measurement_count_is_sum_over_nodes():
 def test_rs_tree_refuses_a_negative_rho():
     for rho in (-0.5, -1e-9):
         with pytest.raises(UsageError, match="unique-decoding regime"):
-            RecursionTree(n_signal=2**10, leaf_target=64, code_kind="rs",
-                          params=_params(rho=rho), seed=5, arity=4, rs_b=2)
+            RecursionTree(2**10, _params(rho=rho, leaf_target=64, code_kind="rs", arity=4,
+                                         rs_b=2), seed=5)
     # an lw tree reads no rho
-    RecursionTree(n_signal=2**10, leaf_target=64, code_kind="lw",
-                  params=_params(rho=-0.5), seed=5, arity=3)
+    RecursionTree(2**10, _params(rho=-0.5, leaf_target=64, arity=3), seed=5)

@@ -154,7 +154,7 @@ def test_exact_sparse_recursive_recovery():
 def test_default_recursive_system_recovers_exact_sparse():
     # no tree options: an LW(2) tree, the split tree
     system = build_toplevel(4096, 4, 0.5, seed=1, engine="recursive")
-    assert all(stage.tree.arity == 2 for stage in system.stages)
+    assert all(stage.tree.params.arity == 2 for stage in system.stages)
     rng = np.random.default_rng(3)
     x = np.zeros(4096)
     x[rng.choice(4096, 4, replace=False)] = rng.choice([-1.0, 1.0], 4) * (1 + rng.random(4))
@@ -400,6 +400,57 @@ def test_bad_tree_option_values_are_refused_on_both_engines(engine, tree, match)
         blob["config"]["tree"] = tree
         with pytest.raises(UsageError, match=match):
             TopLevelSystem.from_json(json.dumps(blob))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("engine", ["scan", "recursive"])
+@pytest.mark.parametrize("fields,match", [
+    # tree options, checked where RecursiveParams is built
+    (dict(tree=dict(ell=2.5)), "ell"),
+    (dict(tree=dict(s="2")), "s must"),
+    (dict(tree=dict(cap=8.0)), "cap"),
+    (dict(tree=dict(buckets_per_node=True)), "buckets_per_node"),
+    (dict(tree=dict(lw_errors=None)), "lw_errors"),
+    (dict(tree=dict(leaf_target="x")), "leaf_target"),
+    (dict(tree=dict(arity=3.0)), "arity"),
+    (dict(tree=dict(code_kind="rs", arity=4, rs_b=2.0, rho=0.2)), "rs_b"),
+    (dict(tree=dict(max_leaf_domain=1e6)), "max_leaf_domain"),
+    (dict(tree=dict(cap=-5)), "cap >= 0"),
+    (dict(tree=dict(ell=0, s=0, cap=-5)), "ell >= 1"),
+    (dict(tree=dict(s=0)), "s >= 1"),
+    (dict(tree=dict(leaf_target=1)), "leaf_target >= 2"),
+    (dict(tree=dict(buckets_per_node=-1)), "buckets_per_node"),
+    (dict(tree=dict(ell=8, buckets_per_node=7)), "buckets_per_node"),
+    (dict(ell=8, tree=dict(buckets_per_node=1)), "buckets_per_node"),
+    (dict(tree=dict(code_kind="lw", arity=3, lw_errors=5)), "lw_errors"),
+    (dict(tree=dict(code_kind="lw", arity=3, lw_errors=-1)), "lw_errors"),
+    (dict(tree=dict(code_kind="split", lw_errors=1)), "lw_errors"),
+    (dict(tree=dict(code_kind="rs", arity=4, rs_b=0, rho=0.2)), "r > b >= 1"),
+    # the config's own fields
+    (dict(n=1024.0), "n must"),
+    (dict(n=True), "n must"),
+    (dict(k=2.5), "k must"),
+    (dict(ell=2.5), "ell must"),
+    (dict(ell=0), "ell >= 1"),
+    (dict(min_buckets=64.0), "min_buckets"),
+    (dict(c_exp=True), "c_exp"),
+    (dict(sign_independence="16"), "sign_independence"),
+    (dict(epsilon=_NAN), "epsilon"),
+    (dict(epsilon="0.5"), "epsilon"),
+    (dict(alpha=_INF), "alpha"),
+    (dict(alpha=False), "alpha"),
+    (dict(bucket_factor=_NAN), "bucket_factor"),
+    (dict(bucket_factor=0.0), "bucket_factor > 0"),
+    (dict(bucket_factor=-8.0), "bucket_factor > 0"),
+    (dict(tree=5), "tree must"),
+    (dict(tree=["ell"]), "tree must"),
+], ids=lambda value: repr(value) if isinstance(value, dict) else None)
+def test_bad_config_values_are_refused_when_the_config_is_built(engine, fields, match):
+    config = dict(dict(n=1024, k=4, ell=7), **fields)
+    with pytest.raises(UsageError, match=match):
+        TopLevelConfig(**config, engine=engine)
 
 
 def test_negative_rho_is_refused_and_a_valid_one_recovers():

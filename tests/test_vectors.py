@@ -62,8 +62,8 @@ _DENSE_ENTRY_POINTS = {
     "operator": lambda: SignedSketchOperator.build(256, 5, 64, seed=3, sign_independence=8).apply,
     "weak-layer": lambda: WeakLayer(WeakParams(k=2, eta=0.5, ell=5), domain=256,
                                     n_buckets=64, seed=3).encode,
-    "tree": lambda: RecursionTree(n_signal=256, leaf_target=64, code_kind="split",
-                                  params=RecursiveParams(k=2), seed=3).encode,
+    "tree": lambda: RecursionTree(256, RecursiveParams(k=2, leaf_target=64, code_kind="split"),
+                                  seed=3).encode,
     "system": lambda: TopLevelSystem(TopLevelConfig(n=256, k=2), seed=3).encode,
 }
 

@@ -1,12 +1,14 @@
 """Output-identity check: hash what a checkout's library outputs.
 
 Usage: python3 tools/output_hashes.py CHECKOUT
+       python3 tools/output_hashes.py PARENT CHANGE
 
-Imports ``CHECKOUT/src/sparserec`` (never an installed copy) and prints one
-JSON object of sha256 prefixes (16 hex digits) of its outputs on a fixed
-set of designs and signals.  Run it on two checkouts and compare the
-objects: a refactor that keeps every output bit for bit prints the same
-object on both.
+With one checkout, imports ``CHECKOUT/src/sparserec`` (never an installed
+copy) and prints one JSON object of sha256 prefixes (16 hex digits) of its
+outputs on a fixed set of designs and signals.  With two, hashes each in
+its own interpreter, prints the keys whose values differ (or that only one
+side has), and exits 1 on any difference: a refactor that keeps every
+output bit for bit prints none and exits 0.
 
 Per design, five signals (zero, exact 8-sparse, 300-sparse, dense noisy
 and 1,000-sparse; rng 4242) are encoded and decoded twice on one system, cold then
@@ -14,9 +16,13 @@ warm.  Each pass hashes the sketches (int64 views), the estimates (int64
 views), ``repr`` of the decode trace and the truncation warnings.  The
 designs are the two gated benchmark workloads (``bench/workloads.py``),
 split 2^16, LW(3) 2^12 with scheme2 and with no scheme, and split 2^16
-and RS 2^14 with default tree copies (s = 2).  Beside them: a LW(3) 2^12
-tree with list-recovery cap 8 at s = 1 and s = 3 (sketches, identify
-output and info, truncation warnings), the experiment CSV on both engines
+and RS 2^14 with default tree copies (s = 2), and RS(6, 3) 2^12 with leaf
+target 4 and rho 0: 43 nodes per stage tree, whose depth-1 halves of 4 bits
+pad to 9, the only design here that hits the RS minimum width (a field
+holding r points).  Beside them: a LW(3) 2^12 tree with list-recovery cap
+8 at s = 1 and s = 3 (sketches, identify output and info, truncation
+warnings; built under the tree constructor of either checkout, options as
+keywords or in ``RecursiveParams``), the experiment CSV on both engines
 with 1 and 3 system copies, and decodes of sketches holding NaNs, hashed
 by value (every NaN one NaN, -0.0 as +0.0), or the refusal's text where
 the decode refuses them.  The 1,000-sparse signal gives a sparse encode
@@ -36,8 +42,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +69,9 @@ DESIGNS = {  # name -> (config keywords, system seed)
     "default-copies-rs-n14": (dict(COMMON, n=1 << 14, engine="recursive",
                                    tree={k: v for k, v in RS_TREE.items() if k != "s"}),
                               SYSTEM_SEED),
+    "rs63-n12-minimum-width": (dict(COMMON, n=1 << 12, engine="recursive",
+                                    tree=dict(RS_TREE, arity=6, rs_b=3, rho=0.0, leaf_target=4)),
+                               SYSTEM_SEED),
 }
 NAN_DESIGNS = ("tree-rs-n14", "scan-noisy-n16", "split-n16")
 
@@ -178,9 +189,12 @@ def nan_hashes(sparserec, config: dict, seed: int) -> dict:
 def capped_hashes(sparserec, copies: int) -> dict:
     from sparserec.recursive import RecursionTree, RecursiveParams
 
-    params = RecursiveParams(k=16, eta=0.25, ell=8, s=copies, cap=8)
-    tree = RecursionTree(n_signal=4096, leaf_target=128, code_kind="lw", params=params,
-                         seed=17, arity=3, scheme="scheme2")
+    shape = dict(leaf_target=128, code_kind="lw", arity=3, scheme="scheme2")
+    params = dict(k=16, eta=0.25, ell=8, s=copies, cap=8)
+    if "leaf_target" in {f.name for f in fields(RecursiveParams)}:
+        tree = RecursionTree(4096, RecursiveParams(**params, **shape), 17)
+    else:  # the shape and code as tree keywords
+        tree = RecursionTree(n_signal=4096, params=RecursiveParams(**params), seed=17, **shape)
     rng = np.random.default_rng(9)
     x = np.zeros(4096)
     x[rng.choice(4096, size=16, replace=False)] = 5.0
@@ -204,7 +218,31 @@ def experiment_hash(sparserec, engine: str, copies: int) -> str:
     return digest(records_to_csv(records).encode())
 
 
+def compare(parent: str, change: str) -> int:
+    """Hash both checkouts, each in a fresh interpreter; print the keys
+    that differ and return 1 if any does."""
+    flat = []
+    for checkout in (parent, change):
+        side = json.loads(subprocess.run([sys.executable, __file__, checkout], check=True,
+                                         capture_output=True, text=True).stdout)
+        out = {}
+        for name, value in side.items():
+            if isinstance(value, dict):
+                out.update({f"{name}.{key}": item for key, item in value.items()})
+            else:
+                out[name] = value
+        flat.append(out)
+    keys = flat[0].keys() | flat[1].keys()
+    differ = sorted(key for key in keys if flat[0].get(key) != flat[1].get(key))
+    for key in differ:
+        print(f"{key}: {flat[0].get(key)} -> {flat[1].get(key)}")
+    print(f"{len(differ)} of {len(keys)} keys differ")
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3:
+        return compare(argv[1], argv[2])
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
