@@ -27,7 +27,11 @@ to the largest bucket load L: about 4 bytes per edge (21.5 MiB over the
 9 operators of a scan design at N = 2^16, ell = 9).  A dense encode
 builds it, in the calling thread, for each of its jobs whose operator
 held both tables before the call; the call that fills the tables builds
-none, so a one-shot encode pays nothing.  Rows outside [0, N) raise
+none, so a one-shot encode pays nothing, and a refused table (uneven
+loads) is remembered, so no later encode tries again.  A decode builds
+none, but a full-domain identification read on an operator holding one
+counts each row's edges into its heaviest buckets from it (`edges_into`)
+and ranks only the rows that can reach the top.  Rows outside [0, N) raise
 UsageError.  Readings and sketches are new arrays, and
 `BipartiteGraph.neighbors_of` returns a copy.
 
@@ -229,7 +233,8 @@ class SignedSketchOperator:
         self.graph = graph
         self.signs = signs
         self._sign_table = None  # int8 (n_left, ell), filled on demand
-        self._fold_table = None  # int32 (largest bucket load, n_buckets), see `_fold_table`
+        # int32 (largest bucket load, n_buckets), see `_fold_table`; False once refused
+        self._fold_table = None
 
     @property
     def n_left(self) -> int:
@@ -245,6 +250,11 @@ class SignedSketchOperator:
         graph = BipartiteGraph(n_left, ell, n_buckets, seed)
         fam = SignFamily(seed=seed, independence=sign_independence, n_left=n_left, ell=ell)
         return SignedSketchOperator(graph, fam)
+
+    @property
+    def folded(self) -> bool:
+        """Whether the operator holds a fold table (`_fold_table`)."""
+        return isinstance(self._fold_table, np.ndarray)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.apply_sparse(*nonzeros(x, self.graph.n_left))
@@ -341,12 +351,13 @@ def fill_tables(ops) -> None:
             op._sign_table.flags.writeable = False
 
 
-def _fold_table(op: "SignedSketchOperator") -> np.ndarray | None:
+def _fold_table(op: "SignedSketchOperator") -> np.ndarray | bool:
     """The read-only int32 (L, M) fold table of an operator holding both
     tables, L its largest bucket load: column j lists bucket j's edges in
     (row, slot) order as signed vertex ids, i for sign +1 and N + i for
-    -1, then 2N (padding) up to L.  None where L * M exceeds 2 * N * ell,
-    so that it never takes more memory than the neighbor table: only
+    -1, then 2N (padding) up to L.  False (the refusal, kept so that no
+    later encode tries again) where L * M exceeds 2 * N * ell, so that it
+    never takes more memory than the neighbor table: only
     uneven bucket loads (an explicit graph's, or a graph's with a few
     edges per bucket) make that.  Built one `row_blocks` block at a
     time: a stable sort of the block's bucket ids (uint16 keys, a radix
@@ -356,7 +367,7 @@ def _fold_table(op: "SignedSketchOperator") -> np.ndarray | None:
     n_left, n_buckets = op.n_left, op.n_buckets
     loads = np.bincount(table.ravel(), minlength=n_buckets)
     if loads.max() * n_buckets > 2 * table.size:
-        return None
+        return False
     fold = np.full((loads.max(), n_buckets), 2 * n_left, dtype=np.int32)
     filled = np.zeros(n_buckets, dtype=np.int64)  # edges placed per bucket
     key = np.uint16 if n_buckets <= 1 << 16 else np.int64
@@ -372,6 +383,18 @@ def _fold_table(op: "SignedSketchOperator") -> np.ndarray | None:
         filled += count
     fold.flags.writeable = False
     return fold
+
+
+def edges_into(op: "SignedSketchOperator", buckets: np.ndarray) -> np.ndarray:
+    """Per row of an operator holding a fold table, how many of its edges
+    land in the given distinct buckets (a row with two slots on one of
+    them counts two): one np.take of the table's columns and one bincount
+    of their signed vertex ids, whose two halves (signs +1 and -1) are
+    added; the padding 2N falls in the last bin."""
+    n_left = op.n_left
+    counts = np.bincount(np.take(op._fold_table, buckets, axis=1).ravel(),
+                         minlength=2 * n_left + 1)
+    return counts[:n_left] + counts[n_left:2 * n_left]
 
 
 def _bucket_ids(seed, ell, n_buckets, vertices: np.ndarray, slots) -> np.ndarray:
@@ -460,7 +483,7 @@ def apply_sparse_many(ops, rows, values) -> list[np.ndarray]:
     for t in folds:
         if ops[t]._fold_table is None:
             ops[t]._fold_table = _fold_table(ops[t])
-    folds = [t for t in folds if ops[t]._fold_table is not None]
+    folds = [t for t in folds if ops[t].folded]
     signed = (dict.fromkeys(folds, np.concatenate((values, values * -1.0, [0.0])))
               if folds else {})
     tabled = [t for t in alone if ops[t]._sign_table is not None]

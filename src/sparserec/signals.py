@@ -6,10 +6,13 @@ knows its exact best-k-term baseline without re-deriving it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
+from sparserec.codes import _is_int
 from sparserec.errors import UsageError
 from sparserec.seeds import rng_for
 
@@ -32,6 +35,13 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "k", "tail_count", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("tail_sigma", "tail_mass", "tail_level"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise UsageError(f"{name} must be a finite real number, got {value!r}")
         if self.k < 0 or self.k > self.n:
             raise UsageError("need 0 <= k <= n")
         if self.support_model not in SUPPORT_MODELS:

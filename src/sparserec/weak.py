@@ -23,6 +23,16 @@ side keeps one, so NaN ranks above every number, as in np.partition.
 Both return one of their inputs, so every non-NaN median is the element
 np.partition would pick, bit for bit.
 
+A full-domain identification read (candidates 0..N-1) on an operator
+holding a fold table, after a dense encode has built one, ranks only the
+rows that can reach the top (`_heads`): the medians of the first
+`row_blocks` block set a cut t, and a later row is read only if at least
+ceil(ell/2) of its edges land in buckets with |u_j| > t, which every row
+with |median| > t has; the bucket-to-row count reads the fold table
+(`expander.edges_into`).  Its result is the full read's, bit for bit; at
+N = 2^16, ell = 9 it ranks 5,500 to 9,400 of the 65,536 rows on noisy
+signals.
+
 Candidate sets are index arrays.  Every caller in the package passes them
 sorted and distinct (an `arange` scan, list-recovery output, a majority
 vote or a scheme inversion), which is checked in O(n); other input is
@@ -39,8 +49,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from sparserec.errors import UsageError
-from sparserec.expander import (SignedSketchOperator, apply_sparse_many, edge_blocks,
-                                fill_tables)
+from sparserec.expander import (SignedSketchOperator, _all_rows, apply_sparse_many,
+                                edge_blocks, edges_into, fill_tables, row_blocks)
 from sparserec.seeds import derive_seed
 from sparserec.vectors import distinct, head_indices, nonzeros
 
@@ -132,19 +142,17 @@ def _median_network(ell: int) -> tuple[tuple, int]:
 
 def median_estimates(op: SignedSketchOperator, sketch: np.ndarray,
                      indices: np.ndarray) -> np.ndarray:
-    return _median_readings([(op, sketch, indices)])[0]
+    return _median_readings(op, sketch, indices)
 
 
-def _median_readings(requests) -> list[np.ndarray]:
-    """`lower_median(op.readings(sketch, rows))` of each (op, sketch, rows)
-    request, one `edge_blocks` block at a time."""
-    out = []
-    for op, sketch, rows in requests:
-        medians = np.empty(len(rows))
-        for block, nbrs, signs in edge_blocks(op, rows):
-            medians[block] = _medians(signs * sketch[nbrs])
-        out.append(medians)
-    return out
+def _median_readings(op: SignedSketchOperator, sketch: np.ndarray,
+                     rows: np.ndarray) -> np.ndarray:
+    """`lower_median(op.readings(sketch, rows))`, one `edge_blocks` block
+    at a time."""
+    medians = np.empty(len(rows))
+    for block, nbrs, signs in edge_blocks(op, rows):
+        medians[block] = _medians(signs * sketch[nbrs])
+    return medians
 
 
 def _candidate_set(candidates) -> np.ndarray:
@@ -163,14 +171,45 @@ def weak_identify(op: SignedSketchOperator, sketch: np.ndarray,
 
 def _identify(params: WeakParams, copies, candidates) -> np.ndarray:
     """The candidates in more than half of the (op, sketch) copies' top
-    k + ceil(k/eta) median estimates; one `_median_readings` call reads
-    every copy, after `fill_tables` of the copies' operators."""
+    k + ceil(k/eta) median estimates (`_heads`), after `fill_tables` of
+    the copies' operators."""
     cand = _candidate_set(candidates)
     if cand.size == 0:
         return cand
     fill_tables([op for op, _ in copies])
-    medians = _median_readings([(op, u, cand) for op, u in copies])
-    return majority_amplify([cand[head_indices(m, params.ident_count)] for m in medians])
+    return majority_amplify([_heads(op, u, cand, params.ident_count) for op, u in copies])
+
+
+def _heads(op: SignedSketchOperator, sketch: np.ndarray, cand: np.ndarray,
+           count: int) -> np.ndarray:
+    """`cand[head_indices(medians, count)]` of the cand rows' median
+    estimates (`_median_readings`).
+
+    Only the rows that can reach the top are ranked where cand is the
+    rows 0..N-1 of an operator holding a fold table, the sketch is finite
+    (a NaN median has no place in the order below) and N exceeds one
+    `row_blocks` block of at least count rows.  That block, the sample,
+    is read in full, and t is the count-th largest |median| in it.  Those
+    count rows rank above every later row whose |median| is at most t (a
+    tie breaks toward the smaller index), so only later rows with
+    |median| > t can reach the top.  The lower median is order statistic
+    q = ceil(ell/2) of ell readings, so a median > t needs ell - q + 1 >= q
+    readings > t and one < -t needs q readings < -t: such a row has at
+    least q edges into the buckets with |u_j| > t (`edges_into`).  The
+    sample and those rows, ranked together in index order, give the top
+    of all N rows; where fewer than count medians are nonzero, the zero
+    fill comes from the sample."""
+    n_left, ell = op.n_left, op.graph.ell
+    if not (op.folded and _all_rows(cand, n_left) and np.shape(sketch) == (op.n_buckets,)
+            and np.isfinite(sketch).all()
+            and count <= (sample := row_blocks(n_left, ell)[0].stop) < n_left):
+        return cand[head_indices(_median_readings(op, sketch, cand), count)]
+    head = _median_readings(op, sketch, cand[:sample])
+    cut = np.partition(np.abs(head), sample - count)[sample - count]
+    heavy = np.flatnonzero(np.abs(sketch) > cut)
+    rest = sample + np.flatnonzero(edges_into(op, heavy)[sample:] >= (ell + 1) // 2)
+    medians = np.concatenate((head, _median_readings(op, sketch, rest)))
+    return np.concatenate((cand[:sample], rest))[head_indices(medians, count)]
 
 
 @dataclass

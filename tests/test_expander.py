@@ -707,14 +707,16 @@ def test_fold_table_lifecycle(monkeypatch):
         tree_rs.decode(tree_rs.encode(exact))
     assert built == [op]
     # uneven loads, every edge in one bucket: a fold table would outgrow
-    # the neighbor table, so dense jobs keep np.add.at
+    # the neighbor table, so dense jobs keep np.add.at, and the refusal is
+    # kept: the third encode does not try again
     skewed = SignedSketchOperator(BipartiteGraph.from_neighbors(np.zeros((300, 3), np.int64), 64),
                                   SignFamily(seed=80, independence=4, n_left=300, ell=3))
     y = rng.normal(size=300)
     for _ in range(3):
         assert np.array_equal(skewed.apply(y).view(np.int64),
                               _add_at_sketch(skewed, np.arange(300), y).view(np.int64))
-    assert skewed._sign_table is not None and skewed._fold_table is None
+    assert skewed._sign_table is not None and not skewed.folded
+    assert built == [op, skewed]
 
 
 def test_untabled_operators_hash_one_block_at_a_time(monkeypatch):
@@ -734,7 +736,7 @@ def test_untabled_operators_hash_one_block_at_a_time(monkeypatch):
         for rows in rows_of.values():
             values = rng.normal(size=rows.size)
             got = apply_sparse_many([op], [rows], values)[0]
-            readings = weak._median_readings([(op, got, rows)])[0]
+            readings = weak._median_readings(op, got, rows)
             buckets, signs = hashed_edges(op.graph, op.signs, rows)
             want = np.zeros(m if op is not above else 512)
             np.add.at(want, buckets.ravel(), (signs * values[:, None]).ravel())

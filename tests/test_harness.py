@@ -402,6 +402,24 @@ def test_cli_experiment_refuses_bad_system_values(tmp_path, capsys, system, key)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("signal,key", [
+    (dict(n=128.0), "n"), (dict(k=2.5), "k"), (dict(tail_sigma=float("nan")), "tail_sigma"),
+    (dict(tail_count=True), "tail_count"), (dict(tail_level=float("inf")), "tail_level"),
+])
+def test_cli_experiment_refuses_bad_signal_values(tmp_path, capsys, signal, key):
+    # n 128.0 and k 2.5 failed with a TypeError from numpy, and a NaN
+    # tail_sigma passed validation and failed every trial's decode
+    cfg = _base_config(trials=1)
+    cfg["signal"].update(signal)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and key in err
+    assert not out.exists()
+
+
 def test_cli_experiment_refuses_a_negative_seed_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_base_config(trials=1)))

@@ -95,12 +95,10 @@ def test_every_encoded_operator_is_read(monkeypatch, n, engine, tree):
                         or apply_many(ops, rows, values))
     sketch = system.encode(x)
     monkeypatch.setattr(toplevel, "apply_sparse_many", apply_many)
-    # identification reads all its copies through one _median_readings
-    # call, and estimation its one operator
+    # identification reads each of its copies, and estimation its one operator
     medians = weak._median_readings
     monkeypatch.setattr(weak, "_median_readings",
-                        lambda requests: read.extend(req[0] for req in requests)
-                        or medians(requests))
+                        lambda op, sketch, rows: read.append(op) or medians(op, sketch, rows))
     trace = []
     system.decode(sketch, trace=trace)
     assert len(trace) == len(system.stages)
@@ -828,6 +826,44 @@ def test_dense_encode_and_scan_decode_read_the_design_tables_in_place(monkeypatc
     assert np.array_equal(system.decode(sketch, trace=again).view(np.int64),
                           x_hat.view(np.int64))
     assert again == trace
+
+
+def test_warm_scan_decode_ranks_under_a_quarter_of_the_domain_per_read(monkeypatch):
+    # counted work: the scan-noisy-n16 design (bench/workloads.py) after
+    # two dense encodes, whose second builds the fold tables
+    n = 1 << 16
+    system = TopLevelSystem(TopLevelConfig(n=n, k=8, epsilon=0.5, engine="scan", ell=9,
+                                           sign_independence=16), 13046232)
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=n) * 1e-3
+    head = rng.choice(n, 8, replace=False)
+    tail_norm = np.linalg.norm(np.delete(x, head))
+    x[head] = rng.choice([-1.0, 1.0], 8) * (1.0 + rng.random(8))
+    system.encode(x)
+    sketch = system.encode(x)
+    assert all(op.folded for op in _operators(system))
+    ranked, reads, built = [], [], []
+    medians, heads, fold_table = weak._medians, weak._heads, expander._fold_table
+    monkeypatch.setattr(weak, "_medians", lambda r: ranked.append(len(r)) or medians(r))
+
+    def read(op, sketch, cand, count):
+        ranked.clear()
+        out = heads(op, sketch, cand, count)
+        reads.append((cand.size, sum(ranked)))
+        return out
+
+    monkeypatch.setattr(weak, "_heads", read)
+    monkeypatch.setattr(expander, "_fold_table", lambda op: built.append(op) or fold_table(op))
+    x_hat = system.decode(sketch)
+    # stage 1's two identification copies and stages 2-4's one each
+    assert len(reads) == 5 and all(size == n and rows < n // 4 for size, rows in reads)
+    assert not built
+    assert np.linalg.norm(x - x_hat) <= 2 * tail_norm  # the workload's success test
+    # the same decode, every read ranking all N rows
+    monkeypatch.setattr(SignedSketchOperator, "folded", property(lambda op: False))
+    reads.clear()
+    assert np.array_equal(system.decode(sketch).view(np.int64), x_hat.view(np.int64))
+    assert reads == [(n, n)] * 5 and not built
 
 
 def test_mutating_returned_rows_leaves_the_design_unchanged():

@@ -479,3 +479,112 @@ def test_identification_fills_small_operators_tables_and_estimation_does_not():
                              for op, u in zip(twin.ident_ops, sketches)])
     assert not any(op.graph.materialized for op in twin.ident_ops)
     assert np.array_equal(found, want)
+
+
+def _folded(op):
+    """op after two dense encodes: the first fills its tables, the second
+    builds its fold table."""
+    for _ in range(2):
+        op.apply(np.ones(op.n_left))
+    assert op.folded
+    return op
+
+
+def _ranked_rows(monkeypatch) -> list:
+    """The row count of each block the median network ranks, from now on."""
+    rows, medians = [], weak._medians
+    monkeypatch.setattr(weak, "_medians", lambda readings: rows.append(len(readings))
+                        or medians(readings))
+    return rows
+
+
+@pytest.mark.parametrize("ell", [8, 9])
+@pytest.mark.parametrize("case", ["noisy", "graded", "sparse", "ties-past-sample",
+                                  "ties-in-sample"])
+def test_pruned_identification_ranks_as_the_full_read(monkeypatch, ell, case):
+    n, m = 16384, 4096
+    op = _folded(_operator(n, ell, m, seed=ell))
+    block = expander.row_blocks(n, ell)[0].stop
+    params = WeakParams(k=2, eta=0.5, ell=ell)  # the top 6
+    rng = np.random.default_rng(ell)
+    x = np.zeros(n)
+    if case == "noisy":  # the sample's medians are nonzero: t > 0
+        x += rng.normal(size=n) * 1e-3
+        x[rng.choice(n, 8, replace=False)] += rng.choice([-1.0, 1.0], 8) * (1.0 + rng.random(8))
+    elif case == "graded":  # in the sample 5 at 2.0 and 3 at 1.0 (t = 1), past it 4 at 1.5
+        spikes = rng.choice(block, 8, replace=False)
+        x[spikes] = [2.0] * 5 + [1.0] * 3
+        x[block + rng.choice(n - block, 4, replace=False)] = 1.5
+    elif case == "sparse":  # nothing in the sample: t = 0, and a zero fill
+        x[block + rng.choice(n - block, 3, replace=False)] = 1.0 + rng.random(3)
+    else:  # +-1 spikes, whose medians tie at the cut, 2 or 8 in the sample
+        inside = 2 if case == "ties-past-sample" else 8
+        x[rng.choice(block, inside, replace=False)] = rng.choice([-1.0, 1.0], inside)
+        x[block + rng.choice(n - block, 10, replace=False)] = rng.choice([-1.0, 1.0], 10)
+    u = op.apply(x)
+    full = lower_median(op.readings(u, np.arange(n)))
+    if case == "sparse":
+        assert np.count_nonzero(full) < params.ident_count
+    if case == "graded":
+        assert head_indices(full, params.ident_count).max() >= block
+    if case.startswith("ties"):
+        assert np.count_nonzero(np.abs(full) == 1.0) > params.ident_count
+        # the cut falls past the sample, or in it
+        in_sample = np.count_nonzero(np.abs(full[:block]) == 1.0)
+        assert (in_sample < params.ident_count) == (case == "ties-past-sample")
+    rows = _ranked_rows(monkeypatch)
+    found = weak_identify(op, u, np.arange(n), params)
+    assert np.array_equal(found, head_indices(full, params.ident_count))
+    assert block <= sum(rows) < n // 2
+
+
+@pytest.mark.parametrize("ell", [8, 9])
+def test_pruned_identification_counts_both_slots_of_a_shared_bucket(monkeypatch, ell):
+    # a zero row past the sample whose median is -1 only through its two
+    # slots on one bucket: its slots 0..q-1 read -1 from q - 1 spikes'
+    # buckets, slots 0 and 1 from the same one, and its other slots read
+    # empty buckets; counting that bucket once would prune it
+    n, m, q = 16384, 1024, (ell + 1) // 2
+    family = SignFamily(seed=31, independence=16, n_left=n, ell=ell)
+    signs = expander.edge_signs([family], None, np.arange(n)[:, None], np.arange(ell))
+    row = n - 1 - int(np.flatnonzero(signs[::-1, 0] == signs[::-1, 1])[0])
+    # spike j's slots on buckets ell * j.., every other row's above them
+    spikes = np.arange(q - 1) + 5000
+    table = np.random.default_rng(32).integers(ell * q, m, size=(n, ell))
+    table[spikes] = np.arange(ell * (q - 1)).reshape(q - 1, ell)
+    table[row, :q] = ell * np.array([0, *range(q - 1)])
+    op = _folded(SignedSketchOperator(BipartiteGraph.from_neighbors(table, m), family))
+    x = np.zeros(n)
+    # slot s >= 1 of the row reads spike s - 1 through that spike's slot 0
+    x[spikes] = -signs[spikes, 0] * signs[row, 1:q]
+    u = op.apply(x)
+    full = lower_median(op.readings(u, np.arange(n)))
+    assert full[row] == -1.0 and np.count_nonzero(full) == q
+    params = WeakParams(k=2, eta=0.5, ell=ell)
+    rows = _ranked_rows(monkeypatch)
+    found = weak_identify(op, u, np.arange(n), params)
+    assert row in found and np.array_equal(found, head_indices(full, params.ident_count))
+    assert sum(rows) < n // 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", ["one-block", "no-fold-table", "nan", "inf", "-inf"])
+def test_identification_reads_every_row_where_it_cannot_prune(monkeypatch, case):
+    ell = 9
+    block = expander.row_blocks(1 << 20, ell)[0].stop
+    n = block if case == "one-block" else 16384
+    op = _operator(n, ell, 1024, seed=33)
+    if case != "no-fold-table":
+        _folded(op)
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=n) * 1e-3
+    x[rng.choice(n, 8, replace=False)] += 1.0 + rng.random(8)
+    u = op.apply(x)  # without a fold table, this fills the other tables
+    assert op.folded == (case != "no-fold-table")
+    if case in ("nan", "inf", "-inf"):
+        u[rng.choice(u.size, 40, replace=False)] = float(case)
+    params = WeakParams(k=2, eta=0.5, ell=ell)
+    want = head_indices(lower_median(op.readings(u, np.arange(n))), params.ident_count)
+    rows = _ranked_rows(monkeypatch)
+    assert np.array_equal(weak_identify(op, u, np.arange(n), params), want)
+    assert sum(rows) == n

@@ -35,7 +35,10 @@ after those six, O(1) values with one entry in 64 set to +-1e16, has
 bucket sums whose bits depend on the order of their additions; the
 sketches of three encodes of it on one fresh system are hashed: the one
 that fills the design tables, the one that builds the fold tables and
-one that reuses them.
+one that reuses them.  Then that system decodes the exact 8-sparse
+signal, every identification read ranking only the rows that can reach
+the top, with fewer nonzero medians than it keeps (a zero fill at
+ell = 9); its estimate and trace are hashed.
 """
 
 from __future__ import annotations
@@ -157,10 +160,15 @@ def design_hashes(sparserec, config: dict, seed: int) -> dict:
 
 def fold_hashes(sparserec, config: dict, seed: int) -> dict:
     """The sketches of three encodes of `order_sensitive` on one fresh
-    system: the table fill, the fold build and the reuse."""
+    system: the table fill, the fold build and the reuse; then the decode
+    of the exact 8-sparse signal of `signals`, with every fold table built."""
     system = sparserec.TopLevelSystem(sparserec.TopLevelConfig(**config), seed)
     x = order_sensitive(config["n"])
-    return {name: digest(*bits([system.encode(x)])) for name in ("fill", "fold", "reuse")}
+    out = {name: digest(*bits([system.encode(x)])) for name in ("fill", "fold", "reuse")}
+    trace = []
+    x_hat = system.decode(system.encode(signals(config["n"])[1]), trace=trace)
+    out["exact-decode"] = digest(*bits([x_hat]), repr(trace))
+    return out
 
 
 def nan_hashes(sparserec, config: dict, seed: int) -> dict:
