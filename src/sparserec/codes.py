@@ -37,11 +37,11 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from sparserec.errors import InfeasibleError, NumericalError, UsageError
+from sparserec.errors import InfeasibleError, NumericalError, UsageError, is_int
 from sparserec.fields import FieldSpec
 from sparserec.vectors import distinct
 
@@ -172,11 +172,6 @@ def lw_join(projections, errors: int = 0) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # list recovery of products of same-kind codes
 # ---------------------------------------------------------------------------
-
-
-def _is_int(v) -> bool:
-    """Whether v is an integer (a bool is not)."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def _singletons(sets) -> list[np.ndarray]:
@@ -368,7 +363,7 @@ class RSCode(_Code):
     kind = "rs"
 
     def __init__(self, field: FieldSpec, b: int, r: int, points=None):
-        if not (_is_int(b) and _is_int(r)):
+        if not (is_int(b) and is_int(r)):
             raise UsageError(f"b and r must be integers, got {b!r} and {r!r}")
         if b < 1:
             raise UsageError("need b >= 1")
@@ -381,7 +376,7 @@ class RSCode(_Code):
         self.n = field.q**b
         if points is None:
             points = list(range(r))
-        if not all(map(_is_int, points)):
+        if not all(map(is_int, points)):
             raise UsageError("evaluation points must be integers")
         points = [int(p) for p in points]
         if len(points) != r or len(set(points)) != r:
@@ -464,7 +459,7 @@ class RSCode(_Code):
         check_rs_rho(rho, self.b, self.r)
         if len(sets) != self.r:
             raise UsageError(f"need one candidate set per coordinate: {len(sets)} for r = {self.r}")
-        if not all(_is_int(v) for s in sets for v in s):
+        if not all(is_int(v) for s in sets for v in s):
             raise UsageError("candidate symbols must be integers")
         sets = [sorted({int(v) for v in s}) for s in sets]
         for s in sets:

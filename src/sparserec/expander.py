@@ -13,35 +13,38 @@ landing in bucket j of sign(i, s) * x_i.  A vertex's duplicate edges
 (two slots on one bucket) carry their own slots' signs, so they add
 2 * x_i or cancel.
 
-Every edge's bucket comes from one formula (`_bucket_ids`) and its sign
-from one function (`hashing.edge_signs`, which hashes each row once for
-all its slots), with the design tables as their cache.  A graph's
-neighbor table and an operator's int8 sign table belong to the design,
-not to the signal: the first request on at least N rows (a dense encode,
-a full-domain identification) or the first identification read of any
-rows (`fill_tables`) builds them, where N * ell <= _MATERIALIZE_LIMIT
-(then at most 8 MiB and 1 MiB); an estimation read of a few candidates
-builds none.  The third design table, an operator's int32 fold table
-(`_fold_table`), lists each bucket's edges as signed vertex ids, padded
-to the largest bucket load L: about 4 bytes per edge (21.5 MiB over the
-9 operators of a scan design at N = 2^16, ell = 9).  A dense encode
-builds it, in the calling thread, for each of its jobs whose operator
-held both tables before the call; the call that fills the tables builds
-none, so a one-shot encode pays nothing, and a refused table (uneven
-loads) is remembered, so no later encode tries again.  A decode builds
-none, but a full-domain identification read on an operator holding one
-counts each row's edges into its heaviest buckets from it (`edges_into`)
-and ranks only the rows that can reach the top.  Rows outside [0, N) raise
-UsageError.  Readings and sketches are new arrays, and
-`BipartiteGraph.neighbors_of` returns a copy.
+Every edge's bucket comes from one formula (`_bucket_ids`), or from an
+explicit graph's neighbor table, and its sign from one function
+(`hashing.edge_signs`, which hashes each row once for all its slots).
+A graph caches nothing: `neighbors_of` hashes its rows, or reads an
+explicit graph's definition.  The operator owns the design tables, its
+cache of Phi's rows.  Its int64 neighbor table and int8 sign table belong
+to the design, not to the signal, and are built together (`fill_tables`):
+by the first request on at least N rows (a dense encode, a full-domain
+identification) or the first identification read of any rows, where N *
+ell <= _MATERIALIZE_LIMIT (then at most 8 MiB and 1 MiB), and when an
+operator over an explicit graph is built, at any size; an estimation
+read of a few candidates builds none.  The third design table, an
+operator's int32 fold table (`_fold_table`), lists each bucket's edges
+as signed vertex ids, padded to the largest bucket load L: about 4 bytes
+per edge (21.5 MiB over the 9 operators of a scan design at N = 2^16,
+ell = 9).  A dense encode builds it, in the calling thread, for each of
+its jobs whose operator held both tables before the call; the call that
+fills the tables builds none, so a one-shot encode pays nothing, and a
+refused table (uneven loads) is remembered, so no later encode tries
+again.  A decode builds none, but a full-domain identification read on
+an operator holding one counts each row's edges into its heaviest
+buckets from it (`edges_into`) and ranks only the rows that can reach
+the top.  Rows outside [0, N) raise UsageError.  Readings and sketches
+are new arrays, and `BipartiteGraph.neighbors_of` returns a copy.
 
 Readings, table builds and jobs that run alone take their edges from
-`edges_many`, which maps (operator, rows) requests to (buckets, signs)
-arrays of shape (rows, ell) in (row, slot) order, one request at a time:
-a request on exactly the rows 0..N-1 (`_all_rows`, a dense job) reads
-both tables in place, other requests on tabled operators gather rows,
-and each of the rest makes one counter-stream pass for its bucket ids
-and one Horner pass for its signs (`_hashed_edges`).
+`edges`, which maps one (operator, rows) request to (buckets, signs)
+arrays of shape (rows, ell) in (row, slot) order: an operator holding
+its tables reads them in place on exactly the rows 0..N-1 (`_all_rows`,
+a dense job) and gathers other rows from them, and one without makes
+one counter-stream pass for its bucket ids and one Horner pass for its
+signs (`_hashed_edges`).
 
 `apply_sparse_many` (the encode) sketches one signal's values with many
 operators, each at its own rows: a system's encode, or a decode's
@@ -80,7 +83,7 @@ from sparserec.hashing import BATCH_POINTS, SignFamily, coefficient_columns, edg
 from sparserec.seeds import counter_stream
 from sparserec.vectors import nonzeros
 
-_MATERIALIZE_LIMIT = 1 << 20  # cache neighbor tables up to this many edges
+_MATERIALIZE_LIMIT = 1 << 20  # an operator's tables cover up to this many edges
 BLOCK_EDGES = 1 << 15  # edges per block of a dense pass: 256 KiB of float64
 
 
@@ -100,38 +103,29 @@ class BipartiteGraph:
         self.ell = ell
         self.n_buckets = n_buckets
         self.seed = int(seed)
-        self._table = None
+        self._table = None  # an explicit graph's definition: a read-only int64 copy
         if neighbors is not None:
-            neighbors = np.asarray(neighbors, dtype=np.int64)
+            neighbors = np.asarray(neighbors)
+            if neighbors.dtype.kind not in "iu":
+                raise UsageError(f"neighbor table must hold integers, got {neighbors.dtype}")
             if neighbors.shape != (n_left, ell):
                 raise UsageError("neighbor table shape mismatch")
             if neighbors.min() < 0 or neighbors.max() >= n_buckets:
                 raise UsageError("neighbor outside bucket range")
-            self._table = neighbors
+            self._table = neighbors.astype(np.int64)
+            self._table.flags.writeable = False
 
     @staticmethod
     def from_neighbors(neighbors: np.ndarray, n_buckets: int) -> "BipartiteGraph":
-        neighbors = np.asarray(neighbors, dtype=np.int64)
+        neighbors = np.asarray(neighbors)
         return BipartiteGraph(neighbors.shape[0], neighbors.shape[1], n_buckets,
                               seed=0, neighbors=neighbors)
 
-    @property
-    def materialized(self) -> bool:
-        """Whether the neighbor table is held in memory."""
-        return self._table is not None
-
-    def table(self) -> np.ndarray | None:
-        """The read-only (N, ell) neighbor table, built by the first call if
-        N * ell <= _MATERIALIZE_LIMIT; None for a larger graph without one."""
-        if self._table is None and self.n_left * self.ell <= _MATERIALIZE_LIMIT:
-            self._table = _hashed_edges(self, None, np.arange(self.n_left))[0]
-            self._table.flags.writeable = False
-        return self._table
-
     def neighbors_of(self, indices: np.ndarray) -> np.ndarray:
-        """(len(indices), ell) bucket table for the given left vertices, as
-        a new array (`edges_many`)."""
-        return edges_many([(self, indices)])[0][0]
+        """(len(indices), ell) int64 bucket table for the given left
+        vertices, hashed or read from an explicit graph's definition, as a
+        new array (`_hashed_edges`)."""
+        return _hashed_edges(self, None, np.asarray(indices, dtype=np.int64))[0]
 
     def neighbors(self, i: int) -> list[int]:
         return self.neighbors_of(np.array([i]))[0].tolist()
@@ -232,9 +226,12 @@ class SignedSketchOperator:
             raise UsageError("sign family domain smaller than the graph")
         self.graph = graph
         self.signs = signs
-        self._sign_table = None  # int8 (n_left, ell), filled on demand
+        # int64 buckets and int8 signs, each (n_left, ell), see `fill_tables`
+        self._neighbor_table = self._sign_table = None
         # int32 (largest bucket load, n_buckets), see `_fold_table`; False once refused
         self._fold_table = None
+        if graph._table is not None:  # an explicit graph's operator: from the start
+            fill_tables([self])
 
     @property
     def n_left(self) -> int:
@@ -266,32 +263,26 @@ class SignedSketchOperator:
     def readings(self, sketch: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """(len(indices), ell) sign-corrected bucket readings for each index,
         as a new array."""
-        nbrs, signs = edges_many([(self, indices)])[0]
+        nbrs, signs = edges(self, indices)
         return signs * sketch[nbrs]
 
 
-def edges_many(requests) -> list[tuple]:
-    """(buckets, signs) of each (op, rows) request, an operator's or a
-    graph's (signs None): int64 bucket ids and +-1 signs, each (len(rows),
-    ell) in (row, slot) order.  After `fill_tables`, tables are read in
-    place (read-only) by a request on exactly the rows 0..N-1 (`_all_rows`)
-    of an operator holding both, else gathered; `_hashed_edges` makes the
-    rest, each request on its own.  A row outside [0, N) raises
-    UsageError."""
-    requests = [(op, np.asarray(rows, dtype=np.int64)) for op, rows in requests]
-    fill_tables([op for op, rows in requests if rows.size >= op.n_left])
-    out = []
-    for op, rows in requests:
-        graph, family, signs = ((op, None, None) if isinstance(op, BipartiteGraph)
-                                else (op.graph, op.signs, op._sign_table))
-        if signs is not None and _all_rows(rows, graph.n_left):
-            out.append((graph._table, signs))
-        elif graph._table is None:
-            out.append(_hashed_edges(graph, family, rows))
-        else:
-            _check_rows(rows, graph.n_left)
-            out.append(_gathered(op, rows))
-    return out
+def edges(op: SignedSketchOperator, rows) -> tuple:
+    """(buckets, signs) of the operator's edges at the rows: int64 bucket
+    ids and +-1 signs, each (len(rows), ell) in (row, slot) order, after
+    `fill_tables` if there are at least N rows.  An operator holding its
+    tables reads them in place (read-only) on exactly the rows 0..N-1
+    (`_all_rows`) and gathers other rows from them (`_gathered`); one
+    without hashes the rows (`_hashed_edges`).  A row outside [0, N)
+    raises UsageError."""
+    rows = np.asarray(rows, dtype=np.int64)
+    fill_tables([op] if rows.size >= op.n_left else [])
+    if op._sign_table is None:
+        return _hashed_edges(op.graph, op.signs, rows)
+    if _all_rows(rows, op.n_left):
+        return op._neighbor_table, op._sign_table
+    _check_rows(rows, op.n_left)
+    return _gathered(op, rows)
 
 
 def _all_rows(rows: np.ndarray, n_left: int) -> bool:
@@ -302,31 +293,24 @@ def _all_rows(rows: np.ndarray, n_left: int) -> bool:
 
 
 def edge_blocks(op: "SignedSketchOperator", rows):
-    """Yield (block, buckets, signs) of one (op, rows) request per
-    `row_blocks` block of its rows, after `fill_tables` if it is on at
-    least N rows: an operator holding its sign table slices one
-    `edges_many` request, any other makes one request per block, so it
-    never holds the request's (rows, ell) edges, or the hash passes'
-    temporaries of that size, at once."""
+    """Yield (block, buckets, signs) of the operator's edges at the rows
+    per `row_blocks` block of them, after `fill_tables` if there are at
+    least N rows: an operator holding its tables slices one `edges`
+    request, any other makes one request per block, so it never holds the
+    (rows, ell) edges, or the hash passes' temporaries of that size, at
+    once."""
     rows = np.asarray(rows, dtype=np.int64)
     fill_tables([op] if rows.size >= op.n_left else [])
-    whole = None if op._sign_table is None else edges_many([(op, rows)])[0]
+    whole = None if op._sign_table is None else edges(op, rows)
     for block in row_blocks(rows.size, op.graph.ell):
-        buckets, signs = (edges_many([(op, rows[block])])[0] if whole is None
+        buckets, signs = (edges(op, rows[block]) if whole is None
                           else (whole[0][block], whole[1][block]))
         yield block, buckets, signs
 
 
-def _gathered(op, rows: np.ndarray) -> tuple:
-    """`edges_many` of rows in [0, N) on an operator or graph (signs None)
-    whose graph holds its neighbor table: buckets gathered from it, and
-    signs from the operator's sign table, or from one `edge_signs` pass
-    when it has none."""
-    if isinstance(op, BipartiteGraph):
-        return op._table[rows], None
-    signs = op._sign_table
-    return op.graph._table[rows], (signs[rows] if signs is not None else edge_signs(
-        [op.signs], None, rows[:, None], np.arange(op.graph.ell)))
+def _gathered(op: SignedSketchOperator, rows: np.ndarray) -> tuple:
+    """`edges` of rows in [0, N) gathered from the operator's tables."""
+    return op._neighbor_table[rows], op._sign_table[rows]
 
 
 def _check_rows(rows: np.ndarray, n_left) -> None:
@@ -337,18 +321,18 @@ def _check_rows(rows: np.ndarray, n_left) -> None:
 
 
 def fill_tables(ops) -> None:
-    """Build, in order, the neighbor table of each operator or graph and,
-    for an operator, its read-only int8 (N, ell) sign table, where N * ell
-    <= _MATERIALIZE_LIMIT: the graphs and operators of requests on at least
-    N rows, and those an identification reads."""
+    """Build, in order, each operator's read-only (N, ell) int64 neighbor
+    table and int8 sign table, from one `_hashed_edges` request on all its
+    rows, where N * ell <= _MATERIALIZE_LIMIT or its graph is explicit:
+    the operators of requests on at least N rows, those an identification
+    reads, and an explicit graph's when it is built."""
     for op in ops:
-        graph = op if isinstance(op, BipartiteGraph) else op.graph
-        if (graph.n_left * graph.ell <= _MATERIALIZE_LIMIT and graph.table() is not None
-                and graph is not op and op._sign_table is None):
-            signs = edge_signs([op.signs], None, np.arange(graph.n_left)[:, None],
-                               np.arange(graph.ell))
-            op._sign_table = signs.astype(np.int8)
-            op._sign_table.flags.writeable = False
+        graph = op.graph
+        if op._sign_table is None and (graph._table is not None
+                                       or op.n_left * graph.ell <= _MATERIALIZE_LIMIT):
+            buckets, signs = _hashed_edges(graph, op.signs, np.arange(op.n_left))
+            op._neighbor_table, op._sign_table = buckets, signs.astype(np.int8)
+            buckets.flags.writeable = op._sign_table.flags.writeable = False
 
 
 def _fold_table(op: "SignedSketchOperator") -> np.ndarray | bool:
@@ -363,7 +347,7 @@ def _fold_table(op: "SignedSketchOperator") -> np.ndarray | bool:
     time: a stable sort of the block's bucket ids (uint16 keys, a radix
     sort, where M <= 2^16) ranks each of its edges in its bucket after
     those of earlier blocks."""
-    table, signs = op.graph._table, op._sign_table
+    table, signs = op._neighbor_table, op._sign_table
     n_left, n_buckets = op.n_left, op.n_buckets
     loads = np.bincount(table.ravel(), minlength=n_buckets)
     if loads.max() * n_buckets > 2 * table.size:
@@ -408,17 +392,19 @@ def _bucket_ids(seed, ell, n_buckets, vertices: np.ndarray, slots) -> np.ndarray
 
 
 def _hashed_edges(graph: BipartiteGraph, family: SignFamily | None, rows: np.ndarray) -> tuple:
-    """`edges_many` of one request on a graph without a table; a row
-    outside [0, N) raises UsageError.  Slot s of row i takes bucket
-    counter_stream(seed, i * ell + s) mod M and sign(i, s): one
-    counter-stream pass and one `edge_signs` pass, with the graph's seed,
-    ell and M scalar and the (rows, 1) vertices broadcast against the ell
-    slots."""
+    """`edges` of an operator without tables, or (family None, signs None)
+    a graph's `neighbors_of`; a row outside [0, N) raises UsageError.
+    Slot s of row i takes sign(i, s) and bucket counter_stream(seed, i *
+    ell + s) mod M, or entry (i, s) of an explicit graph's definition: one
+    counter-stream pass (or a gather) and one `edge_signs` pass, with the
+    graph's seed, ell and M scalar and the (rows, 1) vertices broadcast
+    against the ell slots."""
     seed, ell, n_buckets, n_left = np.array(
         (graph.seed, graph.ell, graph.n_buckets, graph.n_left), dtype=np.uint64)
     _check_rows(rows, n_left)
     vertices, slots = rows[:, None], np.arange(graph.ell)
-    buckets = _bucket_ids(seed, ell, n_buckets, vertices, slots).view(np.int64)
+    buckets = (graph._table[rows] if graph._table is not None
+               else _bucket_ids(seed, ell, n_buckets, vertices, slots).view(np.int64))
     return buckets, None if family is None else edge_signs([family], None, vertices, slots)
 
 
@@ -502,12 +488,11 @@ class _JobColumns:
     each job on the same number of rows and values: `apply_sparse_many`'s
     small jobs.  Built on first use by `_job_columns`, never with an operator.
 
-    Jobs on graphs with a neighbor table ("tabled") gather their rows
-    (`_gathered`).
-    The others ("hashed") are laid out as columns, one per (job, slot),
-    grouped by sign field: each column's job, slot, graph seed, ell, M
-    and bucket offset (the job's start in the sums), and per field the
-    families' `coefficient_columns`.  A call on r rows per job makes an
+    Jobs on operators holding their tables ("tabled") gather their rows
+    (`_gathered`).  The others ("hashed") are laid out as columns, one
+    per (job, slot), grouped by sign field: each column's job, slot,
+    graph seed, ell, M and bucket offset (the job's start in the sums),
+    and per field the families' `coefficient_columns`.  A call on r rows per job makes an
     (r, columns) edge array with one gather of the rows, one
     counter-stream pass and one `edge_signs` pass per field, and its C
     order keeps each job's edges in (row, slot) order.
@@ -522,14 +507,11 @@ class _JobColumns:
         self.small_rows = np.array([min(graph.n_left - 1, BATCH_POINTS // graph.ell)
                                     for graph in graphs])
         self.starts = list(accumulate((graph.n_buckets for graph in graphs), initial=0))
-        self.tabled = [(t, op) for t, op in enumerate(ops) if op.graph._table is not None]
+        self.tabled = [(t, op) for t, op in enumerate(ops) if op._sign_table is not None]
         field = [op.signs.hash.field.q for op in ops]
-        hashed = sorted((t for t, graph in enumerate(graphs) if graph._table is None),
+        hashed = sorted((t for t, op in enumerate(ops) if op._sign_table is None),
                         key=field.__getitem__)
-        # what a table build would change: a hashed job's graph, or a
-        # tabled job's operator that still hashes its signs
-        self._untabled = ([graphs[t] for t in hashed],
-                          [op for _, op in self.tabled if op._sign_table is None])
+        self._hashed = [ops[t] for t in hashed]  # what a table build would change
         ells = [graphs[t].ell for t in hashed]
         # per column: its job, slot, graph seed, ell, M and bucket offset
         self.job = np.repeat(np.array(hashed, dtype=np.int64), ells)
@@ -578,10 +560,8 @@ class _JobColumns:
         return ids, weights
 
     def stale(self) -> bool:
-        """Whether one of the jobs' tables has been built since."""
-        graphs, ops = self._untabled
-        return (any(graph._table is not None for graph in graphs)
-                or any(op._sign_table is not None for op in ops))
+        """Whether one of the hashed jobs' tables has been built since."""
+        return any(op._sign_table is not None for op in self._hashed)
 
 
 def _job_columns(ops) -> _JobColumns:

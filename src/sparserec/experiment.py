@@ -12,11 +12,11 @@ import io
 import math
 import time
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from sparserec.errors import UsageError
+from sparserec.errors import UsageError, check_int
 from sparserec.seeds import derive_seed
 from sparserec.signals import SignalSpec, gen_signal
 from sparserec.toplevel import TopLevelConfig, TopLevelSystem, repeat_median_amplify
@@ -59,13 +59,6 @@ def _toplevel_config(system: dict) -> TopLevelConfig:
     return TopLevelConfig(**{k: v for k, v in system.items() if k not in _EXPERIMENT_KEYS})
 
 
-def _check_int(value, what: str, low: int, high: float = math.inf):
-    """UsageError unless value is an int (not a bool) in [low, high)."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or not low <= value < high:
-        bound = f">= {low}" if high == math.inf else f"in [{low}, {high})"
-        raise UsageError(f"{what} must be an integer {bound}, got {value!r}")
-
-
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise UsageError("config must be a JSON object")
@@ -75,13 +68,13 @@ def validate_config(config: dict) -> dict:
             raise UsageError(f"config missing required key {key!r}")
     if config["schema_version"] != SCHEMA_VERSION:
         raise UsageError(f"unsupported schema version {config['schema_version']}")
-    _check_int(config["seed"], "seed", 0, 1 << 64)  # derive_seed keys on 8 bytes
-    _check_int(config["trials"], "trials", 0)
+    check_int(config["seed"], "seed", 0, 1 << 64)  # derive_seed keys on 8 bytes
+    check_int(config["trials"], "trials", 0)
     system = config["system"]
     _reject_unknown(system, _SYSTEM_KEYS, "config.system")
     if system.get("type", "toplevel") not in ("toplevel", "oracle"):
         raise UsageError(f"unknown system type {system.get('type')!r}")
-    _check_int(system.get("copies", 1), "copies", 1)
+    check_int(system.get("copies", 1), "copies", 1)
     _reject_unknown(config["signal"], _SIGNAL_KEYS, "config.signal")
     _reject_unknown(config.get("success", {}), _SUCCESS_KEYS, "config.success")
     for key, value in config.get("success", {}).items():

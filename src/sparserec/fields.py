@@ -15,11 +15,9 @@ Python ints.
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
-from sparserec.errors import InfeasibleError, UsageError
+from sparserec.errors import InfeasibleError, UsageError, check_int
 
 # Middle-term exponents of the lowest-weight irreducible polynomial
 # x^w + x^k1 [+ x^k2 + x^k3] + 1 for each width w.
@@ -284,8 +282,7 @@ class FieldSpec:
     @staticmethod
     def of_size(q: int) -> "FieldSpec":
         """Field of size q: prime q, or 2^w for q a power of two."""
-        if isinstance(q, bool) or not isinstance(q, Integral):
-            raise UsageError(f"field size must be an integer, got {q!r}")
+        check_int(q, "field size")
         q = int(q)
         if q >= 2 and q & (q - 1) == 0:
             return FieldSpec.binary(q.bit_length() - 1)

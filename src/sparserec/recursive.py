@@ -28,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from sparserec.codes import LWCode, RSCode, _is_int, check_rs_rho, lw_recover, rs_recover
-from sparserec.errors import InfeasibleError, UsageError
+from sparserec.codes import LWCode, RSCode, check_rs_rho, lw_recover, rs_recover
+from sparserec.errors import InfeasibleError, UsageError, check_int
 from sparserec.expander import apply_sparse_many
 from sparserec.fields import FieldSpec
 from sparserec.hashing import PolyHash, eval_many
@@ -184,9 +184,7 @@ class RecursiveParams:
     def __post_init__(self):
         for name in ("ell", "s", "cap", "buckets_per_node", "lw_errors", "leaf_target",
                      "arity", "rs_b", "max_leaf_domain"):
-            if not _is_int(getattr(self, name)):
-                raise UsageError(f"tree option {name} must be an integer, "
-                                 f"got {getattr(self, name)!r}")
+            check_int(getattr(self, name), f"tree option {name}")
         if self.ell < 1 or self.s < 1 or self.cap < 0 or self.leaf_target < 2:
             raise UsageError("tree options need ell >= 1, s >= 1, cap >= 0 and leaf_target >= 2")
         if self.buckets_per_node < 0 or 0 < self.buckets_per_node < self.ell:

@@ -6,14 +6,11 @@ knows its exact best-k-term baseline without re-deriving it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from sparserec.codes import _is_int
-from sparserec.errors import UsageError
+from sparserec.errors import UsageError, check_finite_real, check_int
 from sparserec.seeds import rng_for
 
 SUPPORT_MODELS = ("uniform-random", "adversarial-clustered")
@@ -36,12 +33,9 @@ class SignalSpec:
 
     def __post_init__(self):
         for name in ("n", "k", "tail_count", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_int(getattr(self, name), name)
         for name in ("tail_sigma", "tail_mass", "tail_level"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-                raise UsageError(f"{name} must be a finite real number, got {value!r}")
+            check_finite_real(getattr(self, name), name)
         if self.k < 0 or self.k > self.n:
             raise UsageError("need 0 <= k <= n")
         if self.support_model not in SUPPORT_MODELS:

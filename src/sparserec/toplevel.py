@@ -20,14 +20,11 @@ dense Gaussian matrices.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field as dc_field, fields
-from numbers import Real
 
 import numpy as np
 
-from sparserec.codes import _is_int
-from sparserec.errors import UsageError
+from sparserec.errors import UsageError, check_finite_real, check_int
 from sparserec.expander import apply_sparse_many
 from sparserec.hashing import SignFamily
 from sparserec.recursive import RecursionTree, RecursiveParams, node_images_many
@@ -96,12 +93,9 @@ class TopLevelConfig:
         if self.engine not in ("scan", "recursive"):
             raise UsageError(f"unknown stage engine {self.engine!r}")
         for name in ("n", "k", "ell", "min_buckets", "c_exp", "sign_independence"):
-            if not _is_int(getattr(self, name)):
-                raise UsageError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_int(getattr(self, name), name)
         for name in ("epsilon", "alpha", "bucket_factor"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-                raise UsageError(f"{name} must be a finite real number, got {value!r}")
+            check_finite_real(getattr(self, name), name)
         if self.n < 2 or self.k < 1 or self.k > self.n:
             raise UsageError("need 2 <= n and 1 <= k <= n")
         if self.ell < 1 or self.bucket_factor <= 0:
@@ -166,6 +160,7 @@ class TopLevelSystem:
     """Stacked stage systems with exact measurement accounting."""
 
     def __init__(self, config: TopLevelConfig, seed: int):
+        check_int(seed, "seed", 0, 1 << 64)  # derive_seed keys on 8 bytes
         self.config = config
         self.seed = int(seed)
         self.schedule = StageSchedule.build(config.k, config.epsilon,

@@ -142,15 +142,10 @@ def _median_network(ell: int) -> tuple[tuple, int]:
 
 def median_estimates(op: SignedSketchOperator, sketch: np.ndarray,
                      indices: np.ndarray) -> np.ndarray:
-    return _median_readings(op, sketch, indices)
-
-
-def _median_readings(op: SignedSketchOperator, sketch: np.ndarray,
-                     rows: np.ndarray) -> np.ndarray:
-    """`lower_median(op.readings(sketch, rows))`, one `edge_blocks` block
-    at a time."""
-    medians = np.empty(len(rows))
-    for block, nbrs, signs in edge_blocks(op, rows):
+    """`lower_median(op.readings(sketch, indices))`, one `edge_blocks`
+    block at a time."""
+    medians = np.empty(len(indices))
+    for block, nbrs, signs in edge_blocks(op, indices):
         medians[block] = _medians(signs * sketch[nbrs])
     return medians
 
@@ -183,7 +178,7 @@ def _identify(params: WeakParams, copies, candidates) -> np.ndarray:
 def _heads(op: SignedSketchOperator, sketch: np.ndarray, cand: np.ndarray,
            count: int) -> np.ndarray:
     """`cand[head_indices(medians, count)]` of the cand rows' median
-    estimates (`_median_readings`).
+    estimates (`median_estimates`).
 
     Only the rows that can reach the top are ranked where cand is the
     rows 0..N-1 of an operator holding a fold table, the sketch is finite
@@ -203,12 +198,12 @@ def _heads(op: SignedSketchOperator, sketch: np.ndarray, cand: np.ndarray,
     if not (op.folded and _all_rows(cand, n_left) and np.shape(sketch) == (op.n_buckets,)
             and np.isfinite(sketch).all()
             and count <= (sample := row_blocks(n_left, ell)[0].stop) < n_left):
-        return cand[head_indices(_median_readings(op, sketch, cand), count)]
-    head = _median_readings(op, sketch, cand[:sample])
+        return cand[head_indices(median_estimates(op, sketch, cand), count)]
+    head = median_estimates(op, sketch, cand[:sample])
     cut = np.partition(np.abs(head), sample - count)[sample - count]
     heavy = np.flatnonzero(np.abs(sketch) > cut)
     rest = sample + np.flatnonzero(edges_into(op, heavy)[sample:] >= (ell + 1) // 2)
-    medians = np.concatenate((head, _median_readings(op, sketch, rest)))
+    medians = np.concatenate((head, median_estimates(op, sketch, rest)))
     return np.concatenate((cand[:sample], rest))[head_indices(medians, count)]
 
 

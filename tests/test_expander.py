@@ -17,7 +17,8 @@ from sparserec.expander import (
     BipartiteGraph,
     SignedSketchOperator,
     apply_sparse_many,
-    edges_many,
+    edges,
+    fill_tables,
     unique_neighbor_count,
     verify_expansion,
 )
@@ -59,20 +60,25 @@ def test_build_graph_validates_parameters():
 
 
 def test_lazy_generation_matches_table():
-    g = BipartiteGraph(200, 4, 64, seed=3)
+    op = _operator(200, 4, 64, seed=3)
     lazy = BipartiteGraph(200, 4, 64, seed=3)
-    assert not g.materialized  # built by the first call that needs it
-    assert g.table() is g.table() and g.materialized
+    assert op._neighbor_table is None  # built by the first call that needs it
+    op.readings(np.zeros(64), np.arange(200))
+    table = op._neighbor_table
+    assert table is not None and not table.flags.writeable
+    op.readings(np.zeros(64), np.arange(200))
+    assert op._neighbor_table is table
     idx = np.array([0, 7, 199, 42])
-    assert np.array_equal(g.neighbors_of(idx), lazy.neighbors_of(idx))
-    assert not lazy.materialized  # a call on fewer than N rows builds none
+    assert np.array_equal(table[idx], lazy.neighbors_of(idx))
+    assert op.graph._table is None and lazy._table is None  # graphs cache nothing
 
 
 def test_neighbor_table_pinned():
-    graph = BipartiteGraph(1 << 16, 9, 1000, seed=2026)
-    rows = graph.neighbors_of(np.arange(1 << 16))  # a full-domain call builds it
-    assert graph.materialized
-    for table in (graph._table, rows):
+    op = SignedSketchOperator.build(1 << 16, 9, 1000, 2026, 4)
+    rows = op.graph.neighbors_of(np.arange(1 << 16))
+    assert op.graph._table is None
+    fill_tables([op])
+    for table in (op._neighbor_table, rows):
         assert hashlib.sha256(table.tobytes()).hexdigest() == (
             "4e816876fc874b27e73e2df4838a39c32bcbf9b7f0db74210b176291fbbd735e")
 
@@ -81,12 +87,12 @@ def test_neighbors_of_many_graphs_match_each_counter_stream():
     graphs = [BipartiteGraph(300, 5, 64, seed=7), BipartiteGraph(300, 5, 64, seed=8),
               BipartiteGraph(1 << 20, 3, 1000, seed=9),  # too large for a table
               BipartiteGraph(50, 6, 7, seed=10), BipartiteGraph(40, 2, 1 << 40, seed=11)]
-    graphs[3].table()
     rng = np.random.default_rng(4)
     requests = [(graphs[0], np.array([5, 5, 299, 0, 17])),
                 (graphs[1], np.zeros(0, dtype=np.int64)),
-                (graphs[2], rng.choice(1 << 20, 30)), (graphs[3], np.array([49, 3, 3])),
-                (graphs[4], np.arange(39, -1, -1)), (graphs[0], np.array([1]))]
+                (graphs[2], rng.choice(1 << 20, 30)), (graphs[3], np.arange(50)),
+                (graphs[3], np.array([49, 3, 3])), (graphs[4], np.arange(39, -1, -1)),
+                (graphs[0], np.array([1]))]
 
     def reference(graph, indices):
         keys = (np.asarray(indices, dtype=np.uint64)[:, None] * np.uint64(graph.ell)
@@ -97,8 +103,10 @@ def test_neighbors_of_many_graphs_match_each_counter_stream():
         got = graph.neighbors_of(indices)
         assert got.dtype == np.int64 and got.shape == (indices.size, graph.ell)
         assert np.array_equal(got, reference(graph, indices))
-    # neighbors_of on all N rows builds the table; fewer rows build none
-    assert [g.materialized for g in graphs] == [False, False, False, True, True]
+    # a graph caches nothing: not after neighbors_of on all N rows (graphs
+    # 3 and 4), nor after an expansion check or an adjacency dump
+    assert verify_expansion(graphs[3], 2, 0.5).t == 2 and graphs[3].dump_adjacency()
+    assert all(g._table is None for g in graphs)
 
 
 def test_disjoint_neighborhoods_expand_perfectly():
@@ -115,6 +123,31 @@ def test_identical_neighbor_lists_fail_pairs():
     cert = verify_expansion(g, t=2, eps=0.4)
     assert not cert.verified
     assert cert.worst_ratio == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[1.5, 2.7]]), np.array([[1.0, 2.0]]), [[1, 2.0]], np.array([[True, False]]),
+    np.array([[1 + 0j, 2]]), np.array([[1, 2]], dtype=object), np.array([[1, 8]]),
+    np.array([[-1, 2]]), np.array([[(1 << 64) - 1, 0]], dtype=np.uint64),
+], ids=["fractions", "whole-floats", "list-with-a-float", "bools", "complex", "object",
+        "bucket-M", "negative", "uint64-top"])
+def test_explicit_neighbor_tables_must_hold_integer_buckets(table):
+    # a float table was cast to int64: [[1.5, 2.7]] became [[1, 2]]
+    with pytest.raises(UsageError):
+        BipartiteGraph.from_neighbors(table, 8)
+    with pytest.raises(UsageError):
+        BipartiteGraph(1, 2, 8, seed=0, neighbors=table)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32,
+                                   np.int64, np.uint64])
+def test_explicit_neighbor_tables_of_any_integer_width_are_kept(dtype):
+    table = np.array([[7, 0, 3], [2, 2, 5]], dtype=dtype)
+    graph = BipartiteGraph.from_neighbors(table, 8)
+    got = graph.neighbors_of(np.arange(2))
+    assert got.dtype == np.int64 and got.tolist() == [[7, 0, 3], [2, 2, 5]]
+    table[0, 0] = 1  # the graph keeps its own read-only copy
+    assert graph.neighbors(0) == [7, 0, 3] and not graph._table.flags.writeable
 
 
 def test_verify_expansion_refuses_infeasible_enumeration():
@@ -221,12 +254,20 @@ def _dense_matrix(op):
     return out
 
 
-def test_apply_matches_dense_matrix_exactly():
+@pytest.mark.parametrize("graph", ["generated", "explicit"])
+def test_apply_matches_dense_matrix_exactly(graph):
     op = _operator(32, 6, 64, seed=11)
-    dense = _dense_matrix(op)
     rng = np.random.default_rng(5)
+    if graph == "explicit":  # holds both tables from construction
+        op = SignedSketchOperator(BipartiteGraph.from_neighbors(
+            rng.integers(0, 64, size=(32, 6)).astype(np.uint8), 64), op.signs)
+        assert op._neighbor_table is not None and op._sign_table is not None
+    dense = _dense_matrix(op)
     x = rng.integers(-3, 4, size=32).astype(float)
     assert np.max(np.abs(op.apply(x) - dense @ x)) == 0.0
+    u, rows = dense @ x, [31, 0, 5, 5, *range(32)]
+    assert np.array_equal(op.readings(u, np.array(rows)), [
+        [op.signs.sign(i, s) * u[j] for s, j in enumerate(op.graph.neighbors(i))] for i in rows])
 
 
 def test_apply_is_linear():
@@ -245,13 +286,19 @@ def test_apply_dimension_mismatch_errors():
         op.apply(np.zeros(33))
 
 
+class _HashedOperator(SignedSketchOperator):
+    """An operator that never holds tables: it reports a domain too large
+    for them, so no request reaches `fill_tables`' trigger or size rule,
+    while its graph still checks each row against the true N."""
+
+    n_left = 1 << 62
+
+
 def _lazy_twin(op):
-    """The same design over a graph without a materialized neighbor
-    table, so it hashes its edge signs on every call."""
+    """The same design as a `_HashedOperator`, so it hashes its edges on
+    every call."""
     g = op.graph
-    lazy = BipartiteGraph(g.n_left, g.ell, g.n_buckets, g.seed)
-    lazy.table = lambda: None  # never builds its table
-    return SignedSketchOperator(lazy, op.signs)
+    return _HashedOperator(BipartiteGraph(g.n_left, g.ell, g.n_buckets, g.seed), op.signs)
 
 
 @pytest.mark.parametrize("fill_by", ["apply", "readings"])
@@ -285,7 +332,7 @@ def test_sign_table_keeps_apply_and_readings_identical(fill_by):
                           twin.apply_sparse(full, x).view(np.int64))
     assert np.array_equal(got, twin.readings(sketch, full).view(np.int64))
     assert np.array_equal(got, op.readings(sketch, full[::-1])[::-1].view(np.int64))
-    assert twin._sign_table is None and not twin.graph.materialized
+    assert twin._sign_table is None and twin._neighbor_table is None
 
 
 def _hashed_apply(op, indices, values):
@@ -308,11 +355,11 @@ def test_apply_sparse_many_mixed_jobs_match_each_own_apply(monkeypatch):
     dense = _operator(10, 4, 32, seed=35)
     tiny = _operator(8, 3, 16, seed=36)
     tree_ell, stage_ell = _operator(500, 8, 128, seed=37), _operator(500, 9, 128, seed=38)
-    explicit = SignedSketchOperator(  # rows gathered from its table, signs hashed
+    explicit = SignedSketchOperator(  # holds its tables from construction
         BipartiteGraph.from_neighbors(rng.integers(0, 40, size=(60, 4)), 40),
         SignFamily(seed=39, independence=8, n_left=60, ell=4))
     assert filled._sign_table is not None and wide.signs.hash.field.q == (1 << 61) - 1
-    assert explicit._sign_table is None
+    assert explicit._sign_table is not None
 
     def sparse(op, size):
         return np.sort(rng.choice(op.n_left, size, replace=False))
@@ -398,13 +445,13 @@ def test_dense_jobs_fan_out_match_single_job_calls(monkeypatch):
     monkeypatch.setattr(expander, "_sketch_alone", lambda op, indices, values: ran.append(
         (threading.current_thread(), op, indices)) or alone(op, indices, values))
     got = apply_sparse_many(ops, rows, values)
-    tables = [(op.graph._table, op._sign_table) for op in (shared, reversed_rows)]
+    tables = [(op._neighbor_table, op._sign_table) for op in (shared, reversed_rows)]
     assert all(t is not None for pair in tables for t in pair)
     for op in (above, small):
-        assert op._sign_table is None and not op.graph.materialized
+        assert op._sign_table is None and op._neighbor_table is None
     again = apply_sparse_many(ops, rows, values)  # reuses the tables the first call built
     assert all(a is b for pair, op in zip(tables, (shared, reversed_rows))
-               for a, b in zip(pair, (op.graph._table, op._sign_table)))
+               for a, b in zip(pair, (op._neighbor_table, op._sign_table)))
     workers = {t for t, _, _ in ran if t is not threading.main_thread()}
     assert len(ran) == 8 and bool(workers) == (expander._pool()[0] > 1)
     assert all(t is threading.main_thread() for t, op, _ in ran if op is above)
@@ -462,8 +509,8 @@ def test_rows_outside_the_domain_are_refused():
                 target.apply_sparse(np.array(rows), np.array([1.0]))
             with pytest.raises(UsageError):
                 target.readings(u, np.array([0] + rows))
-            with pytest.raises(UsageError):  # a bad request refuses the whole call
-                edges_many([(target, np.arange(64)), (target, np.array(rows))])
+            with pytest.raises(UsageError):
+                edges(target, np.array(rows))
             with pytest.raises(UsageError):
                 target.graph.neighbors_of(np.array(rows))
     with pytest.raises(UsageError):
@@ -472,11 +519,11 @@ def test_rows_outside_the_domain_are_refused():
         op.apply_sparse(np.array([1, 2]), np.array([1.0]))
 
 
-def test_edges_many_matches_scalar_neighbors_and_signs(monkeypatch):
+def test_edges_matches_scalar_neighbors_and_signs(monkeypatch):
     rng = np.random.default_rng(61)
     tabled = _operator(300, 5, 64, seed=51)
     tabled.apply(np.ones(300))  # fills both tables
-    explicit = SignedSketchOperator(  # rows from its table, signs hashed
+    explicit = SignedSketchOperator(  # holds both tables from construction
         BipartiteGraph.from_neighbors(rng.integers(0, 40, size=(60, 4)), 40),
         SignFamily(seed=52, independence=8, n_left=60, ell=4))
     low_degree, high_degree = _operator(400, 5, 96, seed=53, indep=4), _operator(500, 8, 128, 54)
@@ -492,49 +539,61 @@ def test_edges_many_matches_scalar_neighbors_and_signs(monkeypatch):
         (high_degree, rng.choice(500, 20)),
         (big, rng.integers(0, 512, 4000)),  # two requests on one operator
         (big, rng.integers(0, 512, 4000)),
-        (wide.graph, np.array([3, 1, 3])),  # a graph's request: buckets alone
     ]
     passes, edge_signs = [], expander.edge_signs
     monkeypatch.setattr(expander, "edge_signs", lambda families, sizes, vertices, *rest: (
         passes.append(([f.independence for f in families], np.size(vertices)))
         or edge_signs(families, sizes, vertices, *rest)))
-    got = edges_many(requests)
+    got = [edges(op, rows) for op, rows in requests]
     monkeypatch.undo()
     # each request that hashes signs makes one single-family pass, in
     # request order, which hashes a row once for all its slots
-    assert passes == [([op.signs.independence], rows.size) for op, rows in requests[2:8]]
-    assert sum(size for _, size in passes) == sum(rows.size for _, rows in requests[2:8])
-    assert got[0][0] is tabled.graph._table and got[0][1] is tabled._sign_table
+    assert passes == [([op.signs.independence], rows.size) for op, rows in requests[3:]]
+    assert sum(size for _, size in passes) == sum(rows.size for _, rows in requests[3:])
+    assert got[0][0] is tabled._neighbor_table and got[0][1] is tabled._sign_table
     scalar = {}  # (op, row) -> the row's scalar neighbors and signs
     for (op, rows), (buckets, edge) in zip(requests, got):
-        graph = getattr(op, "graph", op)
-        assert buckets.dtype == np.int64 and buckets.shape == (rows.size, graph.ell)
-        assert (edge is None) == (graph is op)
+        assert buckets.dtype == np.int64 and buckets.shape == (rows.size, op.graph.ell)
+        assert edge.shape == buckets.shape
         for at, i in enumerate(rows.tolist()):
             if (id(op), i) not in scalar:
-                row = graph.neighbors(i)
-                scalar[id(op), i] = row, None if edge is None else [op.signs.sign(i, s)
-                                                                    for s in range(len(row))]
+                row = op.graph.neighbors(i)
+                scalar[id(op), i] = row, [op.signs.sign(i, s) for s in range(len(row))]
             row, row_signs = scalar[id(op), i]
             assert buckets[at].tolist() == row
-            assert edge is None or edge[at].tolist() == row_signs
-    for (op, rows), (buckets, edge) in zip(requests[1:], got[1:]):
-        if edge is not None:  # gathered or hashed: never the tables themselves
-            assert not np.shares_memory(edge, tabled._sign_table)
+            assert edge[at].tolist() == row_signs
+    for buckets, edge in got[1:]:  # gathered or hashed: never the tables themselves
+        assert not any(np.shares_memory(a, t) for a in (buckets, edge)
+                       for t in (tabled._neighbor_table, tabled._sign_table,
+                                 explicit._neighbor_table, explicit._sign_table))
 
 
-def test_sign_table_never_filled_above_materialize_limit():
+def test_tables_above_materialize_limit_only_for_explicit_graphs():
+    # a generated graph's operator above the limit never holds tables; an
+    # explicit graph's holds both from construction, at any size, and
+    # sketches and reads as the graph's rows and the hashed signs give
     n, ell, m = _MATERIALIZE_LIMIT // 4 + 1, 4, 64
     lazy = _operator(n, ell, m, seed=5)
-    assert not lazy.graph.materialized
+    rng = np.random.default_rng(5)
     explicit = SignedSketchOperator(
-        BipartiteGraph.from_neighbors(np.zeros((n, ell), dtype=np.int64), m),
+        BipartiteGraph.from_neighbors(rng.integers(0, m, size=(n, ell)), m),
         SignFamily(seed=5, independence=4, n_left=n, ell=ell))
-    assert explicit.graph.materialized
-    for op in (lazy, explicit):
-        op.readings(np.ones(m), np.arange(n))
-        op.apply_sparse(np.arange(n), np.ones(n))
-        assert op._sign_table is None
+    tables = explicit._neighbor_table, explicit._sign_table
+    assert tables[0].dtype == np.int64 and tables[1].dtype == np.int8
+    assert all(t.shape == (n, ell) and not t.flags.writeable for t in tables)
+    x = rng.integers(-3, 4, size=n).astype(float)
+    rows = np.arange(n)
+    signs = explicit.signs.sign_vec(np.repeat(rows, ell), np.tile(np.arange(ell), n))
+    want = np.zeros(m)
+    np.add.at(want, explicit.graph.neighbors_of(rows).ravel(), signs * np.repeat(x, ell))
+    lazy.readings(np.ones(m), rows)
+    lazy.apply_sparse(rows, x)
+    assert lazy._neighbor_table is None and lazy._sign_table is None
+    assert np.array_equal(explicit.apply(x), want)
+    assert np.array_equal(explicit.apply_sparse(rows[::-1], x[::-1]), want)
+    assert np.array_equal(explicit.readings(want, rows),
+                          signs.reshape(n, ell) * want[explicit.graph.neighbors_of(rows)])
+    assert explicit._neighbor_table is tables[0] and explicit._sign_table is tables[1]
 
 
 def test_generated_graph_beyond_64_bit_stream_indices_is_infeasible():
@@ -585,7 +644,7 @@ def _add_at_sketch(op, rows, values):
     sign times value into +0.0, in (row, slot) order."""
     out = np.zeros(op.n_buckets)
     weights = op._sign_table[rows] * np.asarray(values)[:, None]
-    np.add.at(out, op.graph._table[rows].ravel(), weights.ravel())
+    np.add.at(out, op._neighbor_table[rows].ravel(), weights.ravel())
     return out
 
 
@@ -629,12 +688,12 @@ def test_fold_table_sums_match_add_at_on_the_scan_design(monkeypatch):
         for g in got:
             assert np.array_equal(g.view(np.int64), w)
         fold = op._fold_table
-        load = np.bincount(op.graph._table.ravel(), minlength=op.n_buckets)
+        load = np.bincount(op._neighbor_table.ravel(), minlength=op.n_buckets)
         assert fold.dtype == np.int32 and fold.shape == (load.max(), op.n_buckets)
         assert not fold.flags.writeable
         # column j: bucket j's signed vertex ids in (row, slot) order, then padding
         for j in (0, op.n_buckets - 1):
-            vertex, slot = np.nonzero(op.graph._table == j)
+            vertex, slot = np.nonzero(op._neighbor_table == j)
             ids = vertex + (1 << 16) * (op._sign_table[vertex, slot] < 0)
             assert np.array_equal(fold[:load[j], j], ids)
             assert np.all(fold[load[j]:, j] == 2 << 16)
@@ -655,7 +714,7 @@ def test_fold_table_with_an_empty_bucket_and_zero_sums():
     rows = np.arange(n)
     # -0.0 values: a +1 edge's weight is -0.0, which +0.0 absorbs
     for x in (np.full(n, -0.0), _awkward_values(n, rng), np.zeros(n)):
-        first = op.apply_sparse(rows, x)  # the first fills the tables
+        first = op.apply_sparse(rows, x)  # the first builds the fold table
         want = _add_at_sketch(op, rows, x).view(np.int64)
         assert np.array_equal(first.view(np.int64), want)
         assert np.array_equal(op.apply_sparse(rows, x).view(np.int64), want)
@@ -731,12 +790,13 @@ def test_untabled_operators_hash_one_block_at_a_time(monkeypatch):
     monkeypatch.setattr(expander, "_hashed_edges", lambda graph, family, rows: (
         hashed.append((graph, rows.size)) or hashed_edges(graph, family, rows)))
     for op in (tabled, lazy, above):
-        rows_of = {"dense": np.arange(op.n_left),
-                   "sparse": np.sort(rng.choice(op.n_left, 15_000, replace=False))}
+        n_left = op.graph.n_left  # a `_HashedOperator` reports another
+        rows_of = {"dense": np.arange(n_left),
+                   "sparse": np.sort(rng.choice(n_left, 15_000, replace=False))}
         for rows in rows_of.values():
             values = rng.normal(size=rows.size)
             got = apply_sparse_many([op], [rows], values)[0]
-            readings = weak._median_readings(op, got, rows)
+            readings = weak.median_estimates(op, got, rows)
             buckets, signs = hashed_edges(op.graph, op.signs, rows)
             want = np.zeros(m if op is not above else 512)
             np.add.at(want, buckets.ravel(), (signs * values[:, None]).ravel())
@@ -744,7 +804,7 @@ def test_untabled_operators_hash_one_block_at_a_time(monkeypatch):
             assert np.array_equal(readings.view(np.int64),
                                   weak.lower_median(signs * want[buckets]).view(np.int64))
     assert tabled._sign_table is not None and lazy._sign_table is None
-    assert above._sign_table is None and not above.graph.materialized
+    assert above._sign_table is None and above._neighbor_table is None
     # the operators without tables hash one block's rows at a time; the
     # tabled one hashed only its neighbor table, in one request
     untabled = [(graph, size) for graph, size in hashed if graph is not tabled.graph]

@@ -281,6 +281,28 @@ def test_cli_encode_decode_roundtrip(tmp_path):
     assert np.linalg.norm(x - x_hat) <= 1e-9
 
 
+@pytest.mark.parametrize("seed,code", [
+    (0, 0), ((1 << 64) - 1, 0), (-1, 1), (1 << 64, 1), (1.5, 1), ("12", 1), (True, 1),
+    (None, 1),
+], ids=["zero", "top", "negative", "2^64", "fraction", "text", "bool", "null"])
+def test_cli_encode_refuses_a_descriptor_seed_outside_0_to_2_64(tmp_path, capsys, seed, code):
+    # seeds -1 and 2^64 died with an OverflowError in derive_seed, while
+    # 1.5, "12" and true built a system (1.5 as seed 1)
+    from sparserec.toplevel import TopLevelConfig, TopLevelSystem
+
+    blob = json.loads(TopLevelSystem(TopLevelConfig(n=128, k=2, engine="scan", ell=7),
+                                     seed=5).to_json())
+    blob["seed"] = seed
+    sys_path, out = tmp_path / "sys.json", tmp_path / "u.bin"
+    sys_path.write_text(json.dumps(blob))
+    binio.write_vector(tmp_path / "x.bin", np.zeros(128))
+    capsys.readouterr()
+    assert main(["encode", "--system", str(sys_path), "--signal", str(tmp_path / "x.bin"),
+                 "--out", str(out)]) == code
+    if code:
+        assert "usage error:" in capsys.readouterr().err and not out.exists()
+
+
 def test_cli_decode_refuses_a_descriptor_with_another_measurement_count(tmp_path, capsys):
     from sparserec.toplevel import TopLevelConfig, TopLevelSystem
 

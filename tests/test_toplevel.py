@@ -96,8 +96,8 @@ def test_every_encoded_operator_is_read(monkeypatch, n, engine, tree):
     sketch = system.encode(x)
     monkeypatch.setattr(toplevel, "apply_sparse_many", apply_many)
     # identification reads each of its copies, and estimation its one operator
-    medians = weak._median_readings
-    monkeypatch.setattr(weak, "_median_readings",
+    medians = weak.median_estimates
+    monkeypatch.setattr(weak, "median_estimates",
                         lambda op, sketch, rows: read.append(op) or medians(op, sketch, rows))
     trace = []
     system.decode(sketch, trace=trace)
@@ -522,15 +522,14 @@ def _per_operator_sketch(system, indices, values):
 
 
 def _eager_twin(system):
-    """The same system with every neighbor table built up front."""
+    """The same system with every operator's tables built up front."""
     twin = TopLevelSystem(system.config, system.seed)
-    for op in _operators(twin):
-        op.graph.table()
+    expander.fill_tables(_operators(twin))
     return twin
 
 
 def _tables_built(system):
-    return [op.graph.materialized for op in _operators(system)]
+    return [op._neighbor_table is not None for op in _operators(system)]
 
 
 def _check_batched_encodes(system, rng, dense=False):
@@ -649,7 +648,7 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
     monkeypatch.undo()
     trace = []
     assert np.allclose(system.decode(cold, trace=trace), x)
-    tabled = [op.graph.materialized for op in ops]
+    tabled = [op._neighbor_table is not None for op in ops]
     assert any(tabled) and not all(tabled)
     assert tabled == [op._sign_table is not None for op in ops]
     monkeypatch.setattr(hashing, "_horner_vec", counted)
@@ -665,7 +664,7 @@ def test_sparse_system_encode_makes_one_sign_pass_per_field(monkeypatch):
             indices = np.flatnonzero(signal)
             sketches = _encode_stages(stages, indices, signal[indices])
             hashed = [op for stage in stages for _, op in _stage_operators(stage)
-                      if not op.graph.materialized]
+                      if op._neighbor_table is None]
             assert [name for name, _ in sorted(passes)] == ["GF(2147483647)", "GF(2^14)"]
             assert ("GF(2147483647)", 8 * len(hashed)) in passes
             assert streams == [sum(8 * op.graph.ell for op in hashed)]
@@ -753,15 +752,22 @@ def test_warm_tree_decode_identifies_each_node_in_one_sign_pass(monkeypatch):
     assert passes == [("GF(2305843009213693951)", inner[2][1])]
 
 
+class _HashedOperator(SignedSketchOperator):
+    """An operator that never holds tables: it reports a domain too large
+    for them, so no request reaches `fill_tables`' trigger or size rule,
+    while its graph still checks each row against the true N."""
+
+    n_left = 1 << 62
+
+
 def _hashed_sketch(system, x):
-    """Scan-engine sketch of x from twins of the operators whose graphs
-    hold no neighbor table, so every row is generated and hashed."""
+    """Scan-engine sketch of x from `_HashedOperator` twins of the
+    operators, so every row is generated and hashed."""
     out = []
     for op in _operators(system):
         g = op.graph
         lazy = BipartiteGraph(g.n_left, g.ell, g.n_buckets, g.seed)
-        lazy.table = lambda: None  # never builds its table
-        out.append(SignedSketchOperator(lazy, op.signs).apply(x))
+        out.append(_HashedOperator(lazy, op.signs).apply(x))
     return np.concatenate(out)
 
 
@@ -872,7 +878,7 @@ def test_mutating_returned_rows_leaves_the_design_unchanged():
     sketch = system.encode(x)
     op = system.stages[0].layer.ident_ops[0]
     full = np.arange(1024)
-    tables = (op.graph._table, op._sign_table)
+    tables = (op._neighbor_table, op._sign_table)
     for got in (op.graph.neighbors_of(full), op.readings(sketch[:op.n_buckets], full)):
         if got.flags.writeable:
             assert not any(np.shares_memory(got, t) for t in tables)

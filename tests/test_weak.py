@@ -47,12 +47,12 @@ def test_median_estimates_pick_lower_medians_signed_zeros_included():
         got = median_estimates(op, u, indices)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         if tables is None:
-            tables = [t.copy() for t in (op.graph._table, op._sign_table)]
+            tables = [t.copy() for t in (op._neighbor_table, op._sign_table)]
     zeros = np.signbit(median_estimates(op, u, full)[lower_median(op.readings(u, full)) == 0])
     assert not zeros.any()
     # the full-domain readings read the tables in place: the tables are
     # untouched
-    assert all(np.array_equal(a, b) for a, b in zip(tables, (op.graph._table, op._sign_table)))
+    assert all(np.array_equal(a, b) for a, b in zip(tables, (op._neighbor_table, op._sign_table)))
 
 
 def test_single_spike_estimated_exactly():
@@ -267,7 +267,7 @@ def test_weak_layer_identify_reads_its_copies_in_one_sign_pass_per_copy(monkeypa
         passes.append(len(families)) or edge_signs(families, *rest)))
     found = layer.identify(sketches, cand)
     # each copy's candidate rows hash in one single-family pass, tables unbuilt
-    assert passes == [1, 1, 1] and not any(op.graph.materialized for op in layer.ident_ops)
+    assert passes == [1, 1, 1] and all(op._neighbor_table is None for op in layer.ident_ops)
     assert np.array_equal(found, want) and set(supp.tolist()) <= set(found.tolist())
 
 
@@ -469,15 +469,15 @@ def test_identification_fills_small_operators_tables_and_estimation_does_not():
     sketches = layer.encode(x)
     cand = np.sort(rng.choice(4096, 300, replace=False))
     layer.estimate(sketches, cand)
-    assert not layer.est_op.graph.materialized and layer.est_op._sign_table is None
+    assert layer.est_op._neighbor_table is None and layer.est_op._sign_table is None
     found = layer.identify(sketches, cand)  # 300 of 4,096 rows
-    assert all(op.graph.materialized and op._sign_table is not None
+    assert all(op._neighbor_table is not None and op._sign_table is not None
                for op in layer.ident_ops)
     # the twin's readings (fewer than N rows, no identification) hash them
     want = majority_amplify([cand[head_indices(lower_median(op.readings(u, cand)),
                                                params.ident_count)]
                              for op, u in zip(twin.ident_ops, sketches)])
-    assert not any(op.graph.materialized for op in twin.ident_ops)
+    assert all(op._neighbor_table is None for op in twin.ident_ops)
     assert np.array_equal(found, want)
 
 

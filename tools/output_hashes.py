@@ -38,7 +38,11 @@ that fills the design tables, the one that builds the fold tables and
 one that reuses them.  Then that system decodes the exact 8-sparse
 signal, every identification read ranking only the rows that can reach
 the top, with fewer nonzero medians than it keeps (a zero fill at
-ell = 9); its estimate and trace are hashed.
+ell = 9); its estimate and trace are hashed.  Last, the graph-only paths
+and an explicit graph: the adjacency dump and the (3, 0.25) expansion
+certificate of a generated 64-vertex graph, and three dense sketches,
+a sparse one and readings of an operator over an explicit 500-vertex
+graph.
 """
 
 from __future__ import annotations
@@ -213,6 +217,26 @@ def capped_hashes(sparserec, copies: int) -> dict:
             "warnings": digest(*seen), "warning_count": len(seen)}
 
 
+def graph_hashes(sparserec) -> dict:
+    """The graph-only paths and an explicit-graph operator (module docstring)."""
+    from sparserec.expander import BipartiteGraph, SignedSketchOperator, verify_expansion
+    from sparserec.hashing import SignFamily
+
+    graph = BipartiteGraph(64, 8, 1024, seed=6)
+    rng = np.random.default_rng(11)
+    explicit = SignedSketchOperator(
+        BipartiteGraph.from_neighbors(rng.integers(0, 96, size=(500, 7)), 96),
+        SignFamily(seed=12, independence=8, n_left=500, ell=7))
+    x = rng.normal(size=500)
+    rows = rng.choice(500, 40)
+    sketches = [explicit.apply(x) for _ in range(3)] + [explicit.apply_sparse(rows, x[rows])]
+    return {"dump": digest(graph.dump_adjacency()),
+            "expansion": digest(verify_expansion(graph, 3, 0.25)),
+            "explicit-sketches": digest(*bits(sketches)),
+            "explicit-readings": digest(*bits([explicit.readings(sketches[0], rows),
+                                               explicit.readings(sketches[0], np.arange(500))]))}
+
+
 def experiment_hash(sparserec, engine: str, copies: int) -> str:
     from sparserec.experiment import records_to_csv, run_experiment
 
@@ -264,6 +288,7 @@ def main(argv: list[str]) -> int:
     out.update({f"nan-{name}": nan_hashes(sparserec, *DESIGNS[name]) for name in NAN_DESIGNS})
     out["order-sensitive-scan-noisy-n16"] = fold_hashes(sparserec, *DESIGNS["scan-noisy-n16"])
     out.update({f"capped-lw3-s{s}": capped_hashes(sparserec, s) for s in (1, 3)})
+    out["graphs"] = graph_hashes(sparserec)
     out.update({f"experiment-{engine}-copies{c}": experiment_hash(sparserec, engine, c)
                 for engine in ("scan", "recursive") for c in (1, 3)})
     print(json.dumps(out, sort_keys=True, indent=1))
